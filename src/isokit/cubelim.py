@@ -18,11 +18,10 @@ from itertools import combinations
 from random import Random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .errors import InvariantViolated
+from .group import _skey
+
 Subset = FrozenSet[int]
-
-
-def _skey(s: Subset) -> Tuple[int, Tuple[int, ...]]:
-    return (len(s), tuple(sorted(s)))
 
 
 def _subsets(indices: Sequence[int]) -> List[Subset]:
@@ -422,8 +421,10 @@ def factorize_limit(m: CubeMap) -> Factorization:
         composed = compose(f, composed)
     direct, lim_y_again = limit_map(m)
     # same enumeration order, so the realizations agree on the nose
-    assert lim_y_again.elements == lim_y.elements
-    assert composed.mapping == direct.mapping
+    if lim_y_again.elements != lim_y.elements:
+        raise InvariantViolated("re-enumerated limit of the target differs")
+    if composed.mapping != direct.mapping:
+        raise InvariantViolated("composed surjection chain differs from the direct limit map")
     return Factorization(
         added_order=tuple(xorder),
         stages=tuple(reversed(stages)),

@@ -76,3 +76,7 @@ class InconsistentLabels(IsokitError):
 
 class MissingStratum(IsokitError):
     """A dimension override names an isotropy class the complex lacks."""
+
+
+class InvariantViolated(IsokitError):
+    """A result failed an identity the mathematics guarantees: a library bug."""

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     InconsistentLabels,
+    InvariantViolated,
     NonAbelianPi,
     NonIntegral,
     NotIsovariant,
@@ -33,7 +34,7 @@ from .gcomplex import (
     stratum_closure,
 )
 from .gmap import GMap, is_isovariant, is_simplicial
-from .group import MarksTable, class_names, class_rep_of, table_of_marks
+from .group import class_names, class_rep_of, table_of_marks
 from .snf import smith_normal_form
 
 Vector = Tuple[int, ...]
@@ -163,11 +164,6 @@ def burnside_lefschetz(f: GMap) -> BurnsideElement:
     marks = table_of_marks(f.source.group)
     mv = marks_vector(f)
     coeffs = marks.integral_solution(mv.coefficients)
-    return BurnsideElement(basis="orbits", names=marks.names, coefficients=coeffs)
-
-
-def solve_burnside(marks: MarksTable, vector: Sequence[int]) -> BurnsideElement:
-    coeffs = marks.integral_solution(vector)
     return BurnsideElement(basis="orbits", names=marks.names, coefficients=coeffs)
 
 
@@ -547,7 +543,8 @@ def reidemeister_trace(f: GMap, pidata: Optional[PiData] = None) -> Reidemeister
         term = (-1) ** (len(s) - 1) * sign
         coeffs[label] = coeffs.get(label, 0) + term
         total += term
-    assert total == lefschetz(f)
+    if total != lefschetz(f):
+        raise InvariantViolated(f"Reidemeister coefficients sum to {total}, not L(f)")
     if tc.count is not None:
         for label in map(tuple, product(*(range(d) for d in tc.diag))):
             coeffs.setdefault(label, 0)

@@ -149,9 +149,6 @@ class GComplex:
     def act_simplex(self, g: int, s: Sequence[int]) -> Simplex:
         return tuple(sorted(self.action[g][v] for v in s))
 
-    def orbit_of_simplex(self, s: Sequence[int]) -> SimplexSet:
-        return frozenset(self.act_simplex(g, s) for g in self.group.elements)
-
     def vertex_stabilizer(self, v: int) -> Subgroup:
         return frozenset(g for g in self.group.elements if self.action[g][v] == v)
 

@@ -8,9 +8,9 @@ that is smallest under (order, sorted elements).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, NonIntegral, NotStrictChain
@@ -52,6 +52,8 @@ class FiniteGroup:
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
         self._subgroups: Optional[Tuple[Subgroup, ...]] = None
         self._classes: Optional[Tuple[Tuple[Subgroup, ...], ...]] = None
+        self._class_rep: Optional[Dict[Subgroup, Subgroup]] = None
+        self._marks: Optional["MarksTable"] = None
 
     def _validate(self) -> None:
         n = self.order
@@ -117,7 +119,7 @@ class FiniteGroup:
         """Close permutation generators and build the multiplication table.
 
         Elements are the sorted permutation tuples, which puts the identity
-        at index 0.
+        at index 0.  Composing on the right suffices, as in subgroup_closure.
         """
         ident = tuple(range(degree))
         gens = []
@@ -127,20 +129,13 @@ class FiniteGroup:
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
             gens.append(pt)
         closure = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in gens:
-                    comp = tuple(p[q[i]] for i in range(degree))
-                    if comp not in closure:
-                        closure.add(comp)
-                        nxt.append(comp)
-                    comp2 = tuple(q[p[i]] for i in range(degree))
-                    if comp2 not in closure:
-                        closure.add(comp2)
-                        nxt.append(comp2)
-            frontier = nxt
+        walk = [ident]
+        for p in walk:
+            for q in gens:
+                comp = tuple(p[q[i]] for i in range(degree))
+                if comp not in closure:
+                    closure.add(comp)
+                    walk.append(comp)
             if len(closure) > max_group_order():
                 raise GroupTooLarge(
                     f"generated group exceeds cap {max_group_order()}"
@@ -192,28 +187,22 @@ class FiniteGroup:
 
 
 def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the given elements."""
-    closure = {0}
-    frontier = [0]
-    gen_list = [x for x in gens]
-    for x in gen_list:
-        if x not in closure:
-            closure.add(x)
-            frontier.append(x)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(closure):
-                for c in (g.mul(a, b), g.mul(b, a)):
-                    if c not in closure:
-                        closure.add(c)
-                        nxt.append(c)
-            ai = g.inv(a)
-            if ai not in closure:
-                closure.add(ai)
-                nxt.append(ai)
-        frontier = nxt
-    return frozenset(closure)
+    """Smallest subgroup containing the given elements.
+
+    A Cayley-graph walk from the identity, O(|closure| * #gens): right
+    multiplication by the generators suffices, as in a finite group every
+    inverse is a positive power.
+    """
+    gens = tuple(gens)
+    seen = {0}
+    walk = [0]
+    for a in walk:
+        row = g.table[a]
+        for s in gens:
+            if row[s] not in seen:
+                seen.add(row[s])
+                walk.append(row[s])
+    return frozenset(seen)
 
 
 def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
@@ -223,27 +212,31 @@ def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
     return all(g.mul(a, b) in s for a in s for b in s)
 
 
+def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
+    """The lattice by cyclic extension (Neubueser 1960), sorted by _skey.
+
+    Each subgroup H found is extended by one x outside it, one x per left
+    coset xH.  Every K > 1 is <K', x> for a maximal subgroup K' of K.
+    """
+    if g._subgroups is None:
+        gens: Dict[Subgroup, Tuple[int, ...]] = {frozenset({0}): ()}
+        queue = list(gens)
+        for h in queue:
+            tried = set(h)
+            for x in g.elements:
+                if x not in tried:
+                    tried.update(g.table[x][s] for s in h)
+                    k = subgroup_closure(g, gens[h] + (x,))
+                    if k not in gens:
+                        gens[k] = gens[h] + (x,)
+                        queue.append(k)
+        g._subgroups = tuple(sorted(gens, key=_skey))
+    return g._subgroups
+
+
 def enumerate_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
-    """All subgroups, by closing the cyclic subgroups under pairwise joins."""
-    if g._subgroups is not None:
-        return g._subgroups
-    found = {subgroup_closure(g, (x,)) for x in g.elements}
-    found.add(frozenset({0}))
-    while True:
-        new = set()
-        pool = sorted(found, key=_skey)
-        for a, b in combinations(pool, 2):
-            if a <= b or b <= a:
-                continue
-            j = subgroup_closure(g, a | b)
-            if j not in found:
-                new.add(j)
-        if not new:
-            break
-        found |= new
-    result = tuple(sorted(found, key=_skey))
-    g._subgroups = result
-    return result
+    """All subgroups, sorted by (order, sorted elements); built once per group."""
+    return _all_subgroups(g)
 
 
 def conjugate_subgroup(g: FiniteGroup, sub: Iterable[int], x: int) -> Subgroup:
@@ -254,25 +247,36 @@ def is_normal(g: FiniteGroup, sub: Subgroup) -> bool:
     return all(conjugate_subgroup(g, sub, x) == sub for x in g.elements)
 
 
+def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
+    """Classes sorted by representative, each sorted; fills g._class_rep.
+
+    The lattice is sorted, so the first member of a class met is its rep.
+    """
+    if g._classes is None:
+        conj = [[g.conjugate(s, x) for s in g.elements] for x in g.elements]
+        g._class_rep = {}
+        classes = []
+        for h in _all_subgroups(g):
+            if h not in g._class_rep:
+                orbit = {frozenset(c[s] for s in h) for c in conj}
+                classes.append(tuple(sorted(orbit, key=_skey)))
+                g._class_rep.update((k, h) for k in orbit)
+        g._classes = tuple(classes)
+    return g._classes
+
+
 def subgroup_conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
     """Conjugacy classes of subgroups, each sorted, classes sorted by representative."""
-    if g._classes is not None:
-        return g._classes
-    subs = set(enumerate_subgroups(g))
-    classes = []
-    while subs:
-        rep = min(subs, key=_skey)
-        orbit = {conjugate_subgroup(g, rep, x) for x in g.elements}
-        classes.append(tuple(sorted(orbit, key=_skey)))
-        subs -= orbit
-    result = tuple(sorted(classes, key=lambda c: _skey(c[0])))
-    g._classes = result
-    return result
+    return _conjugacy_classes(g)
 
 
 def class_rep_of(g: FiniteGroup, sub: Iterable[int]) -> Subgroup:
-    """Canonical representative of the conjugacy class of a subgroup."""
-    return min((conjugate_subgroup(g, sub, x) for x in g.elements), key=_skey)
+    """Conjugate smallest under _skey: a lookup for subgroups, a scan otherwise."""
+    _conjugacy_classes(g)
+    s = frozenset(sub)
+    if s in g._class_rep:
+        return g._class_rep[s]
+    return min((conjugate_subgroup(g, s, x) for x in g.elements), key=_skey)
 
 
 def is_subconjugate(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
@@ -290,9 +294,8 @@ def class_names(g: FiniteGroup) -> Dict[Subgroup, str]:
     Trivial class is "e", cyclic classes are "C<order>", the rest "G<order>";
     same-named classes get "#1", "#2", ... suffixes in representative order.
     """
-    classes = subgroup_conjugacy_classes(g)
     base: List[Tuple[Subgroup, str]] = []
-    for cls in classes:
+    for cls in _conjugacy_classes(g):
         rep = cls[0]
         if len(rep) == 1:
             base.append((rep, "e"))
@@ -300,9 +303,7 @@ def class_names(g: FiniteGroup) -> Dict[Subgroup, str]:
             base.append((rep, f"C{len(rep)}"))
         else:
             base.append((rep, f"G{len(rep)}"))
-    counts: Dict[str, int] = {}
-    for _, name in base:
-        counts[name] = counts.get(name, 0) + 1
+    counts = Counter(name for _, name in base)
     seen: Dict[str, int] = {}
     names: Dict[Subgroup, str] = {}
     for rep, name in base:
@@ -395,25 +396,10 @@ def chain_name(g: FiniteGroup, chain: Sequence[Subgroup]) -> str:
 # -- table of marks ----------------------------------------------------------
 
 
-def _coset_reps(g: FiniteGroup, sub: Subgroup) -> List[int]:
-    seen = set()
-    reps = []
-    for x in g.elements:
-        coset = frozenset(g.mul(x, s) for s in sub)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(x)
-    return reps
-
-
 def count_fixed_cosets(g: FiniteGroup, h: Subgroup, k: Subgroup) -> int:
-    """|(G/h)^k|: cosets xh with x^-1 k x inside h."""
-    count = 0
-    for x in _coset_reps(g, h):
-        xi = g.inv(x)
-        if all(g.mul(g.mul(xi, s), x) in h for s in k):
-            count += 1
-    return count
+    """|(G/h)^k| by direct count: the x with x^-1 k x inside h, |h| per coset."""
+    fixing = sum(all(g.conjugate(s, g.inv(x)) in h for s in k) for x in g.elements)
+    return fixing // len(h)
 
 
 @dataclass(frozen=True)
@@ -465,14 +451,25 @@ class MarksTable:
 
 
 def table_of_marks(g: FiniteGroup) -> MarksTable:
-    classes = subgroup_conjugacy_classes(g)
-    reps = [cls[0] for cls in classes]
-    names = class_names(g)
-    matrix = tuple(
-        tuple(count_fixed_cosets(g, hi, hj) for hj in reps) for hi in reps
-    )
-    return MarksTable(
-        reps=tuple(tuple(sorted(r)) for r in reps),
-        names=tuple(names[r] for r in reps),
-        matrix=matrix,
-    )
+    """The table of marks from class data alone, built once per group.
+
+    x fixes the coset of H = reps[i] under K = reps[j] iff x^-1 K x <= H.
+    Each conjugate K' <= H accounts for |N_G(K)| = |G| / |class(K)| such x,
+    and each coset for |H|, so the entry is |G| #{K' <= H} / (|class(K)| |H|).
+    """
+    if g._marks is None:
+        classes = _conjugacy_classes(g)
+        reps = [c[0] for c in classes]
+        names = class_names(g)
+        g._marks = MarksTable(
+            reps=tuple(tuple(sorted(h)) for h in reps),
+            names=tuple(names[h] for h in reps),
+            matrix=tuple(
+                tuple(
+                    g.order * sum(k <= h for k in cls) // (len(cls) * len(h))
+                    for cls in classes
+                )
+                for h in reps
+            ),
+        )
+    return g._marks

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import NotEquivariantTriangulation, NotWeaklyDecreasing, ZeroChain
+from .errors import (
+    InvariantViolated,
+    NotEquivariantTriangulation,
+    NotWeaklyDecreasing,
+    ZeroChain,
+)
 from .gcomplex import GComplex, OrbitComplex, Simplex, close_simplices, orbit_complex
 from .group import (
     FiniteGroup,
@@ -138,7 +143,8 @@ def boundary(l: LinkingSimplex) -> BoundaryDecomposition:
                 tuple(sorted(embed[v] for v in s))
                 for s in model.complex.simplices()
             )
-            assert image <= bnd
+            if not image <= bnd:
+                raise InvariantViolated(f"subchain {slots} image leaves the boundary")
             pieces.append(
                 BoundaryPiece(
                     slots=slots,
@@ -149,7 +155,8 @@ def boundary(l: LinkingSimplex) -> BoundaryDecomposition:
                 )
             )
     union = frozenset().union(*(p.simplices for p in pieces))
-    assert union == bnd, "subchain images must exhaust the boundary"
+    if union != bnd:
+        raise InvariantViolated("subchain images do not exhaust the boundary")
     return BoundaryDecomposition(simplices=bnd, pieces=tuple(pieces))
 
 
@@ -172,7 +179,8 @@ def fundamental_domain(l: LinkingSimplex) -> FundamentalDomain:
                 for i, h in enumerate(l.chain)
             )
         )
-    assert set(translates.values()) == set(l.complex.facets)
+    if set(translates.values()) != set(l.complex.facets):
+        raise InvariantViolated("translates of the identity-coset facet are not the facets")
     return FundamentalDomain(facet=translates[0], translates=translates)
 
 
@@ -231,9 +239,6 @@ class IllmanSimplex:
 
     def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
         return self.vertices.index((slot, coset))
-
-    def fd_vertex(self, slot: int) -> int:
-        return self.vertex_index(slot, frozenset(self.groups[slot]))
 
 
 def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSimplex:
@@ -344,9 +349,6 @@ class IsovariantCellStructure:
     orbit: OrbitComplex
     cells: Tuple[Cell, ...]
     skeleta: Tuple[FrozenSet[Simplex], ...]
-
-    def cells_of_label(self, label: str) -> List[Cell]:
-        return [c for c in self.cells if c.label() == label]
 
 
 def _fibers_over_orbit(x: GComplex, orb: OrbitComplex) -> Dict[Simplex, List[Simplex]]:

@@ -3,9 +3,10 @@
 import pytest
 
 import oracles
-from isokit import models
+from isokit import fixpoint, models
 from isokit.errors import (
     InconsistentLabels,
+    InvariantViolated,
     NonAbelianPi,
     NonIntegral,
     NotIsovariant,
@@ -233,6 +234,14 @@ def test_derive_pidata_wedge_rank_one():
     rt = reidemeister_trace(models.MAP_MODELS["wedge-identity"]())
     assert rt.classes.count is None and rt.classes.free_rank == 1
     assert rt.is_zero and rt.lefschetz == 0
+
+
+def test_reidemeister_sum_check_survives_optimization(monkeypatch):
+    # the coefficient-sum identity is a raised check, not an assert that -O strips
+    f = models.MAP_MODELS["wedge-identity"]()
+    monkeypatch.setattr(fixpoint, "lefschetz", lambda g: lefschetz(g) + 1)
+    with pytest.raises(InvariantViolated):
+        reidemeister_trace(f)
 
 
 def test_derive_pidata_rejections():

@@ -37,6 +37,22 @@ SMALL_GROUPS = {
 }
 
 
+def _relabel(g, seed):
+    """The same group on a seeded permutation of its non-identity elements."""
+    rng = random.Random(seed)
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    back = {p: i for i, p in enumerate(perm)}
+    n = range(g.order)
+    return FiniteGroup([[perm[g.mul(back[a], back[b])] for b in n] for a in n])
+
+
+def _cyclic_power(n, k):
+    g = FiniteGroup.cyclic(n)
+    for _ in range(k - 1):
+        g = FiniteGroup.direct_product(g, FiniteGroup.cyclic(n))
+    return g
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])  # not a latin square
@@ -84,6 +100,46 @@ def test_subgroups_match_bruteforce(name):
     for sub in got:
         assert is_subgroup(g, sub)
         assert subgroup_closure(g, sub) == frozenset(sub)
+
+
+# closed formulas: D24 tau(24)+sigma(24); C2^4 and C3^3 Gaussian binomials;
+# D8xC3 19 subgroups of D8 times the 2 of C3 (coprime orders); S4 30
+@pytest.mark.parametrize("name, make, count", [
+    ("d24", lambda: FiniteGroup.dihedral(24), 68),
+    ("c2^4", lambda: _cyclic_power(2, 4), 67),
+    ("c3^3", lambda: _cyclic_power(3, 3), 28),
+    ("d8xc3", lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(8), FiniteGroup.cyclic(3)), 38),
+    ("s4", lambda: FiniteGroup.symmetric(4), 30),
+])
+def test_subgroup_counts_on_relabelled_tables(name, make, count):
+    for seed in (0, 1):
+        g = _relabel(make(), seed)
+        subs = enumerate_subgroups(g)
+        assert len(subs) == len(set(subs)) == count
+        assert all(is_subgroup(g, h) for h in subs)
+
+
+def test_subgroup_closure_matches_bruteforce():
+    rng = random.Random(5)
+    for g in (FiniteGroup.dihedral(6), _relabel(FiniteGroup.symmetric(3), 2)):
+        subs = oracles.subgroups_bruteforce(g.table)
+        for _ in range(40):
+            gens = rng.sample(range(g.order), rng.randint(0, 3))
+            smallest = frozenset.intersection(*(h for h in subs if set(gens) <= h))
+            assert subgroup_closure(g, gens) == smallest
+
+
+@pytest.mark.parametrize("g", [FiniteGroup.symmetric(4), FiniteGroup.dihedral(6)], ids=["s4", "d6"])
+def test_class_rep_lookup_matches_definition(g):
+    def by_definition(sub):
+        return min((conjugate_subgroup(g, sub, x) for x in g.elements),
+                   key=lambda s: (len(s), sorted(s)))
+
+    for h in enumerate_subgroups(g):
+        assert class_rep_of(g, h) == by_definition(h)
+    not_a_subgroup = frozenset({0, 1, 2})
+    assert not is_subgroup(g, not_a_subgroup)
+    assert class_rep_of(g, not_a_subgroup) == by_definition(not_a_subgroup)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
@@ -157,10 +213,18 @@ def test_subconjugacy_order_and_chains():
         validate_chain(g, [frozenset({0, 1}), frozenset({0, 1})])
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+MARKS_GROUPS = dict(SMALL_GROUPS, **{
+    "s4": lambda: FiniteGroup.symmetric(4),
+    "d4xc2": lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2)),
+    "c2^3": lambda: _cyclic_power(2, 3),
+})
+
+
+@pytest.mark.parametrize("name", sorted(MARKS_GROUPS))
 def test_marks_match_counting_oracle(name):
-    g = SMALL_GROUPS[name]()
+    g = MARKS_GROUPS[name]()
     mt = table_of_marks(g)
+    assert table_of_marks(g) is mt  # built once per group
     for i, h in enumerate(mt.reps):
         for j, k in enumerate(mt.reps):
             direct = oracles.fixed_coset_count(g.table, frozenset(h), frozenset(k))
