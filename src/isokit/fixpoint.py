@@ -28,10 +28,10 @@ from .gcomplex import (
     HypothesisReport,
     Simplex,
     check_hypotheses,
+    close_simplices,
     exact_stratum,
     fixed_subcomplex,
     present_classes,
-    stratum_closure,
 )
 from .gmap import GMap, is_isovariant, is_simplicial
 from .group import class_names, class_rep_of, table_of_marks
@@ -564,8 +564,8 @@ def forced_fixed_points(x: GComplex) -> FrozenSet[int]:
     """
     forced: Set[int] = set()
     reps = present_classes(x)
-    closures = {rep: stratum_closure(x, exact_stratum(x, rep)) for rep in reps}
     strata = {rep: exact_stratum(x, rep).simplices for rep in reps}
+    closures = {rep: close_simplices(s) for rep, s in strata.items()}
     for v in range(x.n_vertices):
         vsimp = (v,)
         vclass = class_rep_of(x.group, x.pointwise_stabilizer(vsimp))
@@ -635,7 +635,7 @@ def removal_verdict(f: GMap, dims: Optional[Dict[str, int]] = None) -> VerdictRe
     orbit: Optional[Tuple[int, ...]]
     witness: Optional[Tuple[str, ...]] = None
     try:
-        orbit = burnside_lefschetz(f).coefficients
+        orbit = table_of_marks(x.group).integral_solution(mv.coefficients)
     except NonIntegral as exc:
         orbit = None
         witness = tuple(str(v) for v in exc.witness or ())

@@ -9,8 +9,8 @@ the constructions that need regularity check it instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain, combinations, permutations
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import MissingStratum, NotRegular
 from .group import (
@@ -26,14 +26,17 @@ Simplex = Tuple[int, ...]
 SimplexSet = FrozenSet[Simplex]
 
 
+def _faces(s: Simplex) -> Iterator[Simplex]:
+    """Every nonempty face of s, s itself included."""
+    return chain.from_iterable(combinations(s, k) for k in range(1, len(s) + 1))
+
+
 def _normalize_facets(facets: Iterable[Iterable[int]]) -> Tuple[Simplex, ...]:
+    """Sorted, deduplicated simplices that are no proper face of another."""
     cleaned = {tuple(sorted(set(f))) for f in facets}
     cleaned.discard(())
-    maximal = [
-        f for f in cleaned
-        if not any(f != g and set(f) < set(g) for g in cleaned)
-    ]
-    return tuple(sorted(maximal, key=lambda f: (len(f), f)))
+    proper = {t for f in cleaned for t in _faces(f) if len(t) < len(f)}
+    return tuple(sorted(cleaned - proper, key=lambda f: (len(f), f)))
 
 
 def complete_action(
@@ -127,13 +130,9 @@ class GComplex:
     def simplices(self) -> Tuple[Simplex, ...]:
         """All simplices (nonempty faces of facets), sorted by dimension."""
         if self._simplices is None:
-            seen: Set[Simplex] = set()
-            for f in self.facets:
-                m = len(f)
-                for mask in range(1, 1 << m):
-                    face = tuple(f[i] for i in range(m) if mask >> i & 1)
-                    seen.add(face)
-            self._simplices = tuple(sorted(seen, key=lambda s: (len(s), s)))
+            self._simplices = tuple(
+                sorted(close_simplices(self.facets), key=lambda s: (len(s), s))
+            )
         return self._simplices
 
     @property
@@ -226,20 +225,17 @@ def barycentric_subdivision(x: GComplex) -> Subdivision:
 
 
 def make_regular(x: GComplex) -> GComplex:
-    """Subdivide until regular; zero, one, or two rounds, then verified.
+    """x itself when regular, else its barycentric subdivision, verified.
 
-    One round already suffices: a setwise-fixed flag of faces of strictly
-    increasing dimensions must be fixed levelwise.  The second round is a
-    safety net kept for the verification loop.
+    One round suffices: a setwise-fixed flag of faces of strictly
+    increasing dimensions must be fixed levelwise.
     """
-    current = x
-    for _ in range(2):
-        if current.is_regular():
-            return current
-        current = barycentric_subdivision(current).complex
-    if not current.is_regular():
-        raise NotRegular("two subdivisions did not make the action regular")
-    return current
+    if x.is_regular():
+        return x
+    sd = barycentric_subdivision(x).complex
+    if not sd.is_regular():
+        raise NotRegular("one subdivision did not make the action regular")
+    return sd
 
 
 # -- strata -------------------------------------------------------------------
@@ -279,12 +275,7 @@ def stratum_closure(x: GComplex, s: Stratum) -> SimplexSet:
 
 def close_simplices(simplices: Iterable[Simplex]) -> SimplexSet:
     """Face closure of a set of simplices."""
-    out: Set[Simplex] = set()
-    for s in simplices:
-        m = len(s)
-        for mask in range(1, 1 << m):
-            out.add(tuple(s[i] for i in range(m) if mask >> i & 1))
-    return frozenset(out)
+    return frozenset(t for s in simplices for t in _faces(s))
 
 
 def present_classes(x: GComplex) -> List[Subgroup]:
@@ -488,11 +479,7 @@ def induced_subcomplex(
                 raise ValueError("simplex set is not invariant under the action")
     vertices = sorted({v for s in closed for v in s})
     back = {v: i for i, v in enumerate(vertices)}
-    maximal = [
-        s for s in closed
-        if not any(s != t and set(s) < set(t) for t in closed)
-    ]
-    facets = [tuple(back[v] for v in s) for s in maximal]
+    facets = [tuple(back[v] for v in s) for s in closed]
     action = {
         g: tuple(back[x.action[g][v]] for v in vertices)
         for g in x.group.elements

@@ -9,6 +9,7 @@ from .errors import NotEquivariant, NotIsovariant, NotRegular, NotSimplicial
 from .gcomplex import (
     GComplex,
     Simplex,
+    _faces,
     barycentric_subdivision,
     class_fixed_union,
     exact_stratum,
@@ -193,11 +194,7 @@ def link_graph(x: GComplex, h0: Subgroup, h1: Subgroup) -> LinkGraph:
     s1 = exact_stratum(x, h1).simplices
     nodes = []
     for s in sorted(s0, key=lambda t: (len(t), t)):
-        faces = {
-            tuple(s[i] for i in range(len(s)) if mask >> i & 1)
-            for mask in range(1, (1 << len(s)) - 1)
-        }
-        if any(face in s1 for face in faces):
+        if any(len(t) < len(s) and t in s1 for t in _faces(s)):
             nodes.append(s)
     edges = [
         (a, b)

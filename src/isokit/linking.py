@@ -376,6 +376,8 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
     buckets = _fibers_over_orbit(x, orb)
     cells: List[Cell] = []
     by_dim: Dict[int, Set[Simplex]] = {}
+    # phi depends only on the stabilizer chain; cells that share it share one map
+    phi_maps: Dict[Tuple[Subgroup, ...], PhiMap] = {}
     for s in orb.complex.simplices():
         over = buckets.get(s, [])
         if not over:
@@ -405,7 +407,10 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
                     f"vertex stabilizers over orbit simplex {s} are not nested",
                     orbit_simplex=s,
                 )
-        pm = phi_vertex_map(g, sorted_stabs)
+        key = tuple(sorted_stabs)
+        if key not in phi_maps:
+            phi_maps[key] = phi_vertex_map(g, sorted_stabs)
+        pm = phi_maps[key]
         # compose the abstract assignment with the identification that the
         # slot-i vertex with coset a*H_i is the ambient vertex a * base[i]
         phi_x: Dict[Tuple[Tuple[int, ...], int], int] = {}

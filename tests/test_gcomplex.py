@@ -1,5 +1,7 @@
 """Equivariant simplicial complexes: actions, strata, filtrations, quotients."""
 
+import random
+
 import pytest
 
 import oracles
@@ -7,6 +9,7 @@ from isokit import models
 from isokit.errors import NotEquivariantTriangulation, NotRegular
 from isokit.gcomplex import (
     GComplex,
+    _normalize_facets,
     barycentric_subdivision,
     check_hypotheses,
     class_fixed_union,
@@ -22,7 +25,7 @@ from isokit.gcomplex import (
     stratification_dot,
     stratum_closure,
 )
-from isokit.group import FiniteGroup, class_names
+from isokit.group import FiniteGroup, class_names, enumerate_subgroups
 
 ALL_MODELS = sorted(models.COMPLEX_MODELS)
 
@@ -202,6 +205,50 @@ def test_induced_subcomplex():
     for g in x.group.elements:
         for v in range(sub.n_vertices):
             assert sub.act_vertex(g, v) == new_of_old[x.act_vertex(g, old_of_new[v])]
+
+
+def _maximal_by_pairs(facets):
+    """Reference: keep each cleaned facet that no other one strictly contains."""
+    cleaned = {tuple(sorted(set(f))) for f in facets} - {()}
+    maximal = [
+        f for f in cleaned if not any(f != g and set(f) < set(g) for g in cleaned)
+    ]
+    return tuple(sorted(maximal, key=lambda f: (len(f), f)))
+
+
+def test_normalize_facets_matches_pairwise_definition():
+    fixed_cases = [
+        [(0, 1, 2), (0,)],  # a codimension-2 face is not maximal either
+        [(2, 0, 1), (1, 0, 2), (1, 2), (3,), ()],  # unsorted and duplicated
+        [(0, 1), (1, 2), (0, 2), (0, 1, 2, 3), (4,), (4, 5)],
+    ]
+    rng = random.Random(20211)
+    random_cases = [
+        [rng.sample(range(8), rng.randint(0, 4)) for _ in range(rng.randint(1, 12))]
+        for _ in range(300)
+    ]
+    for facets in fixed_cases + random_cases:
+        assert _normalize_facets(facets) == _maximal_by_pairs(facets), facets
+    assert _normalize_facets([(0, 1, 2), (0,)]) == ((0, 1, 2),)
+
+
+def test_induced_subcomplex_facets_are_maximal_faces():
+    x = models.COMPLEX_MODELS["c2xc2-wedge"]()  # non-pure: free vertices 5-8
+    for h in enumerate_subgroups(x.group):
+        fixed = fixed_subcomplex(x, h)
+        sub, old_of_new = induced_subcomplex(x, fixed)
+        mapped = {tuple(old_of_new[v] for v in f) for f in sub.facets}
+        assert mapped == set(_maximal_by_pairs(fixed)), sorted(h)
+
+
+def test_rotation_disk_sd4_counts():
+    # 6 triangles, each split into 3! flags per round; a quadratic facet
+    # normalization takes tens of seconds here
+    x = make_regular(models.COMPLEX_MODELS["rotation-disk"]())
+    for _ in range(4):
+        x = barycentric_subdivision(x).complex
+    assert len(x.facets) == 6 * 6**4 == 7776
+    assert x.euler_characteristic() == 1
 
 
 def test_stratification_dot():

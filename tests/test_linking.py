@@ -12,7 +12,7 @@ from isokit.errors import (
     NotWeaklyDecreasing,
     ZeroChain,
 )
-from isokit.gcomplex import orbit_complex
+from isokit.gcomplex import barycentric_subdivision, orbit_complex
 from isokit.group import FiniteGroup, enumerate_subgroups, subgroup_closure
 from isokit.linking import (
     IllmanSimplex,
@@ -235,6 +235,20 @@ def test_decompose_counts_frozen():
         "D^0 x Delta^{e<C2}": 1,
         "D^1 x Delta^{C2}": 3,
     }
+
+
+def test_decompose_shares_one_phi_map_per_chain():
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    for _ in range(3):
+        x = barycentric_subdivision(x).complex
+    c = decompose(x)
+    maps_by_key = {}
+    for cell in c.cells:
+        maps_by_key.setdefault((cell.groups, cell.chain), set()).add(id(cell.phi_map))
+    assert all(len(ids) == 1 for ids in maps_by_key.values())
+    distinct = {id(cell.phi_map) for cell in c.cells}
+    assert len(distinct) == len(maps_by_key) < len(c.cells)
+    assert validate_cells(c, x).ok
 
 
 def test_decompose_rejects_non_equivariant_triangulation():
