@@ -475,9 +475,13 @@ def _cmd_cube_check(args) -> int:
             "chain_surjective": fact.all_links_surjective,
         }
         return _emit(args, inputs, result)
+    if args.dim < 0:
+        raise ValueError(f"--dim must be nonnegative, got {args.dim}")
     if args.dim > 4:
         raise ValueError("randomized cube dimension is capped at 4")
     trials = args.trials if args.trials is not None else 100
+    if trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {trials}")
     verified = 0
     for t in range(trials):
         m = random_cube_map(args.dim, seed=args.seed + t)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import InvariantViolated
+from .errors import CubeGenerationFailed, InvariantViolated
 from .group import _skey
 
 Subset = FrozenSet[int]
@@ -32,7 +32,11 @@ def _subsets(indices: Sequence[int]) -> List[Subset]:
 
 
 class Cube:
-    """Finite-set cube: sizes per subset, one index map per cover S -> S+{j}."""
+    """Finite-set cube: sizes per subset, one index map per cover S -> S+{j}.
+
+    Covers are fixed after construction: map_between memoizes the chain
+    maps it composes, so a cover may be added later but never changed.
+    """
 
     def __init__(
         self,
@@ -46,6 +50,7 @@ class Cube:
         self.covers = {
             (frozenset(s), int(j)): tuple(m) for (s, j), m in covers.items()
         }
+        self._chains: Dict[Tuple[Subset, Subset], Tuple[int, ...]] = {}
         if validate:
             self._validate()
 
@@ -94,13 +99,21 @@ class Cube:
         s, t = frozenset(s), frozenset(t)
         if not s <= t:
             raise ValueError("map_between needs nested subsets")
-        current = list(range(self.sizes[s]))
-        here = s
-        for j in sorted(t - s):
-            step = self.covers[(here, j)]
-            current = [step[v] for v in current]
-            here = here | {j}
-        return tuple(current)
+        return self._chain(s, t)
+
+    def _chain(self, s: Subset, t: Subset) -> Tuple[int, ...]:
+        # covers are taken in increasing index order, so the last one adds max(T - S)
+        out = self._chains.get((s, t))
+        if out is None:
+            if s == t:
+                out = tuple(range(self.sizes[s]))
+            else:
+                j = max(t - s)
+                here = t - {j}
+                step = self.covers[(here, j)]
+                out = tuple(step[v] for v in self._chain(s, here))
+            self._chains[(s, t)] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,50 +176,74 @@ class LimitSet:
         )
 
 
-def limit(cube: Cube, poset: Optional[Iterable[Iterable[int]]] = None) -> LimitSet:
+class VertexFamily:
+    """A vertex family for limits, checked and planned once for use on any cube.
+
+    The members are sorted by size, then lexicographically, and the family
+    must contain the union of any two members that have a common upper
+    bound in it; up-closed families and intervals do.  Besides the members
+    it keeps what the enumeration in limit needs and what depends on the
+    family alone: the minimal members, the owner of each member (the index
+    of the first minimal below it), and for each minimal the earlier
+    minimals whose join with it is a member, with that join.
+    """
+
+    def __init__(self, vertices: Iterable[Iterable[int]]):
+        verts = sorted({frozenset(v) for v in vertices}, key=_skey)
+        vset = set(verts)
+        for a, b in combinations(verts, 2):
+            u = a | b
+            if u not in vset and any(u <= w for w in verts):
+                raise ValueError("vertex family is not closed under bounded unions")
+        minimals = [v for v in verts if not any(u < v for u in verts)]
+        self.vertices: Tuple[Subset, ...] = tuple(verts)
+        self.minimals: Tuple[Subset, ...] = tuple(minimals)
+        self.owners: Tuple[int, ...] = tuple(
+            next(i for i, m in enumerate(minimals) if m <= w) for w in verts
+        )
+        self.joins: Tuple[Tuple[Tuple[int, Subset], ...], ...] = tuple(
+            tuple((i, minimals[i] | m) for i in range(k) if minimals[i] | m in vset)
+            for k, m in enumerate(minimals)
+        )
+
+
+def limit(
+    cube: Cube, poset: Union[VertexFamily, Iterable[Iterable[int]], None] = None
+) -> LimitSet:
     """Compatible tuples over the given vertices (default: the whole cube).
 
-    The vertex family must contain the union of any two members that have
-    a common upper bound in it; up-closed families and intervals do.
+    poset is a VertexFamily or any iterable of index sets, which is made
+    into one here; pass a VertexFamily to take limits over the same family
+    on many cubes without checking and planning it again.  The family must
+    contain the union of any two members that have a common upper bound in
+    it (ValueError otherwise); up-closed families and intervals do.
+    Elements come out in lexicographic order of their values on the
+    minimal vertices.
     """
-    if poset is None:
-        verts = cube.vertices()
-    else:
-        verts = sorted({frozenset(v) for v in poset}, key=_skey)
-    vset = set(verts)
-    for a, b in combinations(verts, 2):
-        u = a | b
-        if u not in vset and any(u <= w for w in verts):
-            raise ValueError("vertex family is not closed under bounded unions")
-    minimals = [v for v in verts if not any(u < v for u in verts)]
-    push = {
-        m: {w: cube.map_between(m, w) for w in verts if m <= w} for m in minimals
-    }
-    owner = []  # first minimal below each vertex
-    for w in verts:
-        owner.append(next(i for i, m in enumerate(minimals) if m <= w))
+    if not isinstance(poset, VertexFamily):
+        poset = VertexFamily(cube.vertices() if poset is None else poset)
+    minimals = poset.minimals
+    chain = cube._chain
+    # a vertex's coordinate is its owner's value pushed up to it
+    columns = [(o, chain(minimals[o], w)) for o, w in zip(poset.owners, poset.vertices)]
+    # minimal k must agree with each earlier minimal i on their join
+    checks = [
+        [(i, chain(minimals[i], join), chain(m, join)) for i, join in pairs]
+        for m, pairs in zip(minimals, poset.joins)
+    ]
+    last = len(minimals)
     elements: List[Tuple[int, ...]] = []
     chosen: List[int] = []
 
     def extend(k: int) -> None:
-        if k == len(minimals):
-            elements.append(
-                tuple(
-                    push[minimals[owner[i]]][w][chosen[owner[i]]]
-                    for i, w in enumerate(verts)
-                )
-            )
+        if k == last:
+            elements.append(tuple([push[chosen[o]] for o, push in columns]))
             return
-        m = minimals[k]
-        for x in range(cube.sizes[m]):
-            ok = True
-            for i in range(k):
-                j = minimals[i]
-                join = j | m
-                if join in vset and push[j][join][chosen[i]] != push[m][join][x]:
-                    ok = False
+        for x in range(cube.sizes[minimals[k]]):
+            for i, earlier, here in checks[k]:
+                if earlier[chosen[i]] != here[x]:
                     break
-            if ok:
+            else:
                 chosen.append(x)
                 extend(k + 1)
                 chosen.pop()
@@ -214,9 +251,21 @@ def limit(cube: Cube, poset: Optional[Iterable[Iterable[int]]] = None) -> LimitS
     extend(0)
     out = tuple(elements)
     return LimitSet(
-        vertices=tuple(verts),
+        vertices=poset.vertices,
         elements=out,
         _index={e: i for i, e in enumerate(out)},
+    )
+
+
+def _to_limit(cube: Cube, u: Subset, lim: LimitSet) -> SetFunction:
+    """X(U) -> lim: each element goes to the index of its images at lim's vertices."""
+    images = [cube.map_between(u, w) for w in lim.vertices]
+    return SetFunction(
+        mapping=tuple(
+            lim.index_of(tuple(image[a] for image in images))
+            for a in range(cube.sizes[u])
+        ),
+        codomain_size=len(lim),
     )
 
 
@@ -232,17 +281,8 @@ class Corner:
 def corner_map(x: Cube, u: Iterable[int]) -> Corner:
     """The restriction X(U) -> lim over the strict supersets of U."""
     u = frozenset(u)
-    above = [t for t in x.vertices() if u < t]
-    lim = limit(x, above)
-    mapping = []
-    for a in range(x.sizes[u]):
-        element = tuple(x.map_between(u, t)[a] for t in lim.vertices)
-        mapping.append(lim.index_of(element))
-    return Corner(
-        vertex=u,
-        function=SetFunction(mapping=tuple(mapping), codomain_size=len(lim)),
-        limit=lim,
-    )
+    lim = limit(x, [t for t in x.vertices() if u < t])
+    return Corner(vertex=u, function=_to_limit(x, u, lim), limit=lim)
 
 
 class CubeMap:
@@ -260,6 +300,7 @@ class CubeMap:
         self.source = source
         self.target = target
         self.components = {frozenset(k): tuple(v) for k, v in components.items()}
+        self._as_cube: Optional[Cube] = None
         if validate:
             self._validate()
 
@@ -291,7 +332,16 @@ class CubeMap:
         return self.source.n
 
     def as_cube(self) -> Cube:
-        """View as an (n+1)-cube: the new index n points from source to target."""
+        """View as an (n+1)-cube: the new index n points from source to target.
+
+        Built on the first call and shared by later ones, so its chain maps
+        are composed once per map.
+        """
+        if self._as_cube is None:
+            self._as_cube = self._build_cube()
+        return self._as_cube
+
+    def _build_cube(self) -> Cube:
         n = self.n
         sizes: Dict[Subset, int] = {}
         covers: Dict[Tuple[Subset, int], Tuple[int, ...]] = {}
@@ -317,17 +367,8 @@ def cube_map_corner(m: CubeMap, sub: Tuple[Iterable[int], Iterable[int]]) -> Cor
         raise ValueError("sub must be a nested pair of index subsets")
     z = m.as_cube()
     span = [v | extra for v in _subsets(sorted(t - u)) for extra in (u, u | {n})]
-    above = sorted({v for v in span if u < v}, key=_skey)
-    lim = limit(z, above)
-    mapping = []
-    for a in range(z.sizes[u]):
-        element = tuple(z.map_between(u, w)[a] for w in lim.vertices)
-        mapping.append(lim.index_of(element))
-    return Corner(
-        vertex=u,
-        function=SetFunction(mapping=tuple(mapping), codomain_size=len(lim)),
-        limit=lim,
-    )
+    lim = limit(z, [v for v in span if u < v])
+    return Corner(vertex=u, function=_to_limit(z, u, lim), limit=lim)
 
 
 @dataclass(frozen=True)
@@ -360,15 +401,7 @@ def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
     n = m.n
     yposet = [s | {n} for s in m.source.vertices()]
     lim_y = limit(z, yposet)
-    empty: Subset = frozenset()
-    mapping = []
-    for a in range(m.source.sizes[empty]):
-        element = tuple(z.map_between(empty, w)[a] for w in lim_y.vertices)
-        mapping.append(lim_y.index_of(element))
-    return (
-        SetFunction(mapping=tuple(mapping), codomain_size=len(lim_y)),
-        lim_y,
-    )
+    return _to_limit(z, frozenset(), lim_y), lim_y
 
 
 @dataclass(frozen=True)
@@ -407,15 +440,7 @@ def factorize_limit(m: CubeMap) -> Factorization:
     for i in range(len(stages) - 1, 0, -1):
         links.append(stages[i].restriction_map(stages[i - 1]))
     links.append(stages[0].restriction_map(lim_y))
-    top = stages[-1]
-    empty: Subset = frozenset()
-    embedding = SetFunction(
-        mapping=tuple(
-            top.index_of(tuple(z.map_between(empty, w)[a] for w in top.vertices))
-            for a in range(m.source.sizes[empty])
-        ),
-        codomain_size=len(top),
-    )
+    embedding = _to_limit(z, frozenset(), stages[-1])
     composed = embedding
     for f in links:
         composed = compose(f, composed)
@@ -456,6 +481,9 @@ def complete_punctured(x: Cube) -> Cube:
 # -- randomized instances --------------------------------------------------------
 
 
+_ATTEMPTS = 10000
+
+
 def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     """Random map of n-cubes satisfying the corner hypothesis.
 
@@ -463,30 +491,40 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     section of the limit of everything strictly above it, optionally
     padded with one duplicate element.  Sections make every subcube
     corner surjective; the duplicates keep the maps from being bijective
-    without breaking that.
+    without breaking that.  Raises CubeGenerationFailed when no attempt
+    keeps every limit between 1 and max_size elements.
     """
+    if n < 0:
+        raise ValueError(f"cube dimension must be nonnegative, got {n}")
+    indices = list(range(n + 1))
+    order = sorted(_subsets(indices), key=lambda s: (-len(s), tuple(sorted(s))))
+    # per lower vertex: its strict up-set, and where each cover target sits in it
+    plans = []
+    for s in order[1:]:
+        above = VertexFamily([t for t in order if s < t])
+        cols = [(j, above.vertices.index(s | {j})) for j in indices if j not in s]
+        plans.append((s, above, cols))
     rng = Random(seed)
-    for _ in range(10000):
-        built = _try_random_cube(n, rng, max_size)
+    for _ in range(_ATTEMPTS):
+        built = _try_random_cube(n, rng, max_size, plans)
         if built is not None:
             return built
-    raise RuntimeError("random cube generation failed to converge")
+    raise CubeGenerationFailed(
+        f"no random {n}-cube map with 1 to {max_size} elements per vertex "
+        f"in {_ATTEMPTS} attempts from seed {seed}"
+    )
 
 
-def _try_random_cube(n: int, rng: Random, max_size: int) -> Optional[CubeMap]:
-    indices = list(range(n + 1))
-    all_subsets = sorted(_subsets(indices), key=lambda s: (-len(s), tuple(sorted(s))))
-    sizes: Dict[Subset, int] = {}
-    covers: Dict[Tuple[Subset, int], Tuple[int, ...]] = {}
-    top = frozenset(indices)
-    sizes[top] = rng.randint(1, 2)
-    stub = Cube(n + 1, {}, {}, validate=False)
-    for s in all_subsets:
-        if s == top:
-            continue
-        stub.sizes = sizes
-        stub.covers = covers
-        above = [t for t in all_subsets if s < t]
+def _try_random_cube(
+    n: int,
+    rng: Random,
+    max_size: int,
+    plans: List[Tuple[Subset, VertexFamily, List[Tuple[int, int]]]],
+) -> Optional[CubeMap]:
+    top = frozenset(range(n + 1))
+    stub = Cube(n + 1, {top: rng.randint(1, 2)}, {}, validate=False)
+    sizes, covers = stub.sizes, stub.covers
+    for s, above, cols in plans:
         lim = limit(stub, above)
         if not 0 < len(lim) <= max_size:
             return None
@@ -494,10 +532,7 @@ def _try_random_cube(n: int, rng: Random, max_size: int) -> Optional[CubeMap]:
         if len(elements) < max_size and rng.random() < 0.35:
             elements.append(rng.choice(elements))
         sizes[s] = len(elements)
-        for j in indices:
-            if j in s:
-                continue
-            col = lim.vertices.index(s | {j})
+        for j, col in cols:
             covers[(s, j)] = tuple(e[col] for e in elements)
     x_sizes, y_sizes = {}, {}
     x_covers, y_covers = {}, {}

@@ -80,3 +80,7 @@ class MissingStratum(IsokitError):
 
 class InvariantViolated(IsokitError):
     """A result failed an identity the mathematics guarantees: a library bug."""
+
+
+class CubeGenerationFailed(IsokitError):
+    """Random cube generation used up its attempts without a valid cube."""

@@ -48,27 +48,22 @@ def _cosets(g: FiniteGroup, h: Subgroup) -> List[FrozenSet[int]]:
 def slot_coset_complex(
     g: FiniteGroup, groups: Sequence[Subgroup]
 ) -> Tuple[GComplex, Tuple[SlotVertex, ...]]:
-    """Complex with vertices (slot, coset) and one facet per group element."""
+    """Complex with vertices (slot, coset) and one facet per group element.
+
+    The groups must be subgroups, so that each slot's cosets partition G.
+    """
     verts: List[SlotVertex] = []
-    index: Dict[SlotVertex, int] = {}
+    # per slot: group element -> index of the vertex of its coset xH
+    coset_of: List[Dict[int, int]] = []
     for i, h in enumerate(groups):
+        coset_of.append({})
         for c in _cosets(g, h):
-            index[(i, c)] = len(verts)
+            coset_of[i].update((x, len(verts)) for x in c)
             verts.append((i, c))
-    facets = []
-    for x in g.elements:
-        facets.append(
-            tuple(
-                sorted(
-                    index[(i, frozenset(g.mul(x, s) for s in h))]
-                    for i, h in enumerate(groups)
-                )
-            )
-        )
+    facets = [tuple(sorted(slot[x] for slot in coset_of)) for x in g.elements]
+    # a sends the coset xH to (ax)H, and any member of it serves as x
     action = {
-        a: tuple(
-            index[(i, frozenset(g.mul(a, c) for c in coset))] for i, coset in verts
-        )
+        a: tuple(coset_of[i][g.mul(a, min(c))] for i, c in verts)
         for a in g.elements
     }
     names = tuple(

@@ -1,7 +1,12 @@
 """End-to-end CLI runs: report shape, frozen payloads, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import isokit
 from isokit import models
 from isokit.cli import run
 from isokit.cubelim import random_cube_map
@@ -306,6 +311,29 @@ def test_cube_check_cli(capsys, tmp_path):
 
     code, _ = _run(capsys, ["cube", "check", "--dim", "5"])
     assert code == 65
+
+
+def test_cube_check_rejects_negative_arguments(capsys):
+    for argv, message in (
+        (["--dim", "-1"], "--dim must be nonnegative, got -1"),
+        (["--trials", "-3"], "--trials must be nonnegative, got -3"),
+    ):
+        r = _report(capsys, ["cube", "check", *argv], expect_code=65)
+        assert r["result"] is None
+        assert r["status"] == {"code": "BadInput", "message": message}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(isokit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isokit", "cube", "check", "--dim", "2", "--trials", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["verified"] == 2
 
 
 def test_export_dot(capsys, tmp_path):

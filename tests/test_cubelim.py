@@ -1,15 +1,18 @@
 """Cubes of finite sets, limits, corner maps, and the factorization chain."""
 
+import hashlib
 import time
 from itertools import combinations
 
 import pytest
 
 import oracles
+from isokit import cubelim
 from isokit.cubelim import (
     Cube,
     CubeMap,
     SetFunction,
+    VertexFamily,
     check_hypothesis,
     complete_punctured,
     compose,
@@ -20,6 +23,8 @@ from isokit.cubelim import (
     limit_map,
     random_cube_map,
 )
+from isokit.errors import CubeGenerationFailed
+from isokit.jsonio import canonical_dumps, cube_map_to_json
 
 E = frozenset()
 S0 = frozenset({0})
@@ -249,3 +254,96 @@ def test_complete_punctured():
     completed = complete_punctured(partial)
     corner = corner_map(completed, E)
     assert corner.function.is_bijective
+
+
+def _digest(dim, seeds):
+    h = hashlib.sha256()
+    for seed in seeds:
+        h.update(canonical_dumps(cube_map_to_json(random_cube_map(dim, seed=seed))).encode())
+    return h.hexdigest()
+
+
+def test_random_cube_map_stream_is_pinned():
+    """The generated cubes, hence `cube check` reports, stay byte-identical."""
+    assert _digest(3, range(20)) == (
+        "4768ae7e0327dcd8d6e5aac26b4590c250d85a41946ac8bcc21a87bf479e7856"
+    )
+    assert _digest(4, range(6)) == (
+        "ff9a7d6b8122d5494468e9c5c1c219e782d6f09a650e30da5cc1d853db8023c7"
+    )
+
+
+def test_random_cube_map_rejects_negative_dimension():
+    with pytest.raises(ValueError):
+        random_cube_map(-1)
+
+
+def test_random_cube_map_attempt_guard(monkeypatch):
+    monkeypatch.setattr(cubelim, "_try_random_cube", lambda *args: None)
+    with pytest.raises(CubeGenerationFailed) as info:
+        random_cube_map(3, seed=17, max_size=2)
+    message = str(info.value)
+    assert "3-cube" in message and "seed 17" in message and "1 to 2 elements" in message
+
+
+def test_vertex_family_requires_bounded_unions():
+    # {0} and {1} join to {0,1}, bounded above by {0,1,2} yet missing
+    with pytest.raises(ValueError):
+        VertexFamily([{0}, {1}, {0, 1, 2}])
+    fam = VertexFamily([{1}, {0}, {0}])
+    assert fam.vertices == (S0, S1) and fam.minimals == (S0, S1)
+    assert fam.joins == ((), ())
+
+
+def test_reused_family_matches_bruteforce_on_random_3_cubes():
+    def fs(*sets):
+        return [frozenset(x) for x in sets]
+
+    posets = [
+        fs(*[[i for i in range(3) if k >> i & 1] for k in range(8)]),  # whole cube
+        fs([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]),  # punctured, up-closed
+        fs([1], [0, 1], [1, 2], [0, 1, 2]),  # interval [{1}, top]
+        fs([], [0], [2], [0, 2]),  # interval [{}, {0,2}], not up-closed
+        fs([], [0], [0, 2]),  # a chain, not up-closed
+        fs([0], [0, 1], [0, 2]),  # joins without an upper bound
+        fs([], [1], [2]),  # not up-closed, {1,2} unbounded
+        fs([0], [1], [2]),  # discrete
+        fs([0, 1], [2]),
+        [],
+    ]
+    families = [VertexFamily(p) for p in posets]
+    checked = 0
+    for seed in range(12):
+        m = random_cube_map(3, seed=seed, max_size=3)
+        for cube in (m.source, m.target):
+            covers = {k: list(v) for k, v in cube.covers.items()}
+            for poset, fam in zip(posets, families):
+                verts, expect = oracles.cube_limit_bruteforce(3, cube.sizes, covers, poset)
+                got = limit(cube, fam)
+                assert list(got.vertices) == verts
+                assert sorted(got.elements) == expect
+                assert got.elements == limit(cube, poset).elements
+                checked += 1
+    assert checked == 12 * 2 * len(posets)
+
+
+def test_memoized_map_between_matches_cover_walk():
+    for seed in range(8):
+        m = random_cube_map(3, seed=seed, max_size=4)
+        for cube in (m.source, m.target, m.as_cube()):
+            pairs = [(s, t) for t in cube.vertices() for s in cube.vertices() if s <= t]
+            # visit long chains first and short ones last, then all again from the memo
+            for s, t in sorted(pairs, key=lambda p: len(p[0]) - len(p[1])) + pairs:
+                walk = list(range(cube.sizes[s]))
+                here = s
+                for j in sorted(t - s):
+                    walk = [cube.covers[(here, j)][v] for v in walk]
+                    here = here | {j}
+                assert cube.map_between(s, t) == tuple(walk)
+            with pytest.raises(ValueError):
+                cube.map_between({0}, {1})
+
+
+def test_as_cube_is_built_once():
+    m = random_cube_map(2, seed=4, max_size=3)
+    assert m.as_cube() is m.as_cube()

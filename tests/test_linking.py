@@ -24,6 +24,7 @@ from isokit.linking import (
     fundamental_domain,
     illman_complex,
     phi_vertex_map,
+    slot_coset_complex,
     validate_cells,
 )
 
@@ -58,6 +59,38 @@ def test_basic_linking_e_c2():
     assert l.complex.vertex_stabilizer(0) == frozenset({0})
     oc = orbit_complex(l.complex)
     assert oc.complex.n_vertices == 2 and oc.complex.facets == ((0, 1),)
+
+
+def test_slot_coset_complex_matches_definition_on_s4():
+    """Vertices (slot, coset), facets {(i, xH_i)}, action a.(i, C) = (i, aC)."""
+    g = FiniteGroup.symmetric(4)
+    subs = enumerate_subgroups(g)
+    chain = [subs[0]]
+    for h in subs:
+        if chain[-1] < h and all(not (chain[-1] < k < h) for k in subs):
+            chain.append(h)
+    assert [len(h) for h in chain] == [1, 2, 4, 8, 24]
+    for groups in (chain, chain[::-1], [chain[3], chain[3], chain[1], chain[0]]):
+        cx, verts = slot_coset_complex(g, groups)
+        expect_verts = []
+        for i, h in enumerate(groups):
+            cosets = {frozenset(g.mul(x, s) for s in h) for x in g.elements}
+            expect_verts += [(i, c) for c in sorted(cosets, key=sorted)]
+        assert list(verts) == expect_verts
+        index = {v: k for k, v in enumerate(expect_verts)}
+        expect_facets = {
+            tuple(sorted(index[(i, frozenset(g.mul(x, s) for s in h))]
+                         for i, h in enumerate(groups)))
+            for x in g.elements
+        }
+        assert set(cx.facets) == expect_facets
+        for a in g.elements:
+            assert cx.action[a] == tuple(
+                index[(i, frozenset(g.mul(a, x) for x in c))] for i, c in expect_verts
+            )
+        assert cx.names == tuple(
+            f"{i}:{{{','.join(map(str, sorted(c)))}}}" for i, c in expect_verts
+        )
 
 
 def test_chain_validation():
