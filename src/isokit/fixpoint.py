@@ -29,46 +29,14 @@ from .gcomplex import (
     Simplex,
     check_hypotheses,
     close_simplices,
-    exact_stratum,
     fixed_subcomplex,
     present_classes,
 )
 from .gmap import GMap, is_isovariant, is_simplicial
-from .group import class_names, class_rep_of, table_of_marks
+from .group import Subgroup, class_names, table_of_marks
 from .snf import smith_normal_form
 
 Vector = Tuple[int, ...]
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = perm[v]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _fixed_simplices(f: GMap) -> List[Tuple[Simplex, int]]:
-    """Setwise-fixed simplices with nondegenerate image, with their signs."""
-    out = []
-    for s in f.source.simplices():
-        image = [f.vertices[v] for v in s]
-        if len(set(image)) != len(s):
-            continue
-        if tuple(sorted(image)) != s:
-            continue
-        pos = {v: i for i, v in enumerate(s)}
-        out.append((s, _permutation_sign([pos[w] for w in image])))
-    return out
 
 
 def _require_self_map(f: GMap) -> None:
@@ -82,13 +50,13 @@ def lefschetz(f: GMap) -> int:
     """Alternating sum of chain traces of a simplicial self-map."""
     _require_self_map(f)
     return sum(
-        (-1) ** (len(s) - 1) * sign for s, sign in _fixed_simplices(f)
+        (-1) ** (len(s) - 1) * sign for s, sign in f.fixed_simplices()
     )
 
 
 def has_fixed_simplex(f: GMap) -> bool:
     _require_self_map(f)
-    return any(f.apply(s) == s for s in f.source.simplices())
+    return bool(f.fixed_simplices())
 
 
 def is_fixed_point_free(f: GMap) -> bool:
@@ -102,11 +70,7 @@ def is_fixed_point_free(f: GMap) -> bool:
 
 
 def _restrict_to(f: GMap, simplices: FrozenSet[Simplex]) -> List[Tuple[Simplex, int]]:
-    out = []
-    for s, sign in _fixed_simplices(f):
-        if s in simplices:
-            out.append((s, sign))
-    return out
+    return [(s, sign) for s, sign in f.fixed_simplices() if s in simplices]
 
 
 def lefschetz_fixed_sets(f: GMap) -> Dict[str, int]:
@@ -534,7 +498,7 @@ def reidemeister_trace(f: GMap, pidata: Optional[PiData] = None) -> Reidemeister
     tc = twisted_classes(setup)
     coeffs: Dict[Vector, int] = {}
     total = 0
-    for s, sign in _fixed_simplices(f):
+    for s, sign in f.fixed_simplices():
         v0 = s[0]
         a = tuple(
             ci - wi for ci, wi in zip(c[v0], pidata.omega(v0, f.vertices[v0]))
@@ -563,17 +527,21 @@ def forced_fixed_points(x: GComplex) -> FrozenSet[int]:
     not complete.
     """
     forced: Set[int] = set()
-    reps = present_classes(x)
-    strata = {rep: exact_stratum(x, rep).simplices for rep in reps}
+    iso = x.isotropy()
+    strata = iso.strata
     closures = {rep: close_simplices(s) for rep, s in strata.items()}
+    meets: Dict[Tuple[Subgroup, Subgroup], FrozenSet[Simplex]] = {}
     for v in range(x.n_vertices):
         vsimp = (v,)
-        vclass = class_rep_of(x.group, x.pointwise_stabilizer(vsimp))
-        for rep in reps:
+        if vsimp not in iso.stabilizers:
+            continue
+        vclass = iso.classes[iso.stabilizers[vsimp]]
+        for rep in strata:
             if vsimp not in closures[rep]:
                 continue
-            meet = closures[rep] & strata[vclass]
-            if meet == frozenset({vsimp}):
+            if (rep, vclass) not in meets:
+                meets[(rep, vclass)] = closures[rep] & strata[vclass]
+            if meets[(rep, vclass)] == frozenset({vsimp}):
                 forced.add(v)
                 break
     return frozenset(forced)

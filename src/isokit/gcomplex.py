@@ -69,7 +69,13 @@ def complete_action(
 
 
 class GComplex:
-    """An abstract simplicial complex with a vertex action of a finite group."""
+    """An abstract simplicial complex with a vertex action of a finite group.
+
+    Isotropy is read from an index built on first use (see isotropy()):
+    one pointwise stabilizer and one class lookup per simplex orbit, the
+    exact strata and a memo of fixed subcomplexes.  A complex must not be
+    changed once it has been queried, or the index goes stale.
+    """
 
     def __init__(
         self,
@@ -95,8 +101,7 @@ class GComplex:
         if validate:
             self._validate()
         self._simplices: Optional[Tuple[Simplex, ...]] = None
-        self._stabs: Dict[Simplex, Subgroup] = {}
-        self._regular: Optional[bool] = None
+        self._isotropy: Optional[Isotropy] = None
 
     def _validate(self) -> None:
         n = self.n_vertices
@@ -151,14 +156,21 @@ class GComplex:
     def vertex_stabilizer(self, v: int) -> Subgroup:
         return frozenset(g for g in self.group.elements if self.action[g][v] == v)
 
+    def isotropy(self) -> "Isotropy":
+        """The isotropy index of this complex, built on first use."""
+        if self._isotropy is None:
+            self._isotropy = _isotropy_index(self)
+        return self._isotropy
+
     def pointwise_stabilizer(self, s: Sequence[int]) -> Subgroup:
         key = tuple(sorted(s))
-        if key not in self._stabs:
-            self._stabs[key] = frozenset(
+        stab = self.isotropy().stabilizers.get(key)
+        if stab is None:
+            stab = frozenset(
                 g for g in self.group.elements
                 if all(self.action[g][v] == v for v in key)
             )
-        return self._stabs[key]
+        return stab
 
     def setwise_stabilizer(self, s: Sequence[int]) -> Subgroup:
         key = tuple(sorted(s))
@@ -167,12 +179,7 @@ class GComplex:
         )
 
     def is_regular(self) -> bool:
-        if self._regular is None:
-            self._regular = all(
-                self.setwise_stabilizer(s) == self.pointwise_stabilizer(s)
-                for s in self.simplices()
-            )
-        return self._regular
+        return self.isotropy().regular
 
     def __eq__(self, other) -> bool:
         return (
@@ -191,6 +198,77 @@ class GComplex:
             f"GComplex(vertices={self.n_vertices}, facets={len(self.facets)}, "
             f"|G|={self.group.order})"
         )
+
+
+# -- isotropy index -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Isotropy:
+    """Isotropy of every simplex of one complex, built orbit by orbit.
+
+    stabilizers maps each simplex to its pointwise stabilizer; classes maps
+    each stabilizer that occurs to its class representative; strata maps
+    each present class representative, ascending, to its exact stratum.
+    orbit_reps holds the first simplex of each orbit, regular says whether
+    setwise and pointwise stabilizers agree, and fixed memoizes
+    fixed_subcomplex by subgroup.
+    """
+
+    stabilizers: Dict[Simplex, Subgroup]
+    classes: Dict[Subgroup, Subgroup]
+    strata: Dict[Subgroup, SimplexSet]
+    orbit_reps: Tuple[Simplex, ...]
+    regular: bool
+    fixed: Dict[Subgroup, SimplexSet]
+
+
+def _isotropy_index(x: GComplex) -> Isotropy:
+    """One stabilizer and one setwise test per orbit representative s.
+
+    Stab(a.s) = a Stab(s) a^-1 and the setwise stabilizer conjugates the
+    same way, so the rest of the orbit needs neither scan; equal
+    stabilizers share one frozenset.
+    """
+    g = x.group
+    stabs: Dict[Simplex, Subgroup] = {}
+    shared: Dict[Subgroup, Subgroup] = {}
+    reps: List[Simplex] = []
+    regular = True
+    for s in x.simplices():
+        if s in stabs:
+            continue
+        reps.append(s)
+        images = [tuple(perm[v] for v in s) for perm in x.action]
+        h = frozenset(a for a in g.elements if images[a] == s)
+        h = shared.setdefault(h, h)
+        setwise = 0
+        for a in g.elements:
+            t = tuple(sorted(images[a]))
+            if t == s:
+                setwise += 1
+            elif t not in stabs:
+                k = frozenset(g.conjugate(b, a) for b in h) if len(h) > 1 else h
+                stabs[t] = shared.setdefault(k, k)
+        stabs[s] = h
+        if setwise != len(h):
+            regular = False
+    classes = {k: class_rep_of(g, k) for k in shared}
+    members: Dict[Subgroup, List[Simplex]] = {}
+    for s in x.simplices():
+        members.setdefault(classes[stabs[s]], []).append(s)
+    strata = {
+        rep: frozenset(members[rep])
+        for rep in sorted(members, key=lambda r: (len(r), tuple(sorted(r))))
+    }
+    return Isotropy(
+        stabilizers=stabs,
+        classes=classes,
+        strata=strata,
+        orbit_reps=tuple(reps),
+        regular=regular,
+        fixed={},
+    )
 
 
 # -- subdivision --------------------------------------------------------------
@@ -253,19 +331,18 @@ class Stratum:
 def fixed_subcomplex(x: GComplex, h: Iterable[int]) -> SimplexSet:
     """Simplices fixed vertexwise by every element of h; a closed set."""
     hs = frozenset(h)
-    return frozenset(
-        s for s in x.simplices() if hs <= x.pointwise_stabilizer(s)
-    )
+    iso = x.isotropy()
+    if hs not in iso.fixed:
+        stabs = iso.stabilizers
+        iso.fixed[hs] = frozenset(s for s in x.simplices() if hs <= stabs[s])
+    return iso.fixed[hs]
 
 
 def exact_stratum(x: GComplex, h: Iterable[int]) -> Stratum:
     """Simplices with pointwise stabilizer exactly a conjugate of h."""
     rep = class_rep_of(x.group, frozenset(h))
     name = class_names(x.group)[rep]
-    members = frozenset(
-        s for s in x.simplices()
-        if class_rep_of(x.group, x.pointwise_stabilizer(s)) == rep
-    )
+    members = x.isotropy().strata.get(rep, frozenset())
     return Stratum(class_rep=tuple(sorted(rep)), name=name, simplices=members)
 
 
@@ -280,24 +357,15 @@ def close_simplices(simplices: Iterable[Simplex]) -> SimplexSet:
 
 def present_classes(x: GComplex) -> List[Subgroup]:
     """Conjugacy-class representatives that occur as isotropy in x, ascending."""
-    reps = {
-        class_rep_of(x.group, x.pointwise_stabilizer(s)) for s in x.simplices()
-    }
-    return sorted(reps, key=lambda r: (len(r), tuple(sorted(r))))
+    return list(x.isotropy().strata)
 
 
 def class_fixed_union(x: GComplex, h: Iterable[int]) -> SimplexSet:
     """Union of the fixed subcomplexes of all conjugates of h."""
-    out: Set[Simplex] = set()
     rep = frozenset(h)
-    seen: Set[Subgroup] = set()
-    for g in x.group.elements:
-        conj = frozenset(x.group.conjugate(s, g) for s in rep)
-        if conj in seen:
-            continue
-        seen.add(conj)
-        out |= fixed_subcomplex(x, conj)
-    return frozenset(out)
+    iso = x.isotropy()
+    above = {k for k in iso.classes if is_subconjugate(x.group, rep, k)}
+    return frozenset(s for s in x.simplices() if iso.stabilizers[s] in above)
 
 
 @dataclass(frozen=True)
@@ -401,7 +469,7 @@ def is_treelike(x: GComplex) -> bool:
     """Normal isotropy subgroups whose down-sets are linearly ordered."""
     if not x.is_regular():
         raise NotRegular("treelike test needs a regular action")
-    iso: Set[Subgroup] = {x.pointwise_stabilizer(s) for s in x.simplices()}
+    iso = x.isotropy().classes
     g = x.group
     for h in iso:
         if any(frozenset(g.conjugate(s, a) for s in h) != h for a in g.elements):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import NotEquivariant, NotIsovariant, NotRegular, NotSimplicial
@@ -20,13 +20,36 @@ from .gcomplex import (
 from .group import Subgroup, class_names, class_rep_of, is_subconjugate
 
 
+def _permutation_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            v = perm[v]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 @dataclass(frozen=True)
 class GMap:
-    """A vertex map between complexes over the same group."""
+    """A vertex map between complexes over the same group.
+
+    The fixed-simplex list is computed on first use and kept with the map.
+    """
 
     source: GComplex
     target: GComplex
     vertices: Tuple[int, ...]
+    _fixed: Optional[Tuple[Tuple[Simplex, int], ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(self.vertices) != self.source.n_vertices:
@@ -41,6 +64,20 @@ class GMap:
 
     def is_self_map(self) -> bool:
         return self.source == self.target
+
+    def fixed_simplices(self) -> Tuple[Tuple[Simplex, int], ...]:
+        """Setwise-fixed simplices with nondegenerate image, with the signs
+        of the vertex permutations they undergo."""
+        if self._fixed is None:
+            out = []
+            for s in self.source.simplices():
+                image = [self.vertices[v] for v in s]
+                if len(set(image)) != len(s) or tuple(sorted(image)) != s:
+                    continue
+                pos = {v: i for i, v in enumerate(s)}
+                out.append((s, _permutation_sign([pos[w] for w in image])))
+            object.__setattr__(self, "_fixed", tuple(out))
+        return self._fixed
 
 
 def identity_map(x: GComplex) -> GMap:
@@ -78,15 +115,18 @@ def is_isovariant(f: GMap) -> bool:
     """Pointwise stabilizers must be preserved on every simplex.
 
     On regular complexes this simplexwise test is exactly the pointwise
-    isotropy condition, so regularity is required.
+    isotropy condition, so regularity is required.  Both sides conjugate
+    along an orbit under an equivariant map, so orbit representatives
+    suffice.
     """
     if not is_equivariant(f):
         raise NotEquivariant("map does not commute with the action")
     if not (f.source.is_regular() and f.target.is_regular()):
         raise NotRegular("isovariance test needs regular source and target")
+    source, target = f.source.isotropy(), f.target.isotropy()
     return all(
-        f.source.pointwise_stabilizer(s) == f.target.pointwise_stabilizer(f.apply(s))
-        for s in f.source.simplices()
+        source.stabilizers[s] == target.stabilizers[f.apply(s)]
+        for s in source.orbit_reps
     )
 
 

@@ -11,7 +11,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, NonIntegral, NotStrictChain
 
@@ -53,6 +54,7 @@ class FiniteGroup:
         self._subgroups: Optional[Tuple[Subgroup, ...]] = None
         self._classes: Optional[Tuple[Tuple[Subgroup, ...], ...]] = None
         self._class_rep: Optional[Dict[Subgroup, Subgroup]] = None
+        self._names: Optional[Mapping[Subgroup, str]] = None
         self._marks: Optional["MarksTable"] = None
 
     def _validate(self) -> None:
@@ -66,12 +68,32 @@ class FiniteGroup:
                 raise ValueError("each table column must be a permutation of 0..n-1")
         if any(self.table[0][a] != a or self.table[a][0] != a for a in range(n)):
             raise ValueError("element 0 must be the identity")
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError("multiplication table is not associative")
+        # Light's test: the g with (xg)y = x(gy) for all x, y are closed
+        # under the product, so checking g over magma generators suffices.
+        for g in self._magma_generators():
+            col = self.table[g]
+            for row in self.table:
+                if [row[v] for v in col] != list(self.table[row[g]]):
+                    raise ValueError("multiplication table is not associative")
+
+    def _magma_generators(self) -> List[int]:
+        """Elements that, with the identity 0, give the whole table as their
+        closure under the product in every bracketing."""
+        gens: List[int] = []
+        closed = {0}
+        for x in self.elements:
+            if x in closed:
+                continue
+            gens.append(x)
+            new = [x]
+            closed.add(x)
+            for a in new:
+                for b in list(closed):
+                    for p in (self.table[a][b], self.table[b][a]):
+                        if p not in closed:
+                            closed.add(p)
+                            new.append(p)
+        return gens
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -288,12 +310,19 @@ def is_cyclic_subgroup(g: FiniteGroup, sub: Subgroup) -> bool:
     return any(g.element_order(x) == len(sub) for x in sub)
 
 
-def class_names(g: FiniteGroup) -> Dict[Subgroup, str]:
+def class_names(g: FiniteGroup) -> Mapping[Subgroup, str]:
     """Deterministic display names for subgroup classes, keyed by representative.
 
     Trivial class is "e", cyclic classes are "C<order>", the rest "G<order>";
     same-named classes get "#1", "#2", ... suffixes in representative order.
+    Built once per group; the mapping is read-only.
     """
+    if g._names is None:
+        g._names = MappingProxyType(_class_names(g))
+    return g._names
+
+
+def _class_names(g: FiniteGroup) -> Dict[Subgroup, str]:
     base: List[Tuple[Subgroup, str]] = []
     for cls in _conjugacy_classes(g):
         rep = cls[0]

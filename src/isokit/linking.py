@@ -368,6 +368,7 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         )
     orb = orbit_complex(x)
     g = x.group
+    stabilizers = x.isotropy().stabilizers
     buckets = _fibers_over_orbit(x, orb)
     cells: List[Cell] = []
     by_dim: Dict[int, Set[Simplex]] = {}
@@ -392,7 +393,7 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
                 f"simplices over orbit simplex {s} form more than one orbit",
                 orbit_simplex=s,
             )
-        stabs = [x.pointwise_stabilizer((v,)) for v in base]
+        stabs = [stabilizers[(v,)] for v in base]
         order = sorted(range(len(base)), key=lambda i: (-len(stabs[i]), base[i]))
         sorted_base = tuple(base[i] for i in order)
         sorted_stabs = [stabs[i] for i in order]
@@ -493,11 +494,11 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
         cell_vertices = {v for t in closure for v in t}
         if set(phi.values()) != cell_vertices:
             fail(i, "surjectivity", "phi image misses vertices of the closed cell")
-        facet_images = set()
-        for facet in pm.linking.facets:
-            facet_images.add(
-                tuple(sorted({phi[(l, u)] for u in facet for l in pm.disk_vertices()}))
-            )
+        disk = pm.disk_vertices()
+        facet_images = {
+            tuple(sorted({phi[(l, u)] for u in facet for l in disk}))
+            for facet in pm.linking.facets
+        }
         if facet_images != over:
             fail(i, "facets", "translate facets do not match the simplex orbit")
         by_key: Dict[Tuple[int, int, FrozenSet[int]], int] = {}

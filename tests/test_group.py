@@ -186,6 +186,85 @@ def test_class_names_scheme():
     assert set(class_names(c2xc2).values()) == {"e", "C2#1", "C2#2", "C2#3", "G4"}
 
 
+def test_class_names_cannot_be_changed_by_callers():
+    g = FiniteGroup.symmetric(3)
+    names = class_names(g)
+    before = dict(names)
+    rep = next(iter(before))
+    with pytest.raises(TypeError):
+        names[rep] = "renamed"
+    with pytest.raises(TypeError):
+        del names[rep]
+    assert dict(class_names(g)) == before
+
+
+def _is_group_by_definition(t):
+    n = range(len(t))
+    return (
+        all(sorted(row) == list(n) for row in t)
+        and all(sorted(col) == list(n) for col in zip(*t))
+        and all(t[0][a] == a and t[a][0] == a for a in n)
+        and all(t[t[a][b]][c] == t[a][t[b][c]] for a in n for b in n for c in n)
+    )
+
+
+def _intercalates(t):
+    """2x2 subsquares off the identity row and column: (r1, r2, c1, c2)."""
+    n = range(1, len(t))
+    return [
+        (r1, r2, c1, c2)
+        for r1 in n for r2 in n if r1 < r2
+        for c1 in n for c2 in n if c1 < c2
+        if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+    ]
+
+
+ORDER_8_TO_24 = [
+    lambda: FiniteGroup.cyclic(8),
+    lambda: FiniteGroup.dihedral(4),
+    lambda: _cyclic_power(2, 3),
+    lambda: FiniteGroup.cyclic(9),
+    lambda: FiniteGroup.dihedral(5),
+    lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.symmetric(3)),
+    lambda: FiniteGroup.cyclic(15),
+    lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)),
+    lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)),
+    lambda: FiniteGroup.dihedral(10),
+    lambda: FiniteGroup.cyclic(21),
+    lambda: FiniteGroup.symmetric(4),
+]
+
+
+def test_one_swapped_entry_is_rejected_like_the_full_check():
+    """Light's associativity test agrees with all |G|^3 triples on mutated tables.
+
+    A swap of two cells in one row breaks a column.  Swapping the two values
+    of a 2x2 subsquare keeps a latin square with identity, so only the
+    associativity check can reject it.
+    """
+    rng = random.Random(7)
+    assoc_only = 0
+    for i in range(48):
+        g = _relabel(rng.choice(ORDER_8_TO_24)(), i)
+        t = [list(row) for row in g.table]
+        squares = _intercalates(t) if rng.random() < 0.6 else []
+        if squares:
+            r1, r2, c1, c2 = rng.choice(squares)
+            t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+            t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+        else:
+            r = rng.randrange(1, len(t))
+            c1, c2 = rng.sample(range(1, len(t)), 2)
+            t[r][c1], t[r][c2] = t[r][c2], t[r][c1]
+        if _is_group_by_definition(t):
+            FiniteGroup(t)
+            continue
+        with pytest.raises(ValueError):
+            FiniteGroup(t)
+        assoc_only += bool(squares)
+    assert assoc_only >= 10
+
+
 def test_parse_subgroup_token():
     g = FiniteGroup.symmetric(3)
     assert parse_subgroup_token(g, "e") == frozenset({0})

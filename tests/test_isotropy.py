@@ -1,0 +1,221 @@
+"""The isotropy index of a complex and the fixed-simplex list of a map,
+checked against the definitions written out in this file."""
+
+import random
+
+import pytest
+
+from isokit import gmap, models
+from isokit.fixpoint import (
+    burnside_lefschetz,
+    is_fixed_point_free,
+    lefschetz,
+    lefschetz_fixed_sets,
+    marks_vector,
+    reidemeister_trace,
+    removal_verdict,
+)
+from isokit.gcomplex import (
+    GComplex,
+    barycentric_subdivision,
+    class_fixed_union,
+    exact_stratum,
+    fixed_subcomplex,
+    make_regular,
+    present_classes,
+)
+from isokit.gmap import GMap, is_equivariant, is_isovariant, is_simplicial, subdivide_map
+from isokit.group import FiniteGroup, enumerate_subgroups
+
+C2 = FiniteGroup.cyclic(2)
+GROUPS = {
+    "C2": C2,
+    "C3": FiniteGroup.cyclic(3),
+    "C4": FiniteGroup.cyclic(4),
+    "C2xC2": FiniteGroup.direct_product(C2, C2),
+    "S3": FiniteGroup.symmetric(3),
+}
+SEEDS = range(6)
+
+
+# -- definitions ------------------------------------------------------------------
+
+
+def _stab(x, s):
+    return frozenset(a for a in x.group.elements if all(x.action[a][v] == v for v in s))
+
+
+def _setwise(x, s):
+    return frozenset(
+        a for a in x.group.elements if sorted(x.action[a][v] for v in s) == list(s)
+    )
+
+
+def _conjugates(g, h):
+    return {frozenset(g.mul(g.mul(a, b), g.inv(a)) for b in h) for a in g.elements}
+
+
+def _class_key(h):
+    return (len(h), sorted(h))
+
+
+def _sign(image, s):
+    """(-1)^inversions of the permutation that sends s to image."""
+    pos = [s.index(w) for w in image]
+    inversions = sum(pos[i] > pos[j] for i in range(len(pos)) for j in range(i + 1, len(pos)))
+    return -1 if inversions % 2 else 1
+
+
+def _orbit_closure_complex(g, seed):
+    """Orbit closure of random simplices on a union of coset orbits G/H."""
+    rng = random.Random(seed)
+    subs = enumerate_subgroups(g)
+    vertices = []
+    for i in range(rng.randint(2, 3)):
+        h = rng.choice(subs)
+        cosets = {frozenset(g.mul(a, b) for b in h) for a in g.elements}
+        vertices += [(i, c) for c in sorted(cosets, key=sorted)]
+    index = {v: k for k, v in enumerate(vertices)}
+    action = {
+        a: tuple(index[(i, frozenset(g.mul(a, b) for b in c))] for i, c in vertices)
+        for a in g.elements
+    }
+    n = len(vertices)
+    seeds = [tuple(rng.sample(range(n), min(n, rng.choice((2, 3))))) for _ in range(rng.randint(1, 4))]
+    facets = {tuple(sorted(action[a][v] for v in t)) for t in seeds for a in g.elements}
+    facets |= {(v,) for v in range(n)}
+    return GComplex(n, facets, action, g)
+
+
+def _check_index(x):
+    g = x.group
+    simplices = x.simplices()
+    stabs = {s: _stab(x, s) for s in simplices}
+    assert x.isotropy().stabilizers == stabs
+    assert all(x.pointwise_stabilizer(s) == stabs[s] for s in simplices)
+    # vertex sets that are no simplex fall back to the definition
+    for s in [(u, v) for u in range(x.n_vertices) for v in range(u + 1, x.n_vertices)][:20]:
+        if s not in stabs:
+            assert x.pointwise_stabilizer(s) == _stab(x, s)
+    reps = {min(_conjugates(g, k), key=_class_key) for k in stabs.values()}
+    assert present_classes(x) == sorted(reps, key=_class_key)
+    for h in enumerate_subgroups(g):
+        conj = _conjugates(g, h)
+        assert exact_stratum(x, h).simplices == {s for s in simplices if stabs[s] in conj}
+        fixed = fixed_subcomplex(x, h)
+        assert fixed == {s for s in simplices if h <= stabs[s]}
+        assert fixed_subcomplex(x, h) is fixed
+        assert class_fixed_union(x, h) == {
+            s for s in simplices if any(c <= stabs[s] for c in conj)
+        }
+    assert x.is_regular() == all(_setwise(x, s) == stabs[s] for s in simplices)
+
+
+def _random_equivariant_map(x, rng):
+    """Send each orbit representative v to a w with Stab(v) <= Stab(w)."""
+    g = x.group
+    image = [None] * x.n_vertices
+    for v in range(x.n_vertices):
+        if image[v] is not None:
+            continue
+        stab = _stab(x, (v,))
+        w = rng.choice([w for w in range(x.n_vertices) if stab <= _stab(x, (w,))])
+        for a in g.elements:
+            image[x.action[a][v]] = x.action[a][w]
+    return GMap(x, x, tuple(image))
+
+
+# -- the index --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(models.COMPLEX_MODELS))
+def test_index_matches_definitions_on_models(name):
+    x = models.COMPLEX_MODELS[name]()
+    _check_index(x)
+    if name == "cross5":
+        return  # its first subdivision alone has 224,708 simplices
+    for _ in range(2):
+        x = barycentric_subdivision(x).complex
+        _check_index(x)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_index_matches_definitions_on_random_complexes(group):
+    irregular = 0
+    for seed in SEEDS:
+        x = _orbit_closure_complex(GROUPS[group], seed)
+        _check_index(x)
+        irregular += not x.is_regular()
+        y = make_regular(x)
+        assert y.is_regular()
+        _check_index(y)
+        _check_index(barycentric_subdivision(y).complex)
+    assert irregular  # make_regular has work to do on some of them
+
+
+def test_flipped_edge_needs_make_regular():
+    x = GComplex(2, [(0, 1)], {1: (1, 0)}, C2)
+    assert not x.is_regular()
+    assert _setwise(x, (0, 1)) != x.pointwise_stabilizer((0, 1))
+    y = make_regular(x)
+    assert y is not x and y.is_regular()
+    _check_index(y)
+
+
+def test_is_isovariant_on_random_maps():
+    rng = random.Random(0)
+    seen = set()
+    for group in sorted(GROUPS):
+        for seed in SEEDS:
+            x = make_regular(_orbit_closure_complex(GROUPS[group], seed))
+            for _ in range(6):
+                f = _random_equivariant_map(x, rng)
+                if not is_simplicial(f):
+                    continue
+                assert is_equivariant(f)
+                expected = all(
+                    _stab(x, s) == _stab(x, f.apply(s)) for s in x.simplices()
+                )
+                assert is_isovariant(f) == expected
+                seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_is_isovariant_rejects_a_collapse():
+    # every simplex of the disk goes to the fixed center: equivariant, and
+    # isovariant nowhere off the center
+    x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
+    center = next(v for v in range(x.n_vertices) if _stab(x, (v,)) == frozenset(x.group.elements))
+    f = GMap(x, x, (center,) * x.n_vertices)
+    assert is_equivariant(f)
+    assert not is_isovariant(f)
+
+
+# -- the fixed-simplex list ---------------------------------------------------------
+
+
+def test_fixed_simplices_computed_once_per_map(monkeypatch):
+    calls = []
+    sign = gmap._permutation_sign
+    monkeypatch.setattr(gmap, "_permutation_sign", lambda p: calls.append(p) or sign(p))
+    f = subdivide_map(models.MAP_MODELS["wedge-identity"]())
+    fixed = f.fixed_simplices()
+    expected = tuple(
+        (s, _sign([f.vertices[v] for v in s], s))
+        for s in f.source.simplices()
+        if tuple(sorted(f.vertices[v] for v in s)) == s
+        and len({f.vertices[v] for v in s}) == len(s)
+    )
+    assert fixed == expected and len(calls) == len(fixed) > 0
+    lefschetz(f)
+    lefschetz_fixed_sets(f)
+    marks_vector(f)
+    burnside_lefschetz(f)
+    removal_verdict(f)
+    reidemeister_trace(f)
+    is_fixed_point_free(f)
+    assert len(calls) == len(fixed)
+    assert f.fixed_simplices() is fixed
+    # the memo takes no part in equality or hashing
+    twin = GMap(f.source, f.target, f.vertices)
+    assert twin == f and hash(twin) == hash(f)
