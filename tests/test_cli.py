@@ -1,10 +1,13 @@
 """End-to-end CLI runs: report shape, frozen payloads, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import isokit
 from isokit import models
@@ -311,6 +314,19 @@ def test_cube_check_cli(capsys, tmp_path):
 
     code, _ = _run(capsys, ["cube", "check", "--dim", "5"])
     assert code == 65
+
+
+@pytest.mark.parametrize("dim, seed, digest", [
+    (3, 5, "2a561c89a5e53bbc32306ab74bbe81d2ac31da72ee9b714288a5883d7e86d9d7"),
+    (4, 2, "a34e6eca80c3400370e1a4879e708e3cecea8fe510e102ba0447380e5fd16dd8"),
+])
+def test_cube_check_file_report_is_pinned(capsys, tmp_path, monkeypatch, dim, seed, digest):
+    monkeypatch.chdir(tmp_path)
+    name = f"cube{dim}.json"
+    Path(name).write_text(canonical_dumps(cube_map_to_json(random_cube_map(dim, seed=seed))))
+    code, out = _run(capsys, ["cube", "check", "--file", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cube_check_rejects_negative_arguments(capsys):

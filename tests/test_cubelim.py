@@ -3,6 +3,7 @@
 import hashlib
 import time
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -347,3 +348,117 @@ def test_memoized_map_between_matches_cover_walk():
 def test_as_cube_is_built_once():
     m = random_cube_map(2, seed=4, max_size=3)
     assert m.as_cube() is m.as_cube()
+
+
+def _random_3_cube(rng):
+    """A commuting 3-cube filled top down: each vertex takes one to three
+    random elements, repeats allowed, of the limit of everything above it,
+    so a vertex whose up-set has an empty limit is empty."""
+    order = sorted(
+        (frozenset(i for i in range(3) if k >> i & 1) for k in range(8)),
+        key=lambda s: (-len(s), sorted(s)),
+    )
+    sizes = {order[0]: rng.randint(1, 3)}
+    covers = {}
+    for s in order[1:]:
+        verts, elements = oracles.cube_limit_bruteforce(
+            3, sizes, covers, [t for t in order if s < t]
+        )
+        picked = [rng.choice(elements) for _ in range(rng.randint(1, 3))] if elements else []
+        sizes[s] = len(picked)
+        for j in range(3):
+            if j not in s:
+                col = verts.index(s | {j})
+                covers[(s, j)] = tuple(e[col] for e in picked)
+    return Cube(3, sizes, covers)
+
+
+def test_capped_sections_are_a_prefix_of_the_limit():
+    """The sampler's early-stopping enumeration over each strict up-set of
+    a 3-cube yields the first cap + 1 limit elements, read on the covers."""
+    rng = Random(5)
+    steps = cubelim._generation_plan(2)
+    empty = capped = 0
+    for _ in range(40):
+        cube = _random_3_cube(rng)
+        for s, _, above, checks in steps:
+            family = [t for t in cube.vertices() if s < t]
+            verts, expect = oracles.cube_limit_bruteforce(3, cube.sizes, cube.covers, family)
+            lim = limit(cube, family)
+            assert list(lim.vertices) == verts and sorted(lim.elements) == expect
+            cols = [lim.coordinate(t) for t in above]
+            on_covers = [tuple(e[c] for c in cols) for e in lim.elements]
+            assert on_covers == sorted(on_covers)
+            sizes = [cube.sizes[t] for t in above]
+            maps = [[(i, cube.covers[e], cube.covers[h]) for i, e, h in pairs] for pairs in checks]
+            for cap in range(7):
+                assert cubelim._sections(sizes, maps, cap) == on_covers[: cap + 1]
+            assert cubelim._sections(sizes, maps) == on_covers
+            empty += not lim.elements
+            capped += len(lim) > 6
+    assert empty and capped
+
+
+def _point_map(target):
+    """The map from the one-point cube onto the images of one element of
+    the target's initial vertex; its corners fail wherever the target has
+    more than one element."""
+    verts = target.vertices()
+    n = target.n
+    point = Cube(n, {s: 1 for s in verts}, {(s, j): (0,) for s in verts for j in range(n) if j not in s})
+    return CubeMap(point, target, {s: (target.map_between(E, s)[0],) for s in verts})
+
+
+def _checks_digest(dim, seeds):
+    """Corner failures and count, factorization stages and links, and the
+    limit map of random cube maps and of point maps into their targets."""
+
+    def verts(vs):
+        return tuple(tuple(sorted(v)) for v in vs)
+
+    h = hashlib.sha256()
+    for seed in seeds:
+        m = random_cube_map(dim, seed=seed)
+        for mm in (m, _point_map(m.target)):
+            hc = check_hypothesis(mm)
+            fac = factorize_limit(mm)
+            direct, lim_y = limit_map(mm)
+            h.update(repr((
+                (hc.ok, hc.checked, hc.failures),
+                verts(fac.added_order),
+                tuple((verts(s.vertices), s.elements) for s in fac.stages),
+                tuple((f.mapping, f.codomain_size) for f in fac.links),
+                (direct.mapping, direct.codomain_size, verts(lim_y.vertices), lim_y.elements),
+            )).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("dim, seeds, digest", [
+    (0, range(20), "91a3cac60ebadc474718a9c41bc7290aacc2b1d5a24a38a0d14f868887fc07bd"),
+    (1, range(20), "4a23fa3723ee37168ce558f3f56fc0eb916f092e3d547768f2a8e42a6fd45ab0"),
+    (2, range(20), "ab262797c5d792e7d8e61896f2e33488fe0133386a96bd0b5264fc383f5d38ad"),
+    (3, range(20), "f5ac5cfd31be8496eb9b74eefde4de749cda57e4fec281811d1432939b3f13d2"),
+    (4, range(6), "a827bab48e3be1a5dbbedc0ed1ab1219e6c08a5263383da95e9118d396384ae6"),
+])
+def test_cube_checks_are_pinned(dim, seeds, digest):
+    assert _checks_digest(dim, seeds) == digest
+
+
+def test_plans_are_built_once_per_dimension(monkeypatch):
+    def trial(seed):
+        m = random_cube_map(3, seed=seed)
+        check_hypothesis(m)
+        factorize_limit(m)
+        limit_map(m)
+
+    trial(0)
+    built = []
+    init = VertexFamily.__init__
+
+    def counted(self, vertices):
+        built.append(self)
+        init(self, vertices)
+
+    monkeypatch.setattr(VertexFamily, "__init__", counted)
+    trial(1)
+    assert built == []

@@ -5,7 +5,8 @@ import pytest
 import oracles
 from isokit import models
 from isokit.errors import NotEquivariant, NotSimplicial
-from isokit.gcomplex import fixed_subcomplex, present_classes
+from isokit.fixpoint import lefschetz
+from isokit.gcomplex import GComplex, fixed_subcomplex, present_classes
 from isokit.gmap import (
     GMap,
     compose,
@@ -48,6 +49,33 @@ def test_map_validation():
     assert not is_equivariant(f)  # but ignores the free action
     broken = GMap(x, x, (0, 2, 1, 3, 5, 4))
     assert not is_simplicial(broken)
+
+
+def test_is_simplicial_scans_once_per_map(monkeypatch):
+    x = models.COMPLEX_MODELS["hexagon"]()
+    f = models.MAP_MODELS["hexagon-reflection"]()
+    calls = []
+    simplices = GComplex.simplices
+
+    def counted(self):
+        calls.append(self)
+        return simplices(self)
+
+    monkeypatch.setattr(GComplex, "simplices", counted)
+    for _ in range(3):
+        assert is_simplicial(f)
+        assert is_equivariant(f)
+        lefschetz(f)
+    # one facet scan by is_simplicial, one fixed-simplex list by lefschetz
+    assert len(calls) == 2
+    broken = GMap(x, x, (0, 2, 1, 3, 5, 4))
+    del calls[:]
+    for _ in range(2):
+        assert not is_simplicial(broken)
+        for check in (is_equivariant, is_isovariant, subdivide_map, lefschetz):
+            with pytest.raises(NotSimplicial):
+                check(broken)
+    assert calls == [x]
 
 
 def test_identity_and_compose():
