@@ -425,12 +425,6 @@ def chain_name(g: FiniteGroup, chain: Sequence[Subgroup]) -> str:
 # -- table of marks ----------------------------------------------------------
 
 
-def count_fixed_cosets(g: FiniteGroup, h: Subgroup, k: Subgroup) -> int:
-    """|(G/h)^k| by direct count: the x with x^-1 k x inside h, |h| per coset."""
-    fixing = sum(all(g.conjugate(s, g.inv(x)) in h for s in k) for x in g.elements)
-    return fixing // len(h)
-
-
 @dataclass(frozen=True)
 class MarksTable:
     """Table of marks: matrix[i][j] = |(G/reps[i])^{reps[j]}|.

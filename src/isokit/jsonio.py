@@ -224,17 +224,16 @@ def cells_to_json(c: IsovariantCellStructure) -> dict:
     chain label, vertex assignment, and the orbit faces it attaches along."""
     cells = []
     for cell in c.cells:
-        phi_records = []
-        for (l, u), v in cell.phi:
-            slot, coset = cell.phi_map.linking_vertices[u]
-            phi_records.append(
-                {
-                    "disk": list(l),
-                    "slot": slot,
-                    "coset": sorted(coset),
-                    "vertex": v,
-                }
-            )
+        pm = cell.phi_map
+        phi_records = [
+            {
+                "disk": list(l),
+                "slot": pm.linking_vertices[u][0],
+                "coset": list(pm.sorted_cosets[u]),
+                "vertex": v,
+            }
+            for (l, u), v in cell.phi
+        ]
         faces = sorted(
             s
             for k in range(1, len(cell.orbit_simplex))

@@ -9,7 +9,7 @@ space is a single n-simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -19,18 +19,18 @@ from .errors import (
     NotWeaklyDecreasing,
     ZeroChain,
 )
-from .gcomplex import GComplex, OrbitComplex, Simplex, close_simplices, orbit_complex
+from .gcomplex import GComplex, OrbitComplex, Simplex, _faces, orbit_complex
 from .group import (
     FiniteGroup,
     Subgroup,
     chain_name,
-    class_names,
-    class_rep_of,
     is_subgroup,
     validate_chain,
 )
 
 SlotVertex = Tuple[int, FrozenSet[int]]
+# a domain vertex (l, u) of a phi map: disk corner l, linking vertex u
+PhiKey = Tuple[Tuple[int, ...], int]
 
 
 def _cosets(g: FiniteGroup, h: Subgroup) -> List[FrozenSet[int]]:
@@ -248,6 +248,11 @@ def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSim
 # -- the characteristic vertex map ------------------------------------------------
 
 
+def _planned():
+    """A PhiMap plan: derived from the other fields in __post_init__."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class PhiMap:
     """Vertex assignment from (disk factors) x (chain simplex) onto an
@@ -257,6 +262,22 @@ class PhiMap:
     factor (a simplex of dimension disk_dims[j]) and u is a vertex of the
     collapsed-chain complex.  Images are vertices of the equivariant
     simplex of the original weakly decreasing list.
+
+    Everything a cell reads that depends only on the stabilizer chain is
+    planned once, when the map is built, and shared by every cell of that
+    chain:
+    - phi_plan: per domain vertex (l, u), in sorted order, the slot i and
+      the smallest member a of the coset of its Illman image; a cell with
+      base simplex b sends (l, u) to the ambient vertex a * b[i];
+    - vertex_stabilizers: per linking vertex u = (j, C), the stabilizer
+      chain[j] conjugated by min(C) that its images must have;
+    - facet_keys: per linking facet, the domain vertices (l, u) with u in
+      the facet, over every disk corner l;
+    - collision_keys: per domain vertex, the coset vertex (l[j], j, C) that
+      it is identified with;
+    - sorted_cosets: per linking vertex, its coset as a sorted tuple;
+    - sorted_groups and sorted_chain: the groups and the chain as sorted
+      tuples, and chain_label the chain's class names, ascending.
     """
 
     group: FiniteGroup
@@ -267,7 +288,47 @@ class PhiMap:
     illman: IllmanSimplex
     linking: GComplex
     linking_vertices: Tuple[SlotVertex, ...]
-    assignment: Dict[Tuple[Tuple[int, ...], int], int]
+    assignment: Dict[PhiKey, int]
+    phi_plan: Tuple[Tuple[PhiKey, int, int], ...] = _planned()
+    vertex_stabilizers: Tuple[Subgroup, ...] = _planned()
+    facet_keys: Tuple[Tuple[PhiKey, ...], ...] = _planned()
+    collision_keys: Dict[PhiKey, Tuple[int, int, FrozenSet[int]]] = _planned()
+    sorted_cosets: Tuple[Tuple[int, ...], ...] = _planned()
+    sorted_groups: Tuple[Tuple[int, ...], ...] = _planned()
+    sorted_chain: Tuple[Tuple[int, ...], ...] = _planned()
+    chain_label: str = _planned()
+
+    def __post_init__(self):
+        g = self.group
+        plan = []
+        collision_keys = {}
+        for key in sorted(self.assignment):
+            slot, coset = self.illman.vertices[self.assignment[key]]
+            plan.append((key, slot, min(coset)))
+            l, u = key
+            j, link_coset = self.linking_vertices[u]
+            collision_keys[key] = (l[j], j, link_coset)
+        disk = self.disk_vertices()
+        planned = {
+            "phi_plan": tuple(plan),
+            "vertex_stabilizers": tuple(
+                frozenset(g.conjugate(s, min(coset)) for s in self.chain[j])
+                for j, coset in self.linking_vertices
+            ),
+            "facet_keys": tuple(
+                tuple((l, u) for u in facet for l in disk)
+                for facet in self.linking.facets
+            ),
+            "collision_keys": collision_keys,
+            "sorted_cosets": tuple(
+                tuple(sorted(coset)) for _, coset in self.linking_vertices
+            ),
+            "sorted_groups": tuple(tuple(sorted(h)) for h in self.groups),
+            "sorted_chain": tuple(tuple(sorted(k)) for k in self.chain),
+            "chain_label": chain_name(g, self.chain[::-1]),
+        }
+        for name, value in planned.items():
+            object.__setattr__(self, name, value)
 
     def disk_vertices(self) -> List[Tuple[int, ...]]:
         return [tuple(t) for t in product(*(range(d + 1) for d in self.disk_dims))]
@@ -277,7 +338,11 @@ class PhiMap:
 
 
 def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
-    """The collapse assignment (l, (slot j, gK_j)) -> (min fiber(j) + l[j], same coset)."""
+    """The collapse assignment (l, (slot j, gK_j)) -> (min fiber(j) + l[j], same coset).
+
+    The returned map carries the per-chain plans that decompose,
+    validate_cells and cells_to_json read for each of its cells.
+    """
     subs = _check_weakly_decreasing(g, groups)
     chain, p = collapse_map(g, subs)
     fibers: List[List[int]] = [[] for _ in chain]
@@ -286,7 +351,7 @@ def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     disk_dims = tuple(len(f) - 1 for f in fibers)
     illman = illman_complex(g, subs)
     link_cx, link_verts = slot_coset_complex(g, chain)
-    assignment: Dict[Tuple[Tuple[int, ...], int], int] = {}
+    assignment: Dict[PhiKey, int] = {}
     for l in product(*(range(d + 1) for d in disk_dims)):
         for u, (j, coset) in enumerate(link_verts):
             # the slot groups agree along a fiber, so the coset transfers
@@ -323,27 +388,28 @@ class Cell:
     surjection: Tuple[int, ...]
     disk_dims: Tuple[int, ...]
     disk_dim: int
-    phi: Tuple[Tuple[Tuple[Tuple[int, ...], int], int], ...]
+    phi: Tuple[Tuple[PhiKey, int], ...]
     phi_map: PhiMap
 
     def label(self) -> str:
-        names = class_names(self.phi_map.group)
-        shown = "<".join(
-            names[class_rep_of(self.phi_map.group, frozenset(k))]
-            for k in reversed(self.chain)
-        )
-        return f"D^{self.disk_dim} x Delta^{{{shown}}}"
+        return f"D^{self.disk_dim} x Delta^{{{self.phi_map.chain_label}}}"
 
-    def phi_dict(self) -> Dict[Tuple[Tuple[int, ...], int], int]:
+    def phi_dict(self) -> Dict[PhiKey, int]:
         return dict(self.phi)
 
 
 @dataclass(frozen=True)
 class IsovariantCellStructure:
+    """Cells of a complex, in orbit-simplex order, and its skeleta.
+
+    fibers maps each orbit simplex to the simplices of complex over it.
+    """
+
     complex: GComplex
     orbit: OrbitComplex
     cells: Tuple[Cell, ...]
     skeleta: Tuple[FrozenSet[Simplex], ...]
+    fibers: Dict[Simplex, List[Simplex]] = field(compare=False, repr=False)
 
 
 def _fibers_over_orbit(x: GComplex, orb: OrbitComplex) -> Dict[Simplex, List[Simplex]]:
@@ -360,6 +426,10 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
     full-dimensional over its orbit-space image, a single group orbit, and
     with linearly ordered vertex stabilizers.  Violations raise
     NotEquivariantTriangulation naming the offending orbit simplex.
+
+    Cells with one stabilizer chain share one PhiMap, whose plans give each
+    cell's phi as one pass over its phi_plan and its groups, chain and
+    label without per-cell work.
     """
     if not x.is_regular():
         raise NotEquivariantTriangulation(
@@ -388,7 +458,10 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
                     orbit_simplex=s,
                 )
         base = min(over)
-        if {x.act_simplex(a, base) for a in g.elements} != set(over):
+        # over is G-invariant and the action is regular, so Stab(base) is also
+        # its setwise stabilizer: the orbit of base is all of over iff
+        # |over| = |G| / |Stab(base)|
+        if len(over) * len(stabilizers[base]) != g.order:
             raise NotEquivariantTriangulation(
                 f"simplices over orbit simplex {s} form more than one orbit",
                 orbit_simplex=s,
@@ -409,20 +482,19 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         pm = phi_maps[key]
         # compose the abstract assignment with the identification that the
         # slot-i vertex with coset a*H_i is the ambient vertex a * base[i]
-        phi_x: Dict[Tuple[Tuple[int, ...], int], int] = {}
-        for (l, u), iv in pm.assignment.items():
-            slot, coset = pm.illman.vertices[iv]
-            phi_x[(l, u)] = x.act_vertex(min(coset), sorted_base[slot])
         cells.append(
             Cell(
                 orbit_simplex=s,
                 base_simplex=sorted_base,
-                groups=tuple(tuple(sorted(h)) for h in pm.groups),
-                chain=tuple(tuple(sorted(k)) for k in pm.chain),
+                groups=pm.sorted_groups,
+                chain=pm.sorted_chain,
                 surjection=pm.surjection,
                 disk_dims=pm.disk_dims,
                 disk_dim=sum(pm.disk_dims),
-                phi=tuple(sorted(phi_x.items())),
+                phi=tuple(
+                    (key, x.action[a][sorted_base[slot]])
+                    for key, slot, a in pm.phi_plan
+                ),
                 phi_map=pm,
             )
         )
@@ -434,7 +506,7 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         skeleta.append(frozenset(acc))
     cells.sort(key=lambda c: (len(c.orbit_simplex), c.orbit_simplex))
     return IsovariantCellStructure(
-        complex=x, orbit=orb, cells=tuple(cells), skeleta=tuple(skeleta)
+        complex=x, orbit=orb, cells=tuple(cells), skeleta=tuple(skeleta), fibers=buckets
     )
 
 
@@ -464,15 +536,25 @@ class CellReport:
 def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     """Check every cell of a decomposition against the ambient complex.
 
-    Per cell: vertexwise isotropy preservation, vertex surjectivity onto
-    the closed cell, facet correspondence with the simplex orbit, the
-    collision pattern of phi, and containment of the boundary in the
-    previous skeleton.  Finally the facet tally must count every simplex
-    of x exactly once.
+    Each cell is checked against over, the simplices of x above its orbit
+    simplex (the fibers of c when x is c.complex), and against the plans
+    of its PhiMap, built once per stabilizer chain:
+    - isotropy: each image vertex is a vertex of x whose stabilizer, read
+      from the isotropy index, is the planned stabilizer of its linking
+      vertex;
+    - surjectivity: the images are the vertices of over, which are those
+      of the closed cell;
+    - facets: the images of each linking facet's planned keys span the
+      simplices of over;
+    - identifications: domain vertices with one collision key share an
+      image, and distinct collision keys have distinct images;
+    - attachment: every proper face of over lies in the previous skeleton,
+      else the smallest missing one is named.
+    Finally the facet tally must count every simplex of x exactly once.
     """
     failures: List[CellCheck] = []
-    g = x.group
-    buckets = _fibers_over_orbit(x, c.orbit)
+    stabilizers = x.isotropy().stabilizers
+    buckets = c.fibers if x is c.complex else _fibers_over_orbit(x, c.orbit)
 
     def fail(i: int, check: str, detail: str) -> None:
         failures.append(CellCheck(cell_index=i, check=check, detail=detail))
@@ -482,42 +564,49 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
         pm = cell.phi_map
         phi = cell.phi_dict()
         dim = len(cell.orbit_simplex) - 1
-        over = set(buckets.get(cell.orbit_simplex, []))
-        closure = close_simplices(over)
+        over = buckets.get(cell.orbit_simplex, [])
+        over_set = set(over)
         for (l, u), w in phi.items():
-            slot, coset = pm.linking_vertices[u]
-            a = min(coset)
-            expected = frozenset(g.conjugate(s, a) for s in pm.chain[slot])
-            if x.pointwise_stabilizer((w,)) != expected:
+            stab = stabilizers.get((w,))
+            if stab is None:
+                if not 0 <= w < x.n_vertices:
+                    fail(i, "isotropy", f"image vertex {w} of {(l, u)} is not a vertex of the complex")
+                    break
+                stab = x.pointwise_stabilizer((w,))
+            if stab != pm.vertex_stabilizers[u]:
                 fail(i, "isotropy", f"image vertex {w} of {(l, u)} has wrong stabilizer")
                 break
-        cell_vertices = {v for t in closure for v in t}
-        if set(phi.values()) != cell_vertices:
+        if set(phi.values()) != {v for t in over for v in t}:
             fail(i, "surjectivity", "phi image misses vertices of the closed cell")
-        disk = pm.disk_vertices()
         facet_images = {
-            tuple(sorted({phi[(l, u)] for u in facet for l in disk}))
-            for facet in pm.linking.facets
+            tuple(sorted({phi[key] for key in keys})) for keys in pm.facet_keys
         }
-        if facet_images != over:
+        if facet_images != over_set:
             fail(i, "facets", "translate facets do not match the simplex orbit")
         by_key: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
         collision_ok = True
-        for (l, u), w in sorted(phi.items()):
-            slot, coset = pm.linking_vertices[u]
-            key = (l[slot], slot, coset)
-            if by_key.setdefault(key, w) != w:
-                fail(i, "identifications", f"one coset vertex hits both {by_key[key]} and {w}")
+        for key, w in sorted(phi.items()):
+            ckey = pm.collision_keys[key]
+            if by_key.setdefault(ckey, w) != w:
+                fail(i, "identifications", f"one coset vertex hits both {by_key[ckey]} and {w}")
                 collision_ok = False
                 break
         if collision_ok and len(set(by_key.values())) != len(by_key):
             fail(i, "identifications", "distinct coset vertices share an image")
         if dim > 0:
             lower = c.skeleta[dim - 1]
-            for t in sorted(closure - over):
-                if t not in lower:
-                    fail(i, "attachment", f"boundary simplex {t} missing from skeleton")
-                    break
+            # the proper faces of over: _faces yields each simplex itself too
+            missing = min(
+                (
+                    t
+                    for face in over
+                    for t in _faces(face)
+                    if t not in lower and t not in over_set
+                ),
+                default=None,
+            )
+            if missing is not None:
+                fail(i, "attachment", f"boundary simplex {missing} missing from skeleton")
         tally += len(pm.linking.facets)
     total = len(x.simplices())
     if tally != total:

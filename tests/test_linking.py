@@ -1,10 +1,14 @@
 """Linking simplices, boundaries, fundamental domains, phi maps, cells."""
 
+import hashlib
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from test_isotropy import GROUPS as ISOTROPY_GROUPS, _orbit_closure_complex
 
+from isokit import group as group_module
 from isokit import models
 from isokit.errors import (
     NotEquivariantTriangulation,
@@ -12,8 +16,9 @@ from isokit.errors import (
     NotWeaklyDecreasing,
     ZeroChain,
 )
-from isokit.gcomplex import barycentric_subdivision, orbit_complex
-from isokit.group import FiniteGroup, enumerate_subgroups, subgroup_closure
+from isokit.gcomplex import barycentric_subdivision, make_regular, orbit_complex
+from isokit.group import FiniteGroup, class_names, enumerate_subgroups, subgroup_closure
+from isokit.jsonio import canonical_dumps, cells_to_json
 from isokit.linking import (
     IllmanSimplex,
     LinkingSimplex,
@@ -284,11 +289,38 @@ def test_decompose_shares_one_phi_map_per_chain():
     assert validate_cells(c, x).ok
 
 
+def test_cell_labels_are_planned_per_chain(monkeypatch):
+    """Labels come from each map's chain label: no class lookup per cell."""
+    x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
+    c = decompose(x)
+    calls = []
+    original = group_module.class_rep_of
+    monkeypatch.setattr(group_module, "class_rep_of", lambda *a: calls.append(a) or original(*a))
+    labels = Counter(cell.label() for cell in c.cells)
+    assert not calls
+    assert labels == {
+        "D^0 x Delta^{C2}": 1,
+        "D^0 x Delta^{e}": 12,
+        "D^0 x Delta^{e<C2}": 6,
+        "D^1 x Delta^{e}": 24,
+        "D^1 x Delta^{e<C2}": 6,
+        "D^2 x Delta^{e}": 12,
+    }
+    for cell in c.cells:
+        pm = cell.phi_map
+        assert pm.chain_label == "<".join(
+            class_names(x.group)[original(x.group, k)] for k in reversed(pm.chain)
+        )
+
+
 def test_decompose_rejects_non_equivariant_triangulation():
+    """A free C2 on a 4-cycle: four edges lie over one orbit edge, two orbits."""
     x = models.COMPLEX_MODELS["antipodal-square"]()
     assert x.is_regular()
-    with pytest.raises(NotEquivariantTriangulation):
+    with pytest.raises(NotEquivariantTriangulation, match="form more than one orbit") as err:
         decompose(x)
+    assert str(err.value) == "simplices over orbit simplex (0, 1) form more than one orbit"
+    assert err.value.orbit_simplex == (0, 1)
 
 
 def test_cells_reference_valid_chains():
@@ -302,3 +334,181 @@ def test_cells_reference_valid_chains():
         for corner in corners:
             for u in range(len(cell.phi_map.linking_vertices)):
                 cell.phi_map.apply(corner, u)
+
+
+# -- validate_cells on corrupted structures -------------------------------------------
+
+
+def _disk_structure():
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    return x, decompose(x)
+
+
+def _with_phi(c, index, values):
+    """The structure with cell index's phi values replaced, keys kept."""
+    cell = c.cells[index]
+    phi = tuple((key, values.get(key, w)) for key, w in cell.phi)
+    cells = list(c.cells)
+    cells[index] = replace(cell, phi=phi)
+    return replace(c, cells=tuple(cells))
+
+
+def _failures(c, x):
+    report = validate_cells(c, x)
+    assert not report.ok
+    assert report.first_failure == report.failures[0]
+    return [(f.cell_index, f.check, f.detail) for f in report.failures]
+
+
+def test_validate_cells_reports_a_wrong_stabilizer():
+    x, c = _disk_structure()
+    # cell 1 is the free vertex orbit {1, 4}; vertex 0 is the fixed center
+    assert _failures(_with_phi(c, 1, {((0,), 0): 0}), x) == [
+        (1, "isotropy", "image vertex 0 of ((0,), 0) has wrong stabilizer"),
+        (1, "surjectivity", "phi image misses vertices of the closed cell"),
+        (1, "facets", "translate facets do not match the simplex orbit"),
+    ]
+
+
+def test_validate_cells_reports_a_vertex_outside_the_cell():
+    x, c = _disk_structure()
+    # vertex 2 is free like vertex 1, but lies in another cell
+    assert _failures(_with_phi(c, 1, {((0,), 0): 2}), x) == [
+        (1, "surjectivity", "phi image misses vertices of the closed cell"),
+        (1, "facets", "translate facets do not match the simplex orbit"),
+    ]
+
+
+def test_validate_cells_reports_swapped_facets():
+    x, c = _disk_structure()
+    # cell 7 covers the edges (1, 2) and (4, 5); swapping 2 and 5 pairs 1 with 5
+    assert c.cells[7].orbit_simplex == (1, 2)
+    assert _failures(_with_phi(c, 7, {((1,), 0): 5, ((1,), 1): 2}), x) == [
+        (7, "facets", "translate facets do not match the simplex orbit"),
+    ]
+
+
+def test_validate_cells_reports_broken_identifications():
+    x, c = _disk_structure()
+    # in cell 10 both disk corners send the C2 coset vertex to the center
+    assert _failures(_with_phi(c, 10, {((0, 1), 0): 1}), x) == [
+        (10, "isotropy", "image vertex 1 of ((0, 1), 0) has wrong stabilizer"),
+        (10, "facets", "translate facets do not match the simplex orbit"),
+        (10, "identifications", "one coset vertex hits both 0 and 1"),
+    ]
+    assert _failures(_with_phi(c, 7, {((1,), 1): 4}), x) == [
+        (7, "surjectivity", "phi image misses vertices of the closed cell"),
+        (7, "facets", "translate facets do not match the simplex orbit"),
+        (7, "identifications", "distinct coset vertices share an image"),
+    ]
+
+
+def test_validate_cells_reports_the_smallest_missing_boundary_simplex():
+    x, c = _disk_structure()
+    truncated = replace(c, skeleta=(c.skeleta[0] - {(1,), (4,)},) + c.skeleta[1:])
+    assert _failures(truncated, x) == [
+        (4, "attachment", "boundary simplex (1,) missing from skeleton"),
+        (7, "attachment", "boundary simplex (1,) missing from skeleton"),
+        (8, "attachment", "boundary simplex (1,) missing from skeleton"),
+    ]
+    truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(0, 4)}, c.skeleta[2]))
+    assert _failures(truncated, x) == [
+        (10, "attachment", "boundary simplex (0, 4) missing from skeleton"),
+        (11, "attachment", "boundary simplex (0, 4) missing from skeleton"),
+    ]
+
+
+def test_validate_cells_reports_a_dropped_cell():
+    x, c = _disk_structure()
+    assert _failures(replace(c, cells=c.cells[:4] + c.cells[5:]), x) == [
+        (-1, "tally", "cells account for 23 simplices, complex has 25"),
+    ]
+
+
+@pytest.mark.parametrize("shift", [5, -8])
+def test_validate_cells_reports_an_image_vertex_outside_the_complex(shift):
+    """Past the end, or negative, which Python would read from the end."""
+    x, c = _disk_structure()
+    w = x.n_vertices + shift
+    assert _failures(_with_phi(c, 1, {((0,), 0): w}), x) == [
+        (1, "isotropy", f"image vertex {w} of ((0,), 0) is not a vertex of the complex"),
+        (1, "surjectivity", "phi image misses vertices of the closed cell"),
+        (1, "facets", "translate facets do not match the simplex orbit"),
+    ]
+
+
+# -- byte-stable reports and generated inputs --------------------------------------
+
+# sha256 of canonical_dumps(cells_to_json(decompose(x))) for each built-in model
+# that decomposes (depth 0) and for its first barycentric subdivision (depth 1)
+GOLDEN_CELL_DIGESTS = {
+    ("antipodal-square", 1): "23a37f1ed85ea2ba2a5b5f1bf125dcf3cf8b7b7d26f63d10b4d529b80d462138",
+    ("c2-point", 0): "2269609b5da623d5c5f57d3755aa26a352e7dfe3408e60dd50445efb61e343a1",
+    ("c2-point", 1): "2269609b5da623d5c5f57d3755aa26a352e7dfe3408e60dd50445efb61e343a1",
+    ("c2xc2-wedge", 0): "bc41c9353553b481582ae990bb2b5c2b24037c5babbdb6b6b1b71f761f8b1194",
+    ("c2xc2-wedge", 1): "8d31bb368799ada93b1a7a90b00e77f6d1d580222b7606da1e423f647b117aea",
+    ("hexagon", 0): "1add054edccd1ab8f5521d8c5fb788b298340ce9824e727b03b223050001ddcd",
+    ("hexagon", 1): "1b2e2167d22f092fa0435e8f7a8349c6ab02c1fcdf2a6822a2b12065211760c9",
+    ("point", 0): "addd4fcaae08b6bcac932b80dde87b45388078c03ace90bde6c556824be55486",
+    ("point", 1): "addd4fcaae08b6bcac932b80dde87b45388078c03ace90bde6c556824be55486",
+    ("rotation-disk", 0): "4ec220cc498dffaca5dff9085d8a1afc2b4729d255a77dce7b0162bb862286e0",
+    ("rotation-disk", 1): "77395ca9b0a45393113aa2edd33ce8344285ef4d7627132890482d9b64a7f7e1",
+    ("s3-dust", 0): "762d02598964f07b77922d34b3eb5babb9615620f08cad29f55e0081b897384b",
+    ("s3-dust", 1): "762d02598964f07b77922d34b3eb5babb9615620f08cad29f55e0081b897384b",
+    ("swap-segment", 0): "62c2c730f8b24adb96d92f5fcf2f132552e1b4f4fbc13b577b58eca1b9d0546b",
+    ("swap-segment", 1): "64d78919d08e5af44d38953b6c66ab8c634e5b2bf301f5af057ea2dac57192e2",
+    ("wedge", 0): "900f6fc2ccb7d85d5b1d0971a38d0c80ec7fb766d4173a289658e3e6657b4345",
+    ("wedge", 1): "44f44a81bb2438cde1e8775853166eb3ed33a1d936feb935155cbf3bd95d1d20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(models.COMPLEX_MODELS))
+def test_cell_reports_are_pinned(name):
+    x = models.COMPLEX_MODELS[name]()
+    # cross5's subdivision is large and does not decompose either
+    for depth, y in enumerate([x] if name == "cross5" else [x, barycentric_subdivision(x).complex]):
+        if (name, depth) not in GOLDEN_CELL_DIGESTS:
+            with pytest.raises(NotEquivariantTriangulation, match="form more than one orbit"):
+                decompose(y)
+            continue
+        c = decompose(y)
+        text = canonical_dumps(cells_to_json(c))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CELL_DIGESTS[(name, depth)]
+        report = validate_cells(c, y)
+        assert report.ok and report.simplex_tally == len(y.simplices())
+
+
+def _single_orbit(x, over):
+    return {x.act_simplex(a, over[0]) for a in x.group.elements} == set(over)
+
+
+@pytest.mark.parametrize("group", sorted(ISOTROPY_GROUPS))
+def test_generated_complexes_decompose_and_validate(group):
+    """Orbit closures of random simplices, regularized: the second derived
+    complex always decomposes; the regularized complex itself sometimes."""
+    direct = 0
+    for seed in range(12):
+        x = _orbit_closure_complex(ISOTROPY_GROUPS[group], seed)
+        y = make_regular(x)
+        try:
+            c = decompose(y)
+        except NotEquivariantTriangulation as exc:
+            if "more than one orbit" in str(exc):
+                orb = orbit_complex(y)
+                over = [t for t in y.simplices() if orb.image_of(t) == exc.orbit_simplex]
+                assert all(len(t) == len(exc.orbit_simplex) for t in over)
+                assert not _single_orbit(y, over)
+        else:
+            direct += 1
+            report = validate_cells(c, y)
+            assert report.ok and report.simplex_tally == len(y.simplices())
+            orb = orbit_complex(y)
+            for cell in c.cells:
+                over = [t for t in y.simplices() if orb.image_of(t) == cell.orbit_simplex]
+                assert _single_orbit(y, over)
+        # two subdivisions below the raw complex, make_regular spending one
+        z = barycentric_subdivision(y if y is not x else barycentric_subdivision(x).complex).complex
+        report = validate_cells(decompose(z), z)
+        assert report.ok, (seed, report.first_failure)
+        assert report.simplex_tally == report.simplex_count == len(z.simplices())
+    assert direct
