@@ -4,15 +4,15 @@ Lefschetz numbers come from the alternating chain-level trace: a simplex
 contributes the sign of the vertex permutation its image induces, so no
 homology computation is needed.  Reidemeister traces are computed for
 finitely generated abelian fundamental groups presented by spanning-tree
-edge labels; twisted conjugacy then reduces to an integer cokernel.
+edge labels; twisted conjugacy then reduces to an integer cokernel.  One
+breadth-first walk builds the tree and lifts the map along it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     InconsistentLabels,
@@ -32,7 +32,7 @@ from .gcomplex import (
     fixed_subcomplex,
     present_classes,
 )
-from .gmap import GMap, is_isovariant, is_simplicial
+from .gmap import GMap, _components, is_isovariant, is_simplicial
 from .group import Subgroup, class_names, table_of_marks
 from .snf import smith_normal_form
 
@@ -46,12 +46,20 @@ def _require_self_map(f: GMap) -> None:
         raise NotSelfMap("source and target complexes differ")
 
 
+def _trace(f: GMap, within: Optional[FrozenSet[Simplex]] = None) -> int:
+    """Alternating sum of the signs of f's fixed simplices, over all of
+    them or only those in the subcomplex within."""
+    return sum(
+        (-1) ** (len(s) - 1) * sign
+        for s, sign in f.fixed_simplices()
+        if within is None or s in within
+    )
+
+
 def lefschetz(f: GMap) -> int:
     """Alternating sum of chain traces of a simplicial self-map."""
     _require_self_map(f)
-    return sum(
-        (-1) ** (len(s) - 1) * sign for s, sign in f.fixed_simplices()
-    )
+    return _trace(f)
 
 
 def has_fixed_simplex(f: GMap) -> bool:
@@ -69,23 +77,16 @@ def is_fixed_point_free(f: GMap) -> bool:
     return not has_fixed_simplex(f)
 
 
-def _restrict_to(f: GMap, simplices: FrozenSet[Simplex]) -> List[Tuple[Simplex, int]]:
-    return [(s, sign) for s, sign in f.fixed_simplices() if s in simplices]
-
-
 def lefschetz_fixed_sets(f: GMap) -> Dict[str, int]:
     """Lefschetz number of f on each fixed subcomplex of a present class."""
     _require_self_map(f)
     if not is_isovariant(f):
         raise NotIsovariant("per-class Lefschetz numbers need an isovariant map")
     names = class_names(f.source.group)
-    out: Dict[str, int] = {}
-    for rep in present_classes(f.source):
-        fixed = fixed_subcomplex(f.source, rep)
-        out[names[rep]] = sum(
-            (-1) ** (len(s) - 1) * sign for s, sign in _restrict_to(f, fixed)
-        )
-    return out
+    return {
+        names[rep]: _trace(f, fixed_subcomplex(f.source, rep))
+        for rep in present_classes(f.source)
+    }
 
 
 # -- Burnside classes ---------------------------------------------------------------
@@ -110,16 +111,13 @@ def marks_vector(f: GMap) -> BurnsideElement:
     if not is_isovariant(f):
         raise NotIsovariant("marks vector needs an isovariant map")
     marks = table_of_marks(f.source.group)
-    per_class = {}
-    for rep, name in zip(marks.reps, marks.names):
-        fixed = fixed_subcomplex(f.source, frozenset(rep))
-        per_class[name] = sum(
-            (-1) ** (len(s) - 1) * sign for s, sign in _restrict_to(f, fixed)
-        )
     return BurnsideElement(
         basis="marks",
         names=marks.names,
-        coefficients=tuple(per_class[n] for n in marks.names),
+        coefficients=tuple(
+            _trace(f, fixed_subcomplex(f.source, frozenset(rep)))
+            for rep in marks.reps
+        ),
     )
 
 
@@ -177,26 +175,6 @@ class TwistedConjugacySetup:
         )
 
 
-def _int_inverse(u: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Inverse of a unimodular integer matrix, exactly."""
-    n = len(u)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    out = [[v.numerator if v.denominator == 1 else None for v in row[n:]] for row in a]
-    if any(v is None for row in out for v in row):
-        raise ValueError("matrix is not unimodular")
-    return out
-
-
 @dataclass(frozen=True)
 class TwistedClasses:
     """Cokernel of (id - phi) on pi, with projection and representatives."""
@@ -251,11 +229,10 @@ def twisted_classes(setup: TwistedConjugacySetup) -> TwistedClasses:
         if d:
             cols.append([d if i == j else 0 for i in range(r)])
     a = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
-    s, u, _ = smith_normal_form(a)
+    s, u, _, u_inv = smith_normal_form(a)
     diag = [s[i][i] if i < len(s[0]) else 0 for i in range(r)]
     torsion = tuple(d for d in diag if d > 1)
     free_rank = sum(1 for d in diag if d == 0)
-    u_inv = _int_inverse(u)
     return TwistedClasses(
         setup=setup,
         torsion=torsion,
@@ -294,35 +271,44 @@ def _edges_of(x: GComplex) -> List[Tuple[int, int]]:
     return [tuple(s) for s in x.simplices() if len(s) == 2]
 
 
+def _tree_walk(edges: Iterable[Tuple[int, int]], root: int) -> List[Tuple[int, int]]:
+    """Steps (u, v) of a breadth-first walk from root over an edge list,
+    neighbours in ascending order; v is reached first through u."""
+    adj: Dict[int, List[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {root}
+    order = [root]
+    steps: List[Tuple[int, int]] = []
+    for u in order:
+        for v in sorted(adj.get(u, ())):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                steps.append((u, v))
+    return steps
+
+
 def _check_pidata(x: GComplex, pd: PiData) -> None:
     edges = set(_edges_of(x))
     tree = {tuple(sorted(e)) for e in pd.tree}
     if not tree <= edges:
         raise InconsistentLabels("tree contains a pair that is not an edge")
-    # spanning and acyclic over the vertices of the 1-skeleton
+    # spanning and acyclic over the vertices of the 1-skeleton: a forest
+    # has exactly |V| - #components edges, and it spans when connected
     verts = {v for e in edges for v in e}
     if x.n_vertices and not verts:
         verts = set(range(x.n_vertices))
-    parent = {v: v for v in verts}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in tree:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise InconsistentLabels("tree has a cycle")
-        parent[ru] = rv
-    if verts and len(tree) != len(verts) - 1:
+    components = _components(verts, tree)
+    if len(tree) != len(verts) - len(components):
+        raise InconsistentLabels("tree has a cycle")
+    if len(components) > 1:
         raise InconsistentLabels("tree does not span the 1-skeleton")
     for e in edges:
         pd.omega(*e)  # raises when an edge carries no label
-    zero = tuple([0] * pd.setup.rank)
     for u, v in tree:
-        if pd.setup.reduce(pd.omega(u, v)) != zero:
+        if any(pd.setup.reduce(pd.omega(u, v))):
             raise InconsistentLabels(f"tree edge ({u},{v}) must carry label zero")
     # labels must be a cocycle: around every triangle the loop class vanishes
     for s in x.simplices():
@@ -333,35 +319,29 @@ def _check_pidata(x: GComplex, pd: PiData) -> None:
             pd.omega(a, b)[i] + pd.omega(b, c)[i] - pd.omega(a, c)[i]
             for i in range(pd.setup.rank)
         )
-        if pd.setup.reduce(total) != zero:
+        if any(pd.setup.reduce(total)):
             raise InconsistentLabels(f"labels around triangle {s} do not close up")
 
 
-def _spanning_tree(x: GComplex) -> Tuple[Set[Tuple[int, int]], List[Tuple[int, int]]]:
-    """BFS tree from vertex 0 and the leftover (loop) edges."""
-    edges = _edges_of(x)
-    verts = set(range(x.n_vertices))
-    adj: Dict[int, List[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    tree: Set[Tuple[int, int]] = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    tree.add((min(u, v), max(u, v)))
-                    nxt.append(v)
-        frontier = nxt
-    if seen != verts:
-        raise NonAbelianPi(
-            "complex is not connected; fundamental-group data is undefined"
-        )
-    return tree, [e for e in edges if e not in tree]
+def _lift(f: GMap, pd: PiData) -> Dict[int, Vector]:
+    """Deck coordinates c(v) of f lifted along the tree, c(base) = 0;
+    vertices off the tree get 0."""
+    setup = pd.setup
+    c = {v: tuple([0] * setup.rank) for v in range(f.source.n_vertices)}
+    for u, v in _tree_walk(pd.tree, pd.base):
+        step = pd.omega(f.vertices[u], f.vertices[v])
+        c[v] = setup.reduce(tuple(a + b for a, b in zip(c[u], step)))
+    return c
+
+
+def _defect(f: GMap, pd: PiData, c: Dict[int, Vector], u: int, v: int) -> Vector:
+    """c(u) + omega(fu, fv) - c(v) - phi(omega(u, v)); zero on every edge
+    exactly when phi matches the map."""
+    image = pd.omega(f.vertices[u], f.vertices[v])
+    twisted = pd.setup.apply_phi(pd.omega(u, v))
+    return pd.setup.reduce(
+        tuple(a + b - d - e for a, b, d, e in zip(c[u], image, c[v], twisted))
+    )
 
 
 def derive_pidata(
@@ -371,9 +351,9 @@ def derive_pidata(
 
     The fundamental group of a graph is free on the non-tree edges, so it
     is abelian only for rank 0 or 1; anything else raises NonAbelianPi.
-    Without an explicit setup, the endomorphism phi is read off from the
-    image of the generating loop.  Higher-dimensional complexes need
-    caller-supplied PiData.
+    Without an explicit setup, f is lifted along the tree with phi = 0 and
+    phi is read off the defect on the loop edge.  Higher-dimensional
+    complexes need caller-supplied PiData.
     """
     x = f.source
     if x.dim > 1:
@@ -381,7 +361,13 @@ def derive_pidata(
             "cannot derive fundamental-group data above dimension 1; "
             "supply spanning-tree labels"
         )
-    tree, loops = _spanning_tree(x)
+    edges = _edges_of(x)
+    tree = frozenset((min(u, v), max(u, v)) for u, v in _tree_walk(edges, 0))
+    if len(tree) != x.n_vertices - 1:
+        raise NonAbelianPi(
+            "complex is not connected; fundamental-group data is undefined"
+        )
+    loops = [e for e in edges if e not in tree]
     rank = len(loops)
     if rank > 1:
         raise NonAbelianPi(f"free fundamental group of rank {rank} is not abelian")
@@ -390,81 +376,19 @@ def derive_pidata(
             f"supplied pi has rank {setup.rank} but the 1-skeleton has "
             f"{rank} independent loops"
         )
-    labels: Dict[Tuple[int, int], Vector] = {e: (0,) * rank for e in tree}
-    for e in loops:
-        labels[e] = (1,)
+    labels = {e: (0,) * rank if e in tree else (1,) for e in edges}
     if setup is None:
         if rank == 0:
             setup = TwistedConjugacySetup(invariant_factors=(), phi=())
         else:
-            # the consistency equation on the loop edge determines phi
             probe = PiData(
                 setup=TwistedConjugacySetup(invariant_factors=(0,), phi=((0,),)),
-                tree=frozenset(tree),
+                tree=tree,
                 labels=labels,
             )
-            c: Dict[int, Vector] = {0: (0,)}
-            adj: Dict[int, List[int]] = {}
-            for u, v in tree:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in sorted(adj.get(u, [])):
-                        if v in c:
-                            continue
-                        step = probe.omega(f.vertices[u], f.vertices[v])
-                        c[v] = (c[u][0] + step[0],)
-                        nxt.append(v)
-                frontier = nxt
-            u, v = loops[0]
-            phi_val = c[u][0] - c[v][0] + probe.omega(f.vertices[u], f.vertices[v])[0]
-            setup = TwistedConjugacySetup(
-                invariant_factors=(0,), phi=((phi_val,),)
-            )
-    return PiData(setup=setup, tree=frozenset(tree), labels=labels, base=0)
-
-
-def _tree_path_consistency(f: GMap, pd: PiData) -> Dict[int, Vector]:
-    """Deck coordinates c(v) of the lifted map, or InconsistentLabels."""
-    setup = pd.setup
-    zero = tuple([0] * setup.rank)
-    adj: Dict[int, List[int]] = {}
-    for u, v in pd.tree:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    c: Dict[int, Vector] = {pd.base: zero}
-    frontier = [pd.base]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(adj.get(u, [])):
-                if v in c:
-                    continue
-                fu, fv = f.vertices[u], f.vertices[v]
-                step = pd.omega(fu, fv)
-                c[v] = setup.reduce(tuple(a + b for a, b in zip(c[u], step)))
-                nxt.append(v)
-        frontier = nxt
-    for v in range(f.source.n_vertices):
-        if v not in c:
-            c[v] = zero
-    for u, v in _edges_of(f.source):
-        fu, fv = f.vertices[u], f.vertices[v]
-        lhs = setup.reduce(tuple(a + b for a, b in zip(c[u], pd.omega(fu, fv))))
-        rhs = setup.reduce(
-            tuple(
-                a + b
-                for a, b in zip(c[v], setup.apply_phi(pd.omega(u, v)))
-            )
-        )
-        if lhs != rhs:
-            raise InconsistentLabels(
-                f"edge ({u},{v}): supplied phi does not match the map"
-            )
-    return c
+            phi = _defect(f, probe, _lift(f, probe), *loops[0])
+            setup = TwistedConjugacySetup(invariant_factors=(0,), phi=(phi,))
+    return PiData(setup=setup, tree=tree, labels=labels, base=0)
 
 
 @dataclass(frozen=True)
@@ -494,7 +418,12 @@ def reidemeister_trace(f: GMap, pidata: Optional[PiData] = None) -> Reidemeister
         pidata = derive_pidata(f)
     _check_pidata(f.source, pidata)
     setup = pidata.setup
-    c = _tree_path_consistency(f, pidata)
+    c = _lift(f, pidata)
+    for u, v in _edges_of(f.source):
+        if any(_defect(f, pidata, c, u, v)):
+            raise InconsistentLabels(
+                f"edge ({u},{v}): supplied phi does not match the map"
+            )
     tc = twisted_classes(setup)
     coeffs: Dict[Vector, int] = {}
     total = 0

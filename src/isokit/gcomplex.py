@@ -42,7 +42,11 @@ def _normalize_facets(facets: Iterable[Iterable[int]]) -> Tuple[Simplex, ...]:
 def complete_action(
     group: FiniteGroup, n_vertices: int, partial: Dict[int, Sequence[int]]
 ) -> Dict[int, Tuple[int, ...]]:
-    """Fill in an action given on a generating set of group elements."""
+    """Fill in an action given on a generating set of group elements.
+
+    A Cayley-graph walk from the given elements, as in subgroup_closure;
+    the complex's validation checks that the result is a homomorphism.
+    """
     known: Dict[int, Tuple[int, ...]] = {0: tuple(range(n_vertices))}
     for g, perm in partial.items():
         if not 0 <= g < group.order:
@@ -53,16 +57,16 @@ def complete_action(
         if g in known and known[g] != p:
             raise ValueError(f"conflicting permutations for element {g}")
         known[g] = p
-    changed = True
-    while changed and len(known) < group.order:
-        changed = False
-        for a in list(known):
-            for b in list(known):
-                ab = group.mul(a, b)
-                if ab not in known:
-                    pa, pb = known[a], known[b]
-                    known[ab] = tuple(pa[pb[v]] for v in range(n_vertices))
-                    changed = True
+    gens = tuple(known)
+    walk = list(gens)
+    for a in walk:
+        pa = known[a]
+        for b in gens:
+            ab = group.mul(a, b)
+            if ab not in known:
+                pb = known[b]
+                known[ab] = tuple(pa[pb[v]] for v in range(n_vertices))
+                walk.append(ab)
     if len(known) < group.order:
         raise ValueError("action values do not generate the whole group")
     return known
@@ -166,6 +170,9 @@ class GComplex:
         key = tuple(sorted(s))
         stab = self.isotropy().stabilizers.get(key)
         if stab is None:
+            for v in key:
+                if not 0 <= v < self.n_vertices:
+                    raise ValueError(f"vertex {v} is not a vertex of the complex")
             stab = frozenset(
                 g for g in self.group.elements
                 if all(self.action[g][v] == v for v in key)

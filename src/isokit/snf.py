@@ -1,7 +1,9 @@
 """Integer Smith normal form with unimodular transforms.
 
-smith_normal_form returns (S, U, V) with U @ A @ V = S, S diagonal with
-d_1 | d_2 | ... and nonnegative entries.  Small dense matrices only.
+smith_normal_form returns (S, U, V, U^-1) with U @ A @ V = S, S diagonal
+with d_1 | d_2 | ... and nonnegative entries.  Each row operation on U is
+undone as a column operation on U^-1, so the inverse needs no division.
+Small dense matrices only.
 """
 
 from __future__ import annotations
@@ -43,13 +45,24 @@ def _add_col(m: Matrix, dst: int, src: int, factor: int) -> None:
 
 def smith_normal_form(
     a: Sequence[Sequence[int]],
-) -> Tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize an integer matrix: returns (S, U, V) with U A V = S."""
+) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Diagonalize an integer matrix: returns (S, U, V, U^-1) with U A V = S."""
     s: Matrix = [list(row) for row in a]
     rows = len(s)
     cols = len(s[0]) if rows else 0
     u = identity_matrix(rows)
     v = identity_matrix(cols)
+    u_inv = identity_matrix(rows)
+
+    def swap_rows(i: int, j: int) -> None:
+        _swap_rows(s, i, j)
+        _swap_rows(u, i, j)
+        _swap_cols(u_inv, i, j)
+
+    def add_row(dst: int, src: int, factor: int) -> None:
+        _add_row(s, dst, src, factor)
+        _add_row(u, dst, src, factor)
+        _add_col(u_inv, src, dst, -factor)
 
     def pivot_search(t: int):
         best = None
@@ -66,8 +79,7 @@ def smith_normal_form(
             break
         i, j, _ = piv
         if i != t:
-            _swap_rows(s, t, i)
-            _swap_rows(u, t, i)
+            swap_rows(t, i)
         if j != t:
             _swap_cols(s, t, j)
             _swap_cols(v, t, j)
@@ -77,11 +89,9 @@ def smith_normal_form(
             for i in range(t + 1, rows):
                 if s[i][t] != 0:
                     q = s[i][t] // s[t][t]
-                    _add_row(s, i, t, -q)
-                    _add_row(u, i, t, -q)
+                    add_row(i, t, -q)
                     if s[i][t] != 0:
-                        _swap_rows(s, t, i)
-                        _swap_rows(u, t, i)
+                        swap_rows(t, i)
                         done = False
             for j in range(t + 1, cols):
                 if s[t][j] != 0:
@@ -104,8 +114,7 @@ def smith_normal_form(
             if bad is not None:
                 break
         if bad is not None:
-            _add_row(s, t, bad, 1)
-            _add_row(u, t, bad, 1)
+            add_row(t, bad, 1)
             continue
         t += 1
 
@@ -113,7 +122,9 @@ def smith_normal_form(
         if s[i][i] < 0:
             s[i] = [-x for x in s[i]]
             u[i] = [-x for x in u[i]]
-    return s, u, v
+            for row in u_inv:
+                row[i] = -row[i]
+    return s, u, v, u_inv
 
 
 def diagonal(s: Sequence[Sequence[int]]) -> List[int]:
@@ -127,7 +138,7 @@ def cokernel_invariants(a: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
         return [], 0
     if not a[0]:
         return [], rows
-    s, _, _ = smith_normal_form(a)
+    s, _, _, _ = smith_normal_form(a)
     diag = diagonal(s)
     torsion = [d for d in diag if d > 1]
     rank = sum(1 for d in diag if d != 0)

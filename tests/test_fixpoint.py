@@ -287,6 +287,49 @@ def test_pidata_validation():
         reidemeister_trace(refl, PiData(wrong, tree, labels))
 
 
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ({(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)}, "not an edge"),
+        ({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}, "has a cycle"),
+        ({(0, 1), (1, 2), (2, 3), (3, 4)}, "does not span"),
+        ({(0, 1), (2, 3), (4, 5)}, "does not span"),
+    ],
+)
+def test_pidata_tree_branches(tree, message):
+    refl = models.MAP_MODELS["hexagon-reflection"]()
+    setup = TwistedConjugacySetup((0,), ((-1,),))
+    hexagon = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    labels = {e: (0,) for e in hexagon}
+    with pytest.raises(InconsistentLabels, match=message):
+        reidemeister_trace(refl, PiData(setup, frozenset(tree), labels))
+
+
+def test_pidata_cycle_reported_before_spanning():
+    # a triangle on the disk both has a cycle and misses vertices
+    disk = identity_map(models.COMPLEX_MODELS["rotation-disk"]())
+    setup = TwistedConjugacySetup((0,), ((1,),))
+    labels = {e: (0,) for e in fixpoint._edges_of(disk.source)}
+    tree = frozenset({(0, 1), (1, 2), (0, 2)})
+    with pytest.raises(InconsistentLabels, match="has a cycle"):
+        reidemeister_trace(disk, PiData(setup, tree, labels))
+
+
+def test_pidata_labels_must_close_around_triangles():
+    # star tree from the disk's center, a unit label on every ring edge:
+    # each triangle (0, i, i+1) picks up the class 1
+    disk = identity_map(models.COMPLEX_MODELS["rotation-disk"]())
+    setup = TwistedConjugacySetup((0,), ((1,),))
+    tree = frozenset((0, i) for i in range(1, 7))
+    labels = {e: (0,) if e in tree else (1,) for e in fixpoint._edges_of(disk.source)}
+    with pytest.raises(InconsistentLabels, match=r"triangle \(0, 1, 2\) do not close up"):
+        reidemeister_trace(disk, PiData(setup, tree, labels))
+    # the same labels minus one ring label fail earlier, as a missing label
+    del labels[(1, 2)]
+    with pytest.raises(InconsistentLabels, match=r"no label for edge \(1,2\)"):
+        reidemeister_trace(disk, PiData(setup, tree, labels))
+
+
 def test_reflection_trace_frozen():
     refl = models.MAP_MODELS["hexagon-reflection"]()
     rt = reidemeister_trace(refl)

@@ -14,6 +14,7 @@ from isokit.gcomplex import (
     check_hypotheses,
     class_fixed_union,
     close_simplices,
+    complete_action,
     exact_stratum,
     filtration,
     fixed_subcomplex,
@@ -41,6 +42,67 @@ def test_validation_errors():
         GComplex(2, [(0, 1)], {0: (0, 1), 1: (0, 1), 2: (0, 1)}, group=c2)
     with pytest.raises(ValueError):
         GComplex(2, [(0, 0)], {0: (0, 1), 1: (1, 0)}, group=c2)  # repeated vertex
+
+
+def _perm_closure(gens):
+    """Elements of the permutation group generated by gens, sorted as
+    FiniteGroup.from_generators numbers them."""
+    seen = {tuple(range(len(gens[0])))}
+    walk = list(seen)
+    for p in walk:
+        for q in gens:
+            pq = tuple(p[i] for i in q)
+            if pq not in seen:
+                seen.add(pq)
+                walk.append(pq)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize(
+    "group, gens",
+    [
+        (FiniteGroup.symmetric(3), [(1, 0, 2), (1, 2, 0)]),
+        (FiniteGroup.dihedral(4), [(1, 2, 3, 0), (0, 3, 2, 1)]),
+    ],
+)
+def test_complete_action_from_generators(group, gens):
+    # the natural action on the points, given only on the generators
+    perms = _perm_closure(gens)
+    assert len(perms) == group.order
+    partial = {perms.index(p): p for p in gens}
+    full = {g: p for g, p in enumerate(perms)}
+    assert complete_action(group, len(gens[0]), partial) == full
+    x = GComplex(len(gens[0]), [tuple(range(len(gens[0])))], partial, group=group)
+    assert x.action == tuple(perms)
+
+
+def test_complete_action_rejections():
+    c4 = FiniteGroup.cyclic(4)
+    with pytest.raises(ValueError, match="element 4, outside the group"):
+        complete_action(c4, 4, {4: (1, 2, 3, 0)})
+    with pytest.raises(ValueError, match="element 1 is not a vertex permutation"):
+        complete_action(c4, 4, {1: (1, 1, 3, 0)})
+    with pytest.raises(ValueError, match="conflicting permutations for element 0"):
+        complete_action(c4, 4, {0: (1, 2, 3, 0)})
+    with pytest.raises(ValueError, match="do not generate the whole group"):
+        complete_action(c4, 4, {2: (2, 3, 0, 1)})
+
+
+def test_nonhomomorphic_partial_action_rejected():
+    # element 2 = 1 + 1 in C4, but its permutation is not the square of 1's
+    c4 = FiniteGroup.cyclic(4)
+    partial = {1: (1, 2, 3, 0), 2: (1, 0, 3, 2)}
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        GComplex(4, [(0, 1, 2, 3)], partial, group=c4)
+
+
+def test_pointwise_stabilizer_rejects_foreign_vertices():
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    for v in (x.n_vertices, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} is not a vertex"):
+            x.pointwise_stabilizer((v,))
+        with pytest.raises(ValueError, match=f"vertex {v} is not a vertex"):
+            x.pointwise_stabilizer((0, v))
 
 
 def test_simplices_and_euler():

@@ -1,5 +1,7 @@
 """Simplicial maps: equivariance, isovariance, subdivision, stratum data."""
 
+import random
+
 import pytest
 
 import oracles
@@ -9,6 +11,7 @@ from isokit.fixpoint import lefschetz
 from isokit.gcomplex import GComplex, fixed_subcomplex, present_classes
 from isokit.gmap import (
     GMap,
+    _components,
     compose,
     identity_map,
     is_equivariant,
@@ -196,3 +199,21 @@ def test_pi0_link_check():
     inclusion = models.MAP_MODELS["fixed-point-inclusion"]()
     rep2 = pi0_link_check(inclusion)
     assert not rep2.ok  # one free component cannot hit the disk's two
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        density = rng.choice((0.05, 0.15, 0.3))
+        edges = [
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density
+        ]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        expected = sorted(
+            (frozenset(c) for c in nx.connected_components(graph)), key=min
+        )
+        assert list(_components(range(n), edges)) == expected

@@ -3,7 +3,15 @@
 import random
 from fractions import Fraction
 
-from isokit.snf import cokernel_invariants, diagonal, matmul, smith_normal_form
+import pytest
+
+from isokit.snf import (
+    cokernel_invariants,
+    diagonal,
+    identity_matrix,
+    matmul,
+    smith_normal_form,
+)
 
 
 def _det(m):
@@ -29,8 +37,9 @@ def _det(m):
 def _check_snf(a):
     rows = len(a)
     cols = len(a[0]) if a else 0
-    s, u, v = smith_normal_form(a)
+    s, u, v, u_inv = smith_normal_form(a)
     assert matmul(matmul(u, a), v) == s
+    assert matmul(u, u_inv) == identity_matrix(rows)
     assert _det(u) in (1, -1) and _det(v) in (1, -1)
     d = diagonal(s)
     for i in range(rows):
@@ -43,23 +52,38 @@ def _check_snf(a):
 
 
 def test_known_forms():
-    s, _, _ = smith_normal_form([[2, 4], [4, 8]])
+    s, _, _, _ = smith_normal_form([[2, 4], [4, 8]])
     assert diagonal(s) == [2, 0]
-    s, _, _ = smith_normal_form([[1, 0], [0, 1]])
+    s, _, _, _ = smith_normal_form([[1, 0], [0, 1]])
     assert diagonal(s) == [1, 1]
-    s, _, _ = smith_normal_form([[2, 0], [0, 3]])
+    s, _, _, _ = smith_normal_form([[2, 0], [0, 3]])
     assert diagonal(s) == [1, 6]
-    s, _, _ = smith_normal_form([[0]])
+    s, _, _, _ = smith_normal_form([[0]])
     assert diagonal(s) == [0]
 
 
-def test_random_matrices():
+def _random_matrices():
     rng = random.Random(3)
     for _ in range(60):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_random_matrices():
+    for a in _random_matrices():
         _check_snf(a)
+
+
+def test_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for a in _random_matrices():
+        theirs = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
+        # sympy fixes the diagonal only up to units
+        expected = [abs(int(theirs[i, i])) for i in range(min(len(a), len(a[0])))]
+        assert diagonal(smith_normal_form(a)[0]) == expected
 
 
 def test_cokernel_invariants():
