@@ -355,6 +355,7 @@ def derive_pidata(
     phi is read off the defect on the loop edge.  Higher-dimensional
     complexes need caller-supplied PiData.
     """
+    _require_self_map(f)
     x = f.source
     if x.dim > 1:
         raise NonAbelianPi(

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import GroupTooLarge, NonIntegral, NotStrictChain
 
@@ -56,6 +56,8 @@ class FiniteGroup:
         self._class_rep: Optional[Dict[Subgroup, Subgroup]] = None
         self._names: Optional[Mapping[Subgroup, str]] = None
         self._marks: Optional["MarksTable"] = None
+        self._above: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._cosets: Dict[Subgroup, "Cosets"] = {}
 
     def _validate(self) -> None:
         n = self.order
@@ -228,32 +230,80 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
+    """True iff the elements form a subgroup.
+
+    The closure of a greedy generating set is checked against the set: each
+    generator not yet covered at least doubles the closure, so there are at
+    most log2 |H| closure walks.  Elements outside 0..|G|-1 give False.
+    """
     s = frozenset(elems)
-    if 0 not in s:
+    if 0 not in s or not all(0 <= x < g.order for x in s):
         return False
-    return all(g.mul(a, b) in s for a in s for b in s)
+    gens: Tuple[int, ...] = ()
+    closure: Subgroup = frozenset({0})
+    for x in s:
+        if x not in closure:
+            gens += (x,)
+            closure = subgroup_closure(g, gens)
+            if not closure <= s:
+                return False
+    return True
 
 
 def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
     """The lattice by cyclic extension (Neubueser 1960), sorted by _skey.
 
-    Each subgroup H found is extended by one x outside it, one x per left
-    coset xH.  Every K > 1 is <K', x> for a maximal subgroup K' of K.
+    Each subgroup H found is extended by one x outside it, one x per double
+    coset HxH, as <H, axb> = <H, x> for a, b in H.  Every K > 1 is <K', x>
+    for a maximal subgroup K' of K.
     """
     if g._subgroups is None:
+        t = g.table
         gens: Dict[Subgroup, Tuple[int, ...]] = {frozenset({0}): ()}
         queue = list(gens)
         for h in queue:
             tried = set(h)
             for x in g.elements:
                 if x not in tried:
-                    tried.update(g.table[x][s] for s in h)
+                    coset = [t[x][s] for s in h]
+                    tried.update(t[a][y] for a in h for y in coset)
                     k = subgroup_closure(g, gens[h] + (x,))
                     if k not in gens:
                         gens[k] = gens[h] + (x,)
                         queue.append(k)
         g._subgroups = tuple(sorted(gens, key=_skey))
     return g._subgroups
+
+
+@dataclass(frozen=True)
+class Cosets:
+    """The left cosets xH of a subgroup H, ordered by their smallest member,
+    and index[x], the position of the coset that holds x."""
+
+    cosets: Tuple[FrozenSet[int], ...]
+    index: Tuple[int, ...]
+
+
+def left_cosets(g: FiniteGroup, h: Subgroup) -> Cosets:
+    """Left cosets of the subgroup h, built once per subgroup.
+
+    Walking the elements in order, each one not yet covered is the smallest
+    member of the next coset, so each coset is built once.
+    """
+    h = frozenset(h)
+    found = g._cosets.get(h)
+    if found is None:
+        index = [-1] * g.order
+        cosets: List[FrozenSet[int]] = []
+        for x in g.elements:
+            if index[x] < 0:
+                row = g.table[x]
+                c = frozenset(row[s] for s in h)
+                for y in c:
+                    index[y] = len(cosets)
+                cosets.append(c)
+        found = g._cosets[h] = Cosets(cosets=tuple(cosets), index=tuple(index))
+    return found
 
 
 def enumerate_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
@@ -273,14 +323,22 @@ def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
     """Classes sorted by representative, each sorted; fills g._class_rep.
 
     The lattice is sorted, so the first member of a class met is its rep.
+    A conjugate xHx^-1 depends only on the coset xH, so it is taken once
+    per coset.
     """
     if g._classes is None:
-        conj = [[g.conjugate(s, x) for s in g.elements] for x in g.elements]
+        t = g.table
         g._class_rep = {}
         classes = []
         for h in _all_subgroups(g):
             if h not in g._class_rep:
-                orbit = {frozenset(c[s] for s in h) for c in conj}
+                orbit = set()
+                covered: Set[int] = set()
+                for x in g.elements:
+                    if x not in covered:
+                        row, x_inv = t[x], g.inv(x)
+                        covered.update(row[s] for s in h)
+                        orbit.add(frozenset(t[row[s]][x_inv] for s in h))
                 classes.append(tuple(sorted(orbit, key=_skey)))
                 g._class_rep.update((k, h) for k in orbit)
         g._classes = tuple(classes)
@@ -398,22 +456,35 @@ def validate_chain(g: FiniteGroup, chain: Sequence[Iterable[int]]) -> Tuple[Subg
     return subs
 
 
+def _containment(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
+    """Per lattice index, the later indices of its proper supergroups.
+
+    The lattice is sorted by order first, so every proper supergroup of a
+    subgroup comes after it.
+    """
+    if g._above is None:
+        subs = _all_subgroups(g)
+        g._above = tuple(
+            tuple(j for j in range(i + 1, len(subs)) if h < subs[j])
+            for i, h in enumerate(subs)
+        )
+    return g._above
+
+
 def enumerate_chains(g: FiniteGroup, max_len: int) -> List[Tuple[Subgroup, ...]]:
-    """All strict subgroup chains with at most max_len inclusions."""
+    """All strict subgroup chains with at most max_len inclusions.
+
+    Chains come by length, and within a length in lexicographic order of
+    their lattice indices, which is their order under _skey.  Each level
+    extends the previous one in order, so it comes out sorted.
+    """
     subs = enumerate_subgroups(g)
-    chains: List[Tuple[Subgroup, ...]] = []
-
-    def grow(chain: Tuple[Subgroup, ...]) -> None:
-        chains.append(chain)
-        if len(chain) - 1 >= max_len:
-            return
-        for s in subs:
-            if chain[-1] < s:
-                grow(chain + (s,))
-
-    for s in subs:
-        grow((s,))
-    chains.sort(key=lambda ch: (len(ch), [_skey(h) for h in ch]))
+    above = _containment(g)
+    level = [((h,), i) for i, h in enumerate(subs)]
+    chains = [chain for chain, _ in level]
+    for _ in range(max_len):
+        level = [(chain + (subs[j],), j) for chain, i in level for j in above[i]]
+        chains.extend(chain for chain, _ in level)
     return chains
 
 
@@ -430,12 +501,25 @@ class MarksTable:
     """Table of marks: matrix[i][j] = |(G/reps[i])^{reps[j]}|.
 
     Representatives are in ascending subconjugacy-compatible order, which
-    makes the matrix lower triangular with positive diagonal.
+    makes the matrix lower triangular with positive diagonal.  An entry is
+    nonzero only where reps[j] is subconjugate to reps[i], so the solvers
+    read, per column j, only the nonzero entries below the diagonal.
     """
 
     reps: Tuple[Tuple[int, ...], ...]
     names: Tuple[str, ...]
     matrix: Tuple[Tuple[int, ...], ...]
+    # per column j: (i, matrix[i][j]) for each nonzero entry with i > j
+    below: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        m = self.matrix
+        object.__setattr__(self, "below", tuple(
+            tuple((i, m[i][j]) for i in range(j + 1, len(m)) if m[i][j])
+            for j in range(len(m))
+        ))
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -449,16 +533,16 @@ class MarksTable:
         # row r of the transpose reads sum_{j >= r} matrix[j][r] * c[j]
         for r in range(n - 1, -1, -1):
             acc = Fraction(marks[r])
-            for j in range(r + 1, n):
-                acc -= self.matrix[j][r] * c[j]
+            for j, m in self.below[r]:
+                acc -= m * c[j]
             c[r] = acc / self.matrix[r][r]
         return tuple(c)
 
     def marks_of(self, coeffs: Sequence) -> Tuple:
         """Marks vector of sum_i coeffs[i] * [G/reps[i]]."""
-        n = len(self.reps)
         return tuple(
-            sum(coeffs[i] * self.matrix[i][j] for i in range(n)) for j in range(n)
+            sum((coeffs[i] * m for i, m in col), coeffs[j] * self.matrix[j][j])
+            for j, col in enumerate(self.below)
         )
 
     def integral_solution(self, marks: Sequence[int]) -> Tuple[int, ...]:

@@ -25,24 +25,13 @@ from .group import (
     Subgroup,
     chain_name,
     is_subgroup,
+    left_cosets,
     validate_chain,
 )
 
 SlotVertex = Tuple[int, FrozenSet[int]]
 # a domain vertex (l, u) of a phi map: disk corner l, linking vertex u
 PhiKey = Tuple[Tuple[int, ...], int]
-
-
-def _cosets(g: FiniteGroup, h: Subgroup) -> List[FrozenSet[int]]:
-    seen: Set[FrozenSet[int]] = set()
-    out: List[FrozenSet[int]] = []
-    for x in g.elements:
-        c = frozenset(g.mul(x, s) for s in h)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    out.sort(key=lambda c: tuple(sorted(c)))
-    return out
 
 
 def slot_coset_complex(
@@ -54,17 +43,18 @@ def slot_coset_complex(
     """
     verts: List[SlotVertex] = []
     # per slot: group element -> index of the vertex of its coset xH
-    coset_of: List[Dict[int, int]] = []
+    coset_of: List[Tuple[int, ...]] = []
     for i, h in enumerate(groups):
-        coset_of.append({})
-        for c in _cosets(g, h):
-            coset_of[i].update((x, len(verts)) for x in c)
-            verts.append((i, c))
-    facets = [tuple(sorted(slot[x] for slot in coset_of)) for x in g.elements]
+        cosets = left_cosets(g, h)
+        coset_of.append(tuple(len(verts) + k for k in cosets.index))
+        verts.extend((i, c) for c in cosets.cosets)
+    # slots number their vertices in ascending blocks, so each facet is sorted
+    facets = list(zip(*coset_of))
     # a sends the coset xH to (ax)H, and any member of it serves as x
+    slot_reps = [(coset_of[i], min(c)) for i, c in verts]
     action = {
-        a: tuple(coset_of[i][g.mul(a, min(c))] for i, c in verts)
-        for a in g.elements
+        a: tuple(slot[row[x]] for slot, x in slot_reps)
+        for a, row in enumerate(g.table)
     }
     names = tuple(
         f"{i}:{{{','.join(str(v) for v in sorted(c))}}}" for i, c in verts
@@ -73,8 +63,20 @@ def slot_coset_complex(
     return cx, tuple(verts)
 
 
+class _SlotVertices:
+    """Vertex lookup for a slot complex, planned once per simplex."""
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_index", {v: k for k, v in enumerate(self.vertices)}
+        )
+
+    def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
+        return self._index[(slot, coset)]
+
+
 @dataclass(frozen=True)
-class LinkingSimplex:
+class LinkingSimplex(_SlotVertices):
     """The coset complex of a strictly increasing subgroup chain."""
 
     group: FiniteGroup
@@ -85,9 +87,6 @@ class LinkingSimplex:
     @property
     def n(self) -> int:
         return len(self.chain) - 1
-
-    def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
-        return self.vertices.index((slot, coset))
 
     def name(self) -> str:
         return chain_name(self.group, self.chain)
@@ -214,7 +213,7 @@ def collapse_map(
 
 
 @dataclass(frozen=True)
-class IllmanSimplex:
+class IllmanSimplex(_SlotVertices):
     """Equivariant simplex of a weakly decreasing subgroup list.
 
     Vertex w_i of the fundamental facet has stabilizer exactly groups[i];
@@ -231,9 +230,6 @@ class IllmanSimplex:
     @property
     def n(self) -> int:
         return len(self.groups) - 1
-
-    def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
-        return self.vertices.index((slot, coset))
 
 
 def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSimplex:

@@ -168,6 +168,18 @@ def test_linking_commands_frozen(capsys, tmp_path):
     assert json.loads(out)["status"]["code"] == "NotStrictChain"
 
 
+def test_linking_chain_with_an_element_outside_the_group_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "c4.json"
+    path.write_text(canonical_dumps(group_to_json(FiniteGroup.cyclic(4))))
+    for command in ("build", "boundary", "fd"):
+        code, out = _run(capsys, ["linking", command, "--group", str(path), "--chain", "e<{0,99}"])
+        assert code == 65, command
+        assert json.loads(out)["status"] == {
+            "code": "BadInput",
+            "message": "{0,99} is not a subgroup",
+        }
+
+
 def test_decompose_cli(capsys):
     r = _report(capsys, ["decompose", "--complex", "swap-segment"])
     assert r["result"]["skeleta"] == [3, 5]
@@ -217,6 +229,24 @@ def test_lefschetz_cli(capsys):
     assert r["result"] == {"lefschetz": 0, "per_class": {"e": 0}}
     r = _report(capsys, ["lefschetz", "--map", "hexagon-reflection"])
     assert r["result"] == {"lefschetz": 2, "per_class": {"e": 2}}
+
+
+def test_reidemeister_cli_names_the_map_at_fault(capsys, tmp_path):
+    hex_json = complex_to_json(models.COMPLEX_MODELS["hexagon"]())
+    folded = tmp_path / "folded.json"
+    folded.write_text(
+        canonical_dumps({"source": hex_json, "target": hex_json, "vertices": [0, 3] * 3})
+    )
+    for argv in (
+        ["reidemeister", "--map", str(folded)],
+        ["reidemeister", "--map", str(folded), "--pi", "Z", "--phi", "1"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 70, argv
+        assert json.loads(out)["status"]["code"] == "NotSimplicial", argv
+    code, out = _run(capsys, ["reidemeister", "--map", "ring-inclusion"])
+    assert code == 70
+    assert json.loads(out)["status"]["code"] == "NotSelfMap"
 
 
 def test_burnside_cli(capsys):

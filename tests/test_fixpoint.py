@@ -11,6 +11,7 @@ from isokit.errors import (
     NonIntegral,
     NotIsovariant,
     NotSelfMap,
+    NotSimplicial,
 )
 from isokit.fixpoint import (
     BurnsideElement,
@@ -262,6 +263,18 @@ def test_derive_pidata_rejections():
     dust = models.COMPLEX_MODELS["s3-dust"]()
     with pytest.raises(NonAbelianPi):
         derive_pidata(identity_map(dust))  # disconnected
+
+
+def test_derive_pidata_names_a_map_that_is_not_simplicial_or_not_a_self_map():
+    # edges (i, i+1) go to the non-edge (0, 3) of the hexagon
+    hexagon = models.COMPLEX_MODELS["hexagon"]()
+    folded = GMap(hexagon, hexagon, (0, 3, 0, 3, 0, 3))
+    with pytest.raises(NotSimplicial):
+        derive_pidata(folded)
+    with pytest.raises(NotSimplicial):
+        derive_pidata(folded, TwistedConjugacySetup((0,), ((1,),)))
+    with pytest.raises(NotSelfMap):
+        derive_pidata(models.MAP_MODELS["ring-inclusion"]())
 
 
 def test_pidata_validation():

@@ -1,6 +1,7 @@
 """Finite groups, subgroup lattices, conjugacy, and tables of marks."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -273,6 +274,45 @@ def test_parse_subgroup_token():
         parse_subgroup_token(g, "C5")
 
 
+def test_is_subgroup_matches_the_closure_test_on_subsets():
+    """The greedy-generator check agrees with all(a*b in s) on subsets with 0."""
+
+    def by_definition(g, s):
+        return all(g.mul(a, b) in s for a in s for b in s)
+
+    small = [FiniteGroup.symmetric(3), SMALL_GROUPS["c2xc2"]()]
+    for g in small:
+        rest = range(1, g.order)
+        for k in range(g.order):
+            for extra in combinations(rest, k):
+                s = frozenset((0,) + extra)
+                assert is_subgroup(g, s) == by_definition(g, s), sorted(s)
+    s4 = FiniteGroup.symmetric(4)
+    rng = random.Random(3)
+    subs = enumerate_subgroups(s4)
+    for i in range(200):
+        if i % 4 == 0:
+            # a subgroup with one element dropped or added, so both answers occur
+            h = set(rng.choice(subs))
+            h.symmetric_difference_update({rng.randrange(1, s4.order)})
+            s = frozenset(h | {0})
+        else:
+            s = frozenset([0] + rng.sample(range(1, s4.order), rng.randint(0, 12)))
+        assert is_subgroup(s4, s) == by_definition(s4, s), sorted(s)
+    assert all(is_subgroup(s4, h) for h in subs)
+
+
+def test_is_subgroup_rejects_elements_outside_the_group():
+    g = FiniteGroup.cyclic(4)
+    assert not is_subgroup(g, {0, 99})
+    assert not is_subgroup(g, {0, 2, 4})
+    assert not is_subgroup(g, {0, -1})
+    assert not is_subgroup(g, {1, 2, 3})
+    assert is_subgroup(g, {0, 2})
+    with pytest.raises(ValueError, match="not a subgroup"):
+        parse_subgroup_token(g, "{0,99}")
+
+
 def test_subconjugacy_order_and_chains():
     g = FiniteGroup.symmetric(3)
     order = subconjugacy_total_order(g)
@@ -296,6 +336,32 @@ MARKS_GROUPS = dict(SMALL_GROUPS, **{
     "d4xc2": lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2)),
     "c2^3": lambda: _cyclic_power(2, 3),
 })
+
+
+def _chains_by_definition(g, max_len):
+    """Recursive growth from each subgroup, then a sort by (length, _skey)."""
+    subs = enumerate_subgroups(g)
+    chains = []
+
+    def grow(chain):
+        chains.append(chain)
+        if len(chain) - 1 >= max_len:
+            return
+        for s in subs:
+            if chain[-1] < s:
+                grow(chain + (s,))
+
+    for s in subs:
+        grow((s,))
+    chains.sort(key=lambda ch: (len(ch), [(len(h), sorted(h)) for h in ch]))
+    return chains
+
+
+@pytest.mark.parametrize("name", sorted(MARKS_GROUPS))
+def test_enumerate_chains_matches_the_sorted_recursive_definition(name):
+    g = MARKS_GROUPS[name]()
+    for k in range(4):
+        assert enumerate_chains(g, k) == _chains_by_definition(g, k)
 
 
 @pytest.mark.parametrize("name", sorted(MARKS_GROUPS))
@@ -324,9 +390,9 @@ def test_c2_and_s3_marks_frozen():
     assert mt.matrix == ((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("name", ["c2", "s3", "c2xc2"])
+@pytest.mark.parametrize("name", ["c2", "s3", "c2xc2", "s4", "d4xc2", "c2^3"])
 def test_solve_marks_matches_generic_solver(name):
-    g = SMALL_GROUPS[name]()
+    g = MARKS_GROUPS[name]()
     mt = table_of_marks(g)
     n = len(mt.reps)
     rng = random.Random(11)
@@ -334,9 +400,11 @@ def test_solve_marks_matches_generic_solver(name):
         marks = [rng.randint(-6, 6) for _ in range(n)]
         transpose = [[mt.matrix[j][i] for j in range(n)] for i in range(n)]
         assert list(mt.solve_marks(marks)) == oracles.solve_rational(transpose, marks)
-    # round trip through orbit coefficients
+    # round trip through orbit coefficients; marks_of against the full product
     for _ in range(10):
         coeffs = [rng.randint(-4, 4) for _ in range(n)]
+        dense = tuple(sum(coeffs[i] * mt.matrix[i][j] for i in range(n)) for j in range(n))
+        assert mt.marks_of(coeffs) == dense
         assert mt.solve_marks(mt.marks_of(coeffs)) == tuple(coeffs)
 
 

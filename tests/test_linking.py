@@ -17,7 +17,16 @@ from isokit.errors import (
     ZeroChain,
 )
 from isokit.gcomplex import barycentric_subdivision, make_regular, orbit_complex
-from isokit.group import FiniteGroup, class_names, enumerate_subgroups, subgroup_closure
+from isokit.group import (
+    FiniteGroup,
+    class_names,
+    enumerate_chains,
+    enumerate_subgroups,
+    left_cosets,
+    subgroup_closure,
+    subgroup_conjugacy_classes,
+    table_of_marks,
+)
 from isokit.jsonio import canonical_dumps, cells_to_json
 from isokit.linking import (
     IllmanSimplex,
@@ -66,8 +75,8 @@ def test_basic_linking_e_c2():
     assert oc.complex.n_vertices == 2 and oc.complex.facets == ((0, 1),)
 
 
-def test_slot_coset_complex_matches_definition_on_s4():
-    """Vertices (slot, coset), facets {(i, xH_i)}, action a.(i, C) = (i, aC)."""
+def _s4_chain():
+    """A maximal chain of S4: each group covers the previous one."""
     g = FiniteGroup.symmetric(4)
     subs = enumerate_subgroups(g)
     chain = [subs[0]]
@@ -75,6 +84,12 @@ def test_slot_coset_complex_matches_definition_on_s4():
         if chain[-1] < h and all(not (chain[-1] < k < h) for k in subs):
             chain.append(h)
     assert [len(h) for h in chain] == [1, 2, 4, 8, 24]
+    return g, chain
+
+
+def test_slot_coset_complex_matches_definition_on_s4():
+    """Vertices (slot, coset), facets {(i, xH_i)}, action a.(i, C) = (i, aC)."""
+    g, chain = _s4_chain()
     for groups in (chain, chain[::-1], [chain[3], chain[3], chain[1], chain[0]]):
         cx, verts = slot_coset_complex(g, groups)
         expect_verts = []
@@ -96,6 +111,28 @@ def test_slot_coset_complex_matches_definition_on_s4():
         assert cx.names == tuple(
             f"{i}:{{{','.join(map(str, sorted(c)))}}}" for i, c in expect_verts
         )
+
+
+def test_vertex_index_matches_the_vertex_list_on_s4():
+    g, chain = _s4_chain()
+    complexes = [build_linking(g, chain), build_linking(g, chain[1:4])]
+    for groups in (chain[::-1], [chain[3], chain[3], chain[1], chain[0]]):
+        complexes.append(illman_complex(g, groups))
+    for m in complexes:
+        for i, c in m.vertices:
+            assert m.vertex_index(i, c) == m.vertices.index((i, c))
+
+
+def test_cached_cosets_match_the_definition_on_s4():
+    g = FiniteGroup.symmetric(4)
+    for h in enumerate_subgroups(g):
+        cosets = left_cosets(g, h)
+        expected = {frozenset(g.mul(x, s) for s in h) for x in g.elements}
+        assert set(cosets.cosets) == expected and len(cosets.cosets) == len(expected)
+        assert [min(c) for c in cosets.cosets] == sorted(min(c) for c in expected)
+        for x in g.elements:
+            assert x in cosets.cosets[cosets.index[x]]
+        assert left_cosets(g, h) is cosets  # built once per subgroup
 
 
 def test_chain_validation():
@@ -460,6 +497,48 @@ GOLDEN_CELL_DIGESTS = {
     ("wedge", 0): "900f6fc2ccb7d85d5b1d0971a38d0c80ec7fb766d4173a289658e3e6657b4345",
     ("wedge", 1): "44f44a81bb2438cde1e8775853166eb3ed33a1d936feb935155cbf3bd95d1d20",
 }
+
+
+# sha256 of _group_layer_report, taken before the group layer cached cosets and
+# the containment table
+GOLDEN_GROUP_DIGESTS = {
+    "s4": "3301e4844d17c8bee26fca8b6884d7c85435ce6d51c61e360100cb37f3c359d5",
+    "d4xc2": "7b8026dcb6446448f79959515ff8502643d00d4f40c36edddc7bfba374d0a046",
+    "c2^3": "540cb6e6851e21152d88449708826435a88038a1db397ea50487210228255e69",
+}
+GOLDEN_GROUPS = {
+    "s4": lambda: FiniteGroup.symmetric(4),
+    "d4xc2": lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2)),
+    "c2^3": lambda: FiniteGroup.direct_product(
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+        FiniteGroup.cyclic(2),
+    ),
+}
+
+
+def _group_layer_report(g):
+    """Classes, marks, chains with at most two inclusions, and the boundary
+    and fundamental domain of the first chain with two inclusions."""
+    chains = enumerate_chains(g, 2)
+    lk = build_linking(g, next(c for c in chains if len(c) == 3))
+    fd = fundamental_domain(lk)
+    marks = table_of_marks(g)
+    return canonical_dumps({
+        "classes": [[sorted(h) for h in cls] for cls in subgroup_conjugacy_classes(g)],
+        "marks": {"names": list(marks.names), "matrix": [list(row) for row in marks.matrix]},
+        "chains": [[sorted(h) for h in chain] for chain in chains],
+        "boundary": [
+            [list(p.slots), sorted(p.vertex_embedding.items()), sorted(map(list, p.simplices))]
+            for p in boundary(lk).pieces
+        ],
+        "fd": [list(fd.facet), [list(fd.translates[x]) for x in g.elements]],
+    })
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GROUPS))
+def test_group_layer_reports_are_pinned(name):
+    text = _group_layer_report(GOLDEN_GROUPS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GROUP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(models.COMPLEX_MODELS))
