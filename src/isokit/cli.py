@@ -13,10 +13,12 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
+from . import __version__
 from .cubelim import check_hypothesis, factorize_limit, limit_map, random_cube_map
-from .errors import GroupTooLarge, IsokitError
+from .errors import GroupTooLarge, IsokitError, TooManyTwistedClasses
 from .fixpoint import (
     TwistedConjugacySetup,
     burnside_lefschetz,
@@ -28,7 +30,6 @@ from .fixpoint import (
     removal_verdict,
 )
 from .gcomplex import (
-    GComplex,
     class_fixed_union,
     exact_stratum,
     filtration,
@@ -38,7 +39,7 @@ from .gcomplex import (
     stratification_dot,
     stratum_closure,
 )
-from .gmap import GMap, is_equivariant, is_isovariant, is_simplicial
+from .gmap import is_equivariant, is_isovariant, is_simplicial
 from .group import (
     FiniteGroup,
     chain_name,
@@ -46,7 +47,6 @@ from .group import (
     parse_subgroup_token,
     subgroup_conjugacy_classes,
     table_of_marks,
-    validate_chain,
 )
 from .jsonio import (
     canonical_dumps,
@@ -55,7 +55,6 @@ from .jsonio import (
     file_digest,
     group_to_json,
     load_json,
-    map_to_json,
     parse_complex,
     parse_cube_map,
     parse_group,
@@ -63,8 +62,6 @@ from .jsonio import (
 )
 from .linking import boundary, build_linking, decompose, fundamental_domain
 from .models import COMPLEX_MODELS, MAP_MODELS
-
-__version__ = "0.1.0"
 
 EX_OK = 0
 EX_USAGE = 64
@@ -78,45 +75,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _Inputs:
-    """Tracks which files were read so the report can carry digests."""
-
-    def __init__(self):
-        self.files: Dict[str, str] = {}
-
-    def record(self, path: str) -> None:
-        self.files[path] = file_digest(path)
-
-
-def _load_group(value: str, inputs: _Inputs) -> FiniteGroup:
+# a handler's inputs map each file that it read to the file's digest,
+# which its report carries
+def _load_group(value: str, inputs: Dict[str, str]) -> FiniteGroup:
     if not os.path.exists(value):
         raise ValueError(f"group file not found: {value}")
-    inputs.record(value)
+    inputs[value] = file_digest(value)
     return parse_group(load_json(value))
 
 
-def _load_complex(value: str, inputs: _Inputs) -> GComplex:
+def _load(value: str, inputs: Dict[str, str], parse, models):
+    """A complex or a map from a JSON file, else from a built-in model name."""
     if os.path.exists(value):
-        inputs.record(value)
-        return parse_complex(load_json(value), os.path.dirname(value) or ".")
-    if value in COMPLEX_MODELS:
-        return COMPLEX_MODELS[value]()
+        inputs[value] = file_digest(value)
+        return parse(load_json(value), os.path.dirname(value) or ".")
+    if value in models:
+        return models[value]()
     raise ValueError(f"not a file or model name: {value}")
 
 
-def _load_map(value: str, inputs: _Inputs) -> GMap:
-    if os.path.exists(value):
-        inputs.record(value)
-        return parse_map(load_json(value), os.path.dirname(value) or ".")
-    if value in MAP_MODELS:
-        return MAP_MODELS[value]()
-    raise ValueError(f"not a file or model name: {value}")
-
-
-def _emit(args, inputs: _Inputs, result, raw_text: Optional[str] = None) -> int:
+def _emit(args, inputs: Dict[str, str], result, raw_text: Optional[str] = None) -> int:
     report = {
         "command": args.command,
-        "inputs": inputs.files,
+        "inputs": inputs,
         "result": result,
         "status": "ok",
     }
@@ -140,9 +121,8 @@ def _fail(command: str, exit_code: int, code: str, message: str) -> int:
 
 
 def _parse_chain(g: FiniteGroup, text: str):
-    chain = [parse_subgroup_token(g, tok.strip()) for tok in text.split("<")]
-    validate_chain(g, chain)
-    return chain
+    """Subgroups named in "e<C2" form; build_linking checks the chain."""
+    return [parse_subgroup_token(g, tok.strip()) for tok in text.split("<")]
 
 
 def _parse_pi(text: str) -> Tuple[int, ...]:
@@ -186,48 +166,41 @@ def _parse_phi(text: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
 # -- subcommand handlers ---------------------------------------------------------
 
 
+# the standard groups of `group make`, by option name; a --product token
+# names one by its first letter
+_GROUP_MAKERS = {
+    "cyclic": FiniteGroup.cyclic,
+    "symmetric": FiniteGroup.symmetric,
+    "dihedral": FiniteGroup.dihedral,
+}
+
+
 def _cmd_group_make(args) -> int:
-    inputs = _Inputs()
-    chosen = [
-        name
-        for name in ("cyclic", "symmetric", "dihedral", "product")
-        if getattr(args, name) is not None
-    ]
+    chosen = [n for n in (*_GROUP_MAKERS, "product") if getattr(args, n) is not None]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --cyclic/--symmetric/--dihedral/--product")
-    if args.cyclic is not None:
-        g = FiniteGroup.cyclic(args.cyclic)
-    elif args.symmetric is not None:
-        g = FiniteGroup.symmetric(args.symmetric)
-    elif args.dihedral is not None:
-        g = FiniteGroup.dihedral(args.dihedral)
-    else:
-        g = _product_group(args.product)
-    return _emit(args, inputs, group_to_json(g))
+    (name,) = chosen
+    make = _product_group if name == "product" else _GROUP_MAKERS[name]
+    return _emit(args, {}, group_to_json(make(getattr(args, name))))
 
 
 def _product_group(spec: str) -> FiniteGroup:
+    makers = {name[0]: make for name, make in _GROUP_MAKERS.items()}
+
     def base(tok: str) -> FiniteGroup:
         tok = tok.strip().lower()
-        if tok.startswith("c"):
-            return FiniteGroup.cyclic(int(tok[1:]))
-        if tok.startswith("s"):
-            return FiniteGroup.symmetric(int(tok[1:]))
-        if tok.startswith("d"):
-            return FiniteGroup.dihedral(int(tok[1:]))
-        raise ValueError(f"bad group token {tok!r} (use cN, sN, dN)")
+        if tok[:1] not in makers:
+            raise ValueError(f"bad group token {tok!r} (use cN, sN, dN)")
+        return makers[tok[:1]](int(tok[1:]))
 
     toks = [t for t in spec.split(",") if t.strip()]
     if not toks:
         raise ValueError("empty product spec")
-    g = base(toks[0])
-    for tok in toks[1:]:
-        g = FiniteGroup.direct_product(g, base(tok))
-    return g
+    return reduce(FiniteGroup.direct_product, map(base, toks))
 
 
 def _cmd_group_info(args) -> int:
-    inputs = _Inputs()
+    inputs = {}
     g = _load_group(args.group, inputs)
     names = class_names(g)
     classes = []
@@ -255,19 +228,18 @@ def _cmd_group_info(args) -> int:
 
 
 def _cmd_complex_make(args) -> int:
-    inputs = _Inputs()
     if args.model not in COMPLEX_MODELS:
         raise ValueError(
             f"unknown model {args.model!r}; choose from "
             + ", ".join(sorted(COMPLEX_MODELS))
         )
     x = COMPLEX_MODELS[args.model]()
-    return _emit(args, inputs, complex_to_json(x))
+    return _emit(args, {}, complex_to_json(x))
 
 
 def _cmd_complex_info(args) -> int:
-    inputs = _Inputs()
-    x = _load_complex(args.complex, inputs)
+    inputs = {}
+    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
     names = class_names(x.group)
     result = {
         "vertices": x.n_vertices,
@@ -282,13 +254,13 @@ def _cmd_complex_info(args) -> int:
 
 
 def _cmd_complex_regularize(args) -> int:
-    inputs = _Inputs()
-    x = _load_complex(args.complex, inputs)
+    inputs = {}
+    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
     return _emit(args, inputs, complex_to_json(make_regular(x)))
 
 
 def _cmd_linking_build(args) -> int:
-    inputs = _Inputs()
+    inputs = {}
     g = _load_group(args.group, inputs)
     chain = _parse_chain(g, args.chain)
     l = build_linking(g, chain)
@@ -296,7 +268,7 @@ def _cmd_linking_build(args) -> int:
 
 
 def _cmd_linking_boundary(args) -> int:
-    inputs = _Inputs()
+    inputs = {}
     g = _load_group(args.group, inputs)
     chain = _parse_chain(g, args.chain)
     l = build_linking(g, chain)
@@ -318,7 +290,7 @@ def _cmd_linking_boundary(args) -> int:
 
 
 def _cmd_linking_fd(args) -> int:
-    inputs = _Inputs()
+    inputs = {}
     g = _load_group(args.group, inputs)
     chain = _parse_chain(g, args.chain)
     l = build_linking(g, chain)
@@ -331,15 +303,15 @@ def _cmd_linking_fd(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    inputs = _Inputs()
-    x = _load_complex(args.complex, inputs)
+    inputs = {}
+    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
     structure = decompose(x)
     return _emit(args, inputs, cells_to_json(structure))
 
 
 def _cmd_check_isovariant(args) -> int:
-    inputs = _Inputs()
-    f = _load_map(args.map, inputs)
+    inputs = {}
+    f = _load(args.map, inputs, parse_map, MAP_MODELS)
     simplicial = is_simplicial(f)
     equivariant = simplicial and is_equivariant(f)
     isovariant = equivariant and is_isovariant(f)
@@ -360,8 +332,8 @@ def _cmd_check_isovariant(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    inputs = _Inputs()
-    x = _load_complex(args.complex, inputs)
+    inputs = {}
+    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
     names = class_names(x.group)
     classes = []
     for rep in present_classes(x):
@@ -387,8 +359,8 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_lefschetz(args) -> int:
-    inputs = _Inputs()
-    f = _load_map(args.map, inputs)
+    inputs = {}
+    f = _load(args.map, inputs, parse_map, MAP_MODELS)
     result = {"lefschetz": lefschetz(f)}
     try:
         result["per_class"] = lefschetz_fixed_sets(f)
@@ -398,8 +370,8 @@ def _cmd_lefschetz(args) -> int:
 
 
 def _cmd_burnside(args) -> int:
-    inputs = _Inputs()
-    f = _load_map(args.map, inputs)
+    inputs = {}
+    f = _load(args.map, inputs, parse_map, MAP_MODELS)
     mv = marks_vector(f)
     orbit = burnside_lefschetz(f)
     result = {
@@ -411,8 +383,8 @@ def _cmd_burnside(args) -> int:
 
 
 def _cmd_reidemeister(args) -> int:
-    inputs = _Inputs()
-    f = _load_map(args.map, inputs)
+    inputs = {}
+    f = _load(args.map, inputs, parse_map, MAP_MODELS)
     if (args.pi is None) != (args.phi is None):
         raise ValueError("--pi and --phi must be given together")
     if args.pi is not None:
@@ -446,8 +418,8 @@ def _cmd_reidemeister(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
-    inputs = _Inputs()
-    f = _load_map(args.map, inputs)
+    inputs = {}
+    f = _load(args.map, inputs, parse_map, MAP_MODELS)
     dims = None
     if args.dims is not None:
         parsed = json.loads(args.dims)
@@ -459,9 +431,9 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_cube_check(args) -> int:
-    inputs = _Inputs()
+    inputs = {}
     if args.file is not None:
-        inputs.record(args.file)
+        inputs[args.file] = file_digest(args.file)
         m = parse_cube_map(load_json(args.file))
         hyp = check_hypothesis(m)
         fact = factorize_limit(m)
@@ -500,8 +472,8 @@ def _cmd_cube_check(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    inputs = _Inputs()
-    x = _load_complex(args.complex, inputs)
+    inputs = {}
+    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
     dot = stratification_dot(x)
     return _emit(args, inputs, {"dot": dot}, raw_text=dot)
 
@@ -608,7 +580,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     command = getattr(args, "command", "isokit")
     try:
         return args.func(args)
-    except GroupTooLarge as exc:
+    except (GroupTooLarge, TooManyTwistedClasses) as exc:
         return _fail(command, EX_BADINPUT, exc.code, str(exc))
     except IsokitError as exc:
         return _fail(command, EX_DOMAIN, exc.code, str(exc))

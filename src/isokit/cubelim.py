@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from random import Random
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CubeGenerationFailed, InvariantViolated
 from .group import _skey
@@ -258,22 +258,15 @@ def _sections(
                     return rows
 
 
-def limit(
-    cube: Cube, poset: Union[VertexFamily, Iterable[Iterable[int]], None] = None
-) -> LimitSet:
-    """Compatible tuples over the given vertices (default: the whole cube).
+def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
+    """Compatible tuples over the vertices of a VertexFamily.
 
-    poset is a VertexFamily or any iterable of index sets, which is made
-    into one here; pass a VertexFamily to take limits over the same family
-    on many cubes without checking and planning it again.  The family must
-    contain the union of any two members that have a common upper bound in
-    it (ValueError otherwise); up-closed families and intervals do.
-    Elements come out in lexicographic order of their values on the
-    minimal vertices: _sections enumerates those values, and each full
-    tuple pushes them up to the other members.
+    The family is checked and planned when it is built, so one family
+    serves limits on many cubes; VertexFamily(cube.vertices()) is the
+    whole cube.  Elements come out in lexicographic order of their values
+    on the minimal vertices: _sections enumerates those values, and each
+    full tuple pushes them up to the other members.
     """
-    if not isinstance(poset, VertexFamily):
-        poset = VertexFamily(cube.vertices() if poset is None else poset)
     minimals = poset.minimals
     chain = cube._chain
     # minimal k must agree with each earlier minimal i on their join
@@ -320,7 +313,7 @@ class Corner:
 def corner_map(x: Cube, u: Iterable[int]) -> Corner:
     """The restriction X(U) -> lim over the strict supersets of U."""
     u = frozenset(u)
-    lim = limit(x, [t for t in x.vertices() if u < t])
+    lim = limit(x, VertexFamily([t for t in x.vertices() if u < t]))
     return Corner(vertex=u, function=_to_limit(x, u, lim), limit=lim)
 
 
@@ -332,7 +325,6 @@ class CubeMap:
         source: Cube,
         target: Cube,
         components: Dict[Subset, Tuple[int, ...]],
-        validate: bool = True,
     ):
         if source.n != target.n:
             raise ValueError("source and target cubes must have equal dimension")
@@ -340,8 +332,7 @@ class CubeMap:
         self.target = target
         self.components = {frozenset(k): tuple(v) for k, v in components.items()}
         self._as_cube: Optional[Cube] = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         for s in self.source.vertices():
@@ -526,8 +517,7 @@ def complete_punctured(x: Cube) -> Cube:
     Afterwards the corner map at the empty set is a bijection.
     """
     empty: Subset = frozenset()
-    punctured = [s for s in x.vertices() if s]
-    lim = limit(x, punctured)
+    lim = limit(x, VertexFamily([s for s in x.vertices() if s]))
     sizes = dict(x.sizes)
     sizes[empty] = len(lim)
     covers = dict(x.covers)

@@ -15,7 +15,7 @@ class IsokitError(Exception):
 
 
 class GroupTooLarge(IsokitError):
-    """Group order exceeds the configured cap (ISOKIT_MAX_GROUP_ORDER)."""
+    """Group order exceeds the fixed cap of 48."""
 
 
 class NotStrictChain(IsokitError):
@@ -84,3 +84,7 @@ class InvariantViolated(IsokitError):
 
 class CubeGenerationFailed(IsokitError):
     """Random cube generation used up its attempts without a valid cube."""
+
+
+class TooManyTwistedClasses(IsokitError):
+    """Listing the twisted classes one by one would exceed their fixed cap."""

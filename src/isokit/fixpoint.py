@@ -22,6 +22,7 @@ from .errors import (
     NotIsovariant,
     NotSelfMap,
     NotSimplicial,
+    TooManyTwistedClasses,
 )
 from .gcomplex import (
     GComplex,
@@ -38,12 +39,21 @@ from .snf import smith_normal_form
 
 Vector = Tuple[int, ...]
 
+# twisted classes are listed one by one only up to this many
+MAX_TWISTED_CLASSES = 10_000
+
 
 def _require_self_map(f: GMap) -> None:
     if not is_simplicial(f):
         raise NotSimplicial("facet image is not a simplex of the target")
     if not f.is_self_map():
         raise NotSelfMap("source and target complexes differ")
+
+
+def _require_isovariant_self_map(f: GMap, message: str) -> None:
+    _require_self_map(f)
+    if not is_isovariant(f):
+        raise NotIsovariant(message)
 
 
 def _trace(f: GMap, within: Optional[FrozenSet[Simplex]] = None) -> int:
@@ -79,9 +89,7 @@ def is_fixed_point_free(f: GMap) -> bool:
 
 def lefschetz_fixed_sets(f: GMap) -> Dict[str, int]:
     """Lefschetz number of f on each fixed subcomplex of a present class."""
-    _require_self_map(f)
-    if not is_isovariant(f):
-        raise NotIsovariant("per-class Lefschetz numbers need an isovariant map")
+    _require_isovariant_self_map(f, "per-class Lefschetz numbers need an isovariant map")
     names = class_names(f.source.group)
     return {
         names[rep]: _trace(f, fixed_subcomplex(f.source, rep))
@@ -107,9 +115,12 @@ class BurnsideElement:
 
 def marks_vector(f: GMap) -> BurnsideElement:
     """Per-class Lefschetz numbers over all subgroup classes of the group."""
-    _require_self_map(f)
-    if not is_isovariant(f):
-        raise NotIsovariant("marks vector needs an isovariant map")
+    _require_isovariant_self_map(f, "marks vector needs an isovariant map")
+    return _marks(f)
+
+
+def _marks(f: GMap) -> BurnsideElement:
+    """marks_vector of an isovariant self-map that has already been checked."""
     marks = table_of_marks(f.source.group)
     return BurnsideElement(
         basis="marks",
@@ -208,11 +219,19 @@ class TwistedClasses:
         v = [sum(self.u_inv[i][j] * label[j] for j in range(r)) for i in range(r)]
         return self.setup.reduce(v)
 
-    def representatives(self) -> List[Vector]:
+    def labels(self) -> List[Vector]:
+        """Every class label in lexicographic order, if there are finitely
+        many and at most MAX_TWISTED_CLASSES of them."""
         if self.free_rank:
             raise ValueError("infinitely many twisted classes")
-        labels = product(*(range(d) for d in self.diag))
-        return [self.representative(l) for l in labels]
+        if self.count > MAX_TWISTED_CLASSES:
+            raise TooManyTwistedClasses(
+                f"{self.count} twisted classes exceed the cap of {MAX_TWISTED_CLASSES}"
+            )
+        return list(product(*(range(d) for d in self.diag)))
+
+    def representatives(self) -> List[Vector]:
+        return [self.representative(l) for l in self.labels()]
 
 
 def twisted_classes(setup: TwistedConjugacySetup) -> TwistedClasses:
@@ -440,7 +459,7 @@ def reidemeister_trace(f: GMap, pidata: Optional[PiData] = None) -> Reidemeister
     if total != lefschetz(f):
         raise InvariantViolated(f"Reidemeister coefficients sum to {total}, not L(f)")
     if tc.count is not None:
-        for label in map(tuple, product(*(range(d) for d in tc.diag))):
+        for label in tc.labels():
             coeffs.setdefault(label, 0)
     return ReidemeisterTrace(classes=tc, coefficients=coeffs, lefschetz=total)
 
@@ -520,16 +539,14 @@ def removal_verdict(f: GMap, dims: Optional[Dict[str, int]] = None) -> VerdictRe
     The conditional invariant behind "removable iff the full trace
     vanishes" is not computed here; the report carries every computable
     necessary ingredient plus the theorem's conditional as a verdict
-    string.
+    string.  The map is checked once, here.
     """
-    _require_self_map(f)
-    if not is_isovariant(f):
-        raise NotIsovariant("removability verdict needs an isovariant map")
+    _require_isovariant_self_map(f, "removability verdict needs an isovariant map")
     x = f.source
-    free = is_fixed_point_free(f)
+    free = not f.fixed_simplices()
     hypo = check_hypotheses(x, dims)
     forced = tuple(sorted(forced_fixed_points(x)))
-    mv = marks_vector(f)
+    mv = _marks(f)
     orbit: Optional[Tuple[int, ...]]
     witness: Optional[Tuple[str, ...]] = None
     try:

@@ -7,7 +7,6 @@ that is smallest under (order, sorted elements).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,16 +18,8 @@ from .errors import GroupTooLarge, NonIntegral, NotStrictChain
 Subgroup = FrozenSet[int]
 Perm = Tuple[int, ...]
 
-DEFAULT_MAX_ORDER = 48
-
-
-def max_group_order() -> int:
-    """Order cap for group construction; override with ISOKIT_MAX_GROUP_ORDER."""
-    raw = os.environ.get("ISOKIT_MAX_GROUP_ORDER", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_MAX_ORDER
+# order cap for group construction
+MAX_GROUP_ORDER = 48
 
 
 def _skey(sub: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
@@ -44,9 +35,9 @@ class FiniteGroup:
         self.order = len(self.table)
         if self.order == 0:
             raise ValueError("empty multiplication table")
-        if self.order > max_group_order():
+        if self.order > MAX_GROUP_ORDER:
             raise GroupTooLarge(
-                f"group order {self.order} exceeds cap {max_group_order()}"
+                f"group order {self.order} exceeds cap {MAX_GROUP_ORDER}"
             )
         if validate:
             self._validate()
@@ -160,9 +151,9 @@ class FiniteGroup:
                 if comp not in closure:
                     closure.add(comp)
                     walk.append(comp)
-            if len(closure) > max_group_order():
+            if len(closure) > MAX_GROUP_ORDER:
                 raise GroupTooLarge(
-                    f"generated group exceeds cap {max_group_order()}"
+                    f"generated group exceeds cap {MAX_GROUP_ORDER}"
                 )
         perms = sorted(closure)
         index = {p: i for i, p in enumerate(perms)}

@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from .cubelim import Cube, CubeMap, Subset
-from .gcomplex import GComplex
+from .gcomplex import GComplex, _faces
 from .gmap import GMap
 from .group import FiniteGroup
 from .linking import IsovariantCellStructure
@@ -234,16 +233,13 @@ def cells_to_json(c: IsovariantCellStructure) -> dict:
             }
             for (l, u), v in cell.phi
         ]
-        faces = sorted(
-            s
-            for k in range(1, len(cell.orbit_simplex))
-            for s in combinations(cell.orbit_simplex, k)
-        )
+        orbit = cell.orbit_simplex
+        faces = sorted(s for s in _faces(orbit) if len(s) < len(orbit))
         cells.append(
             {
                 "m": cell.disk_dim,
                 "chain": cell.label(),
-                "orbit": list(cell.orbit_simplex),
+                "orbit": list(orbit),
                 "base": list(cell.base_simplex),
                 "disk_dims": list(cell.disk_dims),
                 "phi": phi_records,

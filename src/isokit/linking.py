@@ -93,9 +93,14 @@ class LinkingSimplex(_SlotVertices):
 
 
 def build_linking(g: FiniteGroup, chain: Sequence[Iterable[int]]) -> LinkingSimplex:
-    subs = validate_chain(g, chain)
-    cx, verts = slot_coset_complex(g, subs)
-    return LinkingSimplex(group=g, chain=subs, complex=cx, vertices=verts)
+    """Validate a strictly increasing chain, then build its linking simplex."""
+    return _linking(g, validate_chain(g, chain))
+
+
+def _linking(g: FiniteGroup, chain: Tuple[Subgroup, ...]) -> LinkingSimplex:
+    """The linking simplex of a chain that has already been validated."""
+    cx, verts = slot_coset_complex(g, chain)
+    return LinkingSimplex(group=g, chain=chain, complex=cx, vertices=verts)
 
 
 # -- boundary ------------------------------------------------------------------
@@ -128,7 +133,7 @@ def boundary(l: LinkingSimplex) -> BoundaryDecomposition:
     for r in range(1, len(l.chain)):
         for slots in combinations(range(len(l.chain)), r):
             subchain = tuple(l.chain[i] for i in slots)
-            model = build_linking(l.group, subchain)
+            model = _linking(l.group, subchain)  # a subchain of a valid chain is valid
             embed = {
                 mv: l.vertex_index(slots[i], coset)
                 for mv, (i, coset) in enumerate(model.vertices)
@@ -202,7 +207,11 @@ def collapse_map(
     g: FiniteGroup, groups: Sequence[Iterable[int]]
 ) -> Tuple[Tuple[Subgroup, ...], Tuple[int, ...]]:
     """Strict chain of the distinct groups plus the ordered surjection onto it."""
-    subs = _check_weakly_decreasing(g, groups)
+    return _collapse(_check_weakly_decreasing(g, groups))
+
+
+def _collapse(subs: Tuple[Subgroup, ...]) -> Tuple[Tuple[Subgroup, ...], Tuple[int, ...]]:
+    """collapse_map of a list that has already been checked."""
     chain: List[Subgroup] = []
     p: List[int] = []
     for h in subs:
@@ -234,7 +243,7 @@ class IllmanSimplex(_SlotVertices):
 
 def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSimplex:
     subs = _check_weakly_decreasing(g, groups)
-    chain, p = collapse_map(g, subs)
+    chain, p = _collapse(subs)
     cx, verts = slot_coset_complex(g, subs)
     return IllmanSimplex(
         group=g, groups=subs, complex=cx, vertices=verts, chain=chain, surjection=p
@@ -336,16 +345,16 @@ class PhiMap:
 def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     """The collapse assignment (l, (slot j, gK_j)) -> (min fiber(j) + l[j], same coset).
 
-    The returned map carries the per-chain plans that decompose,
-    validate_cells and cells_to_json read for each of its cells.
+    The list is checked once, in illman_complex.  The returned map carries
+    the per-chain plans that decompose, validate_cells and cells_to_json
+    read for each of its cells.
     """
-    subs = _check_weakly_decreasing(g, groups)
-    chain, p = collapse_map(g, subs)
+    illman = illman_complex(g, groups)
+    chain, p = illman.chain, illman.surjection
     fibers: List[List[int]] = [[] for _ in chain]
     for slot, j in enumerate(p):
         fibers[j].append(slot)
     disk_dims = tuple(len(f) - 1 for f in fibers)
-    illman = illman_complex(g, subs)
     link_cx, link_verts = slot_coset_complex(g, chain)
     assignment: Dict[PhiKey, int] = {}
     for l in product(*(range(d + 1) for d in disk_dims)):
@@ -354,7 +363,7 @@ def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
             assignment[(l, u)] = illman.vertex_index(fibers[j][0] + l[j], coset)
     return PhiMap(
         group=g,
-        groups=subs,
+        groups=illman.groups,
         chain=chain,
         surjection=p,
         disk_dims=disk_dims,

@@ -79,6 +79,21 @@ def test_group_make_variants(capsys):
     assert code == 65
 
 
+def test_group_make_reports_bad_specs(capsys):
+    for argv, code, message in (
+        (["--product", "c2,x3"], "BadInput", "bad group token 'x3' (use cN, sN, dN)"),
+        (["--product", " , "], "BadInput", "empty product spec"),
+        (["--product", "s4,c3"], "GroupTooLarge", "group order 72 exceeds cap 48"),
+        (["--cyclic", "49"], "GroupTooLarge", "group order 49 exceeds cap 48"),
+    ):
+        r = _report(capsys, ["group", "make", *argv], expect_code=65)
+        assert r["status"] == {"code": code, "message": message}, argv
+    r = _report(capsys, ["group", "make", "--product", "C2,S3"])
+    assert r["result"] == group_to_json(
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.symmetric(3))
+    )
+
+
 def test_out_file(capsys, tmp_path):
     out = tmp_path / "g.json"
     r = _report(capsys, ["group", "make", "--cyclic", "3", "--out", str(out)])
@@ -249,6 +264,16 @@ def test_reidemeister_cli_names_the_map_at_fault(capsys, tmp_path):
     assert json.loads(out)["status"]["code"] == "NotSelfMap"
 
 
+def test_reidemeister_cli_caps_the_class_count(capsys):
+    argv = ["reidemeister", "--map", "hexagon-rotation", "--pi", "Z/300000", "--phi", "1"]
+    r = _report(capsys, argv, expect_code=65)
+    assert r["result"] is None
+    assert r["status"] == {
+        "code": "TooManyTwistedClasses",
+        "message": "300000 twisted classes exceed the cap of 10000",
+    }
+
+
 def test_burnside_cli(capsys):
     r = _report(capsys, ["burnside", "--map", "hexagon-reflection"])
     assert r["result"] == {
@@ -402,3 +427,139 @@ def test_missing_file_reports_bad_input(capsys):
         "code": "BadInput",
         "message": "group file not found: missing.json",
     }
+
+
+# sha256 of stdout, with the exit code, of every built-in model run:
+# complex commands on each complex model, map commands on each map model
+GOLDEN_MODEL_RUNS = {
+    "complex info --complex antipodal-square": "0:1ac166e2a7b3920d650490f80eb67307125ea507f1db3724a02257447803bb92",
+    "complex regularize --complex antipodal-square": "0:03ae8327a7c79e58c54be15a70bc7cd2f13ac9a63deb38747bcdc84f1fd1958b",
+    "decompose --complex antipodal-square": "70:ea004e972c939a94bb653e977aa7cb25ce49bc525b6f47d4aea95e8ef59ba640",
+    "strata --complex antipodal-square": "0:caf09414b89371c0b8a4f0f1d0668a0b8e2e9e544f47ccc77d5e4dbb0dd10a2f",
+    "export-dot --complex antipodal-square": "0:12835d9bfbc6e47d2c1fb9fab27cab5b7c1d08f017a9c9a7059c30e739bb7cba",
+    "complex info --complex c2-point": "0:9c5184aeb6a7dcc92dd1a54ec18efbc52d81742a2f94673e695131752c837429",
+    "complex regularize --complex c2-point": "0:94439408f502372c0de1573953627cd8ae700f81ed51c63951ec99f13637af57",
+    "decompose --complex c2-point": "0:1cc3a9188f55b22eb0b0d0f1ddbcba7282cdeebcb5613b10f08798082b945b01",
+    "strata --complex c2-point": "0:06845a00f3beef3f07ba1fdca7d7ac64ea560c6b0c02496f6b5cbd98d9897923",
+    "export-dot --complex c2-point": "0:c95b9204bcda4164b896c47906b8c606cf6e55374b15c2d20c2d589c2e0d3ac2",
+    "complex info --complex c2xc2-wedge": "0:e09b191ca24bd88654dd8947a490c3fb9eafb1ccb2e71b8af91acf26463db4cf",
+    "complex regularize --complex c2xc2-wedge": "0:679f93e8920081f455902149a779dc3142b0f1c081afcca7a4942483897e075d",
+    "decompose --complex c2xc2-wedge": "0:3a0864d769a470c88ca638456bc45618189920e638742e169ffc55805d4cead1",
+    "strata --complex c2xc2-wedge": "0:df2fa1f2ed8407469ca5d6c9f7b3b010719a16f9fc0446546a8c738554f850c1",
+    "export-dot --complex c2xc2-wedge": "0:a7dc3c8990ccdf57c7898a85ca6f8c4d96521c5c9b2f65812946894e12907725",
+    "complex info --complex cross5": "0:de4974edf434331f3d8ab25b99f2d5df1be6c0c4cf7903b49c60c366378c8f72",
+    "complex regularize --complex cross5": "0:bf34f7cfec5f427d89d1cd1f17af0c8a66b37058804dff59aba09d7bcc058b2b",
+    "decompose --complex cross5": "70:a3aeefe7d16bb02a79a8f635a2025e72b6a3ad49a9b5973d333d51da2628c5ba",
+    "strata --complex cross5": "0:cfb7e568892e05dad08e5fbd60aa0e2bd7a6d462dbfe85cc46d25d30452b7023",
+    "export-dot --complex cross5": "0:1436dceaba21651d688f7ee569321227a5402877d8b7490f8c39919eddd9735f",
+    "complex info --complex hexagon": "0:27bfa46d5e1bb72a7ab3d03c20a069d87e8984f4914dea2e1136936f832010c0",
+    "complex regularize --complex hexagon": "0:4d119abc33de5ab622979cfab389ccc94dd6b9c662824bc1e54f15cb00e42205",
+    "decompose --complex hexagon": "0:1b42d0db03160c913f32e14bab215cf0114fdacda033d16395de048d89f2fdb1",
+    "strata --complex hexagon": "0:a0a620eb44422450c6bd26665581eed90b8178b98afd0ae575b403911c2bf7a4",
+    "export-dot --complex hexagon": "0:cf0f3c06c9c86a46cc6e7a1c0730315fd3ff4df002e9ab6a9f4638738c91b98c",
+    "complex info --complex point": "0:fe5a92bd752aaa67c2f28ec5c73aceea779c05494fc19f020791c067188f2330",
+    "complex regularize --complex point": "0:73fb48579ab5d26623c25fbe992893148148113606df901c103047c71ba75702",
+    "decompose --complex point": "0:75c808ef17ad436e04c87421ba202ddda7af0005967ea5f0354850871530556e",
+    "strata --complex point": "0:66cf72b1e0dff18de2cea17ed60f32bd4b97cdf91009f4789af67afacfe03fa3",
+    "export-dot --complex point": "0:19e4035efac7a81114db172dc33aa5ae5ef53150915fa7bb121cb3a926830c86",
+    "complex info --complex rotation-disk": "0:56d22a7115e0e47cfab96c73962c14d75694b59f3b8c7e67952eef8d402d1b0f",
+    "complex regularize --complex rotation-disk": "0:28e456c5c40cec9ebdee8595bb9cab9eecd084aebb1ad071ae8c06dba04bd42e",
+    "decompose --complex rotation-disk": "0:23e4af0b984b021e80e3251e8a1d8a2eaf321568db9116c1f9ee088f720ae56e",
+    "strata --complex rotation-disk": "0:13b478f01cec31c169fd5b5c546ac17509f0ff20ce9d2c6864b521bc34710bd5",
+    "export-dot --complex rotation-disk": "0:d936356bc3a3a6a33ac74e2f5c0c222139dfaae33f436957235c2672572eb546",
+    "complex info --complex s3-dust": "0:37e593f278fa149d571c8a54e5e436f001d9d19da4dca3d4a35a6a278d93a6f1",
+    "complex regularize --complex s3-dust": "0:25c115197ce63129c67135d6b08c64f5472a22f445b9d4dc89c0898e3bf60fd9",
+    "decompose --complex s3-dust": "0:3f8ae6d5f03aaa8fe15612a004d1d18870fe33d3f87fea53e3be308be14099a3",
+    "strata --complex s3-dust": "0:84b80041634768a10bb7fd663ade76ed041be11e4227ba05333224e61213a66e",
+    "export-dot --complex s3-dust": "0:6c3d3c8e1bb5bce2c4c43e537c08178d03a485ec583a5f794420404cef5ed005",
+    "complex info --complex swap-segment": "0:5a7ac0ad2f1738f957734f18d28b7b75a22b51d106573b1487dd5353d56c1c2e",
+    "complex regularize --complex swap-segment": "0:c7b11bb2a89cf6a34f71378e90ee719f0ac580ecf7cbc316aa44e441b3ba0517",
+    "decompose --complex swap-segment": "0:6f9d579d04163c068e8a5cb0f21caaa422a0bc1414e1531849c7071f54fc5f23",
+    "strata --complex swap-segment": "0:f0afeac45ff36d878f9105e5d83e3a6c1d81ada8a273dc38ac35ddbee8efad69",
+    "export-dot --complex swap-segment": "0:dfa8393e5e24832caf0949e4efd1c5965caab92bfc72288bac2f4629d3323756",
+    "complex info --complex wedge": "0:8c3fc0501b9a5e1e35cf1877a7e06bdea947f85101f076beedb1dc9bd1623ab8",
+    "complex regularize --complex wedge": "0:2b97d81d4205a282d36a07f3dc99e4a835e4e623b755998178df23b4dd0c7aba",
+    "decompose --complex wedge": "0:20ea767e118661867ee6880c322a8e190a72eb11fdfc6c2f57e131eb0f8d4be8",
+    "strata --complex wedge": "0:9f0193696411071e0da9582f3663e151907f39831b94f3f940fe8560fb994371",
+    "export-dot --complex wedge": "0:e831158771addec180661db63ef192fa666f81b4814743b27295aaa9e92c00ba",
+    "check-isovariant --map cross5-identity": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map cross5-identity": "0:e2425930ab385d32805169a898f4a91df6706f438571dcc12acb59c902963f71",
+    "burnside --map cross5-identity": "0:14c8b72223181ce57a83fbec0d3a7f5a365093e8698230c8514e676200732868",
+    "verdict --map cross5-identity": "0:1f062754f657b9dab560d07ba7e6f106673d19c801b0aaca38d6636c9c3cba7a",
+    "reidemeister --map cross5-identity": "70:93d2d59ad93b38e9f8c51e57d7d235d5b24a3be857646bd4978c5054e74aea85",
+    "reidemeister --map cross5-identity --pi Z --phi 1": "70:93d2d59ad93b38e9f8c51e57d7d235d5b24a3be857646bd4978c5054e74aea85",
+    "reidemeister --map cross5-identity --pi Z --phi -1": "70:93d2d59ad93b38e9f8c51e57d7d235d5b24a3be857646bd4978c5054e74aea85",
+    "check-isovariant --map disk-collapse": "1:ff3aa802755248003aca046966f4f27e67773b0b15c0f19f2a01e17128964aa2",
+    "lefschetz --map disk-collapse": "70:405f6356043c38cee2398928d5dae53b3084321d4df42065568e217d8a472e10",
+    "burnside --map disk-collapse": "70:0ccd4778fb05badc778c7d918088e1da010471fd50f1f27a9e24d78e12c100b6",
+    "verdict --map disk-collapse": "70:6b5da3fbbce5f5d04e812d45481d8c073b9929240ab1e7d33a71527d979f4815",
+    "reidemeister --map disk-collapse": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "reidemeister --map disk-collapse --pi Z --phi 1": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "reidemeister --map disk-collapse --pi Z --phi -1": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "check-isovariant --map fixed-point-inclusion": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map fixed-point-inclusion": "70:405f6356043c38cee2398928d5dae53b3084321d4df42065568e217d8a472e10",
+    "burnside --map fixed-point-inclusion": "70:0ccd4778fb05badc778c7d918088e1da010471fd50f1f27a9e24d78e12c100b6",
+    "verdict --map fixed-point-inclusion": "70:6b5da3fbbce5f5d04e812d45481d8c073b9929240ab1e7d33a71527d979f4815",
+    "reidemeister --map fixed-point-inclusion": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "reidemeister --map fixed-point-inclusion --pi Z --phi 1": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "reidemeister --map fixed-point-inclusion --pi Z --phi -1": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "check-isovariant --map hexagon-identity": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map hexagon-identity": "0:43dc21af84897f1b2153d42cedf9b4d48d9b8de08d4995c21fe745a0546ddf28",
+    "burnside --map hexagon-identity": "0:14c8b72223181ce57a83fbec0d3a7f5a365093e8698230c8514e676200732868",
+    "verdict --map hexagon-identity": "0:c280de372c91b452a98b1186382483e1f203c5be73a530ad393dd1c8933b5cc6",
+    "reidemeister --map hexagon-identity": "0:42187f22faa2f7791a9ed7edf7d1d11ddb6e8d6ae9322abd0145210ebc48abe8",
+    "reidemeister --map hexagon-identity --pi Z --phi 1": "0:42187f22faa2f7791a9ed7edf7d1d11ddb6e8d6ae9322abd0145210ebc48abe8",
+    "reidemeister --map hexagon-identity --pi Z --phi -1": "70:668d237eff5a770e1b4070e96f775a21c781bae946a7e63605e635769a08e1a6",
+    "check-isovariant --map hexagon-reflection": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map hexagon-reflection": "0:d3e667f38aae53886a9d22f10e93eb16ebee75626d82660940cb3ff5c6cdc034",
+    "burnside --map hexagon-reflection": "0:77da9e52924f61f0ca12f7a719c5a482203a6e5e8d603e2bf6f70d59f9f82e82",
+    "verdict --map hexagon-reflection": "0:d872268d74769666afbe8a4c0883a9c3373d945f2c59871db2f95594b97c03cc",
+    "reidemeister --map hexagon-reflection": "0:dd50df5ed6efa32923f886dcefbdbed227948812f80ee6e858f6f16653fb95ce",
+    "reidemeister --map hexagon-reflection --pi Z --phi 1": "70:668d237eff5a770e1b4070e96f775a21c781bae946a7e63605e635769a08e1a6",
+    "reidemeister --map hexagon-reflection --pi Z --phi -1": "0:dd50df5ed6efa32923f886dcefbdbed227948812f80ee6e858f6f16653fb95ce",
+    "check-isovariant --map hexagon-rotation": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map hexagon-rotation": "0:43dc21af84897f1b2153d42cedf9b4d48d9b8de08d4995c21fe745a0546ddf28",
+    "burnside --map hexagon-rotation": "0:14c8b72223181ce57a83fbec0d3a7f5a365093e8698230c8514e676200732868",
+    "verdict --map hexagon-rotation": "0:3714bf38efd0b175e605afef3cc0fec4efb73f0a5fc49de342cb4e235258b8b5",
+    "reidemeister --map hexagon-rotation": "0:6edb3095d75472ca0777ea488ba29f337053f188204775491e4adce2220252a3",
+    "reidemeister --map hexagon-rotation --pi Z --phi 1": "0:6edb3095d75472ca0777ea488ba29f337053f188204775491e4adce2220252a3",
+    "reidemeister --map hexagon-rotation --pi Z --phi -1": "70:668d237eff5a770e1b4070e96f775a21c781bae946a7e63605e635769a08e1a6",
+    "check-isovariant --map ring-inclusion": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map ring-inclusion": "70:405f6356043c38cee2398928d5dae53b3084321d4df42065568e217d8a472e10",
+    "burnside --map ring-inclusion": "70:0ccd4778fb05badc778c7d918088e1da010471fd50f1f27a9e24d78e12c100b6",
+    "verdict --map ring-inclusion": "70:6b5da3fbbce5f5d04e812d45481d8c073b9929240ab1e7d33a71527d979f4815",
+    "reidemeister --map ring-inclusion": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "reidemeister --map ring-inclusion --pi Z --phi 1": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "reidemeister --map ring-inclusion --pi Z --phi -1": "70:3188fc12578c69802f684c233227ccfde9e4eca618dbd0e6ed502b1dc38bf877",
+    "check-isovariant --map wedge-identity": "0:193a1a86f376e37ab7f09d3c50a7d1ff60247cd21557942c7a31c327af694ab2",
+    "lefschetz --map wedge-identity": "0:e2425930ab385d32805169a898f4a91df6706f438571dcc12acb59c902963f71",
+    "burnside --map wedge-identity": "0:14c8b72223181ce57a83fbec0d3a7f5a365093e8698230c8514e676200732868",
+    "verdict --map wedge-identity": "0:32439deb1085864c462c5cd95c9f8bbde9d53eb9d1784439eecc1b7cc69ddade",
+    "reidemeister --map wedge-identity": "0:42187f22faa2f7791a9ed7edf7d1d11ddb6e8d6ae9322abd0145210ebc48abe8",
+    "reidemeister --map wedge-identity --pi Z --phi 1": "0:42187f22faa2f7791a9ed7edf7d1d11ddb6e8d6ae9322abd0145210ebc48abe8",
+    "reidemeister --map wedge-identity --pi Z --phi -1": "70:668d237eff5a770e1b4070e96f775a21c781bae946a7e63605e635769a08e1a6",
+    "cube check --dim 3 --trials 20": "0:4aa7178c3eae4560556de563e8ade0f74afcc02caf10c4240c14337225937e10",
+}
+
+
+def _model_runs():
+    for name in sorted(models.COMPLEX_MODELS):
+        for command in (["complex", "info"], ["complex", "regularize"], ["decompose"],
+                        ["strata"], ["export-dot"]):
+            yield command + ["--complex", name]
+    for name in sorted(models.MAP_MODELS):
+        for command in (["check-isovariant"], ["lefschetz"], ["burnside"], ["verdict"],
+                        ["reidemeister"]):
+            yield command + ["--map", name]
+        for phi in ("1", "-1"):
+            yield ["reidemeister", "--map", name, "--pi", "Z", "--phi", phi]
+    yield ["cube", "check", "--dim", "3", "--trials", "20"]
+
+
+def test_builtin_model_reports_are_pinned(capsys):
+    got = {}
+    for argv in _model_runs():
+        code, out = _run(capsys, argv)
+        got[" ".join(argv)] = f"{code}:{hashlib.sha256(out.encode()).hexdigest()}"
+    assert len(got) == 107
+    assert got == GOLDEN_MODEL_RUNS

@@ -79,7 +79,7 @@ def test_set_function():
 
 def test_limit_of_empty_poset_is_terminal():
     cube = _square((1, 2, 2, 3), (0,), (0,), (1, 2), (1, 2))
-    top = limit(cube, [])
+    top = limit(cube, VertexFamily([]))
     assert len(top) == 1 and top.elements == ((),)
 
 
@@ -87,9 +87,9 @@ def test_limit_requires_bounded_unions():
     cube = random_cube_map(3, seed=0, max_size=3).source
     # {0} and {1} join to {0,1}, bounded above by {0,1,2} yet missing
     with pytest.raises(ValueError):
-        limit(cube, [{0}, {1}, {0, 1, 2}])
+        limit(cube, VertexFamily([{0}, {1}, {0, 1, 2}]))
     # with no upper bound present the same pair is a legal discrete family
-    disc = limit(cube, [{0}, {1}])
+    disc = limit(cube, VertexFamily([{0}, {1}]))
     assert len(disc) == cube.size({0}) * cube.size({1})
 
 
@@ -112,7 +112,7 @@ def test_limit_matches_bruteforce_on_random_cubes():
                 verts, expect = oracles.cube_limit_bruteforce(
                     2, sizes, covers, poset
                 )
-                got = limit(cube, poset)
+                got = limit(cube, VertexFamily(poset))
                 assert list(got.vertices) == verts
                 assert sorted(got.elements) == expect
                 checked += 1
@@ -123,7 +123,7 @@ def test_limit_full_poset_matches_initial_vertex():
     # with the empty set present, compatible tuples biject with X(empty)
     for seed in range(10):
         cube = random_cube_map(2, seed=seed, max_size=4).source
-        full = limit(cube)
+        full = limit(cube, VertexFamily(cube.vertices()))
         assert len(full) == cube.size(E)
 
 
@@ -323,7 +323,7 @@ def test_reused_family_matches_bruteforce_on_random_3_cubes():
                 got = limit(cube, fam)
                 assert list(got.vertices) == verts
                 assert sorted(got.elements) == expect
-                assert got.elements == limit(cube, poset).elements
+                assert got.elements == limit(cube, VertexFamily(poset)).elements
                 checked += 1
     assert checked == 12 * 2 * len(posets)
 
@@ -384,7 +384,7 @@ def test_capped_sections_are_a_prefix_of_the_limit():
         for s, _, above, checks in steps:
             family = [t for t in cube.vertices() if s < t]
             verts, expect = oracles.cube_limit_bruteforce(3, cube.sizes, cube.covers, family)
-            lim = limit(cube, family)
+            lim = limit(cube, VertexFamily(family))
             assert list(lim.vertices) == verts and sorted(lim.elements) == expect
             cols = [lim.coordinate(t) for t in above]
             on_covers = [tuple(e[c] for c in cols) for e in lim.elements]

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from isokit import fixpoint, models
+from isokit import gmap as gmap_module
 from isokit.errors import (
     InconsistentLabels,
     InvariantViolated,
@@ -12,6 +13,7 @@ from isokit.errors import (
     NotIsovariant,
     NotSelfMap,
     NotSimplicial,
+    TooManyTwistedClasses,
 )
 from isokit.fixpoint import (
     BurnsideElement,
@@ -206,6 +208,27 @@ def test_twisted_classes_infinite():
     assert tc.count is None and tc.free_rank == 1
     with pytest.raises(ValueError):
         tc.representatives()
+
+
+def test_twisted_class_listing_is_capped():
+    setup = TwistedConjugacySetup((fixpoint.MAX_TWISTED_CLASSES + 1,), ((1,),))
+    tc = twisted_classes(setup)
+    assert tc.count == fixpoint.MAX_TWISTED_CLASSES + 1
+    with pytest.raises(TooManyTwistedClasses) as info:
+        tc.representatives()
+    assert str(info.value) == "10001 twisted classes exceed the cap of 10000"
+    at_cap = twisted_classes(TwistedConjugacySetup((100, 100), ((1, 0), (0, 1))))
+    assert at_cap.count == fixpoint.MAX_TWISTED_CLASSES
+    assert len(at_cap.representatives()) == len(at_cap.labels()) == at_cap.count
+
+
+def test_reidemeister_trace_is_capped():
+    """Zero coefficients are listed per class, so a huge cokernel must stop
+    before it lists them."""
+    f = models.MAP_MODELS["hexagon-rotation"]()
+    pd = derive_pidata(f, TwistedConjugacySetup((300000,), ((1,),)))
+    with pytest.raises(TooManyTwistedClasses):
+        reidemeister_trace(f, pd)
 
 
 def test_trivial_pi():
@@ -471,6 +494,28 @@ def test_verdict_wedge_identity():
         "all Lefschetz marks vanish yet these vertices are fixed by every "
         "isovariant self-map: equivariantly removable, not isovariantly"
     )
+
+
+def test_removal_verdict_checks_the_map_once(count_calls):
+    """One self-map check and one equivariance scan per verdict."""
+    checks = count_calls("_require_self_map", fixpoint)
+    scans = count_calls("is_equivariant", gmap_module)
+    v = removal_verdict(models.MAP_MODELS["wedge-identity"]())
+    assert len(checks) == 1 and len(scans) == 1
+    assert v.marks == marks_vector(models.MAP_MODELS["wedge-identity"]()).coefficients
+
+
+def test_removal_verdict_names_the_failed_check():
+    hexagon = models.COMPLEX_MODELS["hexagon"]()
+    disk = models.COMPLEX_MODELS["rotation-disk"]()
+    for f, error, message in (
+        (GMap(hexagon, hexagon, (0, 3) * 3), NotSimplicial, "facet image is not a simplex of the target"),
+        (models.MAP_MODELS["disk-collapse"](), NotSelfMap, "source and target complexes differ"),
+        (GMap(disk, disk, (0,) * 7), NotIsovariant, "removability verdict needs an isovariant map"),
+    ):
+        with pytest.raises(error) as info:
+            removal_verdict(f)
+        assert str(info.value) == message
 
 
 def test_verdict_nonintegral_witness_surfaces():

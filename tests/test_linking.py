@@ -9,6 +9,7 @@ import pytest
 from test_isotropy import GROUPS as ISOTROPY_GROUPS, _orbit_closure_complex
 
 from isokit import group as group_module
+from isokit import linking as linking_module
 from isokit import models
 from isokit.errors import (
     NotEquivariantTriangulation,
@@ -264,6 +265,42 @@ def test_phi_vertex_map_surjective_on_illman_vertices():
             for u in range(len(phi.linking_vertices))
         }
         assert hit == set(range(phi.illman.complex.n_vertices))
+
+
+@pytest.mark.parametrize("builder", [phi_vertex_map, collapse_map, illman_complex])
+@pytest.mark.parametrize("groups, message", [
+    ([], "empty subgroup list"),
+    ([[0, 1, 2, 3], [0, 1]], "not a subgroup: [0, 1]"),
+    ([[0], [0, 2]], "list not weakly decreasing: [0] then [0, 2]"),
+])
+def test_weakly_decreasing_builders_name_the_bad_list(builder, groups, message):
+    with pytest.raises(NotWeaklyDecreasing) as info:
+        builder(FiniteGroup.cyclic(4), groups)
+    assert type(info.value) is NotWeaklyDecreasing
+    assert str(info.value) == message
+
+
+def test_phi_vertex_map_checks_each_group_once(count_calls):
+    """A k-group list costs k subgroup tests, with or without repeats."""
+    g, chain = _s4_chain()
+    s4, d8, v4, c2, e = reversed(chain)
+    for groups in ([s4, d8, v4, c2], [d8, d8, c2, e], [v4]):
+        calls = count_calls("is_subgroup", linking_module, group_module)
+        pm = phi_vertex_map(g, groups)
+        assert len(calls) == len(groups)
+        assert pm.groups == tuple(groups)
+        assert (pm.chain, pm.surjection) == collapse_map(g, groups)
+
+
+@pytest.mark.parametrize("length", [2, 3, 5])
+def test_linking_and_boundary_validate_the_chain_once(count_calls, length):
+    g, chain = _s4_chain()
+    calls = count_calls("validate_chain", linking_module, group_module)
+    pieces = boundary(build_linking(g, chain[:length])).pieces
+    assert len(calls) == 1
+    assert len(pieces) == 2 ** length - 2
+    for piece in pieces:
+        assert piece.model.chain == tuple(chain[i] for i in piece.slots)
 
 
 def test_decompose_swap_segment():
