@@ -21,7 +21,7 @@ from .cubelim import check_hypothesis, factorize_limit, limit_map, random_cube_m
 from .errors import GroupTooLarge, IsokitError, TooManyTwistedClasses
 from .fixpoint import (
     TwistedConjugacySetup,
-    burnside_lefschetz,
+    _orbits,
     derive_pidata,
     lefschetz,
     lefschetz_fixed_sets,
@@ -373,7 +373,7 @@ def _cmd_burnside(args) -> int:
     inputs = {}
     f = _load(args.map, inputs, parse_map, MAP_MODELS)
     mv = marks_vector(f)
-    orbit = burnside_lefschetz(f)
+    orbit = _orbits(mv, f.source.group)
     result = {
         "classes": list(mv.names),
         "marks": list(mv.coefficients),

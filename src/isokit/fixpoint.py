@@ -34,7 +34,7 @@ from .gcomplex import (
     present_classes,
 )
 from .gmap import GMap, _components, is_isovariant, is_simplicial
-from .group import Subgroup, class_names, table_of_marks
+from .group import FiniteGroup, Subgroup, class_names, table_of_marks
 from .snf import smith_normal_form
 
 Vector = Tuple[int, ...]
@@ -134,10 +134,13 @@ def _marks(f: GMap) -> BurnsideElement:
 
 def burnside_lefschetz(f: GMap) -> BurnsideElement:
     """Orbit-basis coefficients of the marks vector; exact, or NonIntegral."""
-    marks = table_of_marks(f.source.group)
-    mv = marks_vector(f)
-    coeffs = marks.integral_solution(mv.coefficients)
-    return BurnsideElement(basis="orbits", names=marks.names, coefficients=coeffs)
+    return _orbits(marks_vector(f), f.source.group)
+
+
+def _orbits(mv: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
+    """The orbit-basis element with marks mv; exact, or NonIntegral."""
+    coeffs = table_of_marks(group).integral_solution(mv.coefficients)
+    return BurnsideElement(basis="orbits", names=mv.names, coefficients=coeffs)
 
 
 # -- twisted conjugacy ----------------------------------------------------------------
@@ -550,7 +553,7 @@ def removal_verdict(f: GMap, dims: Optional[Dict[str, int]] = None) -> VerdictRe
     orbit: Optional[Tuple[int, ...]]
     witness: Optional[Tuple[str, ...]] = None
     try:
-        orbit = table_of_marks(x.group).integral_solution(mv.coefficients)
+        orbit = _orbits(mv, x.group).coefficients
     except NonIntegral as exc:
         orbit = None
         witness = tuple(str(v) for v in exc.witness or ())

@@ -41,7 +41,11 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 class GMap:
     """A vertex map between complexes over the same group.
 
-    The fixed-simplex list and the is_simplicial answer are computed on
+    A self-map holds one complex when its source and target are one
+    object (as identity_map, subdivide_map and parse_map on a shared
+    reference build it): both sides share one face closure and one
+    isotropy index, and subdivide_map subdivides it once.  The
+    fixed-simplex list and the is_simplicial answer are computed on
     first use and kept with the map.
     """
 
@@ -67,7 +71,7 @@ class GMap:
         return tuple(sorted({self.vertices[v] for v in s}))
 
     def is_self_map(self) -> bool:
-        return self.source == self.target
+        return self.source is self.target or self.source == self.target
 
     def fixed_simplices(self) -> Tuple[Tuple[Simplex, int], ...]:
         """Setwise-fixed simplices with nondegenerate image, with the signs
@@ -145,11 +149,12 @@ def is_isovariant(f: GMap) -> bool:
 
 
 def subdivide_map(f: GMap) -> GMap:
-    """The induced map on barycentric subdivisions."""
+    """The induced map on barycentric subdivisions; a self-map's one
+    complex is subdivided once."""
     if not is_simplicial(f):
         raise NotSimplicial("facet image is not a simplex of the target")
     sds = barycentric_subdivision(f.source)
-    sdt = barycentric_subdivision(f.target)
+    sdt = sds if f.target is f.source else barycentric_subdivision(f.target)
     vertices = tuple(
         sdt.simplex_to_vertex[f.apply(s)] for s in sds.vertex_to_simplex
     )

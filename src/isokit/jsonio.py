@@ -2,7 +2,8 @@
 
 One object per file.  Groups are multiplication tables or permutation
 generators; complexes reference their group inline or by path; maps
-reference complexes the same way, resolved relative to the map file.
+reference complexes the same way, resolved relative to the map file;
+a map whose source and target are the same reference reads it once.
 All parse failures raise ValueError so the CLI can report bad input
 uniformly.
 """
@@ -130,7 +131,10 @@ def parse_map(obj, base_dir: str = ".") -> GMap:
             raise ValueError(f"map JSON needs '{key}'")
     group = _resolve_group(obj["group"], base_dir) if "group" in obj else None
     source = _resolve_complex(obj["source"], base_dir, group)
-    target = _resolve_complex(obj["target"], base_dir, group)
+    if obj["target"] == obj["source"]:
+        target = source
+    else:
+        target = _resolve_complex(obj["target"], base_dir, group)
     return GMap(source, target, tuple(int(v) for v in obj["vertices"]))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import isokit
-from isokit import models
+from isokit import fixpoint, gmap, models
 from isokit.cli import run
 from isokit.cubelim import random_cube_map
 from isokit.group import FiniteGroup
@@ -19,6 +19,7 @@ from isokit.jsonio import (
     complex_to_json,
     cube_map_to_json,
     group_to_json,
+    map_to_json,
 )
 
 C2_JSON = canonical_dumps(group_to_json(FiniteGroup.cyclic(2)))
@@ -286,6 +287,56 @@ def test_burnside_cli(capsys):
     assert json.loads(out)["status"]["code"] == "NotSelfMap"
 
 
+def test_burnside_cli_checks_the_map_and_computes_marks_once(capsys, count_calls):
+    checks = count_calls("_require_self_map", fixpoint)
+    scans = count_calls("is_equivariant", gmap)
+    marks = count_calls("_marks", fixpoint)
+    r = _report(capsys, ["burnside", "--map", "wedge-identity"])
+    assert r["result"] == {"classes": ["e", "C2"], "marks": [0, 0], "orbit_coeffs": [0, 0]}
+    assert (len(checks), len(scans), len(marks)) == (1, 1, 1)
+
+
+# map files whose source and target are one complex, by one path or by two
+# equal inline objects; digests taken before such files were parsed once
+SHARED_COMPLEX_RUNS = {
+    "verdict hexagon-rotation-shared": "0:d5de0fff8cfd4f3042d059e60609bde26efd60ec9154c1872e2815e5fb82b17e",
+    "lefschetz hexagon-rotation-shared": "0:806daa8877ff545b6da943129b000229915327e73b42d5ed5f339ee4ff1ecbeb",
+    "burnside hexagon-rotation-shared": "0:e7603586fe700cb2901f7c7c94460d734b98964585ddcc407ae993b505e79c10",
+    "reidemeister hexagon-rotation-shared": "0:4f3ad04e81e425d9e56f01868d6d3c1cf2bea3d1a65b754cf688b24c4acdfc80",
+    "verdict hexagon-rotation-inline": "0:8e0b2627a40be31dfdeb6d50fd0aebe73f8679b5dc3fc9a9aa8e19e1fe6f8570",
+    "lefschetz hexagon-rotation-inline": "0:39436cc11a316bca8b77395cd203eede593d19f84083e1a0f01774c739ed45b6",
+    "burnside hexagon-rotation-inline": "0:47ff6f3af463278d6a8258d09fcbd687b88509c2ab4c7417cfdc1bdc4ae87f4b",
+    "reidemeister hexagon-rotation-inline": "0:bacefc6a91e8dd3bcd4cdc93204b384d5606eb7f28a7130ab1b4c649c11977d0",
+    "verdict wedge-identity-shared": "0:1f73acb550c26197af8d49f73cbbf94d84222dfbfa1f29c6342732b02606385c",
+    "lefschetz wedge-identity-shared": "0:fbe531ddedf890a151ec789d4a7c2ed8969367b93905332a3e79a55348954098",
+    "burnside wedge-identity-shared": "0:a0bad645c1997375171e1d0b9fe80af796213fb0f5f0c41955130edc6ecdfd17",
+    "reidemeister wedge-identity-shared": "0:7d55172fc9d7e99fff21c17519f4c8de40ca92ef46f439287aac5ceb6dfa77cb",
+    "verdict wedge-identity-inline": "0:162e7d3c94ae22c0735ec7599810aaed4d35a74a5d0f3e1ac00b5b3f473ea3d8",
+    "lefschetz wedge-identity-inline": "0:7a8fa9a9a51e1f74e66c5b7d743a2702730ee529a2f0632cb4c49d351ac5258a",
+    "burnside wedge-identity-inline": "0:73acafd7e204ae53d162604366ce2341b71784f26602b00c51c62faa95a332c3",
+    "reidemeister wedge-identity-inline": "0:b3f7f7ae4167e89aabb8c4a44552e833fb108af19d5df5848cd11c348d839d30",
+}
+
+
+def test_shared_complex_map_reports_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name in ("hexagon-rotation", "wedge-identity"):
+        f = models.MAP_MODELS[name]()
+        cx = complex_to_json(f.source)
+        (tmp_path / f"{name}-complex.json").write_text(canonical_dumps(cx))
+        path = f"{name}-complex.json"
+        for kind, source, target in (("shared", path, path), ("inline", cx, cx)):
+            obj = {"source": source, "target": target, "vertices": list(f.vertices)}
+            (tmp_path / f"{name}-{kind}.json").write_text(canonical_dumps(obj))
+            for command in ("verdict", "lefschetz", "burnside", "reidemeister"):
+                code, out = _run(capsys, [command, "--map", f"{name}-{kind}.json"])
+                got[f"{command} {name}-{kind}"] = (
+                    f"{code}:{hashlib.sha256(out.encode()).hexdigest()}"
+                )
+    assert got == SHARED_COMPLEX_RUNS
+
+
 def test_reidemeister_cli(capsys):
     r = _report(capsys, ["reidemeister", "--map", "hexagon-reflection"])
     assert r["result"] == {
@@ -405,6 +456,33 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["verified"] == 2
+
+
+def test_error_paths_do_not_depend_on_assert(tmp_path):
+    """`python -O` strips assert statements; the CLI's checks must not."""
+    (tmp_path / "truncated.json").write_text(
+        canonical_dumps(map_to_json(models.MAP_MODELS["hexagon-rotation"]()))[:40]
+    )
+    (tmp_path / "c4.json").write_text(canonical_dumps(group_to_json(FiniteGroup.cyclic(4))))
+    src = str(Path(isokit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    runs = (
+        (["verdict", "--map", "disk-collapse"], 70),
+        (["verdict", "--map", "truncated.json"], 65),
+        (["linking", "build", "--group", "c4.json", "--chain", "e<{0,99}"], 65),
+    )
+    for argv, code in runs:
+        outputs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "isokit", *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            outputs.append((proc.returncode, proc.stdout))
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0][0] == code, outputs[0]
 
 
 def test_export_dot(capsys, tmp_path):

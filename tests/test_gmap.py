@@ -1,13 +1,15 @@
 """Simplicial maps: equivariance, isovariance, subdivision, stratum data."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 import oracles
-from isokit import models
+from isokit import gcomplex, gmap as gmap_module, models
 from isokit.errors import NotEquivariant, NotSimplicial
-from isokit.fixpoint import lefschetz
+from isokit.fixpoint import lefschetz, removal_verdict
 from isokit.gcomplex import GComplex, fixed_subcomplex, present_classes
 from isokit.gmap import (
     GMap,
@@ -152,6 +154,73 @@ def test_subdivide_map():
     )
     with pytest.raises(NotSimplicial):
         subdivide_map(broken)
+
+
+def test_subdivide_map_subdivides_a_self_map_once(count_calls):
+    calls = count_calls("barycentric_subdivision", gmap_module)
+    g = subdivide_map(models.MAP_MODELS["hexagon-rotation"]())
+    assert len(calls) == 1
+    assert g.source is g.target and g.is_self_map()
+    del calls[:]
+    g = subdivide_map(models.MAP_MODELS["fixed-point-inclusion"]())
+    assert len(calls) == 2
+    assert g.source is not g.target and not g.is_self_map()
+
+
+def test_subdivided_self_map_has_one_isotropy_index(count_calls):
+    builds = count_calls("_isotropy_index", gcomplex)
+    g = subdivide_map(models.MAP_MODELS["hexagon-rotation"]())
+    removal_verdict(g)
+    assert [x for x in builds if x[0] == g.source] == [(g.source,)]
+
+
+def test_equal_complexes_with_other_names_stay_a_self_map():
+    x = models.COMPLEX_MODELS["hexagon"]()
+    rotation = tuple((i + 1) % 6 for i in range(6))
+    renamed = GComplex(
+        x.n_vertices, x.facets, dict(enumerate(x.action)), x.group,
+        names=[f"v{i}" for i in range(6)],
+    )
+    f = GMap(x, renamed, rotation)
+    assert f.target is renamed and f.is_self_map()
+    g = subdivide_map(f)
+    assert g.target is not g.source and g.is_self_map()
+    assert g.target.names != g.source.names
+    assert lefschetz(g) == lefschetz(f) == 0
+
+
+def _map_record(g):
+    def complex_record(x):
+        return [[list(f) for f in x.facets], [list(p) for p in x.action], list(x.names)]
+
+    return [list(g.vertices), complex_record(g.source), complex_record(g.target)]
+
+
+# sha256 of the first and second subdivisions of each built-in map, taken
+# before self-maps shared one subdivision; cross5's second subdivision has
+# about 16.7 million facets, so only its first is pinned
+SUBDIVIDED_MAP_DIGESTS = {
+    "cross5-identity": "e9f4fd53d3c55ca745b4d1787e10fbf43e5c777eebc086a2a1364cd606843ca3",
+    "disk-collapse": "c1d16b9d4e57decc70139a255271a008707494d0b8355f10561a1a7fe004285b",
+    "fixed-point-inclusion": "4a20f9ac6ae7dda182cb5f5b5868eff185ffe6848761dd29a2d87e82c5084a43",
+    "hexagon-identity": "b6edbb4ecce79108b1ac8ee5f65f70b984b7a57aab02f7c4a91e1a7a25ff576e",
+    "hexagon-reflection": "71edab26bbcd0e199c2445df141bf7c7a583c465062cf3d720a08c737377a126",
+    "hexagon-rotation": "3f1aa203820c0588d118f0d67f21168ec3d12ec39aa87a4543c260d52d8c1703",
+    "ring-inclusion": "cf60671a8a66a57b2781821e51e0f039805de9360ebf4dc24e32113695dd775a",
+    "wedge-identity": "0f9fe44511ede7a288cb21e6742c358b107bdf83b2175d6081f10b1834bbee5c",
+}
+
+
+def test_subdivided_maps_are_pinned():
+    got = {}
+    for name, make in sorted(models.MAP_MODELS.items()):
+        g = subdivide_map(make())
+        records = [_map_record(g)]
+        if name != "cross5-identity":
+            records.append(_map_record(subdivide_map(g)))
+        text = json.dumps(records, separators=(",", ":"))
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SUBDIVIDED_MAP_DIGESTS
 
 
 def test_subdivision_preserves_isovariance():

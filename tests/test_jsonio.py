@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from isokit import models
+from isokit import jsonio, models
 from isokit.cubelim import random_cube_map
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
@@ -116,6 +116,24 @@ def test_map_complexes_by_path(tmp_path):
     obj = {"source": "hex.json", "target": "hex.json", "vertices": list(f.vertices)}
     g = parse_map(obj, base_dir=str(tmp_path))
     assert g.vertices == f.vertices and g.source.group.order == 2
+
+
+def test_map_reads_a_shared_complex_once(tmp_path, count_calls):
+    f = models.MAP_MODELS["hexagon-rotation"]()
+    hex_json = complex_to_json(f.source)
+    (tmp_path / "hex.json").write_text(canonical_dumps(hex_json))
+    calls = count_calls("parse_complex", jsonio)
+    for source, target, parses in (
+        ("hex.json", "hex.json", 1),
+        (hex_json, dict(hex_json), 1),
+        (hex_json, "hex.json", 2),
+    ):
+        del calls[:]
+        obj = {"source": source, "target": target, "vertices": list(f.vertices)}
+        g = parse_map(obj, base_dir=str(tmp_path))
+        assert len(calls) == parses
+        assert (g.target is g.source) == (parses == 1)
+        assert g.is_self_map() and g.vertices == f.vertices
 
 
 def test_map_errors():
