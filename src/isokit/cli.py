@@ -49,6 +49,8 @@ from .group import (
     table_of_marks,
 )
 from .jsonio import (
+    _int,
+    _ints,
     canonical_dumps,
     cells_to_json,
     complex_to_json,
@@ -150,10 +152,10 @@ def _parse_phi(text: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
     if not isinstance(value, list):
         raise ValueError("phi must be an integer, a list, or a matrix")
     if value and isinstance(value[0], list):
-        matrix = [tuple(int(v) for v in row) for row in value]
+        matrix = [_ints(row, "phi row") for row in value]
     else:
         # flat list: diagonal matrix
-        diag = [int(v) for v in value]
+        diag = _ints(value, "phi")
         matrix = [
             tuple(diag[i] if i == j else 0 for j in range(len(diag)))
             for i in range(len(diag))
@@ -425,7 +427,7 @@ def _cmd_verdict(args) -> int:
         parsed = json.loads(args.dims)
         if not isinstance(parsed, dict):
             raise ValueError("--dims must be a JSON object of class name -> dim")
-        dims = {str(k): int(v) for k, v in parsed.items()}
+        dims = {str(k): _int(v, f"--dims value of {k!r}") for k, v in parsed.items()}
     report = removal_verdict(f, dims)
     return _emit(args, inputs, report.as_dict())
 

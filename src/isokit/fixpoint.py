@@ -475,27 +475,19 @@ def forced_fixed_points(x: GComplex) -> FrozenSet[int]:
 
     A vertex is forced when some stratum closure meets the exact stratum
     of the vertex's own isotropy class in that vertex alone: isovariant
-    maps preserve both sets, leaving the vertex nowhere to go.  Sound but
-    not complete.
+    maps preserve both sets, leaving the vertex nowhere to go.  Each
+    closure is taken once and met with every exact stratum, which buckets
+    its faces by isotropy class; a meet that is one vertex forces it.
+    Sound but not complete.
     """
     forced: Set[int] = set()
     iso = x.isotropy()
-    strata = iso.strata
-    closures = {rep: close_simplices(s) for rep, s in strata.items()}
-    meets: Dict[Tuple[Subgroup, Subgroup], FrozenSet[Simplex]] = {}
-    for v in range(x.n_vertices):
-        vsimp = (v,)
-        if vsimp not in iso.stabilizers:
-            continue
-        vclass = iso.classes[iso.stabilizers[vsimp]]
-        for rep in strata:
-            if vsimp not in closures[rep]:
-                continue
-            if (rep, vclass) not in meets:
-                meets[(rep, vclass)] = closures[rep] & strata[vclass]
-            if meets[(rep, vclass)] == frozenset({vsimp}):
-                forced.add(v)
-                break
+    for stratum in iso.strata.values():
+        closure = close_simplices(stratum)
+        for other in iso.strata.values():
+            meet = closure & other
+            if len(meet) == 1:
+                forced.update(t[0] for t in meet if len(t) == 1)
     return frozenset(forced)
 
 

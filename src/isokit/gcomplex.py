@@ -16,8 +16,10 @@ from .errors import MissingStratum, NotRegular
 from .group import (
     FiniteGroup,
     Subgroup,
+    _skey,
     class_names,
     class_rep_of,
+    is_normal,
     is_subconjugate,
     subconjugacy_total_order,
 )
@@ -266,7 +268,7 @@ def _isotropy_index(x: GComplex) -> Isotropy:
         members.setdefault(classes[stabs[s]], []).append(s)
     strata = {
         rep: frozenset(members[rep])
-        for rep in sorted(members, key=lambda r: (len(r), tuple(sorted(r))))
+        for rep in sorted(members, key=_skey)
     }
     return Isotropy(
         stabilizers=stabs,
@@ -477,10 +479,8 @@ def is_treelike(x: GComplex) -> bool:
     if not x.is_regular():
         raise NotRegular("treelike test needs a regular action")
     iso = x.isotropy().classes
-    g = x.group
-    for h in iso:
-        if any(frozenset(g.conjugate(s, a) for s in h) != h for a in g.elements):
-            return False
+    if not all(is_normal(x.group, h) for h in iso):
+        return False
     for h in iso:
         below = [k for k in iso if k <= h]
         for a in below:

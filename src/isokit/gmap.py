@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from .errors import NotEquivariant, NotIsovariant, NotRegular, NotSimplicial
 from .gcomplex import (
@@ -17,7 +17,7 @@ from .gcomplex import (
     present_classes,
     stratum_closure,
 )
-from .group import Subgroup, class_names, class_rep_of, is_subconjugate
+from .group import Subgroup, _skey, class_names, class_rep_of, is_subconjugate
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -216,12 +216,12 @@ class LinkGraph:
 
     Nodes are simplices with pointwise stabilizer in the class of the
     smaller group H0 having a proper face with stabilizer in the class of
-    H1; nodes sharing a face are adjacent.
+    H1; nodes sharing a vertex are adjacent, and components are read off
+    one pass over the nodes' vertices.
     """
 
     pair: Tuple[str, str]
     nodes: Tuple[Simplex, ...]
-    edges: Tuple[Tuple[Simplex, Simplex], ...]
     components: Tuple[FrozenSet[Simplex], ...]
 
 
@@ -251,22 +251,15 @@ def link_graph(x: GComplex, h0: Subgroup, h1: Subgroup) -> LinkGraph:
     names = class_names(x.group)
     s0 = exact_stratum(x, h0).simplices
     s1 = exact_stratum(x, h1).simplices
-    nodes = []
-    for s in sorted(s0, key=lambda t: (len(t), t)):
-        if any(len(t) < len(s) and t in s1 for t in _faces(s)):
-            nodes.append(s)
-    edges = [
-        (a, b)
-        for ai, a in enumerate(nodes)
-        for b in nodes[ai + 1 :]
-        if set(a) & set(b)
+    nodes = [
+        s for s in sorted(s0, key=lambda t: (len(t), t))
+        if any(len(t) < len(s) and t in s1 for t in _faces(s))
     ]
+    first: Dict[int, Simplex] = {}  # each node joins the first node at its vertices
+    edges = ((s, first.setdefault(v, s)) for s in nodes for v in s)
     pair = (names[class_rep_of(x.group, h0)], names[class_rep_of(x.group, h1)])
     return LinkGraph(
-        pair=pair,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        components=_components(nodes, edges),
+        pair=pair, nodes=tuple(nodes), components=_components(nodes, edges)
     )
 
 
@@ -295,32 +288,25 @@ class Pi0Report:
 
 
 def _stratum_components(simplices: FrozenSet[Simplex]) -> Tuple[FrozenSet[Simplex], ...]:
-    nodes = sorted(simplices, key=lambda t: (len(t), t))
-    edges = [
-        (a, b)
-        for ai, a in enumerate(nodes)
-        for b in nodes[ai + 1 :]
-        if set(a) <= set(b) or set(b) <= set(a)
-    ]
-    return _components(nodes, edges)
+    """Containment components: each simplex joins its proper faces in the set."""
+    edges = (
+        (s, t) for s in simplices for t in _faces(s)
+        if len(t) < len(s) and t in simplices
+    )
+    return _components(simplices, edges)
 
 
 def _component_bijection(
     f_image, source_comps, target_comps
 ) -> Tuple[int, int, bool]:
+    comp_of = {t: ti for ti, tc in enumerate(target_comps) for t in tc}
     hit: Set[int] = set()
     for comp in source_comps:
-        images = {f_image(s) for s in comp}
-        landing = {
-            ti for ti, tc in enumerate(target_comps) if images & tc
-        }
+        landing = {comp_of[t] for t in map(f_image, comp) if t in comp_of}
         if len(landing) != 1:
             return len(source_comps), len(target_comps), False
         hit |= landing
-    ok = (
-        len(source_comps) == len(target_comps)
-        and len(hit) == len(target_comps)
-    )
+    ok = len(source_comps) == len(target_comps) == len(hit)
     return len(source_comps), len(target_comps), ok
 
 
@@ -334,10 +320,8 @@ def pi0_link_check(f: GMap) -> Pi0Report:
     if not is_isovariant(f):
         raise NotIsovariant("pi0 comparison needs an isovariant map")
     names = class_names(f.source.group)
-    reps = sorted(
-        set(present_classes(f.source)) | set(present_classes(f.target)),
-        key=lambda r: (len(r), tuple(sorted(r))),
-    )
+    present = set(present_classes(f.source)) | set(present_classes(f.target))
+    reps = sorted(present, key=_skey)
     class_results: Dict[str, Tuple[int, int, bool]] = {}
     for rep in reps:
         sc = _stratum_components(exact_stratum(f.source, rep).simplices)

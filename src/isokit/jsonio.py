@@ -4,8 +4,8 @@ One object per file.  Groups are multiplication tables or permutation
 generators; complexes reference their group inline or by path; maps
 reference complexes the same way, resolved relative to the map file;
 a map whose source and target are the same reference reads it once.
-All parse failures raise ValueError so the CLI can report bad input
-uniformly.
+All parse failures, wrong JSON shapes included, raise ValueError so
+the CLI can report bad input uniformly.
 """
 
 from __future__ import annotations
@@ -46,22 +46,43 @@ def _as_dict(obj, what: str) -> dict:
     return obj
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _ints(value, what: str) -> Tuple[int, ...]:
+    try:
+        return tuple(map(int, _list(value, what)))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a list of integers") from None
+
+
 # -- groups ------------------------------------------------------------------
 
 
 def parse_group(obj) -> FiniteGroup:
     obj = _as_dict(obj, "group")
     if "table" in obj:
-        table = obj["table"]
+        table = _list(obj["table"], "group table")
         if "order" in obj and len(table) != obj["order"]:
             raise ValueError("group order does not match table size")
-        return FiniteGroup(tuple(tuple(row) for row in table))
+        return FiniteGroup(tuple(_ints(row, "group table row") for row in table))
     if "generators" in obj:
         degree = obj.get("degree")
         if degree is None:
             raise ValueError("generator form needs a degree")
+        gens = _list(obj["generators"], "group generators")
         return FiniteGroup.from_generators(
-            int(degree), [tuple(p) for p in obj["generators"]]
+            _int(degree, "group degree"), [_ints(p, "group generator") for p in gens]
         )
     raise ValueError("group JSON needs 'table' or 'generators'")
 
@@ -85,22 +106,22 @@ def parse_complex(
     obj = _as_dict(obj, "complex")
     if "vertices" not in obj or "facets" not in obj:
         raise ValueError("complex JSON needs 'vertices' and 'facets'")
-    n = int(obj["vertices"])
-    facets = [tuple(int(v) for v in f) for f in obj["facets"]]
+    n = _int(obj["vertices"], "complex vertices")
+    facets = [_ints(f, "complex facet") for f in _list(obj["facets"], "complex facets")]
     if "group" in obj:
         group = _resolve_group(obj["group"], base_dir)
     elif group is None:
         group = FiniteGroup(((0,),))
     action: Dict[int, Tuple[int, ...]] = {}
-    for key, perm in obj.get("action", {}).items():
+    for key, perm in _as_dict(obj.get("action", {}), "complex action").items():
         try:
             elem = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"action key {key!r} is not a group element index")
-        action[elem] = tuple(int(v) for v in perm)
+        action[elem] = _ints(perm, f"action of element {elem}")
     names = obj.get("names")
     if names is not None:
-        names = tuple(str(s) for s in names)
+        names = tuple(str(s) for s in _list(names, "complex names"))
     return GComplex(n, facets, action, group, names=names)
 
 
@@ -135,7 +156,7 @@ def parse_map(obj, base_dir: str = ".") -> GMap:
         target = source
     else:
         target = _resolve_complex(obj["target"], base_dir, group)
-    return GMap(source, target, tuple(int(v) for v in obj["vertices"]))
+    return GMap(source, target, _ints(obj["vertices"], "map vertices"))
 
 
 def map_to_json(f: GMap) -> dict:
@@ -166,14 +187,14 @@ def _parse_cube(obj, n: int, what: str) -> Cube:
     obj = _as_dict(obj, what)
     sizes = {}
     for key, size in _as_dict(obj.get("vertices"), f"{what}.vertices").items():
-        sizes[parse_subset_key(key)] = int(size)
+        sizes[parse_subset_key(key)] = _int(size, f"{what} vertex size")
     covers = {}
     for key, mapping in _as_dict(obj.get("maps"), f"{what}.maps").items():
         if "+" not in key:
             raise ValueError(f"cube map key {key!r} must look like 'S+j'")
         skey, _, jkey = key.rpartition("+")
-        covers[(parse_subset_key(skey), int(jkey))] = tuple(
-            int(v) for v in mapping
+        covers[(parse_subset_key(skey), int(jkey))] = _ints(
+            mapping, f"{what} cover map {key!r}"
         )
     try:
         return Cube(n, sizes, covers)
@@ -185,12 +206,12 @@ def parse_cube_map(obj) -> CubeMap:
     obj = _as_dict(obj, "cube map")
     if "dim" not in obj:
         raise ValueError("cube map JSON needs 'dim'")
-    n = int(obj["dim"])
+    n = _int(obj["dim"], "cube map dim")
     source = _parse_cube(obj.get("source"), n, "source")
     target = _parse_cube(obj.get("target"), n, "target")
     components = {}
     for key, mapping in _as_dict(obj.get("components"), "components").items():
-        components[parse_subset_key(key)] = tuple(int(v) for v in mapping)
+        components[parse_subset_key(key)] = _ints(mapping, f"component {key!r}")
     try:
         return CubeMap(source, target, components)
     except ValueError as exc:

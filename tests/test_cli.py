@@ -507,6 +507,80 @@ def test_missing_file_reports_bad_input(capsys):
     }
 
 
+
+_HEXAGON = complex_to_json(models.COMPLEX_MODELS["hexagon"]())
+_CUBE1 = {"vertices": {"": 1, "0": 1}, "maps": {"+0": [0]}}
+
+# one row per malformed input: the JSON written to the file "{file}" names
+# (or None), and the command line; each must be a BadInput report, exit 65
+MALFORMED_INPUTS = {
+    "complex facets of integers": (
+        {"vertices": 3, "facets": [1, 2]}, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex vertices as a list": (
+        {"vertices": [3], "facets": [[0, 1, 2]]}, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex action as a list": (
+        {"vertices": 3, "facets": [[0, 1, 2]], "action": [[0, 1, 2]]},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "complex names as an integer": (
+        {"vertices": 2, "facets": [[0, 1]], "names": 5},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "group table as an integer": ({"table": 5}, ["group", "info", "--group", "{file}"]),
+    "group generators as an integer": (
+        {"generators": 5, "degree": 2}, ["group", "info", "--group", "{file}"]
+    ),
+    "map vertices as an integer": (
+        {"source": _HEXAGON, "target": _HEXAGON, "vertices": 7},
+        ["verdict", "--map", "{file}"],
+    ),
+    "cube cover map as an integer": (
+        {
+            "dim": 1,
+            "source": {"vertices": {"": 1, "0": 1}, "maps": {"+0": 5}},
+            "target": _CUBE1,
+            "components": {"": [0], "0": [0]},
+        },
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube dim as a list": (
+        {"dim": [1], "source": _CUBE1, "target": _CUBE1, "components": {}},
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube component null": (
+        {"dim": 1, "source": _CUBE1, "target": _CUBE1, "components": {"": None}},
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "phi of an object": (
+        None,
+        ["reidemeister", "--map", "hexagon-identity", "--pi", "Z", "--phi", '[{"a":1}]'],
+    ),
+    "phi matrix with an integer row": (
+        None, ["reidemeister", "--map", "hexagon-identity", "--pi", "Z", "--phi", "[[1],3]"]
+    ),
+    "dims value as a list": (
+        None, ["verdict", "--map", "hexagon-identity", "--dims", '{"e": [1]}']
+    ),
+    "dims value null": (
+        None, ["verdict", "--map", "hexagon-identity", "--dims", '{"e": null}']
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_bad_input(capsys, tmp_path, case):
+    doc, argv = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out = _run(capsys, [a.replace("{file}", str(path)) for a in argv])
+    report = json.loads(out)
+    assert code == 65, out
+    assert report["result"] is None
+    assert report["status"]["code"] == "BadInput"
+
 # sha256 of stdout, with the exit code, of every built-in model run:
 # complex commands on each complex model, map commands on each map model
 GOLDEN_MODEL_RUNS = {

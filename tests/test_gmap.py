@@ -3,14 +3,21 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
 import oracles
 from isokit import gcomplex, gmap as gmap_module, models
-from isokit.errors import NotEquivariant, NotSimplicial
-from isokit.fixpoint import lefschetz, removal_verdict
-from isokit.gcomplex import GComplex, fixed_subcomplex, present_classes
+from isokit.errors import IsokitError, NotEquivariant, NotSimplicial
+from isokit.fixpoint import forced_fixed_points, lefschetz, removal_verdict
+from isokit.gcomplex import (
+    GComplex,
+    barycentric_subdivision,
+    fixed_subcomplex,
+    make_regular,
+    present_classes,
+)
 from isokit.gmap import (
     GMap,
     _components,
@@ -24,7 +31,7 @@ from isokit.gmap import (
     stratum_maps,
     subdivide_map,
 )
-from isokit.group import class_names
+from isokit.group import class_names, is_subconjugate
 
 
 def test_intro_examples():
@@ -286,3 +293,182 @@ def test_components_match_networkx():
             (frozenset(c) for c in nx.connected_components(graph)), key=min
         )
         assert list(_components(range(n), edges)) == expected
+
+
+# -- pinned pi0 reports, link graphs and forced points ------------------------
+
+
+def _pinned_complexes():
+    """Every complex model but cross5, made regular, then subdivided once more."""
+    out = {}
+    for name, make in sorted(models.COMPLEX_MODELS.items()):
+        if name != "cross5":
+            x = make_regular(make())
+            out[name] = x
+            out[name + " sd"] = barycentric_subdivision(x).complex
+    return out
+
+
+def _pinned_maps():
+    """Every map model but cross5-identity, and its subdivision."""
+    out = {}
+    for name, make in sorted(models.MAP_MODELS.items()):
+        if name != "cross5-identity":
+            f = make()
+            out[name] = f
+            out[name + " sd"] = subdivide_map(f)
+    return out
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pi0_record(f):
+    try:
+        return pi0_link_check(f).as_dict()
+    except IsokitError as exc:
+        return type(exc).__name__
+
+
+def _link_graph_records(x):
+    """The components of each exact stratum, then each link graph."""
+    reps = present_classes(x)
+    records = [
+        [sorted(list(n) for n in c) for c in gmap_module._stratum_components(s)]
+        for s in x.isotropy().strata.values()
+    ]
+    for r0 in reps:
+        for r1 in reps:
+            if len(r0) < len(r1) and is_subconjugate(x.group, r0, r1):
+                lg = link_graph(x, r0, r1)
+                records.append(
+                    [
+                        list(lg.pair),
+                        [list(n) for n in lg.nodes],
+                        [sorted(list(n) for n in c) for c in lg.components],
+                    ]
+                )
+    return records
+
+
+# sha256 of pi0_link_check(...).as_dict() (or the error it raises) for the
+# identity of each pinned complex and for each pinned map; sha256 of the
+# stratum components and of the link graph of every properly subconjugate
+# pair of present classes; the forced fixed vertices.  All were taken while
+# components and forced points were found by pairwise scans.
+PI0_DIGESTS = {
+    "antipodal-square": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "antipodal-square sd": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "c2-point": "53450b6c41ab13e7c387b3bbb8b8788eef2efea122ffe57b660919d0633fe9e5",
+    "c2-point sd": "53450b6c41ab13e7c387b3bbb8b8788eef2efea122ffe57b660919d0633fe9e5",
+    "c2xc2-wedge": "8f37e481e6c317c0327fd90cdf48f30b58e79a31dbeb545ddb23f0e36bab020f",
+    "c2xc2-wedge sd": "8f37e481e6c317c0327fd90cdf48f30b58e79a31dbeb545ddb23f0e36bab020f",
+    "disk-collapse": "5834651af74d2b3ce40472e155bed2f7cbe1858ba83a3f1a3c665a2db5ff14c5",
+    "disk-collapse sd": "5834651af74d2b3ce40472e155bed2f7cbe1858ba83a3f1a3c665a2db5ff14c5",
+    "fixed-point-inclusion": "aec67defd55d3e2015bebf8eb3a4a201fb30123a69a0b1841c18010fdfa6e865",
+    "fixed-point-inclusion sd": "aec67defd55d3e2015bebf8eb3a4a201fb30123a69a0b1841c18010fdfa6e865",
+    "hexagon": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon sd": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon-identity": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon-identity sd": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon-reflection": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon-reflection sd": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon-rotation": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "hexagon-rotation sd": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "point": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "point sd": "1d3ed76c4f1dc5bca9ffbf51cd38a42a8261bce67dba3d273b17e32e4a8af4a6",
+    "ring-inclusion": "4786d98d94de962d008fc64fb0f8e2e87f4b8d3f7074b08821da5707821af3da",
+    "ring-inclusion sd": "4786d98d94de962d008fc64fb0f8e2e87f4b8d3f7074b08821da5707821af3da",
+    "rotation-disk": "ee231af64ccb104cd15bbb72ffdd1724f9cb88893e9265d1cc5e4c3f7df38d62",
+    "rotation-disk sd": "ee231af64ccb104cd15bbb72ffdd1724f9cb88893e9265d1cc5e4c3f7df38d62",
+    "s3-dust": "4bc261eb654169727dae69795b323b9aeac49c40ebf96a4684ea82f197770c34",
+    "s3-dust sd": "4bc261eb654169727dae69795b323b9aeac49c40ebf96a4684ea82f197770c34",
+    "swap-segment": "284f2fd4c510a37dd74cc904636080b10c87a88b857e3d337c77d1306a5913e1",
+    "swap-segment sd": "284f2fd4c510a37dd74cc904636080b10c87a88b857e3d337c77d1306a5913e1",
+    "wedge": "284f2fd4c510a37dd74cc904636080b10c87a88b857e3d337c77d1306a5913e1",
+    "wedge sd": "284f2fd4c510a37dd74cc904636080b10c87a88b857e3d337c77d1306a5913e1",
+    "wedge-identity": "284f2fd4c510a37dd74cc904636080b10c87a88b857e3d337c77d1306a5913e1",
+    "wedge-identity sd": "284f2fd4c510a37dd74cc904636080b10c87a88b857e3d337c77d1306a5913e1",
+}
+LINK_GRAPH_DIGESTS = {
+    "antipodal-square": "6186bfbeef7b88f484f5fcb883053a836bc264f5c894d896b9f08150fb4b823b",
+    "antipodal-square sd": "84813791d2be246f001cc7361baf4ff183eda37f6ac39ae4c41bba1bffe1128c",
+    "c2-point": "6801882773977aefc2f76584b915a6cae98afe0d813e9a6ca72a4b8963f89520",
+    "c2-point sd": "6801882773977aefc2f76584b915a6cae98afe0d813e9a6ca72a4b8963f89520",
+    "c2xc2-wedge": "a2441d6cb60af715fb2006f537a76526d177ce465512253aa92c4b98c4f4c6c9",
+    "c2xc2-wedge sd": "bd2796adad4e6f017dd82b4c108129d514f85088960f91c1d7c5c7645ad17a17",
+    "hexagon": "ec11e8f56826b18e2a0740363208ca8efb205b70e8900013c1b675dbe391444d",
+    "hexagon sd": "9141580d316eee9dcf85973e7c4a824c85136f002969f9e08e10f89f5d7f20c0",
+    "point": "6801882773977aefc2f76584b915a6cae98afe0d813e9a6ca72a4b8963f89520",
+    "point sd": "6801882773977aefc2f76584b915a6cae98afe0d813e9a6ca72a4b8963f89520",
+    "rotation-disk": "b17a94756437f18f85106b5249f97b1b5bc84f72d9467cd1f5310d2abae924dc",
+    "rotation-disk sd": "4f933dd4b5adc77e3197adf518cd13c79b8b8338a0da9b99f0ae8c2a933968ba",
+    "s3-dust": "1549860b779d257b463e3c8b92a5208c9ff01cd55be2abffc375d89776d5189d",
+    "s3-dust sd": "1549860b779d257b463e3c8b92a5208c9ff01cd55be2abffc375d89776d5189d",
+    "swap-segment": "e3aa0eb59f491762ce89f406b3b4eff9ea7808f73a2a8323d93dedb9ac008c5c",
+    "swap-segment sd": "2947429530943206c64e1546379c28d855537785db6ec0758540b91cd4a864f4",
+    "wedge": "9864eb179a70751d575872563556c0b2fb55ad31f9c8e0fe2f1a39dbe9c5ba45",
+    "wedge sd": "df90a4654edd11cd235199e08a915acd05886660b70f21a9ac9838039ae3a9e6",
+}
+FORCED_FIXED_POINTS = {
+    "antipodal-square": [],
+    "antipodal-square sd": [],
+    "c2-point": [0],
+    "c2-point sd": [0],
+    "c2xc2-wedge": [0],
+    "c2xc2-wedge sd": [0],
+    "hexagon": [],
+    "hexagon sd": [],
+    "point": [0],
+    "point sd": [0],
+    "rotation-disk": [0],
+    "rotation-disk sd": [0],
+    "s3-dust": [11],
+    "s3-dust sd": [11],
+    "swap-segment": [1],
+    "swap-segment sd": [1],
+    "wedge": [0],
+    "wedge sd": [0],
+}
+
+
+def test_pi0_reports_are_pinned():
+    got = {
+        name: _digest(_pi0_record(identity_map(x)))
+        for name, x in _pinned_complexes().items()
+    }
+    got.update(
+        (name, _digest(_pi0_record(f))) for name, f in _pinned_maps().items()
+    )
+    assert got == PI0_DIGESTS
+
+
+def test_link_graphs_are_pinned():
+    got = {
+        name: _digest(_link_graph_records(x))
+        for name, x in _pinned_complexes().items()
+    }
+    assert got == LINK_GRAPH_DIGESTS
+
+
+def test_forced_fixed_points_are_pinned():
+    got = {
+        name: sorted(forced_fixed_points(x))
+        for name, x in _pinned_complexes().items()
+    }
+    assert got == FORCED_FIXED_POINTS
+
+
+def test_pi0_link_check_is_linear_in_faces():
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    for _ in range(3):
+        x = barycentric_subdivision(x).complex
+    assert len(x.simplices()) == 3937
+    f = identity_map(x)
+    assert is_isovariant(f)  # the isotropy index is built outside the timing
+    t0 = time.monotonic()
+    assert pi0_link_check(f).ok
+    # pairwise scans over the 3,937 simplices took about 17 s (2-core x86-64)
+    assert time.monotonic() - t0 < 3.0
