@@ -63,6 +63,9 @@ class Cube:
             self._validate()
 
     def _validate(self) -> None:
+        # 2^n sets are needed; an n beyond the sets given builds no subsets
+        if self.n >= len(self.sizes).bit_length():
+            raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")
         wanted = _subsets(range(self.n))
         if set(self.sizes) != set(wanted):
             raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")

@@ -9,7 +9,7 @@ the constructions that need regularity check it instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import MissingStratum, NotRegular
@@ -33,12 +33,23 @@ def _faces(s: Simplex) -> Iterator[Simplex]:
     return chain.from_iterable(combinations(s, k) for k in range(1, len(s) + 1))
 
 
-def _normalize_facets(facets: Iterable[Iterable[int]]) -> Tuple[Simplex, ...]:
-    """Sorted, deduplicated simplices that are no proper face of another."""
+def _normalize_facets(facets: Iterable[Iterable[int]]) -> Tuple[Tuple[Simplex, ...], Set[Simplex]]:
+    """Sorted, deduplicated simplices that are no proper face of another,
+    and the face closure that finding them builds."""
     cleaned = {tuple(sorted(set(f))) for f in facets}
     cleaned.discard(())
     proper = {t for f in cleaned for t in _faces(f) if len(t) < len(f)}
-    return tuple(sorted(cleaned - proper, key=lambda f: (len(f), f)))
+    maximal = _by_dimension(cleaned - proper)
+    proper |= cleaned
+    return maximal, proper
+
+
+def _by_dimension(simplices: Iterable[Simplex]) -> Tuple[Simplex, ...]:
+    """Sorted by (dimension, vertices): a plain sort, then a stable one by
+    length, compares far less than a sort on (len(s), s) keys."""
+    out = sorted(simplices)
+    out.sort(key=len)
+    return tuple(out)
 
 
 def complete_action(
@@ -49,16 +60,18 @@ def complete_action(
     A Cayley-graph walk from the given elements, as in subgroup_closure;
     the complex's validation checks that the result is a homomorphism.
     """
-    known: Dict[int, Tuple[int, ...]] = {0: tuple(range(n_vertices))}
+    known: Dict[int, Tuple[int, ...]] = {}
     for g, perm in partial.items():
         if not 0 <= g < group.order:
             raise ValueError(f"action names element {g}, outside the group")
         p = tuple(int(v) for v in perm)
-        if sorted(p) != list(range(n_vertices)):
+        # the length test comes first, so an oversized count builds no range
+        if len(p) != n_vertices or sorted(p) != list(range(n_vertices)):
             raise ValueError(f"action of element {g} is not a vertex permutation")
-        if g in known and known[g] != p:
-            raise ValueError(f"conflicting permutations for element {g}")
+        if g == 0 and p != tuple(range(n_vertices)):
+            raise ValueError("conflicting permutations for element 0")
         known[g] = p
+    known = {0: tuple(range(n_vertices)), **known}
     gens = tuple(known)
     walk = list(gens)
     for a in walk:
@@ -81,6 +94,11 @@ class GComplex:
     one pointwise stabilizer and one class lookup per simplex orbit, the
     exact strata and a memo of fixed subcomplexes.  A complex must not be
     changed once it has been queried, or the index goes stale.
+
+    The faces of the facets are enumerated once, when the facets are
+    normalized; simplices() sorts that closed set on first use and then
+    drops it.  A vertex count is checked against the names and the action
+    permutations given with it before anything of that length is built.
     """
 
     def __init__(
@@ -92,27 +110,46 @@ class GComplex:
         names: Optional[Sequence[str]] = None,
         validate: bool = True,
     ):
-        self.n_vertices = int(n_vertices)
-        self.facets = _normalize_facets(facets)
+        n = self.n_vertices = int(n_vertices)
+        if names is not None:
+            names = tuple(names)
+            if len(names) != n:
+                raise ValueError("names length must match vertex count")
+        self.facets, self._closed = _normalize_facets(facets)
         self.group = group
         if set(action) != set(group.elements):
-            action = complete_action(group, self.n_vertices, dict(action))
+            action = complete_action(group, n, dict(action))
         self.action: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(action[g]) for g in group.elements
         )
+        for g, perm in enumerate(self.action):
+            if len(perm) != n:
+                raise ValueError(f"action of element {g} is not a permutation")
         self.names: Tuple[str, ...] = (
-            tuple(names) if names is not None
-            else tuple(str(v) for v in range(self.n_vertices))
+            names if names is not None else tuple(str(v) for v in range(n))
         )
         if validate:
             self._validate()
         self._simplices: Optional[Tuple[Simplex, ...]] = None
         self._isotropy: Optional[Isotropy] = None
 
+    @classmethod
+    def _assemble(
+        cls, n_vertices: int, facets: Tuple[Simplex, ...], simplices: Tuple[Simplex, ...],
+        action: Tuple[Tuple[int, ...], ...], group: FiniteGroup, names: Tuple[str, ...],
+    ) -> "GComplex":
+        """A complex from parts that are already normal: the maximal facets
+        and all simplices, each sorted as the constructor sorts them, and
+        one permutation per group element.  Nothing is checked."""
+        x = cls.__new__(cls)
+        x.n_vertices, x.facets, x.group, x.action, x.names = (
+            n_vertices, facets, group, action, names
+        )
+        x._closed, x._simplices, x._isotropy = None, simplices, None
+        return x
+
     def _validate(self) -> None:
         n = self.n_vertices
-        if len(self.names) != n:
-            raise ValueError("names length must match vertex count")
         for f in self.facets:
             if any(v < 0 or v >= n for v in f):
                 raise ValueError(f"facet {f} has a vertex out of range")
@@ -141,9 +178,8 @@ class GComplex:
     def simplices(self) -> Tuple[Simplex, ...]:
         """All simplices (nonempty faces of facets), sorted by dimension."""
         if self._simplices is None:
-            self._simplices = tuple(
-                sorted(close_simplices(self.facets), key=lambda s: (len(s), s))
-            )
+            self._simplices = _by_dimension(self._closed)
+            self._closed = None
         return self._simplices
 
     @property
@@ -293,21 +329,34 @@ class Subdivision:
 
 
 def barycentric_subdivision(x: GComplex) -> Subdivision:
-    """One barycentric subdivision; new vertices are the old simplices."""
+    """One barycentric subdivision; new vertices are the old simplices.
+
+    Its simplices are the flags of x, built once.  With the old simplices
+    numbered in simplices() order a proper face comes first, so the flags
+    ending at simplex i are (i,) and c + (i,) for each flag c ending at a
+    proper face of it, all ascending index tuples.  The facets are the
+    full-length flags over the facets of x, distinct and maximal, so the
+    complex is assembled without normalizing or closing them again; it
+    equals GComplex(n, facets, action, group, names).
+    """
     old = x.simplices()
     index = {s: i for i, s in enumerate(old)}
-    facets: List[Tuple[int, ...]] = []
-    for f in x.facets:
-        # flags of f: one chain of faces per ordering of its vertices
-        for perm in permutations(f):
-            chain = [tuple(sorted(perm[: k + 1])) for k in range(len(perm))]
-            facets.append(tuple(sorted(index[c] for c in chain)))
-    action = {
-        g: tuple(index[x.act_simplex(g, s)] for s in old)
-        for g in x.group.elements
-    }
+    ending: List[List[Simplex]] = []
+    for i, s in enumerate(old):
+        flags = [(i,)]
+        for t in _faces(s):
+            if len(t) < len(s):
+                flags.extend(c + (i,) for c in ending[index[t]])
+        ending.append(flags)
+    facets = _by_dimension(
+        c for f in x.facets for c in ending[index[f]] if len(c) == len(f)
+    )
+    simplices = _by_dimension(chain.from_iterable(ending))
+    action = tuple(
+        tuple(index[x.act_simplex(g, s)] for s in old) for g in x.group.elements
+    )
     names = tuple("{" + ",".join(x.names[v] for v in s) + "}" for s in old)
-    sd = GComplex(len(old), facets, action, x.group, names=names, validate=False)
+    sd = GComplex._assemble(len(old), facets, simplices, action, x.group, names)
     return Subdivision(complex=sd, simplex_to_vertex=index, vertex_to_simplex=old)
 
 

@@ -75,11 +75,19 @@ class GMap:
 
     def fixed_simplices(self) -> Tuple[Tuple[Simplex, int], ...]:
         """Setwise-fixed simplices with nondegenerate image, with the signs
-        of the vertex permutations they undergo."""
+        of the vertex permutations they undergo.
+
+        A pointwise-fixed simplex has sign +1 and is recorded without
+        computing it; the others pay a sort and a permutation sign.
+        """
         if self._fixed is None:
             out = []
+            vertices = self.vertices
             for s in self.source.simplices():
-                image = [self.vertices[v] for v in s]
+                image = tuple([vertices[v] for v in s])
+                if image == s:
+                    out.append((s, 1))
+                    continue
                 if len(set(image)) != len(s) or tuple(sorted(image)) != s:
                     continue
                 pos = {v: i for i, v in enumerate(s)}

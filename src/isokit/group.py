@@ -135,14 +135,18 @@ class FiniteGroup:
 
         Elements are the sorted permutation tuples, which puts the identity
         at index 0.  Composing on the right suffices, as in subgroup_closure.
+        No generator gives the trivial group, whatever the degree.
         """
-        ident = tuple(range(degree))
         gens = []
         for p in generators:
             pt = tuple(int(v) for v in p)
-            if sorted(pt) != list(range(degree)):
+            # the length test comes first, so an oversized degree builds no range
+            if len(pt) != degree or sorted(pt) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
             gens.append(pt)
+        if not gens:
+            return cls([[0]], validate=False)
+        ident = tuple(range(degree))
         closure = {ident}
         walk = [ident]
         for p in walk:

@@ -245,19 +245,28 @@ def cube_map_to_json(m: CubeMap) -> dict:
 
 def cells_to_json(c: IsovariantCellStructure) -> dict:
     """Cell-structure report: one record per cell with its disk dimension,
-    chain label, vertex assignment, and the orbit faces it attaches along."""
+    chain label, vertex assignment, and the orbit faces it attaches along.
+
+    A cell's phi follows its PhiMap's phi_plan, so the part of each phi
+    record that depends on the plan position alone (disk, slot, coset) is
+    built once per PhiMap; the records of one chain share their disk and
+    coset lists, so the report is read-only.
+    """
+    heads: Dict[int, list] = {}
     cells = []
     for cell in c.cells:
         pm = cell.phi_map
-        phi_records = [
-            {
-                "disk": list(l),
-                "slot": pm.linking_vertices[u][0],
-                "coset": list(pm.sorted_cosets[u]),
-                "vertex": v,
-            }
-            for (l, u), v in cell.phi
-        ]
+        head = heads.get(id(pm))
+        if head is None:
+            head = heads[id(pm)] = [
+                {
+                    "disk": list(l),
+                    "slot": pm.linking_vertices[u][0],
+                    "coset": list(pm.sorted_cosets[u]),
+                }
+                for (l, u), _slot, _a in pm.phi_plan
+            ]
+        phi_records = [dict(h, vertex=v) for h, (_key, v) in zip(head, cell.phi)]
         orbit = cell.orbit_simplex
         faces = sorted(s for s in _faces(orbit) if len(s) < len(orbit))
         cells.append(

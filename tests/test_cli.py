@@ -510,6 +510,11 @@ def test_missing_file_reports_bad_input(capsys):
 
 _HEXAGON = complex_to_json(models.COMPLEX_MODELS["hexagon"]())
 _CUBE1 = {"vertices": {"": 1, "0": 1}, "maps": {"+0": [0]}}
+# swap-segment, its full action and names, with a vertex count no list matches
+_HUGE_SWAP = {**complex_to_json(models.COMPLEX_MODELS["swap-segment"]()), "vertices": 1e308}
+_HUGE_SWAP_PARTIAL = {
+    k: v for k, v in _HUGE_SWAP.items() if k != "names"
+} | {"action": {"1": [2, 1, 0]}}
 
 # one row per malformed input: the JSON written to the file "{file}" names
 # (or None), and the command line; each must be a BadInput report, exit 65
@@ -523,6 +528,24 @@ MALFORMED_INPUTS = {
     "complex action as a list": (
         {"vertices": 3, "facets": [[0, 1, 2]], "action": [[0, 1, 2]]},
         ["complex", "info", "--complex", "{file}"],
+    ),
+    "complex vertices beyond a partial action": (
+        _HUGE_SWAP_PARTIAL, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex vertices beyond a full action": (
+        {k: v for k, v in _HUGE_SWAP.items() if k != "names"},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "complex vertices beyond its names": (
+        _HUGE_SWAP_PARTIAL | {"names": ["a", "b", "c"]},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "group degree beyond its generators": (
+        {"degree": 1e308, "generators": [[1, 0]]}, ["group", "info", "--group", "{file}"]
+    ),
+    "cube dim beyond its vertex sets": (
+        {"dim": 1e308, "source": _CUBE1, "target": _CUBE1, "components": {}},
+        ["cube", "check", "--file", "{file}"],
     ),
     "complex names as an integer": (
         {"vertices": 2, "facets": [[0, 1]], "names": 5},

@@ -1,6 +1,9 @@
 """Equivariant simplicial complexes: actions, strata, filtrations, quotients."""
 
+import hashlib
+import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -290,8 +293,8 @@ def test_normalize_facets_matches_pairwise_definition():
         for _ in range(300)
     ]
     for facets in fixed_cases + random_cases:
-        assert _normalize_facets(facets) == _maximal_by_pairs(facets), facets
-    assert _normalize_facets([(0, 1, 2), (0,)]) == ((0, 1, 2),)
+        assert _normalize_facets(facets)[0] == _maximal_by_pairs(facets), facets
+    assert _normalize_facets([(0, 1, 2), (0,)])[0] == ((0, 1, 2),)
 
 
 def test_induced_subcomplex_facets_are_maximal_faces():
@@ -337,3 +340,91 @@ def test_betti_numbers_of_models():
         assert oracles.homology_ranks(facets) == expected
         euler = sum((-1) ** i * b for i, b in enumerate(expected))
         assert x.euler_characteristic() == euler
+
+
+# sha256 of _subdivision_record at depths 1 to 3 (1 only for cross5, whose
+# second subdivision has about 16.7 million facets), taken while subdivisions
+# were still built by normalizing the flags of every facet permutation
+SUBDIVISION_DIGESTS = {
+    ("antipodal-square", 1): "f5861e7bd9ecc55200393a33d187377d0d02588e4bce832eaccba23da33f675f",
+    ("antipodal-square", 2): "138fec0ca38c830d73253bca5058181561308b8b3743ddc7c32a6ec059274b04",
+    ("antipodal-square", 3): "a06858f2a0ab2601ec8be3cf94c326c578729bdffdb0ac66cfe14468bc68aca7",
+    ("c2-point", 1): "7a451f5455df5ebfd014641a5ddd7d309fbbaf36b88f912886121554cf453bb7",
+    ("c2-point", 2): "f44ddef98bf25ddfd8d99987c82faa0cc50606bb9f6502e2feead47ca6e71796",
+    ("c2-point", 3): "6165f3ee54e3b032c24bbb333d2f7fb07f0cfa2b0d594999daddfed20548b4f5",
+    ("c2xc2-wedge", 1): "1b81781d09efb1470fdec9bd743c9afef8816f339d78452eb8d3f2fdced90f61",
+    ("c2xc2-wedge", 2): "17dbb2d0810e513d76af727d0a0e052fc26922b56cb63db535a449709c596f1f",
+    ("c2xc2-wedge", 3): "0a0a80188177d88a1f319eef539d0798ad14cdf2cb824e14f2de22dbaf9de333",
+    ("cross5", 1): "1c672006a1cba9b5f2a0cfe807df6437807082c32cdbeaa8a547711318b43d31",
+    ("hexagon", 1): "e9bf44aeee23159ac5980dbf3e4747315f7661121c6de2706166d94a4f6d6ef6",
+    ("hexagon", 2): "26dfb148b26cec55ffb6799b4659850a9fb0ad852d12007ee9295c7169f4f390",
+    ("hexagon", 3): "c160dcf545089fe462e9d9d25f1be64bae8cb622cfc3a96c369df639334582d1",
+    ("point", 1): "46a9409a004619d80724371269d6d1a35d49370a0e1f0d82230e99434cb2ffac",
+    ("point", 2): "c6a83f24f3c50c7467ec02be3ad18311cf3e61361aada231dc4109259d80e5a3",
+    ("point", 3): "61dab033d3c42bdeadde7b7db89eb1816a3fd781869a53181bef1e29f1ff54d8",
+    ("rotation-disk", 1): "6f8df0316dc6060acd06213827b5edc3bc73cd37f35fc0cfc90a29af567f8eec",
+    ("rotation-disk", 2): "6a517eff146d23a1c61c08a37a26cd85bcc2e11a697b4a10a0dadddcb55b437b",
+    ("rotation-disk", 3): "a015bb479dbddb9ac3cad61b775889041e74ca66d79f74d39aee05126ecaffb1",
+    ("s3-dust", 1): "7d80f8c294490a4e97a2df5a8fe96aba007f432ac4786476d255b2dfa516cad6",
+    ("s3-dust", 2): "c9a6ee69c31b5a9eca074a63cc3cf4b19b8dde010605a7dec8057c22d2b4560a",
+    ("s3-dust", 3): "b86017c9139a546ee658f96e3935b239f89ed4571b02acb847c1b1a35c4d1548",
+    ("swap-segment", 1): "1445399700ca20f898ed1b0f39eacec2460aee7400bdb80813a88c831c8daaf9",
+    ("swap-segment", 2): "a16ed39c0aafc20aec209419dab1b7206ced149d1c2f7d1662e5775c03d1d3fb",
+    ("swap-segment", 3): "9f0b4d350e368c56eea16506210329aa0ba615a75e2956a608df5f7ad3a82e72",
+    ("wedge", 1): "367624d4b73b552f174c06477c400e6cbc7a3326a430180eecf6bbee734d1932",
+    ("wedge", 2): "1a2ec5091e87d2fc6f092bba40d0ce9933b70620552ee8af5827cd7f20892865",
+    ("wedge", 3): "9dbef0d7cb0c66840762b6cc1b24f0f1d32ddeeb5ef2a59f785c41d8fafa7458",
+}
+
+
+def _subdivision_record(sd):
+    y = sd.complex
+    return json.dumps(
+        [
+            [list(f) for f in y.facets],
+            [list(s) for s in y.simplices()],
+            [list(p) for p in y.action],
+            list(y.names),
+            [list(s) for s in sd.vertex_to_simplex],
+            y.n_vertices,
+        ],
+        separators=(",", ":"),
+    )
+
+
+def _flags_by_permutations(x, index):
+    """Reference: one flag per ordering of each facet's vertices."""
+    return [
+        [index[tuple(sorted(perm[: k + 1]))] for k in range(len(perm))]
+        for f in x.facets
+        for perm in permutations(f)
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_subdivision_is_built_from_its_flags(name):
+    x = models.COMPLEX_MODELS[name]()
+    for depth in range(1, 2 if name == "cross5" else 4):
+        sd = barycentric_subdivision(x)
+        y = sd.complex
+        assert y.simplices() == tuple(sorted(close_simplices(y.facets), key=lambda s: (len(s), s)))
+        # the full flags are maximal (public == y below), so normalizing them sorts them
+        flags = {tuple(sorted(c)) for c in _flags_by_permutations(x, sd.simplex_to_vertex)}
+        assert y.facets == tuple(sorted(flags, key=lambda s: (len(s), s)))
+        public = GComplex(
+            y.n_vertices, y.facets, dict(enumerate(y.action)), y.group, names=y.names
+        )
+        assert public == y and hash(public) == hash(y)
+        digest = hashlib.sha256(_subdivision_record(sd).encode()).hexdigest()
+        assert digest == SUBDIVISION_DIGESTS[(name, depth)]
+        x = y
+
+
+def test_simplices_come_from_the_normalized_closure():
+    # facets given with their faces and duplicates: one closure, kept until sorted
+    x = GComplex(4, [(2, 1, 0), (0, 1), (3,), (1, 2, 0), (2, 3)], {}, FiniteGroup.cyclic(1))
+    assert x.facets == ((2, 3), (0, 1, 2))
+    assert x.simplices() == (
+        (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (2, 3), (0, 1, 2)
+    )
+    assert x._closed is None  # released once sorted

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from isokit import gmap, models
+from isokit import fixpoint, gmap, models
 from isokit.fixpoint import (
+    PiData,
+    TwistedConjugacySetup,
     burnside_lefschetz,
     is_fixed_point_free,
     lefschetz,
@@ -19,12 +21,13 @@ from isokit.gcomplex import (
     GComplex,
     barycentric_subdivision,
     class_fixed_union,
+    close_simplices,
     exact_stratum,
     fixed_subcomplex,
     make_regular,
     present_classes,
 )
-from isokit.gmap import GMap, is_equivariant, is_isovariant, is_simplicial, subdivide_map
+from isokit.gmap import GMap, is_equivariant, is_isovariant, is_simplicial
 from isokit.group import FiniteGroup, enumerate_subgroups
 
 C2 = FiniteGroup.cyclic(2)
@@ -153,6 +156,24 @@ def test_index_matches_definitions_on_random_complexes(group):
     assert irregular  # make_regular has work to do on some of them
 
 
+def test_twice_subdivided_orbit_closures():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=5000, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(GROUPS)), st.integers(0, 2**32))
+    def check(group, seed):
+        x = _orbit_closure_complex(GROUPS[group], seed)
+        y = barycentric_subdivision(barycentric_subdivision(x).complex).complex
+        assert set(y.simplices()) == close_simplices(y.facets)
+        assert y.euler_characteristic() == x.euler_characteristic()
+        assert lefschetz(gmap.identity_map(y)) == y.euler_characteristic()
+        stabs = y.isotropy().stabilizers
+        assert all(stabs[s] == _stab(y, s) for s in y.simplices())
+
+    check()
+
+
 def test_flipped_edge_needs_make_regular():
     x = GComplex(2, [(0, 1)], {1: (1, 0)}, C2)
     assert not x.is_regular()
@@ -195,10 +216,16 @@ def test_is_isovariant_rejects_a_collapse():
 
 
 def test_fixed_simplices_computed_once_per_map(monkeypatch):
+    # the boundary of a tetrahedron rotated about its apex 5, wedged at 5 to
+    # a triangle whose edge (3, 4) is flipped: a 3-cycle (+1), two
+    # transpositions (-1) and the pointwise-fixed apex
+    x = GComplex(
+        6, [(0, 1, 2), (0, 1, 5), (0, 2, 5), (1, 2, 5), (3, 4, 5)], {}, FiniteGroup.cyclic(1)
+    )
+    f = GMap(x, x, (1, 2, 0, 4, 3, 5))
     calls = []
     sign = gmap._permutation_sign
     monkeypatch.setattr(gmap, "_permutation_sign", lambda p: calls.append(p) or sign(p))
-    f = subdivide_map(models.MAP_MODELS["wedge-identity"]())
     fixed = f.fixed_simplices()
     expected = tuple(
         (s, _sign([f.vertices[v] for v in s], s))
@@ -206,15 +233,23 @@ def test_fixed_simplices_computed_once_per_map(monkeypatch):
         if tuple(sorted(f.vertices[v] for v in s)) == s
         and len({f.vertices[v] for v in s}) == len(s)
     )
-    assert fixed == expected and len(calls) == len(fixed) > 0
-    lefschetz(f)
+    assert fixed == expected == (((5,), 1), ((3, 4), -1), ((0, 1, 2), 1), ((3, 4, 5), -1))
+    # one sign per fixed simplex that is not fixed pointwise, and no more
+    assert len(calls) == 3
+    pidata = PiData(
+        TwistedConjugacySetup((), ()),
+        frozenset((v, 5) for v in range(5)),
+        {e: () for e in fixpoint._edges_of(x)},
+        base=5,
+    )
+    assert lefschetz(f) == 2  # S^2 wedge D^2, degree 1 on the sphere
     lefschetz_fixed_sets(f)
     marks_vector(f)
     burnside_lefschetz(f)
     removal_verdict(f)
-    reidemeister_trace(f)
-    is_fixed_point_free(f)
-    assert len(calls) == len(fixed)
+    assert reidemeister_trace(f, pidata).lefschetz == 2
+    assert not is_fixed_point_free(f)
+    assert len(calls) == 3
     assert f.fixed_simplices() is fixed
     # the memo takes no part in equality or hashing
     twin = GMap(f.source, f.target, f.vertices)

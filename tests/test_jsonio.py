@@ -6,6 +6,7 @@ import pytest
 
 from isokit import jsonio, models
 from isokit.cubelim import random_cube_map
+from isokit.gcomplex import barycentric_subdivision
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
     canonical_dumps,
@@ -51,6 +52,8 @@ def test_group_roundtrip(tmp_path):
 def test_group_from_generators():
     g = parse_group({"degree": 3, "generators": [[1, 0, 2]]})
     assert g.order == 2
+    # no generator, so the degree is never used: the trivial group, however large
+    assert parse_group({"degree": 1e308, "generators": []}).table == ((0,),)
     with pytest.raises(ValueError):
         parse_group({"generators": [[1, 0, 2]]})  # degree missing
 
@@ -209,3 +212,19 @@ def test_cells_to_json_shape():
     assert canonical_dumps(j) == canonical_dumps(cells_to_json(
         decompose(models.COMPLEX_MODELS["swap-segment"]())
     ))
+
+
+def test_cells_to_json_shares_record_heads_within_a_chain():
+    x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
+    c = decompose(x)
+    cells = cells_to_json(c)["cells"]
+    by_chain = {}
+    for cell, rec in zip(c.cells, cells):
+        by_chain.setdefault(id(cell.phi_map), []).append(rec)
+    shared = [recs for recs in by_chain.values() if len(recs) > 1]
+    assert shared
+    for recs in shared:
+        for at in zip(*(r["phi"] for r in recs)):
+            # one disk and one coset list per plan position, one dict per record
+            assert len({id(p["disk"]) for p in at}) == len({id(p["coset"]) for p in at}) == 1
+            assert len({id(p) for p in at}) == len(at)

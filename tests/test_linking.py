@@ -514,25 +514,36 @@ def test_validate_cells_reports_an_image_vertex_outside_the_complex(shift):
 # -- byte-stable reports and generated inputs --------------------------------------
 
 # sha256 of canonical_dumps(cells_to_json(decompose(x))) for each built-in model
-# that decomposes (depth 0) and for its first barycentric subdivision (depth 1)
+# that decomposes (depth 0) and for its first and second barycentric
+# subdivisions (depths 1 and 2); the depth-2 digests were taken while every
+# phi record was built with lists of its own
 GOLDEN_CELL_DIGESTS = {
     ("antipodal-square", 1): "23a37f1ed85ea2ba2a5b5f1bf125dcf3cf8b7b7d26f63d10b4d529b80d462138",
+    ("antipodal-square", 2): "5dfaee18c091e0f6ce650e0f21a7b19e23dc31c1c83fd412918286bd846f2eaa",
     ("c2-point", 0): "2269609b5da623d5c5f57d3755aa26a352e7dfe3408e60dd50445efb61e343a1",
     ("c2-point", 1): "2269609b5da623d5c5f57d3755aa26a352e7dfe3408e60dd50445efb61e343a1",
+    ("c2-point", 2): "2269609b5da623d5c5f57d3755aa26a352e7dfe3408e60dd50445efb61e343a1",
     ("c2xc2-wedge", 0): "bc41c9353553b481582ae990bb2b5c2b24037c5babbdb6b6b1b71f761f8b1194",
     ("c2xc2-wedge", 1): "8d31bb368799ada93b1a7a90b00e77f6d1d580222b7606da1e423f647b117aea",
+    ("c2xc2-wedge", 2): "3520386a86b0092df735124c702b2653e53bca7456059606a45902e783ac7bc2",
     ("hexagon", 0): "1add054edccd1ab8f5521d8c5fb788b298340ce9824e727b03b223050001ddcd",
     ("hexagon", 1): "1b2e2167d22f092fa0435e8f7a8349c6ab02c1fcdf2a6822a2b12065211760c9",
+    ("hexagon", 2): "ab6d707fa8c4e4d0d7340f6981c67e0358338f3cbd54c48c8f6f565aed4d39b4",
     ("point", 0): "addd4fcaae08b6bcac932b80dde87b45388078c03ace90bde6c556824be55486",
     ("point", 1): "addd4fcaae08b6bcac932b80dde87b45388078c03ace90bde6c556824be55486",
+    ("point", 2): "addd4fcaae08b6bcac932b80dde87b45388078c03ace90bde6c556824be55486",
     ("rotation-disk", 0): "4ec220cc498dffaca5dff9085d8a1afc2b4729d255a77dce7b0162bb862286e0",
     ("rotation-disk", 1): "77395ca9b0a45393113aa2edd33ce8344285ef4d7627132890482d9b64a7f7e1",
+    ("rotation-disk", 2): "de4e684bd6a3285f451f06e7bd4ebf14f0d9640e7f66088245e6b6cb3c118ec7",
     ("s3-dust", 0): "762d02598964f07b77922d34b3eb5babb9615620f08cad29f55e0081b897384b",
     ("s3-dust", 1): "762d02598964f07b77922d34b3eb5babb9615620f08cad29f55e0081b897384b",
+    ("s3-dust", 2): "762d02598964f07b77922d34b3eb5babb9615620f08cad29f55e0081b897384b",
     ("swap-segment", 0): "62c2c730f8b24adb96d92f5fcf2f132552e1b4f4fbc13b577b58eca1b9d0546b",
     ("swap-segment", 1): "64d78919d08e5af44d38953b6c66ab8c634e5b2bf301f5af057ea2dac57192e2",
+    ("swap-segment", 2): "f6da2448b08bba588f0b4dd4924c77650376799527b868b84630419f31f5ea10",
     ("wedge", 0): "900f6fc2ccb7d85d5b1d0971a38d0c80ec7fb766d4173a289658e3e6657b4345",
     ("wedge", 1): "44f44a81bb2438cde1e8775853166eb3ed33a1d936feb935155cbf3bd95d1d20",
+    ("wedge", 2): "b47f8cf3babb6803d4f53b19227b1ef8c48d63da820a8a0b582dfc6ff9a41d2b",
 }
 
 
@@ -582,7 +593,10 @@ def test_group_layer_reports_are_pinned(name):
 def test_cell_reports_are_pinned(name):
     x = models.COMPLEX_MODELS[name]()
     # cross5's subdivision is large and does not decompose either
-    for depth, y in enumerate([x] if name == "cross5" else [x, barycentric_subdivision(x).complex]):
+    ys = [x]
+    while len(ys) < (1 if name == "cross5" else 3):
+        ys.append(barycentric_subdivision(ys[-1]).complex)
+    for depth, y in enumerate(ys):
         if (name, depth) not in GOLDEN_CELL_DIGESTS:
             with pytest.raises(NotEquivariantTriangulation, match="form more than one orbit"):
                 decompose(y)
