@@ -98,7 +98,8 @@ class GComplex:
     The faces of the facets are enumerated once, when the facets are
     normalized; simplices() sorts that closed set on first use and then
     drops it.  A vertex count is checked against the names and the action
-    permutations given with it before anything of that length is built.
+    permutations given with it before anything of that length is built;
+    with neither, the facets must name its last vertex.
     """
 
     def __init__(
@@ -116,6 +117,11 @@ class GComplex:
             if len(names) != n:
                 raise ValueError("names length must match vertex count")
         self.facets, self._closed = _normalize_facets(facets)
+        if not action and names is None:
+            # nothing but the facets names a vertex
+            named = 1 + max((f[-1] for f in self.facets), default=-1)
+            if n > named:
+                raise ValueError(f"vertex count exceeds the {named} vertices its facets name")
         self.group = group
         if set(action) != set(group.elements):
             action = complete_action(group, n, dict(action))
@@ -410,7 +416,7 @@ def stratum_closure(x: GComplex, s: Stratum) -> SimplexSet:
 
 def close_simplices(simplices: Iterable[Simplex]) -> SimplexSet:
     """Face closure of a set of simplices."""
-    return frozenset(t for s in simplices for t in _faces(s))
+    return frozenset(chain.from_iterable(map(_faces, simplices)))
 
 
 def present_classes(x: GComplex) -> List[Subgroup]:

@@ -45,8 +45,9 @@ class GMap:
     object (as identity_map, subdivide_map and parse_map on a shared
     reference build it): both sides share one face closure and one
     isotropy index, and subdivide_map subdivides it once.  The
-    fixed-simplex list and the is_simplicial answer are computed on
-    first use and kept with the map.
+    fixed-simplex list and the is_simplicial and is_isovariant answers
+    are computed on first use and kept with the map; a check that raises
+    keeps nothing.
     """
 
     source: GComplex
@@ -56,6 +57,9 @@ class GMap:
         default=None, init=False, compare=False, repr=False
     )
     _simplicial: Optional[bool] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _isovariant: Optional[bool] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -143,17 +147,19 @@ def is_isovariant(f: GMap) -> bool:
     On regular complexes this simplexwise test is exactly the pointwise
     isotropy condition, so regularity is required.  Both sides conjugate
     along an orbit under an equivariant map, so orbit representatives
-    suffice.
+    suffice.  The answer is kept with the map.
     """
-    if not is_equivariant(f):
-        raise NotEquivariant("map does not commute with the action")
-    if not (f.source.is_regular() and f.target.is_regular()):
-        raise NotRegular("isovariance test needs regular source and target")
-    source, target = f.source.isotropy(), f.target.isotropy()
-    return all(
-        source.stabilizers[s] == target.stabilizers[f.apply(s)]
-        for s in source.orbit_reps
-    )
+    if f._isovariant is None:
+        if not is_equivariant(f):
+            raise NotEquivariant("map does not commute with the action")
+        if not (f.source.is_regular() and f.target.is_regular()):
+            raise NotRegular("isovariance test needs regular source and target")
+        source, target = f.source.isotropy(), f.target.isotropy()
+        object.__setattr__(f, "_isovariant", all(
+            source.stabilizers[s] == target.stabilizers[f.apply(s)]
+            for s in source.orbit_reps
+        ))
+    return f._isovariant
 
 
 def subdivide_map(f: GMap) -> GMap:

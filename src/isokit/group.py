@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -249,22 +250,50 @@ def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
     """The lattice by cyclic extension (Neubueser 1960), sorted by _skey.
 
     Each subgroup H found is extended by one x outside it, one x per double
-    coset HxH, as <H, axb> = <H, x> for a, b in H.  Every K > 1 is <K', x>
-    for a maximal subgroup K' of K.
+    coset HxH, as <H, axb> = <H, x> for a, b in H; the double coset is the
+    union of the left cosets (ax)H for a in H, so it is marked by their
+    smallest members.  Every K > 1 is <K', x> for a maximal subgroup K' of
+    K.  The walk for <H, x> starts at H: the new elements begin with Hx and
+    are walked by H's generators and x, as H is closed under its own.  A
+    proper subgroup has index at least the smallest prime p dividing |G|,
+    so a walk past |G|/p elements stops: it generates G.
     """
     if g._subgroups is None:
         t = g.table
+        whole = frozenset(g.elements)
+        p = min((q for q in range(2, g.order + 1) if g.order % q == 0), default=1)
         gens: Dict[Subgroup, Tuple[int, ...]] = {frozenset({0}): ()}
         queue = list(gens)
         for h in queue:
-            tried = set(h)
+            # the smallest member of the left coset yH of each element y
+            coset_of = [-1] * g.order
+            for y in g.elements:
+                if coset_of[y] < 0:
+                    row = t[y]
+                    for s in h:
+                        coset_of[row[s]] = y
+            tried = {0}
             for x in g.elements:
-                if x not in tried:
-                    coset = [t[x][s] for s in h]
-                    tried.update(t[a][y] for a in h for y in coset)
-                    k = subgroup_closure(g, gens[h] + (x,))
+                if coset_of[x] not in tried:
+                    tried.update([coset_of[t[a][x]] for a in h])
+                    k_gens = gens[h] + (x,)
+                    walk = [t[a][x] for a in h]
+                    seen = set(h)
+                    seen.update(walk)
+                    k = None
+                    for a in walk:
+                        if len(seen) * p > g.order:
+                            k = whole
+                            break
+                        row = t[a]
+                        for s in k_gens:
+                            if row[s] not in seen:
+                                seen.add(row[s])
+                                walk.append(row[s])
+                    if k is None:
+                        k = frozenset(seen)
                     if k not in gens:
-                        gens[k] = gens[h] + (x,)
+                        gens[k] = k_gens
                         queue.append(k)
         g._subgroups = tuple(sorted(gens, key=_skey))
     return g._subgroups
@@ -307,7 +336,9 @@ def enumerate_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
 
 
 def conjugate_subgroup(g: FiniteGroup, sub: Iterable[int], x: int) -> Subgroup:
-    return frozenset(g.conjugate(s, x) for s in sub)
+    """x sub x^-1, read off the table."""
+    row, x_inv = g.table[x], g.inv(x)
+    return frozenset([g.table[row[s]][x_inv] for s in sub])
 
 
 def is_normal(g: FiniteGroup, sub: Subgroup) -> bool:
@@ -455,13 +486,14 @@ def _containment(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """Per lattice index, the later indices of its proper supergroups.
 
     The lattice is sorted by order first, so every proper supergroup of a
-    subgroup comes after it.
+    subgroup comes after it, and a later subgroup contains an earlier one
+    iff its bitmask of elements covers the earlier one's.
     """
     if g._above is None:
-        subs = _all_subgroups(g)
+        masks = [sum(1 << e for e in h) for h in _all_subgroups(g)]
         g._above = tuple(
-            tuple(j for j in range(i + 1, len(subs)) if h < subs[j])
-            for i, h in enumerate(subs)
+            tuple(j for j in range(i + 1, len(masks)) if masks[j] & m == m)
+            for i, m in enumerate(masks)
         )
     return g._above
 
@@ -520,18 +552,29 @@ class MarksTable:
         return self.names.index(name)
 
     def solve_marks(self, marks: Sequence[int]) -> Tuple[Fraction, ...]:
-        """Solve transpose(matrix) @ c = marks exactly by back substitution."""
+        """Solve transpose(matrix) @ c = marks exactly by back substitution.
+
+        The substitution runs on integers: each c[j] is kept as its
+        numerator over one common denominator d, the lcm of the marks'
+        denominators times the product of the diagonal.  That product is
+        the determinant, so d * c is integral and every division is exact;
+        one Fraction per entry at the end reduces it.
+        """
         n = len(self.reps)
         if len(marks) != n:
             raise ValueError(f"marks vector needs {n} entries, got {len(marks)}")
-        c: List[Fraction] = [Fraction(0)] * n
+        rhs = [Fraction(v) for v in marks]
+        d = lcm(*(v.denominator for v in rhs))
+        for r in range(n):
+            d *= self.matrix[r][r]
+        num = [0] * n
         # row r of the transpose reads sum_{j >= r} matrix[j][r] * c[j]
         for r in range(n - 1, -1, -1):
-            acc = Fraction(marks[r])
+            acc = rhs[r].numerator * (d // rhs[r].denominator)
             for j, m in self.below[r]:
-                acc -= m * c[j]
-            c[r] = acc / self.matrix[r][r]
-        return tuple(c)
+                acc -= m * num[j]
+            num[r] = acc // self.matrix[r][r]
+        return tuple(Fraction(v, d) for v in num)
 
     def marks_of(self, coeffs: Sequence) -> Tuple:
         """Marks vector of sum_i coeffs[i] * [G/reps[i]]."""
@@ -558,20 +601,33 @@ def table_of_marks(g: FiniteGroup) -> MarksTable:
     x fixes the coset of H = reps[i] under K = reps[j] iff x^-1 K x <= H.
     Each conjugate K' <= H accounts for |N_G(K)| = |G| / |class(K)| such x,
     and each coset for |H|, so the entry is |G| #{K' <= H} / (|class(K)| |H|).
+    The conjugates K' <= H are counted per class over the subgroups of H,
+    read from the containment table.
     """
     if g._marks is None:
         classes = _conjugacy_classes(g)
+        subs = _all_subgroups(g)
+        index = {h: i for i, h in enumerate(subs)}
+        class_of = [0] * len(subs)
+        for c, cls in enumerate(classes):
+            for k in cls:
+                class_of[index[k]] = c
+        # per lattice index, the indices of its subgroups, itself included
+        below: List[List[int]] = [[i] for i in range(len(subs))]
+        for i, above in enumerate(_containment(g)):
+            for j in above:
+                below[j].append(i)
         reps = [c[0] for c in classes]
+        matrix = []
+        for h in reps:
+            row = [0] * len(classes)
+            for c, count in Counter(class_of[i] for i in below[index[h]]).items():
+                row[c] = g.order * count // (len(classes[c]) * len(h))
+            matrix.append(tuple(row))
         names = class_names(g)
         g._marks = MarksTable(
             reps=tuple(tuple(sorted(h)) for h in reps),
             names=tuple(names[h] for h in reps),
-            matrix=tuple(
-                tuple(
-                    g.order * sum(k <= h for k in cls) // (len(cls) * len(h))
-                    for cls in classes
-                )
-                for h in reps
-            ),
+            matrix=tuple(matrix),
         )
     return g._marks

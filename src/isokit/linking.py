@@ -10,6 +10,7 @@ space is a single n-simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -19,11 +20,12 @@ from .errors import (
     NotWeaklyDecreasing,
     ZeroChain,
 )
-from .gcomplex import GComplex, OrbitComplex, Simplex, _faces, orbit_complex
+from .gcomplex import GComplex, OrbitComplex, Simplex, close_simplices, orbit_complex
 from .group import (
     FiniteGroup,
     Subgroup,
     chain_name,
+    conjugate_subgroup,
     is_subgroup,
     left_cosets,
     validate_chain,
@@ -34,6 +36,20 @@ SlotVertex = Tuple[int, FrozenSet[int]]
 PhiKey = Tuple[Tuple[int, ...], int]
 
 
+def _slot_blocks(
+    g: FiniteGroup, groups: Sequence[Subgroup]
+) -> Tuple[List[SlotVertex], List[Tuple[int, ...]]]:
+    """The vertices (slot, coset), slot by slot in ascending blocks, and per
+    slot the index of the vertex of each group element's coset xH."""
+    verts: List[SlotVertex] = []
+    coset_of: List[Tuple[int, ...]] = []
+    for i, h in enumerate(groups):
+        cosets = left_cosets(g, h)
+        coset_of.append(tuple(len(verts) + k for k in cosets.index))
+        verts.extend((i, c) for c in cosets.cosets)
+    return verts, coset_of
+
+
 def slot_coset_complex(
     g: FiniteGroup, groups: Sequence[Subgroup]
 ) -> Tuple[GComplex, Tuple[SlotVertex, ...]]:
@@ -41,19 +57,13 @@ def slot_coset_complex(
 
     The groups must be subgroups, so that each slot's cosets partition G.
     """
-    verts: List[SlotVertex] = []
-    # per slot: group element -> index of the vertex of its coset xH
-    coset_of: List[Tuple[int, ...]] = []
-    for i, h in enumerate(groups):
-        cosets = left_cosets(g, h)
-        coset_of.append(tuple(len(verts) + k for k in cosets.index))
-        verts.extend((i, c) for c in cosets.cosets)
+    verts, coset_of = _slot_blocks(g, groups)
     # slots number their vertices in ascending blocks, so each facet is sorted
     facets = list(zip(*coset_of))
     # a sends the coset xH to (ax)H, and any member of it serves as x
     slot_reps = [(coset_of[i], min(c)) for i, c in verts]
     action = {
-        a: tuple(slot[row[x]] for slot, x in slot_reps)
+        a: tuple([slot[row[x]] for slot, x in slot_reps])
         for a, row in enumerate(g.table)
     }
     names = tuple(
@@ -108,13 +118,24 @@ def _linking(g: FiniteGroup, chain: Tuple[Subgroup, ...]) -> LinkingSimplex:
 
 @dataclass(frozen=True)
 class BoundaryPiece:
-    """Embedded image of the linking simplex of one proper subchain."""
+    """Embedded image of the linking simplex of one proper subchain.
+
+    The image is read off the ambient facets: the vertices of the chosen
+    slots in each facet span a facet of the piece.  vertex_embedding sends
+    the model's vertices, in order, onto the ambient vertices of those
+    slots' blocks.  The model, the subchain's own linking simplex, is
+    built on first read.
+    """
 
     slots: Tuple[int, ...]
     subchain: Tuple[Subgroup, ...]
     simplices: FrozenSet[Simplex]
-    model: LinkingSimplex
     vertex_embedding: Dict[int, int]  # model vertex -> ambient vertex
+    group: FiniteGroup = field(repr=False)
+
+    @cached_property
+    def model(self) -> LinkingSimplex:
+        return _linking(self.group, self.subchain)  # a subchain of a valid chain is valid
 
 
 @dataclass(frozen=True)
@@ -127,30 +148,27 @@ def boundary(l: LinkingSimplex) -> BoundaryDecomposition:
     """Boundary subcomplex split into images of proper subchain simplices."""
     if l.n == 0:
         raise ZeroChain("a single-subgroup simplex has empty boundary")
-    facets = set(l.complex.facets)
-    bnd = frozenset(s for s in l.complex.simplices() if s not in facets)
+    facets = l.complex.facets
+    facet_set = set(facets)
+    bnd = frozenset(s for s in l.complex.simplices() if s not in facet_set)
+    # slot i numbers its vertices in one block, and the blocks ascend, so a
+    # facet lists its slot-i vertex at position i
+    blocks: List[List[int]] = [[] for _ in l.chain]
+    for v, (i, _) in enumerate(l.vertices):
+        blocks[i].append(v)
     pieces: List[BoundaryPiece] = []
     for r in range(1, len(l.chain)):
         for slots in combinations(range(len(l.chain)), r):
-            subchain = tuple(l.chain[i] for i in slots)
-            model = _linking(l.group, subchain)  # a subchain of a valid chain is valid
-            embed = {
-                mv: l.vertex_index(slots[i], coset)
-                for mv, (i, coset) in enumerate(model.vertices)
-            }
-            image = frozenset(
-                tuple(sorted(embed[v] for v in s))
-                for s in model.complex.simplices()
-            )
+            image = close_simplices({tuple(f[i] for i in slots) for f in facets})
             if not image <= bnd:
                 raise InvariantViolated(f"subchain {slots} image leaves the boundary")
             pieces.append(
                 BoundaryPiece(
                     slots=slots,
-                    subchain=subchain,
+                    subchain=tuple(l.chain[i] for i in slots),
                     simplices=image,
-                    model=model,
-                    vertex_embedding=embed,
+                    vertex_embedding=dict(enumerate(v for i in slots for v in blocks[i])),
+                    group=l.group,
                 )
             )
     union = frozenset().union(*(p.simplices for p in pieces))
@@ -169,15 +187,12 @@ class FundamentalDomain:
 
 
 def fundamental_domain(l: LinkingSimplex) -> FundamentalDomain:
-    """The identity-coset facet; its translates cover the whole complex."""
-    translates: Dict[int, Simplex] = {}
-    for g in l.group.elements:
-        translates[g] = tuple(
-            sorted(
-                l.vertex_index(i, frozenset(l.group.mul(g, s) for s in h))
-                for i, h in enumerate(l.chain)
-            )
-        )
+    """The identity-coset facet; its translates cover the whole complex.
+
+    The translate by x holds, per slot, the vertex of the coset of x.
+    """
+    _, coset_of = _slot_blocks(l.group, l.chain)
+    translates: Dict[int, Simplex] = dict(enumerate(zip(*coset_of)))
     if set(translates.values()) != set(l.complex.facets):
         raise InvariantViolated("translates of the identity-coset facet are not the facets")
     return FundamentalDomain(facet=translates[0], translates=translates)
@@ -317,7 +332,7 @@ class PhiMap:
         planned = {
             "phi_plan": tuple(plan),
             "vertex_stabilizers": tuple(
-                frozenset(g.conjugate(s, min(coset)) for s in self.chain[j])
+                conjugate_subgroup(g, self.chain[j], min(coset))
                 for j, coset in self.linking_vertices
             ),
             "facet_keys": tuple(
@@ -355,7 +370,11 @@ def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     for slot, j in enumerate(p):
         fibers[j].append(slot)
     disk_dims = tuple(len(f) - 1 for f in fibers)
-    link_cx, link_verts = slot_coset_complex(g, chain)
+    if len(chain) == len(illman.groups):
+        # a list without repeats is its own collapse: one slot complex serves both
+        link_cx, link_verts = illman.complex, illman.vertices
+    else:
+        link_cx, link_verts = slot_coset_complex(g, chain)
     assignment: Dict[PhiKey, int] = {}
     for l in product(*(range(d + 1) for d in disk_dims)):
         for u, (j, coset) in enumerate(link_verts):
@@ -599,16 +618,9 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
         if collision_ok and len(set(by_key.values())) != len(by_key):
             fail(i, "identifications", "distinct coset vertices share an image")
         if dim > 0:
-            lower = c.skeleta[dim - 1]
-            # the proper faces of over: _faces yields each simplex itself too
+            # the proper faces of over: the closure holds over itself too
             missing = min(
-                (
-                    t
-                    for face in over
-                    for t in _faces(face)
-                    if t not in lower and t not in over_set
-                ),
-                default=None,
+                close_simplices(over) - c.skeleta[dim - 1] - over_set, default=None
             )
             if missing is not None:
                 fail(i, "attachment", f"boundary simplex {missing} missing from skeleton")

@@ -1,6 +1,19 @@
 """Shared pytest fixtures."""
 
+import gc
+
 import pytest
+
+
+@pytest.fixture
+def no_gc():
+    """Turns the cyclic garbage collector off for one test, so that only
+    reference counting frees objects, and restores it after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture

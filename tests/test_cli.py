@@ -540,6 +540,12 @@ MALFORMED_INPUTS = {
         _HUGE_SWAP_PARTIAL | {"names": ["a", "b", "c"]},
         ["complex", "info", "--complex", "{file}"],
     ),
+    "complex vertices beyond its facets": (
+        {"vertices": 1e308, "facets": [[0, 1]]}, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex vertices unnamed by anything": (
+        {"vertices": 5, "facets": [[0, 1]]}, ["complex", "info", "--complex", "{file}"]
+    ),
     "group degree beyond its generators": (
         {"degree": 1e308, "generators": [[1, 0]]}, ["group", "info", "--group", "{file}"]
     ),

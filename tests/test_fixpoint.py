@@ -30,7 +30,7 @@ from isokit.fixpoint import (
     removal_verdict,
     twisted_classes,
 )
-from isokit.gmap import GMap, identity_map, subdivide_map
+from isokit.gmap import GMap, identity_map, is_isovariant, subdivide_map
 from isokit.group import FiniteGroup
 
 
@@ -503,6 +503,27 @@ def test_removal_verdict_checks_the_map_once(count_calls):
     v = removal_verdict(models.MAP_MODELS["wedge-identity"]())
     assert len(checks) == 1 and len(scans) == 1
     assert v.marks == marks_vector(models.MAP_MODELS["wedge-identity"]()).coefficients
+
+
+def test_isovariance_is_decided_once_per_map(count_calls):
+    """The map keeps its isovariance answer, as it keeps is_simplicial's."""
+    f = subdivide_map(models.MAP_MODELS["hexagon-rotation"]())
+    scans = count_calls("is_equivariant", gmap_module)
+    assert is_isovariant(f)
+    lefschetz_fixed_sets(f)
+    marks_vector(f)
+    removal_verdict(f)
+    assert len(scans) == 1
+
+
+def test_a_failed_isovariance_check_is_not_kept(count_calls):
+    hexagon = models.COMPLEX_MODELS["hexagon"]()
+    f = GMap(hexagon, hexagon, (0, 3) * 3)
+    scans = count_calls("is_equivariant", gmap_module)
+    for _ in range(2):
+        with pytest.raises(NotSimplicial):
+            is_isovariant(f)
+    assert len(scans) == 2
 
 
 def test_removal_verdict_names_the_failed_check():

@@ -428,3 +428,15 @@ def test_simplices_come_from_the_normalized_closure():
         (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (2, 3), (0, 1, 2)
     )
     assert x._closed is None  # released once sorted
+
+
+def test_a_vertex_count_without_action_or_names_is_read_off_the_facets():
+    """With no action and no names only the facets name vertices, so a
+    larger count names vertices that nothing else can describe."""
+    trivial = FiniteGroup.cyclic(1)
+    for n in (3, 10**308):
+        with pytest.raises(ValueError, match="vertex count exceeds the 2 vertices its facets name"):
+            GComplex(n, [(0, 1)], {}, trivial)
+    assert GComplex(2, [(0, 1)], {}, trivial).n_vertices == 2
+    assert GComplex(3, [(0, 1)], {}, trivial, names=("a", "b", "c")).n_vertices == 3
+    assert GComplex(0, [], {}, trivial).simplices() == ()

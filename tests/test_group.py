@@ -1,14 +1,19 @@
 """Finite groups, subgroup lattices, conjugacy, and tables of marks."""
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import oracles
+from isokit import group as group_module
 from isokit.errors import GroupTooLarge, NonIntegral
 from isokit.group import (
     FiniteGroup,
+    _containment,
     class_names,
     class_rep_of,
     conjugate_subgroup,
@@ -364,9 +369,80 @@ def test_enumerate_chains_matches_the_sorted_recursive_definition(name):
         assert enumerate_chains(g, k) == _chains_by_definition(g, k)
 
 
-@pytest.mark.parametrize("name", sorted(MARKS_GROUPS))
+# the eight families of the group-lattices benchmark, orders 16 to 48
+LATTICE_FAMILIES = {
+    "D24": lambda: FiniteGroup.dihedral(24),
+    "S4xC2": lambda: FiniteGroup.direct_product(FiniteGroup.symmetric(4), FiniteGroup.cyclic(2)),
+    "D12xC2": lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(12), FiniteGroup.cyclic(2)),
+    "S3xS3": lambda: FiniteGroup.direct_product(FiniteGroup.symmetric(3), FiniteGroup.symmetric(3)),
+    "D8xC3": lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(8), FiniteGroup.cyclic(3)),
+    "C2^4": lambda: _cyclic_power(2, 4),
+    "S4": lambda: FiniteGroup.symmetric(4),
+    "C3^3": lambda: _cyclic_power(3, 3),
+}
+
+
+def _marks_group(name):
+    """A MARKS_GROUPS group, or a LATTICE_FAMILIES one named family/seed."""
+    if "/" in name:
+        family, seed = name.split("/")
+        return _relabel(LATTICE_FAMILIES[family](), int(seed))
+    return MARKS_GROUPS[name]()
+
+
+def _lattice_report(g):
+    """The sorted lattice, its containment table, the marks and the
+    solutions of 25 seeded marks vectors."""
+    mt = table_of_marks(g)
+    rng = random.Random(25)
+    vectors = [[rng.randint(-9, 9) for _ in mt.names] for _ in range(25)]
+    return json.dumps({
+        "subgroups": [sorted(h) for h in enumerate_subgroups(g)],
+        "containment": _containment(g),
+        "marks": mt.matrix,
+        "solved": [[str(c) for c in mt.solve_marks(v)] for v in vectors],
+    })
+
+
+# sha256 of _lattice_report per family and relabelling seed, taken when
+# each extension walked its subgroup from the identity and the marks
+# compared frozensets
+GOLDEN_LATTICE_DIGESTS = {
+    "C2^4/1": "56fd8fdf5757a55ad5e17913441fbdbf95e9075fe35e97e612405d68da379493",
+    "C2^4/2": "6273d17b67f834ddaf3e371cb338118281257cd2348b635db80760545a2f9771",
+    "C3^3/1": "d12da16c8dfdcbbc26c70bdeabc8b514072a7e38bb2964e09e83ca9a8d2a9e40",
+    "C3^3/2": "bdeddf64401fdcf9064e70cf1adb1647129ddf4a5e12ed4d61084208d903ed61",
+    "D12xC2/1": "091e967b6bfe59db307cc7c0341c979f2dffaa763985b729af1c8cb685d158cb",
+    "D12xC2/2": "9d25d5c9415c4a08236591b196fac5036801aaa622abf16874340ee04d142794",
+    "D24/1": "c6e5db6a755278b5c35413150bb768d9238733eee0a1d0ab074113c9b433873c",
+    "D24/2": "5b90e0a246b20662d420da0ddad0a18b7192fcd7ea83f76ae2fb438c75104048",
+    "D8xC3/1": "f3d5b23e7ae73d8d16048d26f5c899434cfe9ff43cef1e54b044431a0eddd110",
+    "D8xC3/2": "a57be58ceb905dd365a406aa69a3ffa7c0b9c0cac5291f64376e9dd611b9face",
+    "S3xS3/1": "3143227b40f712822fef9054e0dd01959225a365743bc7dcd19697698c862e97",
+    "S3xS3/2": "195fed7a409461c4bd7302363641f02d4c3af07f9fa22f361ff57d157f20d8c9",
+    "S4/1": "c602fa3665d33bd534bcf9820b0493b580c822211e95ce07bd569f6107c3b20e",
+    "S4/2": "6c0925fd0dfe78b7a47b77d7f136c4219c8d29c25b6138093c48a59f16e6b011",
+    "S4xC2/1": "917a7fc6a3724f6d32f59c287ebb4a4e36129a0f2c6f995e53cbd254c4e79f72",
+    "S4xC2/2": "5e9cbd6800a45fe6897ae868418c9f984e2bc08a0c25fedae9051f616b3d0d31",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_LATTICE_DIGESTS))
+def test_lattice_reports_are_pinned(key):
+    text = _lattice_report(_marks_group(key))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LATTICE_DIGESTS[key]
+
+
+def test_lattice_makes_no_closure_walk_from_the_identity(count_calls):
+    """Each subgroup is extended from its own elements."""
+    calls = count_calls("subgroup_closure", group_module)
+    assert len(enumerate_subgroups(_relabel(FiniteGroup.dihedral(24), 3))) == 68
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(MARKS_GROUPS) + ["D12xC2/1", "S4xC2/2"])
 def test_marks_match_counting_oracle(name):
-    g = MARKS_GROUPS[name]()
+    g = _marks_group(name)
     mt = table_of_marks(g)
     assert table_of_marks(g) is mt  # built once per group
     for i, h in enumerate(mt.reps):
@@ -390,14 +466,16 @@ def test_c2_and_s3_marks_frozen():
     assert mt.matrix == ((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("name", ["c2", "s3", "c2xc2", "s4", "d4xc2", "c2^3"])
+@pytest.mark.parametrize("name", ["c2", "s3", "c2xc2", "s4", "d4xc2", "c2^3", "S3xS3/1"])
 def test_solve_marks_matches_generic_solver(name):
-    g = MARKS_GROUPS[name]()
+    g = _marks_group(name)
     mt = table_of_marks(g)
     n = len(mt.reps)
     rng = random.Random(11)
-    for _ in range(25):
+    for k in range(30):
         marks = [rng.randint(-6, 6) for _ in range(n)]
+        if k >= 25:  # fractional right-hand sides share no denominator
+            marks = [Fraction(v, rng.randint(1, 9)) for v in marks]
         transpose = [[mt.matrix[j][i] for j in range(n)] for i in range(n)]
         assert list(mt.solve_marks(marks)) == oracles.solve_rational(transpose, marks)
     # round trip through orbit coefficients; marks_of against the full product

@@ -1,11 +1,13 @@
 """Linking simplices, boundaries, fundamental domains, phi maps, cells."""
 
 import hashlib
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from test_group import LATTICE_FAMILIES, _relabel
 from test_isotropy import GROUPS as ISOTROPY_GROUPS, _orbit_closure_complex
 
 from isokit import group as group_module
@@ -17,7 +19,9 @@ from isokit.errors import (
     NotWeaklyDecreasing,
     ZeroChain,
 )
+from isokit.fixpoint import removal_verdict
 from isokit.gcomplex import barycentric_subdivision, make_regular, orbit_complex
+from isokit.gmap import GMap
 from isokit.group import (
     FiniteGroup,
     class_names,
@@ -192,6 +196,106 @@ def test_boundary_identity_all_length1_chains(gname):
                 for s in model.complex.simplices()
             }
             assert image == set(p.simplices)
+
+
+BOUNDARY_GROUPS = {
+    "s4": lambda: FiniteGroup.symmetric(4),
+    "d4xc2": lambda: FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2)),
+    "s3xs3": lambda: FiniteGroup.direct_product(FiniteGroup.symmetric(3), FiniteGroup.symmetric(3)),
+}
+
+# sha256 over every chain with one to three inclusions of its boundary
+# pieces (slots, subchain, sorted simplices, vertex embedding), taken while
+# each piece was the image of its own linking simplex
+GOLDEN_BOUNDARY_DIGESTS = {
+    "d4xc2": "8f79e410b5dbabdfc78d7e29c00ad64a19a6545b55bcef51741147e9eae85470",
+    "s3xs3": "27c7c7c5433620d39cb99512a75569f23ecad9d01f4d2780d43d417ce0117560",
+    "s4": "ab7928882b4d3dd9508358b6af466318aac162109db7e7e8c2c9d4addb7cf881",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_GROUPS))
+def test_boundary_pieces_are_pinned(name):
+    g = BOUNDARY_GROUPS[name]()
+    digest = hashlib.sha256()
+    models_checked = set()
+    for chain in enumerate_chains(g, 3):
+        if len(chain) == 1:
+            continue
+        pieces = boundary(build_linking(g, chain)).pieces
+        digest.update(canonical_dumps([
+            [sorted(h) for h in chain],
+            [
+                [list(p.slots), [sorted(h) for h in p.subchain],
+                 sorted(map(list, p.simplices)), sorted(p.vertex_embedding.items())]
+                for p in pieces
+            ],
+        ]).encode())
+        # each subchain's model once: the piece is its image
+        for p in pieces:
+            if p.subchain not in models_checked:
+                models_checked.add(p.subchain)
+                assert p.model == build_linking(g, p.subchain)
+                assert p.simplices == {
+                    tuple(sorted(p.vertex_embedding[v] for v in s))
+                    for s in p.model.complex.simplices()
+                }
+    assert digest.hexdigest() == GOLDEN_BOUNDARY_DIGESTS[name]
+
+
+def test_boundary_builds_no_slot_complex_and_each_model_once(count_calls):
+    g, chain = _s4_chain()
+    l = build_linking(g, chain[:4])
+    calls = count_calls("slot_coset_complex", linking_module)
+    pieces = boundary(l).pieces
+    assert calls == []
+    for piece in pieces:
+        assert piece.model is piece.model
+    assert len(calls) == len(pieces)
+
+
+def test_decompose_builds_one_slot_complex_per_stabilizer_chain(count_calls):
+    """A linking complex has no repeated stabilizers, so each phi map's
+    linking complex is its Illman complex."""
+    g, chain = _s4_chain()
+    x = build_linking(g, chain[1:4]).complex
+    calls = count_calls("slot_coset_complex", linking_module)
+    c = decompose(x)
+    maps = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
+    assert len(calls) == len(maps)
+    for pm in maps:
+        assert pm.linking is pm.illman.complex
+        assert pm.linking_vertices is pm.illman.vertices
+    assert validate_cells(c, x).ok
+
+
+def test_phi_vertex_map_builds_a_linking_complex_only_for_repeats(count_calls):
+    g, chain = _s4_chain()
+    s4, d8, v4, c2, e = reversed(chain)
+    for groups, built in (([s4, d8, v4, c2], 1), ([d8, d8, c2, e], 2)):
+        calls = count_calls("slot_coset_complex", linking_module)
+        pm = phi_vertex_map(g, groups)
+        assert len(calls) == built
+        assert pm.linking == slot_coset_complex(g, pm.chain)[0]
+
+
+def test_pipeline_leaves_no_reference_cycle_through_the_group(no_gc):
+    """Once the caller drops them, a group and everything built on it are
+    freed by reference counting alone."""
+    g = _relabel(LATTICE_FAMILIES["S4xC2"](), 1)
+    ref = weakref.ref(g)
+    center = [z for z in g.elements if all(g.mul(z, a) == g.mul(a, z) for a in g.elements)]
+    l = build_linking(g, enumerate_chains(g, 2)[-1])
+    b = boundary(l)
+    assert all(p.model.chain == p.subchain for p in b.pieces)
+    x = l.complex
+    c = decompose(x)
+    assert validate_cells(c, x).ok
+    removal_verdict(GMap(x, x, x.action[center[-1]]))
+    table_of_marks(g)
+    cells_to_json(c)
+    del g, l, b, x, c
+    assert ref() is None
 
 
 def test_fundamental_domain():
@@ -489,6 +593,14 @@ def test_validate_cells_reports_the_smallest_missing_boundary_simplex():
     assert _failures(truncated, x) == [
         (10, "attachment", "boundary simplex (0, 4) missing from skeleton"),
         (11, "attachment", "boundary simplex (0, 4) missing from skeleton"),
+    ]
+    # cell 11 lies over (0, 1, 6) and (0, 3, 4): the first misses (1, 6), the
+    # second the smaller (0, 3), which cell 12's (0, 2, 3) misses as well
+    assert c.fibers[(0, 1, 3)] == [(0, 1, 6), (0, 3, 4)]
+    truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(1, 6), (0, 3)}, c.skeleta[2]))
+    assert _failures(truncated, x) == [
+        (11, "attachment", "boundary simplex (0, 3) missing from skeleton"),
+        (12, "attachment", "boundary simplex (0, 3) missing from skeleton"),
     ]
 
 
