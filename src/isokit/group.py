@@ -280,7 +280,6 @@ def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
                     walk = [t[a][x] for a in h]
                     seen = set(h)
                     seen.update(walk)
-                    k = None
                     for a in walk:
                         if len(seen) * p > g.order:
                             k = whole
@@ -290,7 +289,7 @@ def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
                             if row[s] not in seen:
                                 seen.add(row[s])
                                 walk.append(row[s])
-                    if k is None:
+                    else:
                         k = frozenset(seen)
                     if k not in gens:
                         gens[k] = k_gens
