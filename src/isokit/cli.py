@@ -103,11 +103,12 @@ def _emit(args, inputs: Dict[str, str], result, raw_text: Optional[str] = None) 
         "result": result,
         "status": "ok",
     }
-    sys.stdout.write(canonical_dumps(report))
     out = getattr(args, "out", None)
     if out:
+        # before the report, so that a failed write prints only its own report
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(raw_text if raw_text is not None else canonical_dumps(result))
+    sys.stdout.write(canonical_dumps(report))
     return EX_OK
 
 

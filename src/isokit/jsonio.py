@@ -53,17 +53,16 @@ def _list(value, what: str) -> list:
 
 
 def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """A JSON integer: a float, a bool or a string is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _ints(value, what: str) -> Tuple[int, ...]:
-    try:
-        return tuple(map(int, _list(value, what)))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a list of integers") from None
+    if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= {int}:
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)
 
 
 # -- groups ------------------------------------------------------------------
@@ -247,10 +246,10 @@ def cells_to_json(c: IsovariantCellStructure) -> dict:
     """Cell-structure report: one record per cell with its disk dimension,
     chain label, vertex assignment, and the orbit faces it attaches along.
 
-    A cell's phi follows its PhiMap's phi_plan, so the part of each phi
-    record that depends on the plan position alone (disk, slot, coset) is
-    built once per PhiMap; the records of one chain share their disk and
-    coset lists, so the report is read-only.
+    A cell's phi is aligned with its PhiMap's keys, so the part of each phi
+    record that depends on the key alone (disk, slot, coset) is built once
+    per PhiMap; the records of one chain share their disk and coset lists,
+    so the report is read-only.
     """
     heads: Dict[int, list] = {}
     cells = []
@@ -262,11 +261,11 @@ def cells_to_json(c: IsovariantCellStructure) -> dict:
                 {
                     "disk": list(l),
                     "slot": pm.linking_vertices[u][0],
-                    "coset": list(pm.sorted_cosets[u]),
+                    "coset": sorted(pm.linking_vertices[u][1]),
                 }
-                for (l, u), _slot, _a in pm.phi_plan
+                for l, u in pm.keys
             ]
-        phi_records = [dict(h, vertex=v) for h, (_key, v) in zip(head, cell.phi)]
+        phi_records = [dict(h, vertex=v) for h, v in zip(head, cell.phi)]
         orbit = cell.orbit_simplex
         faces = sorted(s for s in _faces(orbit) if len(s) < len(orbit))
         cells.append(
@@ -275,7 +274,7 @@ def cells_to_json(c: IsovariantCellStructure) -> dict:
                 "chain": cell.label(),
                 "orbit": list(orbit),
                 "base": list(cell.base_simplex),
-                "disk_dims": list(cell.disk_dims),
+                "disk_dims": list(pm.disk_dims),
                 "phi": phi_records,
                 "attach": [list(f) for f in faces],
             }

@@ -74,15 +74,10 @@ def slot_coset_complex(
 
 
 class _SlotVertices:
-    """Vertex lookup for a slot complex, planned once per simplex."""
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {v: k for k, v in enumerate(self.vertices)}
-        )
+    """Vertex lookup for a slot complex."""
 
     def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
-        return self._index[(slot, coset)]
+        return self.vertices.index((slot, coset))
 
 
 @dataclass(frozen=True)
@@ -257,7 +252,11 @@ class IllmanSimplex(_SlotVertices):
 
 
 def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSimplex:
-    subs = _check_weakly_decreasing(g, groups)
+    return _illman(g, _check_weakly_decreasing(g, groups))
+
+
+def _illman(g: FiniteGroup, subs: Tuple[Subgroup, ...]) -> IllmanSimplex:
+    """The Illman simplex of a list that has already been checked."""
     chain, p = _collapse(subs)
     cx, verts = slot_coset_complex(g, subs)
     return IllmanSimplex(
@@ -268,36 +267,31 @@ def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSim
 # -- the characteristic vertex map ------------------------------------------------
 
 
-def _planned():
-    """A PhiMap plan: derived from the other fields in __post_init__."""
-    return field(init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class PhiMap:
     """Vertex assignment from (disk factors) x (chain simplex) onto an
     equivariant simplex.
 
     A domain vertex is a pair (l, u): l[j] picks a vertex of the j-th disk
-    factor (a simplex of dimension disk_dims[j]) and u is a vertex of the
-    collapsed-chain complex.  Images are vertices of the equivariant
-    simplex of the original weakly decreasing list.
+    factor (a simplex of dimension disk_dims[j]) and u = (j, C) is a vertex
+    of the linking complex of the collapsed chain.  Images are vertices of
+    the equivariant simplex of the original weakly decreasing list.
 
     Everything a cell reads that depends only on the stabilizer chain is
     planned once, when the map is built, and shared by every cell of that
-    chain:
-    - phi_plan: per domain vertex (l, u), in sorted order, the slot i and
-      the smallest member a of the coset of its Illman image; a cell with
-      base simplex b sends (l, u) to the ambient vertex a * b[i];
-    - vertex_stabilizers: per linking vertex u = (j, C), the stabilizer
-      chain[j] conjugated by min(C) that its images must have;
-    - facet_keys: per linking facet, the domain vertices (l, u) with u in
-      the facet, over every disk corner l;
-    - collision_keys: per domain vertex, the coset vertex (l[j], j, C) that
-      it is identified with;
-    - sorted_cosets: per linking vertex, its coset as a sorted tuple;
-    - sorted_groups and sorted_chain: the groups and the chain as sorted
-      tuples, and chain_label the chain's class names, ascending.
+    chain.  The plans are tuples aligned with keys, the domain vertices in
+    sorted order:
+    - targets: the slot i of the Illman image of (l, u) and the smallest
+      member a of its coset; a cell with base simplex b sends (l, u) to
+      the ambient vertex a * b[i];
+    - stabilizers: chain[j] conjugated by min(C), which the image of (l, u)
+      must have as its stabilizer;
+    - collision_keys: the coset vertex (l[j], j, C) that (l, u) is
+      identified with.
+    facet_positions lists, per linking facet, the positions of the keys
+    (l, u) with u in the facet, over every disk corner l; chain_label is
+    the chain's class names, ascending.  The Illman simplex itself is built
+    on first read.
     """
 
     group: FiniteGroup
@@ -305,91 +299,58 @@ class PhiMap:
     chain: Tuple[Subgroup, ...]
     surjection: Tuple[int, ...]
     disk_dims: Tuple[int, ...]
-    illman: IllmanSimplex
     linking: GComplex
     linking_vertices: Tuple[SlotVertex, ...]
-    assignment: Dict[PhiKey, int]
-    phi_plan: Tuple[Tuple[PhiKey, int, int], ...] = _planned()
-    vertex_stabilizers: Tuple[Subgroup, ...] = _planned()
-    facet_keys: Tuple[Tuple[PhiKey, ...], ...] = _planned()
-    collision_keys: Dict[PhiKey, Tuple[int, int, FrozenSet[int]]] = _planned()
-    sorted_cosets: Tuple[Tuple[int, ...], ...] = _planned()
-    sorted_groups: Tuple[Tuple[int, ...], ...] = _planned()
-    sorted_chain: Tuple[Tuple[int, ...], ...] = _planned()
-    chain_label: str = _planned()
+    keys: Tuple[PhiKey, ...]
+    targets: Tuple[Tuple[int, int], ...]
+    stabilizers: Tuple[Subgroup, ...]
+    collision_keys: Tuple[Tuple[int, int, FrozenSet[int]], ...]
+    facet_positions: Tuple[Tuple[int, ...], ...]
+    chain_label: str
 
-    def __post_init__(self):
-        g = self.group
-        plan = []
-        collision_keys = {}
-        for key in sorted(self.assignment):
-            slot, coset = self.illman.vertices[self.assignment[key]]
-            plan.append((key, slot, min(coset)))
-            l, u = key
-            j, link_coset = self.linking_vertices[u]
-            collision_keys[key] = (l[j], j, link_coset)
-        disk = self.disk_vertices()
-        planned = {
-            "phi_plan": tuple(plan),
-            "vertex_stabilizers": tuple(
-                conjugate_subgroup(g, self.chain[j], min(coset))
-                for j, coset in self.linking_vertices
-            ),
-            "facet_keys": tuple(
-                tuple((l, u) for u in facet for l in disk)
-                for facet in self.linking.facets
-            ),
-            "collision_keys": collision_keys,
-            "sorted_cosets": tuple(
-                tuple(sorted(coset)) for _, coset in self.linking_vertices
-            ),
-            "sorted_groups": tuple(tuple(sorted(h)) for h in self.groups),
-            "sorted_chain": tuple(tuple(sorted(k)) for k in self.chain),
-            "chain_label": chain_name(g, self.chain[::-1]),
-        }
-        for name, value in planned.items():
-            object.__setattr__(self, name, value)
+    @cached_property
+    def illman(self) -> IllmanSimplex:
+        return _illman(self.group, self.groups)
 
     def disk_vertices(self) -> List[Tuple[int, ...]]:
         return [tuple(t) for t in product(*(range(d + 1) for d in self.disk_dims))]
 
     def apply(self, l: Sequence[int], u: int) -> int:
-        return self.assignment[(tuple(l), u)]
+        j, coset = self.linking_vertices[u]
+        return self.illman.vertex_index(self.surjection.index(j) + l[j], coset)
 
 
 def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     """The collapse assignment (l, (slot j, gK_j)) -> (min fiber(j) + l[j], same coset).
 
-    The list is checked once, in illman_complex.  The returned map carries
-    the per-chain plans that decompose, validate_cells and cells_to_json
-    read for each of its cells.
+    The list is checked once, and only the linking complex of its collapse
+    is built.  The returned map carries the per-chain plans that decompose,
+    validate_cells and cells_to_json read for each of its cells.
     """
-    illman = illman_complex(g, groups)
-    chain, p = illman.chain, illman.surjection
-    fibers: List[List[int]] = [[] for _ in chain]
-    for slot, j in enumerate(p):
-        fibers[j].append(slot)
-    disk_dims = tuple(len(f) - 1 for f in fibers)
-    if len(chain) == len(illman.groups):
-        # a list without repeats is its own collapse: one slot complex serves both
-        link_cx, link_verts = illman.complex, illman.vertices
-    else:
-        link_cx, link_verts = slot_coset_complex(g, chain)
-    assignment: Dict[PhiKey, int] = {}
-    for l in product(*(range(d + 1) for d in disk_dims)):
-        for u, (j, coset) in enumerate(link_verts):
-            # the slot groups agree along a fiber, so the coset transfers
-            assignment[(l, u)] = illman.vertex_index(fibers[j][0] + l[j], coset)
+    subs = _check_weakly_decreasing(g, groups)
+    chain, p = _collapse(subs)
+    # chain[j] fills the slots p.index(j), ..., one per vertex of a disk factor
+    first = [p.index(j) for j in range(len(chain))]
+    disk_dims = tuple(p.count(j) - 1 for j in range(len(chain)))
+    link_cx, link_verts = slot_coset_complex(g, chain)
+    stabs = [conjugate_subgroup(g, chain[j], min(coset)) for j, coset in link_verts]
+    corners = list(product(*(range(d + 1) for d in disk_dims)))
+    # the slot groups agree along a fiber, so the coset transfers
+    keys, targets, stabilizers, collision_keys = zip(*(
+        ((l, u), (first[j] + l[j], min(coset)), stabs[u], (l[j], j, coset))
+        for l in corners
+        for u, (j, coset) in enumerate(link_verts)
+    ))
+    n = len(link_verts)
     return PhiMap(
-        group=g,
-        groups=illman.groups,
-        chain=chain,
-        surjection=p,
-        disk_dims=disk_dims,
-        illman=illman,
-        linking=link_cx,
-        linking_vertices=link_verts,
-        assignment=assignment,
+        group=g, groups=subs, chain=chain, surjection=p, disk_dims=disk_dims,
+        linking=link_cx, linking_vertices=link_verts,
+        keys=keys, targets=targets, stabilizers=stabilizers, collision_keys=collision_keys,
+        facet_positions=tuple(
+            tuple(k * n + u for u in facet for k in range(len(corners)))
+            for facet in link_cx.facets
+        ),
+        chain_label=chain_name(g, chain[::-1]),
     )
 
 
@@ -400,26 +361,22 @@ def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
 class Cell:
     """One cell D^m x (chain simplex) of an isovariant cell structure.
 
-    phi sends domain vertices into the ambient complex; its restriction to
-    the domain boundary is the attaching data and lands in the skeleton
-    below the cell.
+    phi[k] is the ambient image of the domain vertex phi_map.keys[k]; the
+    restriction of phi to the domain boundary is the attaching data and
+    lands in the skeleton below the cell.
     """
 
     orbit_simplex: Simplex
     base_simplex: Simplex
-    groups: Tuple[Tuple[int, ...], ...]
-    chain: Tuple[Tuple[int, ...], ...]
-    surjection: Tuple[int, ...]
-    disk_dims: Tuple[int, ...]
-    disk_dim: int
-    phi: Tuple[Tuple[PhiKey, int], ...]
+    phi: Tuple[int, ...]
     phi_map: PhiMap
+
+    @property
+    def disk_dim(self) -> int:
+        return sum(self.phi_map.disk_dims)
 
     def label(self) -> str:
         return f"D^{self.disk_dim} x Delta^{{{self.phi_map.chain_label}}}"
-
-    def phi_dict(self) -> Dict[PhiKey, int]:
-        return dict(self.phi)
 
 
 @dataclass(frozen=True)
@@ -437,9 +394,14 @@ class IsovariantCellStructure:
 
 
 def _fibers_over_orbit(x: GComplex, orb: OrbitComplex) -> Dict[Simplex, List[Simplex]]:
+    """The simplices of x over each orbit simplex.  A simplex with a vertex
+    that orb does not map, which only a complex other than orb's has, lies
+    over none."""
+    n = len(orb.vertex_orbit)
     buckets: Dict[Simplex, List[Simplex]] = {}
     for t in x.simplices():
-        buckets.setdefault(orb.image_of(t), []).append(t)
+        if t[-1] < n:
+            buckets.setdefault(orb.image_of(t), []).append(t)
     return buckets
 
 
@@ -452,8 +414,8 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
     NotEquivariantTriangulation naming the offending orbit simplex.
 
     Cells with one stabilizer chain share one PhiMap, whose plans give each
-    cell's phi as one pass over its phi_plan and its groups, chain and
-    label without per-cell work.
+    cell's phi as one pass over its targets and its label without per-cell
+    work.
     """
     if not x.is_regular():
         raise NotEquivariantTriangulation(
@@ -506,22 +468,8 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         pm = phi_maps[key]
         # compose the abstract assignment with the identification that the
         # slot-i vertex with coset a*H_i is the ambient vertex a * base[i]
-        cells.append(
-            Cell(
-                orbit_simplex=s,
-                base_simplex=sorted_base,
-                groups=pm.sorted_groups,
-                chain=pm.sorted_chain,
-                surjection=pm.surjection,
-                disk_dims=pm.disk_dims,
-                disk_dim=sum(pm.disk_dims),
-                phi=tuple(
-                    (key, x.action[a][sorted_base[slot]])
-                    for key, slot, a in pm.phi_plan
-                ),
-                phi_map=pm,
-            )
-        )
+        phi = tuple([x.action[a][sorted_base[slot]] for slot, a in pm.targets])
+        cells.append(Cell(orbit_simplex=s, base_simplex=sorted_base, phi=phi, phi_map=pm))
         by_dim.setdefault(len(s) - 1, set()).update(over)
     skeleta: List[FrozenSet[Simplex]] = []
     acc: Set[Simplex] = set()
@@ -564,12 +512,11 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     simplex (the fibers of c when x is c.complex), and against the plans
     of its PhiMap, built once per stabilizer chain:
     - isotropy: each image vertex is a vertex of x whose stabilizer, read
-      from the isotropy index, is the planned stabilizer of its linking
-      vertex;
+      from the isotropy index, is the planned stabilizer of its key;
     - surjectivity: the images are the vertices of over, which are those
       of the closed cell;
-    - facets: the images of each linking facet's planned keys span the
-      simplices of over;
+    - facets: the images of the keys at each linking facet's planned
+      positions span the simplices of over;
     - identifications: domain vertices with one collision key share an
       image, and distinct collision keys have distinct images;
     - attachment: every proper face of over lies in the previous skeleton,
@@ -586,31 +533,30 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     tally = 0
     for i, cell in enumerate(c.cells):
         pm = cell.phi_map
-        phi = cell.phi_dict()
+        phi = cell.phi
         dim = len(cell.orbit_simplex) - 1
         over = buckets.get(cell.orbit_simplex, [])
         over_set = set(over)
-        for (l, u), w in phi.items():
+        for k, w in enumerate(phi):
             stab = stabilizers.get((w,))
             if stab is None:
                 if not 0 <= w < x.n_vertices:
-                    fail(i, "isotropy", f"image vertex {w} of {(l, u)} is not a vertex of the complex")
+                    fail(i, "isotropy", f"image vertex {w} of {pm.keys[k]} is not a vertex of the complex")
                     break
                 stab = x.pointwise_stabilizer((w,))
-            if stab != pm.vertex_stabilizers[u]:
-                fail(i, "isotropy", f"image vertex {w} of {(l, u)} has wrong stabilizer")
+            if stab != pm.stabilizers[k]:
+                fail(i, "isotropy", f"image vertex {w} of {pm.keys[k]} has wrong stabilizer")
                 break
-        if set(phi.values()) != {v for t in over for v in t}:
+        if set(phi) != {v for t in over for v in t}:
             fail(i, "surjectivity", "phi image misses vertices of the closed cell")
         facet_images = {
-            tuple(sorted({phi[key] for key in keys})) for keys in pm.facet_keys
+            tuple(sorted({phi[k] for k in positions})) for positions in pm.facet_positions
         }
         if facet_images != over_set:
             fail(i, "facets", "translate facets do not match the simplex orbit")
         by_key: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
         collision_ok = True
-        for key, w in sorted(phi.items()):
-            ckey = pm.collision_keys[key]
+        for ckey, w in zip(pm.collision_keys, phi):
             if by_key.setdefault(ckey, w) != w:
                 fail(i, "identifications", f"one coset vertex hits both {by_key[ckey]} and {w}")
                 collision_ok = False

@@ -11,7 +11,7 @@ import pytest
 
 import isokit
 from isokit import fixpoint, gmap, models
-from isokit.cli import run
+from isokit.cli import build_parser, run
 from isokit.cubelim import random_cube_map
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
@@ -105,6 +105,43 @@ def test_out_not_written_on_failure(capsys, tmp_path):
     out = tmp_path / "x.json"
     code, _ = _run(capsys, ["complex", "make", "--model", "nope", "--out", str(out)])
     assert code == 65
+    assert not out.exists()
+
+
+# one successful run of every command that takes --out
+OUT_COMMANDS = {
+    "group make": ["group", "make", "--cyclic", "3"],
+    "complex make": ["complex", "make", "--model", "hexagon"],
+    "complex regularize": ["complex", "regularize", "--complex", "hexagon"],
+    "linking build": ["linking", "build", "--group", "{c2}", "--chain", "e<C2"],
+    "decompose": ["decompose", "--complex", "swap-segment"],
+    "export-dot": ["export-dot", "--complex", "s3-dust"],
+}
+
+
+def _commands_with_out(parser, prefix=()):
+    for action in parser._actions:
+        if "--out" in action.option_strings:
+            yield " ".join(prefix)
+        for name, sub in (getattr(action, "choices", None) or {}).items():
+            if hasattr(sub, "_actions"):
+                yield from _commands_with_out(sub, prefix + (name,))
+
+
+def test_out_commands_cover_the_parser():
+    assert set(_commands_with_out(build_parser())) == set(OUT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_failed_out_write_prints_one_report(capsys, tmp_path, command):
+    argv = [a.replace("{c2}", _c2_file(tmp_path)) for a in OUT_COMMANDS[command]]
+    out = tmp_path / "missing" / "x.out"
+    code, text = _run(capsys, argv + ["--out", str(out)])
+    assert code == 65
+    assert text.count("\n") == 1 and text.endswith("\n")
+    report = json.loads(text)
+    assert report["command"] == command and report["result"] is None
+    assert report["status"]["code"] == "BadInput"
     assert not out.exists()
 
 
@@ -553,6 +590,18 @@ MALFORMED_INPUTS = {
         {"dim": 1e308, "source": _CUBE1, "target": _CUBE1, "components": {}},
         ["cube", "check", "--file", "{file}"],
     ),
+    "complex facet entry of a fraction": (
+        {"vertices": 3, "facets": [[0, 1.9], [1, 2]]}, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex vertices of a fraction": (
+        {"vertices": 2.5, "facets": [[0, 1]]}, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex facet entry true": (
+        {"vertices": 2, "facets": [[True, 0]]}, ["complex", "info", "--complex", "{file}"]
+    ),
+    "complex vertices as a string": (
+        {"vertices": "3", "facets": [[0, 1, 2]]}, ["complex", "info", "--complex", "{file}"]
+    ),
     "complex names as an integer": (
         {"vertices": 2, "facets": [[0, 1]], "names": 5},
         ["complex", "info", "--complex", "{file}"],
@@ -595,6 +644,20 @@ MALFORMED_INPUTS = {
     "dims value null": (
         None, ["verdict", "--map", "hexagon-identity", "--dims", '{"e": null}']
     ),
+    "dims value of a fraction": (
+        None, ["verdict", "--map", "hexagon-identity", "--dims", '{"e": 3.9}']
+    ),
+    "phi true": (
+        None, ["reidemeister", "--map", "hexagon-identity", "--pi", "Z", "--phi", "true"]
+    ),
+}
+
+# a count of 1e308 is no JSON integer, so each such row has a twin whose
+# integer count only the oversized-count guards reject
+MALFORMED_INPUTS |= {
+    f"{case}, an integer": ({k: 10**400 if v == 1e308 else v for k, v in doc.items()}, argv)
+    for case, (doc, argv) in MALFORMED_INPUTS.items()
+    if doc is not None and 1e308 in doc.values()
 }
 
 

@@ -53,7 +53,9 @@ def test_group_from_generators():
     g = parse_group({"degree": 3, "generators": [[1, 0, 2]]})
     assert g.order == 2
     # no generator, so the degree is never used: the trivial group, however large
-    assert parse_group({"degree": 1e308, "generators": []}).table == ((0,),)
+    assert parse_group({"degree": 10**400, "generators": []}).table == ((0,),)
+    with pytest.raises(ValueError, match="group degree must be an integer"):
+        parse_group({"degree": 1e308, "generators": []})
     with pytest.raises(ValueError):
         parse_group({"generators": [[1, 0, 2]]})  # degree missing
 

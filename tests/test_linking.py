@@ -32,8 +32,9 @@ from isokit.group import (
     subgroup_conjugacy_classes,
     table_of_marks,
 )
-from isokit.jsonio import canonical_dumps, cells_to_json
+from isokit.jsonio import canonical_dumps, cells_to_json, complex_to_json, parse_complex
 from isokit.linking import (
+    CellCheck,
     IllmanSimplex,
     LinkingSimplex,
     boundary,
@@ -264,15 +265,27 @@ def test_decompose_builds_one_slot_complex_per_stabilizer_chain(count_calls):
     maps = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
     assert len(calls) == len(maps)
     for pm in maps:
-        assert pm.linking is pm.illman.complex
-        assert pm.linking_vertices is pm.illman.vertices
+        assert pm.linking == pm.illman.complex
+        assert pm.linking_vertices == pm.illman.vertices
     assert validate_cells(c, x).ok
+
+
+def test_decompose_builds_one_slot_complex_per_chain_with_repeats(count_calls):
+    """Repeated stabilizers in a list still cost one slot complex: the
+    linking complex of its collapse, and no Illman complex."""
+    x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
+    calls = count_calls("slot_coset_complex", linking_module)
+    c = decompose(x)
+    maps = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
+    assert any(len(pm.chain) < len(pm.groups) for pm in maps)
+    assert len(calls) == len(maps) == len({pm.groups for pm in maps})
+    assert {groups for _, groups in calls} == {pm.chain for pm in maps}
 
 
 def test_phi_vertex_map_builds_a_linking_complex_only_for_repeats(count_calls):
     g, chain = _s4_chain()
     s4, d8, v4, c2, e = reversed(chain)
-    for groups, built in (([s4, d8, v4, c2], 1), ([d8, d8, c2, e], 2)):
+    for groups, built in (([s4, d8, v4, c2], 1), ([d8, d8, c2, e], 1)):
         calls = count_calls("slot_coset_complex", linking_module)
         pm = phi_vertex_map(g, groups)
         assert len(calls) == built
@@ -460,7 +473,8 @@ def test_decompose_shares_one_phi_map_per_chain():
     c = decompose(x)
     maps_by_key = {}
     for cell in c.cells:
-        maps_by_key.setdefault((cell.groups, cell.chain), set()).add(id(cell.phi_map))
+        pm = cell.phi_map
+        maps_by_key.setdefault((pm.groups, pm.chain), set()).add(id(pm))
     assert all(len(ids) == 1 for ids in maps_by_key.values())
     distinct = {id(cell.phi_map) for cell in c.cells}
     assert len(distinct) == len(maps_by_key) < len(c.cells)
@@ -505,7 +519,7 @@ def test_cells_reference_valid_chains():
     x = models.COMPLEX_MODELS["rotation-disk"]()
     for cell in decompose(x).cells:
         # groups list is weakly decreasing along the orbit simplex
-        sizes = [len(h) for h in cell.groups]
+        sizes = [len(h) for h in cell.phi_map.groups]
         assert sizes == sorted(sizes, reverse=True)
         # phi map assigns every (disk corner, linking vertex) pair
         corners = cell.phi_map.disk_vertices()
@@ -523,9 +537,9 @@ def _disk_structure():
 
 
 def _with_phi(c, index, values):
-    """The structure with cell index's phi values replaced, keys kept."""
+    """The structure with cell index's phi values replaced by key."""
     cell = c.cells[index]
-    phi = tuple((key, values.get(key, w)) for key, w in cell.phi)
+    phi = tuple(values.get(key, w) for key, w in zip(cell.phi_map.keys, cell.phi))
     cells = list(c.cells)
     cells[index] = replace(cell, phi=phi)
     return replace(c, cells=tuple(cells))
@@ -623,6 +637,31 @@ def test_validate_cells_reports_an_image_vertex_outside_the_complex(shift):
     ]
 
 
+@pytest.mark.parametrize("name", ["rotation-disk", "wedge", "c2xc2-wedge", "s3-dust"])
+def test_validate_cells_reads_an_equal_complex_like_its_own(name):
+    """A complex equal to c.complex but a distinct object takes the path
+    that maps its simplices through the orbit map."""
+    x = models.COMPLEX_MODELS[name]()
+    c = decompose(x)
+    twin = parse_complex(complex_to_json(x))
+    assert twin == x and twin is not x
+    assert validate_cells(c, twin) == validate_cells(c, x)
+    assert validate_cells(c, twin).ok
+
+
+def test_validate_cells_reports_a_subdivision_of_the_complex():
+    """The vertices that the subdivision adds lie over no cell, so the
+    report fails instead of raising."""
+    x, c = _disk_structure()
+    y = barycentric_subdivision(x).complex
+    report = validate_cells(c, y)
+    assert not report.ok
+    total = len(y.simplices())
+    assert report.failures[-1] == CellCheck(
+        cell_index=-1, check="tally", detail=f"cells account for 25 simplices, complex has {total}"
+    )
+
+
 # -- byte-stable reports and generated inputs --------------------------------------
 
 # sha256 of canonical_dumps(cells_to_json(decompose(x))) for each built-in model
@@ -718,6 +757,21 @@ def test_cell_reports_are_pinned(name):
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CELL_DIGESTS[(name, depth)]
         report = validate_cells(c, y)
         assert report.ok and report.simplex_tally == len(y.simplices())
+
+
+@pytest.mark.parametrize("name", sorted(name for name, depth in GOLDEN_CELL_DIGESTS if depth == 2))
+def test_phi_sends_each_key_to_its_illman_vertex_at_sd2(name):
+    """phi[k] is the Illman image (slot, C) of keys[k] placed at
+    base[slot] and moved by any member of C, here the largest."""
+    x = models.COMPLEX_MODELS[name]()
+    for _ in range(2):
+        x = barycentric_subdivision(x).complex
+    for cell in decompose(x).cells:
+        pm = cell.phi_map
+        assert len(cell.phi) == len(pm.keys)
+        for (l, u), w in zip(pm.keys, cell.phi):
+            slot, coset = pm.illman.vertices[pm.apply(l, u)]
+            assert w == x.action[max(coset)][cell.base_simplex[slot]]
 
 
 def _single_orbit(x, over):
