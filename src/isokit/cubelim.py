@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from random import Random
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CubeGenerationFailed, InvariantViolated
 from .group import _skey
@@ -546,17 +547,28 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     without breaking that.  Raises CubeGenerationFailed when no attempt
     keeps every limit between 1 and max_size elements.
 
-    The walk over the (n+1)-cube is planned once per dimension.  A
-    section is read off its values on the covers S+{j}, so each limit is
-    enumerated only there and only until it has more than max_size
-    elements, which rejects the attempt.
+    The walk is planned once per dimension and runs on integers.  A
+    section is read off its values on the covers S+{j}, enumerated only
+    until it has more than max_size elements, which rejects the attempt.
+    Attempts mostly repeat earlier steps, so one call keeps a memo from a
+    step's inputs (cover sizes, ids of the compared cover maps) to its
+    sections or rejection.  The RNG stream is unchanged: a duplicate
+    draws rng.choice(range(k)), as rng.choice over k rows does.
     """
     if n < 0:
         raise ValueError(f"cube dimension must be nonnegative, got {n}")
-    plan = _generation_plan(n)
+    view = _walk_view(n)
     rng = Random(seed)
+    memo, ids, maps = {}, {}, []  # step inputs -> sections, cover map -> id, id -> map
+
+    def intern(column: Tuple[int, ...]) -> int:
+        if column not in ids:
+            ids[column] = len(maps)
+            maps.append(column)
+        return ids[column]
+
     for _ in range(_ATTEMPTS):
-        built = _try_random_cube(n, rng, max_size, plan)
+        built = _try_random_cube(n, rng, max_size, view, memo, maps, intern)
         if built is not None:
             return built
     raise CubeGenerationFailed(
@@ -585,39 +597,65 @@ def _generation_plan(n: int) -> Tuple[tuple, ...]:
     return tuple(steps)
 
 
-def _try_random_cube(
-    n: int,
-    rng: Random,
-    max_size: int,
-    plan: Tuple[tuple, ...],
-) -> Optional[CubeMap]:
-    sizes = {frozenset(range(n + 1)): rng.randint(1, 2)}
-    covers: Dict[Tuple[Subset, int], Tuple[int, ...]] = {}
+@lru_cache(maxsize=None)
+def _walk_view(n: int) -> Tuple[Dict[Subset, int], int, Tuple[tuple, ...]]:
+    """_generation_plan(n) on one list of V*(n+2) ints: with S vertex k in
+    fill order (the top is 0), cover (S, j) is slot k*(n+1)+j and S's size
+    slot V*(n+1)+k.  Per step: S's size slot, its covers' size slots, the
+    slots it fills, the checks and the memo key's getter, which reads a
+    lone size for one cover, else a tuple whose length fixes the covers."""
+    plan = _generation_plan(n)
+    num = {s: k for k, s in enumerate([frozenset(range(n + 1))] + [p[0] for p in plan])}
+    at = {s: k * (n + 1) for s, k in num.items()}
+    sized = len(num) * (n + 1)
+    steps = []
     for s, js, above, checks in plan:
-        rows = _sections(
-            [sizes[t] for t in above],
-            [[(i, covers[e], covers[h]) for i, e, h in pairs] for pairs in checks],
-            max_size,
-        )
-        if not 0 < len(rows) <= max_size:
+        checks = [[(i, at[e] + j, at[h] + k) for i, (e, j), (h, k) in row] for row in checks]
+        above = [sized + num[t] for t in above]
+        key = itemgetter(*above, *[x for row in checks for _, e, h in row for x in (e, h)])
+        steps.append((sized + num[s], above, [at[s] + j for j in js], checks, key))
+    return num, sized, tuple(steps)
+
+
+def _try_random_cube(
+    n: int, rng: Random, max_size: int, view: tuple, memo: dict, maps: list, intern: Callable
+) -> Optional[CubeMap]:
+    num, sized, steps = view
+    cells = [0] * (sized + len(num))
+    cells[sized] = rng.randint(1, 2)
+    for size_at, above, slots, checks, key in steps:
+        key = key(cells)
+        hit = memo.get(key)
+        if hit is None:
+            rows = _sections(
+                [cells[t] for t in above],
+                [[(i, maps[cells[e]], maps[cells[h]]) for i, e, h in row] for row in checks],
+                max_size,
+            )
+            # [] rejects; else the section's column ids, then per row d those
+            # of the section padded by row d, made on first use
+            hit = memo[key] = []
+            if 0 < len(rows) <= max_size:
+                hit += [[intern(c) for c in zip(*rows)]] + [None] * len(rows)
+        if not hit:
             return None
-        if len(rows) < max_size and rng.random() < 0.35:
-            rows.append(rng.choice(rows))
-        sizes[s] = len(rows)
-        for j, column in zip(js, zip(*rows)):
-            covers[(s, j)] = column
-    x_sizes, y_sizes = {}, {}
-    x_covers, y_covers = {}, {}
-    components = {}
-    for s in _subsets(list(range(n))):
-        x_sizes[s] = sizes[s]
-        y_sizes[s] = sizes[s | {n}]
-        components[s] = covers[(s, n)]
-        for j in range(n):
-            if j in s:
-                continue
-            x_covers[(s, j)] = covers[(s, j)]
-            y_covers[(s, j)] = covers[(s | {n}, j)]
-    return CubeMap(
-        Cube(n, x_sizes, x_covers), Cube(n, y_sizes, y_covers), components
+        size = len(hit) - 1
+        pick = 0
+        if size < max_size and rng.random() < 0.35:
+            pick = 1 + rng.choice(range(size))
+            if hit[pick] is None:
+                hit[pick] = [intern(maps[c] + (maps[c][pick - 1],)) for c in hit[0]]
+        cells[size_at] = size + (pick > 0)
+        for x, c in zip(slots, hit[pick]):
+            cells[x] = c
+    verts = _subsets(range(n))
+    edges = [(s, j) for s in verts for j in range(n) if j not in s]
+    x, y = (
+        Cube(
+            n,
+            {s: cells[sized + num[s | side]] for s in verts},
+            {(s, j): maps[cells[num[s | side] * (n + 1) + j]] for s, j in edges},
+        )
+        for side in (frozenset(), frozenset({n}))
     )
+    return CubeMap(x, y, {s: maps[cells[num[s] * (n + 1) + n]] for s in verts})

@@ -59,6 +59,14 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _key_int(key: str, what: str) -> int:
+    """An integer object key in canonical form: not " 1", "+0", "01" or "1_0"."""
+    digits = key.removeprefix("-") if isinstance(key, str) else ""
+    if not (digits.isascii() and digits.isdigit() and str(int(key)) == key):
+        raise ValueError(f"{what} {key!r} is not an integer in decimal form")
+    return int(key)
+
+
 def _ints(value, what: str) -> Tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= {int}:
         raise ValueError(f"{what} must be a list of integers")
@@ -113,10 +121,7 @@ def parse_complex(
         group = FiniteGroup(((0,),))
     action: Dict[int, Tuple[int, ...]] = {}
     for key, perm in _as_dict(obj.get("action", {}), "complex action").items():
-        try:
-            elem = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"action key {key!r} is not a group element index")
+        elem = _key_int(key, "action key")
         action[elem] = _ints(perm, f"action of element {elem}")
     names = obj.get("names")
     if names is not None:
@@ -176,10 +181,7 @@ def subset_key(s: Subset) -> str:
 def parse_subset_key(key: str) -> Subset:
     if key == "":
         return frozenset()
-    try:
-        return frozenset(int(p) for p in key.split(","))
-    except ValueError:
-        raise ValueError(f"bad subset key {key!r}")
+    return frozenset(_key_int(p, f"subset key {key!r} part") for p in key.split(","))
 
 
 def _parse_cube(obj, n: int, what: str) -> Cube:
@@ -192,9 +194,8 @@ def _parse_cube(obj, n: int, what: str) -> Cube:
         if "+" not in key:
             raise ValueError(f"cube map key {key!r} must look like 'S+j'")
         skey, _, jkey = key.rpartition("+")
-        covers[(parse_subset_key(skey), int(jkey))] = _ints(
-            mapping, f"{what} cover map {key!r}"
-        )
+        j = _key_int(jkey, f"cube map key {key!r} index")
+        covers[(parse_subset_key(skey), j)] = _ints(mapping, f"{what} cover map {key!r}")
     try:
         return Cube(n, sizes, covers)
     except ValueError as exc:

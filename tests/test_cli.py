@@ -1,5 +1,6 @@
 """End-to-end CLI runs: report shape, frozen payloads, exit codes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import isokit
-from isokit import fixpoint, gmap, models
+from isokit import cli, fixpoint, gmap, models
 from isokit.cli import build_parser, run
 from isokit.cubelim import random_cube_map
 from isokit.group import FiniteGroup
@@ -547,11 +548,18 @@ def test_missing_file_reports_bad_input(capsys):
 
 _HEXAGON = complex_to_json(models.COMPLEX_MODELS["hexagon"]())
 _CUBE1 = {"vertices": {"": 1, "0": 1}, "maps": {"+0": [0]}}
+_SWAP = complex_to_json(models.COMPLEX_MODELS["swap-segment"]())
 # swap-segment, its full action and names, with a vertex count no list matches
-_HUGE_SWAP = {**complex_to_json(models.COMPLEX_MODELS["swap-segment"]()), "vertices": 1e308}
+_HUGE_SWAP = {**_SWAP, "vertices": 1e308}
 _HUGE_SWAP_PARTIAL = {
     k: v for k, v in _HUGE_SWAP.items() if k != "names"
 } | {"action": {"1": [2, 1, 0]}}
+
+
+def _cube1_map(source):
+    """A 1-cube map file from the given source cube onto the point cube."""
+    return {"dim": 1, "source": source, "target": _CUBE1, "components": {"": [0], "0": [0]}}
+
 
 # one row per malformed input: the JSON written to the file "{file}" names
 # (or None), and the command line; each must be a BadInput report, exit 65
@@ -650,6 +658,34 @@ MALFORMED_INPUTS = {
     "phi true": (
         None, ["reidemeister", "--map", "hexagon-identity", "--pi", "Z", "--phi", "true"]
     ),
+    "complex action key with a space": (
+        _SWAP | {"action": {"0": [0, 1, 2], " 1": [2, 1, 0]}},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "complex action key with a sign": (
+        _SWAP | {"action": {"+0": [0, 1, 2], "1": [2, 1, 0]}},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "complex action keys naming one element": (
+        _SWAP | {"action": {"1": [2, 1, 0], "01": [0, 1, 2]}},
+        ["complex", "info", "--complex", "{file}"],
+    ),
+    "cube vertex key with a space": (
+        _cube1_map({"vertices": {"": 1, " 0": 1}, "maps": {"+0": [0]}}),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube vertex key with an underscore": (
+        _cube1_map({"vertices": {"": 1, "0_0": 1}, "maps": {"+0": [0]}}),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube cover key index with a space": (
+        _cube1_map({"vertices": {"": 1, "0": 1}, "maps": {"+ 0": [0]}}),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube cover key index with a leading zero": (
+        _cube1_map({"vertices": {"": 1, "0": 1}, "maps": {"+00": [0]}}),
+        ["cube", "check", "--file", "{file}"],
+    ),
 }
 
 # a count of 1e308 is no JSON integer, so each such row has a twin whose
@@ -672,6 +708,49 @@ def test_malformed_input_is_bad_input(capsys, tmp_path, case):
     assert code == 65, out
     assert report["result"] is None
     assert report["status"]["code"] == "BadInput"
+
+
+_FUZZ_VALUES = (5, [1], None, "x", {"a": 1}, [[0]], -1, True)
+
+
+def _value_paths(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        members = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in members:
+            yield from _value_paths(value, path + (key,))
+
+
+def _replace_at(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def test_cube_check_file_fuzz(capsys, monkeypatch, tmp_path):
+    """Every value of a valid dim-2 cube-map file, replaced in turn by each
+    of a few wrong JSON values, gives one report and exit 0 or 65."""
+    # building the parser is most of an in-process run; one serves all 432
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    doc = cube_map_to_json(random_cube_map(2, seed=3, max_size=3))
+    path = tmp_path / "map.json"
+    codes = set()
+    for where in _value_paths(doc):
+        for value in _FUZZ_VALUES:
+            path.write_text(json.dumps(_replace_at(doc, where, value)))
+            code, out = _run(capsys, ["cube", "check", "--file", str(path)])
+            assert code in (0, 65), (where, value, out)
+            assert out.count("\n") == 1, (where, value, out)
+            assert set(json.loads(out)) == {"command", "inputs", "result", "status"}
+            codes.add(code)
+    assert codes == {0, 65}
+
 
 # sha256 of stdout, with the exit code, of every built-in model run:
 # complex commands on each complex model, map commands on each map model

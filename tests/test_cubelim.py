@@ -287,6 +287,77 @@ def test_random_cube_map_attempt_guard(monkeypatch):
     assert "3-cube" in message and "seed 17" in message and "1 to 2 elements" in message
 
 
+def _reference_cube_map(n, seed, max_size=5):
+    """The sampler restated without its memo or integer walk: every step
+    enumerates its sections, and sizes and covers are keyed by frozensets.
+    Returns the map and the number of walk steps taken."""
+    top = frozenset(range(n + 1))
+    rng = Random(seed)
+    steps = 0
+    for _ in range(cubelim._ATTEMPTS):
+        sizes = {top: rng.randint(1, 2)}
+        covers = {}
+        for s, js, above, checks in cubelim._generation_plan(n):
+            steps += 1
+            rows = cubelim._sections(
+                [sizes[t] for t in above],
+                [[(i, covers[e], covers[h]) for i, e, h in pairs] for pairs in checks],
+                max_size,
+            )
+            if not 0 < len(rows) <= max_size:
+                break
+            if len(rows) < max_size and rng.random() < 0.35:
+                rows.append(rng.choice(rows))
+            sizes[s] = len(rows)
+            for j, column in zip(js, zip(*rows)):
+                covers[(s, j)] = column
+        else:
+            verts = cubelim._subsets(range(n))
+            edges = [(s, j) for s in verts for j in range(n) if j not in s]
+            x = Cube(n, {s: sizes[s] for s in verts}, {(s, j): covers[(s, j)] for s, j in edges})
+            y = Cube(
+                n,
+                {s: sizes[s | {n}] for s in verts},
+                {(s, j): covers[(s | {n}, j)] for s, j in edges},
+            )
+            return CubeMap(x, y, {s: covers[(s, n)] for s in verts}), steps
+    raise CubeGenerationFailed(f"no reference {n}-cube map from seed {seed}")
+
+
+def _map_data(m):
+    return (m.source.sizes, m.source.covers, m.target.sizes, m.target.covers, m.components)
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_random_cube_map_matches_reference_sampler(dim):
+    """Same maps as the plain walk for every cap, so the memo's duplicate
+    rows, the cap and the rejections all replay the same RNG stream."""
+    for max_size in range(2, 7):
+        for seed in range(5):
+            expected, _ = _reference_cube_map(dim, seed, max_size)
+            assert _map_data(random_cube_map(dim, seed, max_size)) == _map_data(expected)
+
+
+def test_random_cube_map_memo_skips_repeated_sections(monkeypatch):
+    """At dim 4 most walk steps repeat one already taken in the same call;
+    the memo computes each distinct one once, and keeps nothing between calls."""
+    _, steps = _reference_cube_map(4, 0)
+    calls = []
+    sections = cubelim._sections
+
+    def counted(*args):
+        calls.append(1)
+        return sections(*args)
+
+    monkeypatch.setattr(cubelim, "_sections", counted)
+    first = random_cube_map(4, 0)
+    once = len(calls)
+    assert 0 < 10 * once <= steps
+    # a memo kept from the first call would compute nothing the second time
+    assert _map_data(random_cube_map(4, 0)) == _map_data(first)
+    assert len(calls) == 2 * once
+
+
 def test_vertex_family_requires_bounded_unions():
     # {0} and {1} join to {0,1}, bounded above by {0,1,2} yet missing
     with pytest.raises(ValueError):
