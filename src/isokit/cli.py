@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from functools import reduce
+from functools import cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -484,6 +484,7 @@ def _cmd_export_dot(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="isokit", description=__doc__)
     p.add_argument("--version", action="version", version=f"isokit {__version__}")

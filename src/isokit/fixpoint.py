@@ -11,7 +11,7 @@ breadth-first walk builds the tree and lifts the map along it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -27,10 +27,7 @@ from .errors import (
 from .gcomplex import (
     GComplex,
     HypothesisReport,
-    Simplex,
     check_hypotheses,
-    close_simplices,
-    fixed_subcomplex,
     present_classes,
 )
 from .gmap import GMap, _components, is_isovariant, is_simplicial
@@ -56,20 +53,21 @@ def _require_isovariant_self_map(f: GMap, message: str) -> None:
         raise NotIsovariant(message)
 
 
-def _trace(f: GMap, within: Optional[FrozenSet[Simplex]] = None) -> int:
-    """Alternating sum of the signs of f's fixed simplices, over all of
-    them or only those in the subcomplex within."""
-    return sum(
-        (-1) ** (len(s) - 1) * sign
-        for s, sign in f.fixed_simplices()
-        if within is None or s in within
-    )
+def _class_traces(f: GMap, reps: Iterable[Subgroup]) -> List[int]:
+    """Per subgroup h in reps, the trace of f on the fixed subcomplex of h,
+    with the signed fixed simplices summed once per distinct stabilizer."""
+    stabilizers = f.source.isotropy().stabilizers
+    by_stab: Dict[Subgroup, int] = {}
+    for s, sign in f.fixed_simplices():
+        k = stabilizers[s]
+        by_stab[k] = by_stab.get(k, 0) + (-1) ** (len(s) - 1) * sign
+    return [sum(t for k, t in by_stab.items() if h <= k) for h in reps]
 
 
 def lefschetz(f: GMap) -> int:
     """Alternating sum of chain traces of a simplicial self-map."""
     _require_self_map(f)
-    return _trace(f)
+    return sum((-1) ** (len(s) - 1) * sign for s, sign in f.fixed_simplices())
 
 
 def has_fixed_simplex(f: GMap) -> bool:
@@ -91,10 +89,8 @@ def lefschetz_fixed_sets(f: GMap) -> Dict[str, int]:
     """Lefschetz number of f on each fixed subcomplex of a present class."""
     _require_isovariant_self_map(f, "per-class Lefschetz numbers need an isovariant map")
     names = class_names(f.source.group)
-    return {
-        names[rep]: _trace(f, fixed_subcomplex(f.source, rep))
-        for rep in present_classes(f.source)
-    }
+    reps = present_classes(f.source)
+    return {names[rep]: t for rep, t in zip(reps, _class_traces(f, reps))}
 
 
 # -- Burnside classes ---------------------------------------------------------------
@@ -125,10 +121,7 @@ def _marks(f: GMap) -> BurnsideElement:
     return BurnsideElement(
         basis="marks",
         names=marks.names,
-        coefficients=tuple(
-            _trace(f, fixed_subcomplex(f.source, frozenset(rep)))
-            for rep in marks.reps
-        ),
+        coefficients=tuple(_class_traces(f, map(frozenset, marks.reps))),
     )
 
 
@@ -475,19 +468,26 @@ def forced_fixed_points(x: GComplex) -> FrozenSet[int]:
 
     A vertex is forced when some stratum closure meets the exact stratum
     of the vertex's own isotropy class in that vertex alone: isovariant
-    maps preserve both sets, leaving the vertex nowhere to go.  Each
-    closure is taken once and met with every exact stratum, which buckets
-    its faces by isotropy class; a meet that is one vertex forces it.
-    Sound but not complete.
+    maps preserve both sets, leaving the vertex nowhere to go.  Sound but
+    not complete.  A face's stabilizer contains the simplex's, so the
+    closure of a stratum S meets S in S, and another stratum T only if T's
+    class has the larger order; t in T is in that meet iff it is a face of
+    a simplex of S through t's first vertex.  Two such t settle a meet.
     """
     forced: Set[int] = set()
-    iso = x.isotropy()
-    for stratum in iso.strata.values():
-        closure = close_simplices(stratum)
-        for other in iso.strata.values():
-            meet = closure & other
-            if len(meet) == 1:
-                forced.update(t[0] for t in meet if len(t) == 1)
+    strata = list(x.isotropy().strata.items())
+    for i, (rep, stratum) in enumerate(strata):
+        larger = [other for r, other in strata[i + 1:] if len(r) > len(rep)]
+        firsts = {t[0] for other in larger for t in other}
+        star: Dict[int, List[FrozenSet[int]]] = {}
+        for s in stratum if firsts else ():
+            for v in firsts.intersection(s):
+                star.setdefault(v, []).append(frozenset(s))
+        meets = [list(islice(stratum, 2))]  # the closure of S meets S in S
+        for other in larger:
+            hits = (t for t in other if any(s.issuperset(t) for s in star.get(t[0], ())))
+            meets.append(list(islice(hits, 2)))
+        forced.update(m[0][0] for m in meets if len(m) == 1 and len(m[0]) == 1)
     return frozenset(forced)
 
 

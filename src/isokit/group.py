@@ -576,11 +576,14 @@ class MarksTable:
         return tuple(Fraction(v, d) for v in num)
 
     def marks_of(self, coeffs: Sequence) -> Tuple:
-        """Marks vector of sum_i coeffs[i] * [G/reps[i]]."""
-        return tuple(
-            sum((coeffs[i] * m for i, m in col), coeffs[j] * self.matrix[j][j])
+        """Marks of sum_i coeffs[i] * [G/reps[i]], on integer numerators; ints in, ints out."""
+        d = lcm(*(v.denominator for v in coeffs))
+        num = [v.numerator * (d // v.denominator) for v in coeffs]
+        marks = tuple(
+            sum((num[i] * m for i, m in col), num[j] * self.matrix[j][j])
             for j, col in enumerate(self.below)
         )
+        return marks if set(map(type, coeffs)) <= {int} else tuple(Fraction(v, d) for v in marks)
 
     def integral_solution(self, marks: Sequence[int]) -> Tuple[int, ...]:
         """Like solve_marks but demands integers; NonIntegral carries the witness."""

@@ -179,23 +179,33 @@ def subset_key(s: Subset) -> str:
 
 
 def parse_subset_key(key: str) -> Subset:
-    if key == "":
-        return frozenset()
-    return frozenset(_key_int(p, f"subset key {key!r} part") for p in key.split(","))
+    parts = [_key_int(p, f"subset key {key!r} part") for p in key.split(",")] if key else []
+    if len(set(parts)) < len(parts):
+        raise ValueError(f"subset key {key!r} repeats a part")
+    return frozenset(parts)
+
+
+def _new_key(table: dict, key, raw: str):
+    """key, which no earlier JSON key of table may have named."""
+    if key in table:
+        raise ValueError(f"key {raw!r} names what an earlier key named")
+    return key
 
 
 def _parse_cube(obj, n: int, what: str) -> Cube:
     obj = _as_dict(obj, what)
     sizes = {}
     for key, size in _as_dict(obj.get("vertices"), f"{what}.vertices").items():
-        sizes[parse_subset_key(key)] = _int(size, f"{what} vertex size")
+        subset = _new_key(sizes, parse_subset_key(key), key)
+        sizes[subset] = _int(size, f"{what} vertex size")
     covers = {}
     for key, mapping in _as_dict(obj.get("maps"), f"{what}.maps").items():
         if "+" not in key:
             raise ValueError(f"cube map key {key!r} must look like 'S+j'")
         skey, _, jkey = key.rpartition("+")
         j = _key_int(jkey, f"cube map key {key!r} index")
-        covers[(parse_subset_key(skey), j)] = _ints(mapping, f"{what} cover map {key!r}")
+        cover = _new_key(covers, (parse_subset_key(skey), j), key)
+        covers[cover] = _ints(mapping, f"{what} cover map {key!r}")
     try:
         return Cube(n, sizes, covers)
     except ValueError as exc:
@@ -211,7 +221,8 @@ def parse_cube_map(obj) -> CubeMap:
     target = _parse_cube(obj.get("target"), n, "target")
     components = {}
     for key, mapping in _as_dict(obj.get("components"), "components").items():
-        components[parse_subset_key(key)] = _ints(mapping, f"component {key!r}")
+        subset = _new_key(components, parse_subset_key(key), key)
+        components[subset] = _ints(mapping, f"component {key!r}")
     try:
         return CubeMap(source, target, components)
     except ValueError as exc:

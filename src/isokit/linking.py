@@ -288,10 +288,10 @@ class PhiMap:
       must have as its stabilizer;
     - collision_keys: the coset vertex (l[j], j, C) that (l, u) is
       identified with.
-    facet_positions lists, per linking facet, the positions of the keys
-    (l, u) with u in the facet, over every disk corner l; chain_label is
-    the chain's class names, ascending.  The Illman simplex itself is built
-    on first read.
+    facet_positions lists, per linking facet (of a complex never built),
+    the positions of the keys (l, u) with u in the facet, over every disk
+    corner l; chain_label is the chain's class names, ascending.  The
+    Illman simplex itself is built on first read.
     """
 
     group: FiniteGroup
@@ -299,7 +299,7 @@ class PhiMap:
     chain: Tuple[Subgroup, ...]
     surjection: Tuple[int, ...]
     disk_dims: Tuple[int, ...]
-    linking: GComplex
+    linking_facets: Tuple[Simplex, ...]
     linking_vertices: Tuple[SlotVertex, ...]
     keys: Tuple[PhiKey, ...]
     targets: Tuple[Tuple[int, int], ...]
@@ -323,16 +323,21 @@ class PhiMap:
 def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     """The collapse assignment (l, (slot j, gK_j)) -> (min fiber(j) + l[j], same coset).
 
-    The list is checked once, and only the linking complex of its collapse
-    is built.  The returned map carries the per-chain plans that decompose,
-    validate_cells and cells_to_json read for each of its cells.
+    The list is checked once.  The returned map carries the per-chain plans
+    that decompose, validate_cells and cells_to_json read for each cell.
     """
-    subs = _check_weakly_decreasing(g, groups)
+    return _phi_map(g, _check_weakly_decreasing(g, groups))
+
+
+def _phi_map(g: FiniteGroup, subs: Tuple[Subgroup, ...]) -> PhiMap:
+    """phi_vertex_map of a checked list, read off the coset tables of its
+    collapse: the linking facets are the distinct facets of the elements."""
     chain, p = _collapse(subs)
     # chain[j] fills the slots p.index(j), ..., one per vertex of a disk factor
     first = [p.index(j) for j in range(len(chain))]
     disk_dims = tuple(p.count(j) - 1 for j in range(len(chain)))
-    link_cx, link_verts = slot_coset_complex(g, chain)
+    link_verts, coset_of = _slot_blocks(g, chain)
+    facets = tuple(sorted(set(zip(*coset_of))))
     stabs = [conjugate_subgroup(g, chain[j], min(coset)) for j, coset in link_verts]
     corners = list(product(*(range(d + 1) for d in disk_dims)))
     # the slot groups agree along a fiber, so the coset transfers
@@ -344,11 +349,11 @@ def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     n = len(link_verts)
     return PhiMap(
         group=g, groups=subs, chain=chain, surjection=p, disk_dims=disk_dims,
-        linking=link_cx, linking_vertices=link_verts,
+        linking_facets=facets, linking_vertices=tuple(link_verts),
         keys=keys, targets=targets, stabilizers=stabilizers, collision_keys=collision_keys,
         facet_positions=tuple(
             tuple(k * n + u for u in facet for k in range(len(corners)))
-            for facet in link_cx.facets
+            for facet in facets
         ),
         chain_label=chain_name(g, chain[::-1]),
     )
@@ -455,17 +460,17 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         stabs = [stabilizers[(v,)] for v in base]
         order = sorted(range(len(base)), key=lambda i: (-len(stabs[i]), base[i]))
         sorted_base = tuple(base[i] for i in order)
-        sorted_stabs = [stabs[i] for i in order]
+        sorted_stabs = tuple(stabs[i] for i in order)
         for hi, lo in zip(sorted_stabs, sorted_stabs[1:]):
             if not (lo <= hi):
                 raise NotEquivariantTriangulation(
                     f"vertex stabilizers over orbit simplex {s} are not nested",
                     orbit_simplex=s,
                 )
-        key = tuple(sorted_stabs)
-        if key not in phi_maps:
-            phi_maps[key] = phi_vertex_map(g, sorted_stabs)
-        pm = phi_maps[key]
+        # the stabilizers are subgroups and nested, so the list is valid
+        if sorted_stabs not in phi_maps:
+            phi_maps[sorted_stabs] = _phi_map(g, sorted_stabs)
+        pm = phi_maps[sorted_stabs]
         # compose the abstract assignment with the identification that the
         # slot-i vertex with coset a*H_i is the ambient vertex a * base[i]
         phi = tuple([x.action[a][sorted_base[slot]] for slot, a in pm.targets])
@@ -570,7 +575,7 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
             )
             if missing is not None:
                 fail(i, "attachment", f"boundary simplex {missing} missing from skeleton")
-        tally += len(pm.linking.facets)
+        tally += len(pm.linking_facets)
     total = len(x.simplices())
     if tally != total:
         failures.append(

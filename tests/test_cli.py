@@ -1,6 +1,5 @@
 """End-to-end CLI runs: report shape, frozen payloads, exit codes."""
 
-import functools
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import isokit
-from isokit import cli, fixpoint, gmap, models
+from isokit import fixpoint, gmap, models
 from isokit.cli import build_parser, run
 from isokit.cubelim import random_cube_map
 from isokit.group import FiniteGroup
@@ -561,6 +560,21 @@ def _cube1_map(source):
     return {"dim": 1, "source": source, "target": _CUBE1, "components": {"": [0], "0": [0]}}
 
 
+def _with_key(doc, path, key, like):
+    """doc with one more entry key, a copy of the value at like, in the
+    object at path: a second key for what like names."""
+    out = json.loads(json.dumps(doc))
+    table = out
+    for step in path:
+        table = table[step]
+    table[key] = table[like]
+    return out
+
+
+_CUBE2_MAP = cube_map_to_json(random_cube_map(2, seed=3, max_size=3))
+_CUBE3_MAP = cube_map_to_json(random_cube_map(3, seed=0, max_size=2))
+
+
 # one row per malformed input: the JSON written to the file "{file}" names
 # (or None), and the command line; each must be a BadInput report, exit 65
 MALFORMED_INPUTS = {
@@ -686,6 +700,30 @@ MALFORMED_INPUTS = {
         _cube1_map({"vertices": {"": 1, "0": 1}, "maps": {"+00": [0]}}),
         ["cube", "check", "--file", "{file}"],
     ),
+    "cube vertex key repeating a part": (
+        _with_key(_CUBE2_MAP, ["source", "vertices"], "0,0", "0"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube vertex keys naming one subset": (
+        _with_key(_CUBE2_MAP, ["source", "vertices"], "1,0", "0,1"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube cover key repeating a part": (
+        _with_key(_CUBE2_MAP, ["target", "maps"], "1,1+0", "1+0"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube cover keys naming one cover": (
+        _with_key(_CUBE3_MAP, ["source", "maps"], "1,0+2", "0,1+2"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube component key repeating a part": (
+        _with_key(_CUBE2_MAP, ["components"], "1,1", "1"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube component keys naming one subset": (
+        _with_key(_CUBE2_MAP, ["components"], "1,0", "0,1"),
+        ["cube", "check", "--file", "{file}"],
+    ),
 }
 
 # a count of 1e308 is no JSON integer, so each such row has a twin whose
@@ -733,12 +771,10 @@ def _replace_at(doc, path, value):
     return out
 
 
-def test_cube_check_file_fuzz(capsys, monkeypatch, tmp_path):
+def test_cube_check_file_fuzz(capsys, tmp_path):
     """Every value of a valid dim-2 cube-map file, replaced in turn by each
     of a few wrong JSON values, gives one report and exit 0 or 65."""
-    # building the parser is most of an in-process run; one serves all 432
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
-    doc = cube_map_to_json(random_cube_map(2, seed=3, max_size=3))
+    doc = _CUBE2_MAP
     path = tmp_path / "map.json"
     codes = set()
     for where in _value_paths(doc):

@@ -486,6 +486,36 @@ def test_solve_marks_matches_generic_solver(name):
         assert mt.solve_marks(mt.marks_of(coeffs)) == tuple(coeffs)
 
 
+def test_marks_of_inverts_solve_marks():
+    """On relabelled lattice families, marks_of(solve_marks(v)) == v for
+    integer and fractional marks v, and integer coefficients v give
+    integer marks with solve_marks(marks_of(v)) == v."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tables = {}
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(LATTICE_FAMILIES)), st.integers(0, 1), st.data())
+    def check(family, seed, data):
+        if (family, seed) not in tables:
+            tables[family, seed] = table_of_marks(_relabel(LATTICE_FAMILIES[family](), seed))
+        mt = tables[family, seed]
+        n = len(mt.reps)
+        ints = st.integers(-10**6, 10**6)
+        v = data.draw(st.lists(ints, min_size=n, max_size=n))
+        dens = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+        w = [Fraction(a, d) for a, d in zip(v, dens)]
+        for marks in (v, w):
+            back = mt.marks_of(mt.solve_marks(marks))
+            assert back == tuple(marks)
+            assert set(map(type, back)) == {Fraction}
+        marks = mt.marks_of(v)
+        assert set(map(type, marks)) == {int}
+        assert mt.solve_marks(marks) == tuple(v)
+
+    check()
+
+
 def test_integral_solution_and_witness():
     mt = table_of_marks(FiniteGroup.cyclic(2))
     assert mt.integral_solution((2, 0)) == (1, 0)

@@ -2,6 +2,7 @@
 checked against the definitions written out in this file."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from isokit.fixpoint import (
     PiData,
     TwistedConjugacySetup,
     burnside_lefschetz,
+    forced_fixed_points,
     is_fixed_point_free,
     lefschetz,
     lefschetz_fixed_sets,
@@ -27,8 +29,8 @@ from isokit.gcomplex import (
     make_regular,
     present_classes,
 )
-from isokit.gmap import GMap, is_equivariant, is_isovariant, is_simplicial
-from isokit.group import FiniteGroup, enumerate_subgroups
+from isokit.gmap import GMap, is_equivariant, is_isovariant, is_simplicial, subdivide_map
+from isokit.group import FiniteGroup, class_names, enumerate_subgroups, table_of_marks
 
 C2 = FiniteGroup.cyclic(2)
 GROUPS = {
@@ -254,3 +256,69 @@ def test_fixed_simplices_computed_once_per_map(monkeypatch):
     # the memo takes no part in equality or hashing
     twin = GMap(f.source, f.target, f.vertices)
     assert twin == f and hash(twin) == hash(f)
+
+
+# -- per-class traces and forced fixed points ------------------------------------------
+
+
+def _class_trace(f, h):
+    """The Lefschetz number of f on the fixed subcomplex of h: the signs of
+    f's fixed simplices that h fixes, alternating with dimension."""
+    fixed = fixed_subcomplex(f.source, h)
+    return sum((-1) ** (len(s) - 1) * sign for s, sign in f.fixed_simplices() if s in fixed)
+
+
+@pytest.mark.parametrize("name", sorted(models.MAP_MODELS))
+def test_marks_are_the_per_class_traces(name):
+    f = models.MAP_MODELS[name]()
+    # cross5's first subdivision alone has 224,708 simplices
+    for g in (f,) if name == "cross5-identity" else (f, subdivide_map(f)):
+        x = g.source
+        reps = table_of_marks(x.group).reps
+        assert fixpoint._marks(g).coefficients == tuple(
+            _class_trace(g, frozenset(rep)) for rep in reps
+        )
+        if is_isovariant(g) and g.is_self_map():
+            names = class_names(x.group)
+            assert lefschetz_fixed_sets(g) == {
+                names[rep]: _class_trace(g, rep) for rep in present_classes(x)
+            }
+
+
+def _forced_by_closures(x):
+    """The definition: a vertex is forced when the face closure of some
+    exact stratum meets some exact stratum in that vertex alone."""
+    strata = [exact_stratum(x, rep).simplices for rep in present_classes(x)]
+    forced = set()
+    for stratum in strata:
+        closure = {t for s in stratum for k in range(1, len(s) + 1) for t in combinations(s, k)}
+        for other in strata:
+            meet = closure & other
+            if len(meet) == 1:
+                forced.update(t[0] for t in meet if len(t) == 1)
+    return forced
+
+
+def _complexes_for_forced_points():
+    for name in sorted(models.COMPLEX_MODELS):
+        x = models.COMPLEX_MODELS[name]()
+        yield f"{name} sd^0", x
+        if name == "cross5":
+            continue  # its first subdivision alone has 224,708 simplices
+        for depth in (1, 2):
+            x = barycentric_subdivision(x).complex
+            yield f"{name} sd^{depth}", x
+    for group in sorted(GROUPS):
+        for seed in SEEDS:
+            x = _orbit_closure_complex(GROUPS[group], seed)
+            yield f"{group} seed {seed}", x
+            yield f"{group} seed {seed} regular", make_regular(x)
+
+
+def test_forced_fixed_points_match_the_closure_definition():
+    found = set()
+    for label, x in _complexes_for_forced_points():
+        forced = forced_fixed_points(x)
+        assert forced == _forced_by_closures(x), label
+        found.add(bool(forced))
+    assert found == {True, False}

@@ -1,6 +1,7 @@
 """Serialization round-trips and canonical-output stability."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -161,6 +162,23 @@ def test_subset_keys():
             assert parse_subset_key(subset_key(s)) == s
     with pytest.raises(ValueError):
         parse_subset_key("a,b")
+    for key in ("0,0", "1,0,1", "2,2,2"):
+        with pytest.raises(ValueError, match="repeats a part"):
+            parse_subset_key(key)
+
+
+def test_cube_map_keys_name_each_entry_once():
+    """A key "1,0" in place of "0,1" reads the same map; next to it, it is
+    a second key for one vertex or component, which is bad input."""
+    j = cube_map_to_json(random_cube_map(2, seed=1, max_size=3))
+    for table_of in (lambda doc: doc["source"]["vertices"], lambda doc: doc["components"]):
+        doc = json.loads(json.dumps(j))
+        table = table_of(doc)
+        table["1,0"] = table.pop("0,1")
+        assert cube_map_to_json(parse_cube_map(doc)) == j
+        table["0,1"] = table["1,0"]
+        with pytest.raises(ValueError, match="names what an earlier key named"):
+            parse_cube_map(doc)
 
 
 def test_cube_map_roundtrip():

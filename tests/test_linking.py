@@ -255,41 +255,55 @@ def test_boundary_builds_no_slot_complex_and_each_model_once(count_calls):
     assert len(calls) == len(pieces)
 
 
-def test_decompose_builds_one_slot_complex_per_stabilizer_chain(count_calls):
+def _assert_linking_plan(g, pm):
+    """The plan's linking facets and vertices are the linking complex's."""
+    cx, verts = slot_coset_complex(g, pm.chain)
+    assert pm.linking_facets == cx.facets
+    assert pm.linking_vertices == verts
+
+
+def test_decompose_builds_no_slot_complex(count_calls):
     """A linking complex has no repeated stabilizers, so each phi map's
-    linking complex is its Illman complex."""
+    linking facets are its Illman complex's, read off the coset tables."""
     g, chain = _s4_chain()
     x = build_linking(g, chain[1:4]).complex
     calls = count_calls("slot_coset_complex", linking_module)
     c = decompose(x)
-    maps = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
-    assert len(calls) == len(maps)
-    for pm in maps:
-        assert pm.linking == pm.illman.complex
-        assert pm.linking_vertices == pm.illman.vertices
     assert validate_cells(c, x).ok
+    assert calls == []
+    maps = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
+    for pm in maps:
+        assert pm.linking_facets == pm.illman.complex.facets
+        assert pm.linking_vertices == pm.illman.vertices
+        _assert_linking_plan(g, pm)
 
 
-def test_decompose_builds_one_slot_complex_per_chain_with_repeats(count_calls):
-    """Repeated stabilizers in a list still cost one slot complex: the
-    linking complex of its collapse, and no Illman complex."""
+def test_decompose_builds_no_slot_complex_with_repeats(count_calls):
+    """Repeated stabilizers in a list build no slot complex either, and the
+    Illman complex is built only on first read."""
     x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
     calls = count_calls("slot_coset_complex", linking_module)
     c = decompose(x)
+    assert validate_cells(c, x).ok
+    cells_to_json(c)
+    assert calls == []
     maps = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
     assert any(len(pm.chain) < len(pm.groups) for pm in maps)
-    assert len(calls) == len(maps) == len({pm.groups for pm in maps})
-    assert {groups for _, groups in calls} == {pm.chain for pm in maps}
+    assert len(maps) == len({pm.groups for pm in maps})
+    for pm in maps:
+        _assert_linking_plan(x.group, pm)
+        assert pm.illman is pm.illman
+    assert [groups for _, groups in calls] == [pm.groups for pm in maps]
 
 
-def test_phi_vertex_map_builds_a_linking_complex_only_for_repeats(count_calls):
+def test_phi_vertex_map_builds_no_slot_complex(count_calls):
     g, chain = _s4_chain()
     s4, d8, v4, c2, e = reversed(chain)
-    for groups, built in (([s4, d8, v4, c2], 1), ([d8, d8, c2, e], 1)):
+    for groups in ([s4, d8, v4, c2], [d8, d8, c2, e], [v4]):
         calls = count_calls("slot_coset_complex", linking_module)
         pm = phi_vertex_map(g, groups)
-        assert len(calls) == built
-        assert pm.linking == slot_coset_complex(g, pm.chain)[0]
+        assert calls == []
+        _assert_linking_plan(g, pm)
 
 
 def test_pipeline_leaves_no_reference_cycle_through_the_group(no_gc):
@@ -367,7 +381,7 @@ def test_phi_vertex_map_c2_e_e():
     # facetwise images of each corner are simplices of the Illman complex
     illman_simplices = set(phi.illman.complex.simplices())
     for corner in corners:
-        for facet in phi.linking.facets:
+        for facet in phi.linking_facets:
             image = tuple(sorted({phi.apply(corner, u) for u in facet}))
             assert image in illman_simplices
 
