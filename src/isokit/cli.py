@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .cubelim import check_hypothesis, factorize_limit, limit_map, random_cube_map
-from .errors import GroupTooLarge, IsokitError, TooManyTwistedClasses
+from .errors import GroupTooLarge, IsokitError, TooManySimplices, TooManyTwistedClasses
 from .fixpoint import (
     TwistedConjugacySetup,
     _orbits,
@@ -584,7 +584,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     command = getattr(args, "command", "isokit")
     try:
         return args.func(args)
-    except (GroupTooLarge, TooManyTwistedClasses) as exc:
+    except (GroupTooLarge, TooManySimplices, TooManyTwistedClasses) as exc:
         return _fail(command, EX_BADINPUT, exc.code, str(exc))
     except IsokitError as exc:
         return _fail(command, EX_DOMAIN, exc.code, str(exc))

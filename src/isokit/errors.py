@@ -88,3 +88,7 @@ class CubeGenerationFailed(IsokitError):
 
 class TooManyTwistedClasses(IsokitError):
     """Listing the twisted classes one by one would exceed their fixed cap."""
+
+
+class TooManySimplices(IsokitError):
+    """A barycentric subdivision would exceed the fixed cap on its simplices."""

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import MissingStratum, NotRegular
+from .errors import MissingStratum, NotRegular, TooManySimplices
 from .group import (
     FiniteGroup,
     Subgroup,
@@ -261,15 +262,17 @@ class Isotropy:
     stabilizers maps each simplex to its pointwise stabilizer; classes maps
     each stabilizer that occurs to its class representative; strata maps
     each present class representative, ascending, to its exact stratum.
-    orbit_reps holds the first simplex of each orbit, regular says whether
-    setwise and pointwise stabilizers agree, and fixed memoizes
-    fixed_subcomplex by subgroup.
+    orbit_reps holds the first simplex of each orbit and orbits, parallel
+    to it, the members of that orbit, the representative first; regular
+    says whether setwise and pointwise stabilizers agree, and fixed
+    memoizes fixed_subcomplex by subgroup.
     """
 
     stabilizers: Dict[Simplex, Subgroup]
     classes: Dict[Subgroup, Subgroup]
     strata: Dict[Subgroup, SimplexSet]
     orbit_reps: Tuple[Simplex, ...]
+    orbits: Tuple[Tuple[Simplex, ...], ...]
     regular: bool
     fixed: Dict[Subgroup, SimplexSet]
 
@@ -284,12 +287,12 @@ def _isotropy_index(x: GComplex) -> Isotropy:
     g = x.group
     stabs: Dict[Simplex, Subgroup] = {}
     shared: Dict[Subgroup, Subgroup] = {}
-    reps: List[Simplex] = []
+    orbits: List[Tuple[Simplex, ...]] = []
     regular = True
     for s in x.simplices():
         if s in stabs:
             continue
-        reps.append(s)
+        orbit = [s]
         images = [tuple(perm[v] for v in s) for perm in x.action]
         h = frozenset(a for a in g.elements if images[a] == s)
         h = shared.setdefault(h, h)
@@ -301,13 +304,16 @@ def _isotropy_index(x: GComplex) -> Isotropy:
             elif t not in stabs:
                 k = frozenset(g.conjugate(b, a) for b in h) if len(h) > 1 else h
                 stabs[t] = shared.setdefault(k, k)
+                orbit.append(t)
         stabs[s] = h
+        orbits.append(tuple(orbit))
         if setwise != len(h):
             regular = False
     classes = {k: class_rep_of(g, k) for k in shared}
+    # conjugate stabilizers share a class, so each orbit lies in one stratum
     members: Dict[Subgroup, List[Simplex]] = {}
-    for s in x.simplices():
-        members.setdefault(classes[stabs[s]], []).append(s)
+    for orbit in orbits:
+        members.setdefault(classes[stabs[orbit[0]]], []).extend(orbit)
     strata = {
         rep: frozenset(members[rep])
         for rep in sorted(members, key=_skey)
@@ -316,7 +322,8 @@ def _isotropy_index(x: GComplex) -> Isotropy:
         stabilizers=stabs,
         classes=classes,
         strata=strata,
-        orbit_reps=tuple(reps),
+        orbit_reps=tuple(orbit[0] for orbit in orbits),
+        orbits=tuple(orbits),
         regular=regular,
         fixed={},
     )
@@ -334,6 +341,18 @@ class Subdivision:
     vertex_to_simplex: Tuple[Simplex, ...]
 
 
+# the largest barycentric subdivision built, in simplices
+MAX_SUBDIVISION_SIMPLICES = 2_000_000
+
+
+def _fubini(n: int) -> List[int]:
+    """F(0..n): F(k) flags of faces end at a (k-1)-simplex (Fubini numbers)."""
+    f = [1]
+    for m in range(1, n + 1):
+        f.append(sum(comb(m, k) * f[m - k] for k in range(1, m + 1)))
+    return f
+
+
 def barycentric_subdivision(x: GComplex) -> Subdivision:
     """One barycentric subdivision; new vertices are the old simplices.
 
@@ -343,9 +362,16 @@ def barycentric_subdivision(x: GComplex) -> Subdivision:
     proper face of it, all ascending index tuples.  The facets are the
     full-length flags over the facets of x, distinct and maximal, so the
     complex is assembled without normalizing or closing them again; it
-    equals GComplex(n, facets, action, group, names).
+    equals GComplex(n, facets, action, group, names).  A subdivision of
+    more than MAX_SUBDIVISION_SIMPLICES simplices, one per flag, raises
+    TooManySimplices before anything is built.
     """
     old = x.simplices()
+    total = sum(map(_fubini(x.dim + 1).__getitem__, map(len, old)))
+    if total > MAX_SUBDIVISION_SIMPLICES:
+        raise TooManySimplices(
+            f"a subdivision of {total} simplices exceeds the cap of {MAX_SUBDIVISION_SIMPLICES}"
+        )
     index = {s: i for i, s in enumerate(old)}
     ending: List[List[Simplex]] = []
     for i, s in enumerate(old):

@@ -22,9 +22,14 @@ from .group import FiniteGroup
 from .linking import IsovariantCellStructure
 
 
+# the library builds every report fresh as a tree and json.loads makes no
+# cycles, so the encoder skips its circular-reference bookkeeping
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_dumps(obj) -> str:
     """Sorted keys, tight separators, trailing newline: byte-stable output."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def file_digest(path: str) -> str:
@@ -258,40 +263,33 @@ def cells_to_json(c: IsovariantCellStructure) -> dict:
     """Cell-structure report: one record per cell with its disk dimension,
     chain label, vertex assignment, and the orbit faces it attaches along.
 
-    A cell's phi is aligned with its PhiMap's keys, so the part of each phi
-    record that depends on the key alone (disk, slot, coset) is built once
-    per PhiMap; the records of one chain share their disk and coset lists,
-    so the report is read-only.
+    A cell's phi is aligned with its PhiMap's keys, so what depends on the
+    chain alone (m, the label, the disk dimensions and each phi record's
+    disk, slot and coset) is built once per PhiMap, and the attaching
+    faces once per orbit-simplex length, as index patterns; the records of
+    one chain share their lists, so the report is read-only.
     """
-    heads: Dict[int, list] = {}
+    plans: Dict[int, tuple] = {}
+    patterns: Dict[int, list] = {}
     cells = []
     for cell in c.cells:
-        pm = cell.phi_map
-        head = heads.get(id(pm))
-        if head is None:
-            head = heads[id(pm)] = [
-                {
-                    "disk": list(l),
-                    "slot": pm.linking_vertices[u][0],
-                    "coset": sorted(pm.linking_vertices[u][1]),
-                }
-                for l, u in pm.keys
-            ]
-        phi_records = [dict(h, vertex=v) for h, v in zip(head, cell.phi)]
-        orbit = cell.orbit_simplex
-        faces = sorted(s for s in _faces(orbit) if len(s) < len(orbit))
-        cells.append(
-            {
-                "m": cell.disk_dim,
-                "chain": cell.label(),
-                "orbit": list(orbit),
-                "base": list(cell.base_simplex),
-                "disk_dims": list(pm.disk_dims),
-                "phi": phi_records,
-                "attach": [list(f) for f in faces],
-            }
-        )
-    return {
-        "cells": cells,
-        "skeleta": [len(s) for s in c.skeleta],
-    }
+        pm, orbit = cell.phi_map, cell.orbit_simplex
+        if id(pm) not in plans:
+            head = []
+            for l, u in pm.keys:
+                slot, coset = pm.linking_vertices[u]
+                head.append({"disk": list(l), "slot": slot, "coset": sorted(coset)})
+            shared = {"m": cell.disk_dim, "chain": cell.label(), "disk_dims": list(pm.disk_dims)}
+            plans[id(pm)] = (shared, head)
+        shared, head = plans[id(pm)]
+        if len(orbit) not in patterns:
+            # an increasing relabelling keeps the sorted order of the faces
+            patterns[len(orbit)] = sorted(f for f in _faces(range(len(orbit))) if len(f) < len(orbit))
+        cells.append(dict(
+            shared,
+            orbit=list(orbit),
+            base=list(cell.base_simplex),
+            phi=[dict(h, vertex=v) for h, v in zip(head, cell.phi)],
+            attach=[[orbit[k] for k in f] for f in patterns[len(orbit)]],
+        ))
+    return {"cells": cells, "skeleta": [len(s) for s in c.skeleta]}

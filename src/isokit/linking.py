@@ -9,10 +9,11 @@ space is a single n-simplex.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations, islice, product
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     InvariantViolated,
@@ -286,8 +287,9 @@ class PhiMap:
       the ambient vertex a * b[i];
     - stabilizers: chain[j] conjugated by min(C), which the image of (l, u)
       must have as its stabilizer;
-    - collision_keys: the coset vertex (l[j], j, C) that (l, u) is
-      identified with.
+    - identified: the position of the first key that names the same
+      coset vertex (l[j], j, C) as (l, u), so that phi must agree on the
+      two; coset_vertices counts those coset vertices.
     facet_positions lists, per linking facet (of a complex never built),
     the positions of the keys (l, u) with u in the facet, over every disk
     corner l; chain_label is the chain's class names, ascending.  The
@@ -304,7 +306,8 @@ class PhiMap:
     keys: Tuple[PhiKey, ...]
     targets: Tuple[Tuple[int, int], ...]
     stabilizers: Tuple[Subgroup, ...]
-    collision_keys: Tuple[Tuple[int, int, FrozenSet[int]], ...]
+    identified: Tuple[int, ...]
+    coset_vertices: int
     facet_positions: Tuple[Tuple[int, ...], ...]
     chain_label: str
 
@@ -346,11 +349,14 @@ def _phi_map(g: FiniteGroup, subs: Tuple[Subgroup, ...]) -> PhiMap:
         for l in corners
         for u, (j, coset) in enumerate(link_verts)
     ))
+    seen: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
+    identified = tuple(seen.setdefault(ck, k) for k, ck in enumerate(collision_keys))
     n = len(link_verts)
     return PhiMap(
         group=g, groups=subs, chain=chain, surjection=p, disk_dims=disk_dims,
         linking_facets=facets, linking_vertices=tuple(link_verts),
-        keys=keys, targets=targets, stabilizers=stabilizers, collision_keys=collision_keys,
+        keys=keys, targets=targets, stabilizers=stabilizers,
+        identified=identified, coset_vertices=len(seen),
         facet_positions=tuple(
             tuple(k * n + u for u in facet for k in range(len(corners)))
             for facet in facets
@@ -416,39 +422,49 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
     Every orbit of closed simplices must look like an equivariant simplex:
     full-dimensional over its orbit-space image, a single group orbit, and
     with linearly ordered vertex stabilizers.  Violations raise
-    NotEquivariantTriangulation naming the offending orbit simplex.
+    NotEquivariantTriangulation naming the offending orbit simplex.  A
+    regular complex can fail; its second barycentric subdivision never does.
 
-    Cells with one stabilizer chain share one PhiMap, whose plans give each
-    cell's phi as one pass over its targets and its label without per-cell
-    work.
+    The fibers are filled one simplex orbit at a time.  Cells with one
+    stabilizer chain share one PhiMap, built (and the chain checked for
+    nesting) on first use, whose plans give each cell's phi as one pass
+    over its targets and its label without per-cell work.
     """
     if not x.is_regular():
         raise NotEquivariantTriangulation(
             "action is not regular, so simplex orbits are not equivariant "
-            "simplices; apply make_regular first"
+            "simplices; the second barycentric subdivision always decomposes"
         )
     orb = orbit_complex(x)
     g = x.group
-    stabilizers = x.isotropy().stabilizers
-    buckets = _fibers_over_orbit(x, orb)
+    iso = x.isotropy()
+    stabilizers = iso.stabilizers
+    # the orbits come in simplices() order, so each fiber lists its longest
+    # simplices last; it is sorted once its lengths are checked
+    buckets: Dict[Simplex, List[Simplex]] = {}
+    for members in iso.orbits:
+        buckets.setdefault(orb.image_of(members[0]), []).extend(members)
     cells: List[Cell] = []
-    by_dim: Dict[int, Set[Simplex]] = {}
+    # a cell's vertex order and PhiMap depend only on its vertex stabilizers
+    plans: Dict[Tuple[Subgroup, ...], Tuple[List[int], PhiMap]] = {}
     # phi depends only on the stabilizer chain; cells that share it share one map
     phi_maps: Dict[Tuple[Subgroup, ...], PhiMap] = {}
     for s in orb.complex.simplices():
-        over = buckets.get(s, [])
+        over = buckets.get(s)
         if not over:
             raise NotEquivariantTriangulation(
                 f"orbit simplex {s} has no simplex above it", orbit_simplex=s
             )
-        for t in over:
-            if len(t) != len(s):
-                raise NotEquivariantTriangulation(
-                    f"simplex {t} collapses onto orbit simplex {s}; "
-                    "two of its vertices share an orbit",
-                    orbit_simplex=s,
-                )
-        base = min(over)
+        # no simplex over s is shorter than s
+        if len(over[-1]) != len(s):
+            t = min((t for t in over if len(t) != len(s)), key=lambda t: (len(t), t))
+            raise NotEquivariantTriangulation(
+                f"simplex {t} collapses onto orbit simplex {s}; "
+                "two of its vertices share an orbit",
+                orbit_simplex=s,
+            )
+        over.sort()
+        base = over[0]
         # over is G-invariant and the action is regular, so Stab(base) is also
         # its setwise stabilizer: the orbit of base is all of over iff
         # |over| = |G| / |Stab(base)|
@@ -457,33 +473,37 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
                 f"simplices over orbit simplex {s} form more than one orbit",
                 orbit_simplex=s,
             )
-        stabs = [stabilizers[(v,)] for v in base]
-        order = sorted(range(len(base)), key=lambda i: (-len(stabs[i]), base[i]))
-        sorted_base = tuple(base[i] for i in order)
-        sorted_stabs = tuple(stabs[i] for i in order)
-        for hi, lo in zip(sorted_stabs, sorted_stabs[1:]):
-            if not (lo <= hi):
-                raise NotEquivariantTriangulation(
-                    f"vertex stabilizers over orbit simplex {s} are not nested",
-                    orbit_simplex=s,
-                )
-        # the stabilizers are subgroups and nested, so the list is valid
-        if sorted_stabs not in phi_maps:
-            phi_maps[sorted_stabs] = _phi_map(g, sorted_stabs)
-        pm = phi_maps[sorted_stabs]
+        stabs = tuple([stabilizers[(v,)] for v in base])
+        plan = plans.get(stabs)
+        if plan is None:
+            # larger stabilizers first, ties in vertex order
+            order = sorted(range(len(base)), key=lambda i: -len(stabs[i]))
+            chain = tuple([stabs[i] for i in order])
+            pm = phi_maps.get(chain)
+            if pm is None:
+                if not all(lo <= hi for hi, lo in zip(chain, chain[1:])):
+                    raise NotEquivariantTriangulation(
+                        f"vertex stabilizers over orbit simplex {s} are not nested",
+                        orbit_simplex=s,
+                    )
+                # the stabilizers are subgroups and nested, so the list is valid
+                pm = phi_maps[chain] = _phi_map(g, chain)
+            plan = plans[stabs] = (order, pm)
+        order, pm = plan
+        sorted_base = tuple([base[i] for i in order])
         # compose the abstract assignment with the identification that the
         # slot-i vertex with coset a*H_i is the ambient vertex a * base[i]
         phi = tuple([x.action[a][sorted_base[slot]] for slot, a in pm.targets])
         cells.append(Cell(orbit_simplex=s, base_simplex=sorted_base, phi=phi, phi_map=pm))
-        by_dim.setdefault(len(s) - 1, set()).update(over)
-    skeleta: List[FrozenSet[Simplex]] = []
-    acc: Set[Simplex] = set()
-    for d in range(orb.complex.dim + 1):
-        acc |= by_dim.get(d, set())
-        skeleta.append(frozenset(acc))
-    cells.sort(key=lambda c: (len(c.orbit_simplex), c.orbit_simplex))
+    # every simplex lies over an orbit simplex of its own length, so the
+    # d-skeleton is the simplices of at most d + 1 vertices
+    simplices = x.simplices()
+    skeleta = tuple(
+        frozenset(simplices[: bisect_right(simplices, d + 1, key=len)])
+        for d in range(orb.complex.dim + 1)
+    )
     return IsovariantCellStructure(
-        complex=x, orbit=orb, cells=tuple(cells), skeleta=tuple(skeleta), fibers=buckets
+        complex=x, orbit=orb, cells=tuple(cells), skeleta=skeleta, fibers=buckets
     )
 
 
@@ -522,15 +542,25 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
       of the closed cell;
     - facets: the images of the keys at each linking facet's planned
       positions span the simplices of over;
-    - identifications: domain vertices with one collision key share an
-      image, and distinct collision keys have distinct images;
+    - identifications: domain vertices that name one coset vertex share
+      an image, and distinct coset vertices have distinct images;
     - attachment: every proper face of over lies in the previous skeleton,
       else the smallest missing one is named.
-    Finally the facet tally must count every simplex of x exactly once.
+    Isotropy and identifications compare whole tuples; faces are enumerated
+    only where a skeleton lacks a simplex of x small enough to lie in it, or
+    a longer simplex lies over a cell.  Finally the facet tally must count
+    every simplex of x exactly once.
     """
     failures: List[CellCheck] = []
     stabilizers = x.isotropy().stabilizers
+    vertex_stabilizers = {v: stabilizers.get((v,)) for v in range(x.n_vertices)}
     buckets = c.fibers if x is c.complex else _fibers_over_orbit(x, c.orbit)
+    simplices = x.simplices()
+    # full[d]: skeleta[d] holds every simplex of x of at most d + 1 vertices
+    full = [
+        all(map(skeleton.__contains__, islice(simplices, bisect_right(simplices, d + 1, key=len))))
+        for d, skeleton in enumerate(c.skeleta)
+    ]
 
     def fail(i: int, check: str, detail: str) -> None:
         failures.append(CellCheck(cell_index=i, check=check, detail=detail))
@@ -542,49 +572,34 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
         dim = len(cell.orbit_simplex) - 1
         over = buckets.get(cell.orbit_simplex, [])
         over_set = set(over)
-        for k, w in enumerate(phi):
-            stab = stabilizers.get((w,))
-            if stab is None:
+        if tuple(map(vertex_stabilizers.get, phi)) != pm.stabilizers:
+            for k, w in enumerate(phi):
                 if not 0 <= w < x.n_vertices:
                     fail(i, "isotropy", f"image vertex {w} of {pm.keys[k]} is not a vertex of the complex")
                     break
-                stab = x.pointwise_stabilizer((w,))
-            if stab != pm.stabilizers[k]:
-                fail(i, "isotropy", f"image vertex {w} of {pm.keys[k]} has wrong stabilizer")
-                break
-        if set(phi) != {v for t in over for v in t}:
+                if x.pointwise_stabilizer((w,)) != pm.stabilizers[k]:
+                    fail(i, "isotropy", f"image vertex {w} of {pm.keys[k]} has wrong stabilizer")
+                    break
+        images = set(phi)
+        if images != set().union(*over):
             fail(i, "surjectivity", "phi image misses vertices of the closed cell")
-        facet_images = {
-            tuple(sorted({phi[k] for k in positions})) for positions in pm.facet_positions
-        }
+        facet_images = {tuple(sorted(set(map(phi.__getitem__, p)))) for p in pm.facet_positions}
         if facet_images != over_set:
             fail(i, "facets", "translate facets do not match the simplex orbit")
-        by_key: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
-        collision_ok = True
-        for ckey, w in zip(pm.collision_keys, phi):
-            if by_key.setdefault(ckey, w) != w:
-                fail(i, "identifications", f"one coset vertex hits both {by_key[ckey]} and {w}")
-                collision_ok = False
-                break
-        if collision_ok and len(set(by_key.values())) != len(by_key):
+        if tuple(map(phi.__getitem__, pm.identified)) != phi:
+            k = next(k for k, f in enumerate(pm.identified) if phi[f] != phi[k])
+            fail(i, "identifications", f"one coset vertex hits both {phi[pm.identified[k]]} and {phi[k]}")
+        elif len(images) != pm.coset_vertices:
             fail(i, "identifications", "distinct coset vertices share an image")
-        if dim > 0:
+        if dim > 0 and (not full[dim - 1] or over and len(over[-1]) > dim + 1):
             # the proper faces of over: the closure holds over itself too
-            missing = min(
-                close_simplices(over) - c.skeleta[dim - 1] - over_set, default=None
-            )
+            missing = min(close_simplices(over) - c.skeleta[dim - 1] - over_set, default=None)
             if missing is not None:
                 fail(i, "attachment", f"boundary simplex {missing} missing from skeleton")
         tally += len(pm.linking_facets)
-    total = len(x.simplices())
+    total = len(simplices)
     if tally != total:
-        failures.append(
-            CellCheck(
-                cell_index=-1,
-                check="tally",
-                detail=f"cells account for {tally} simplices, complex has {total}",
-            )
-        )
+        fail(-1, "tally", f"cells account for {tally} simplices, complex has {total}")
     return CellReport(
         ok=not failures,
         failures=tuple(failures),

@@ -312,6 +312,24 @@ def test_reidemeister_cli_caps_the_class_count(capsys):
     }
 
 
+def test_subdivision_cap_is_bad_input(capsys, tmp_path):
+    """A 10-simplex with two vertices swapped is irregular; regularizing it
+    would subdivide it into over 3 billion simplices."""
+    path = tmp_path / "big.json"
+    path.write_text(canonical_dumps({
+        "vertices": 11,
+        "facets": [list(range(11))],
+        "group": group_to_json(FiniteGroup.cyclic(2)),
+        "action": {"1": [1, 0] + list(range(2, 11))},
+    }))
+    r = _report(capsys, ["complex", "regularize", "--complex", str(path)], expect_code=65)
+    assert r["result"] is None
+    assert r["status"] == {
+        "code": "TooManySimplices",
+        "message": "a subdivision of 3245265145 simplices exceeds the cap of 2000000",
+    }
+
+
 def test_burnside_cli(capsys):
     r = _report(capsys, ["burnside", "--map", "hexagon-reflection"])
     assert r["result"] == {

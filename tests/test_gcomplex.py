@@ -9,9 +9,11 @@ import pytest
 
 import oracles
 from isokit import models
-from isokit.errors import NotEquivariantTriangulation, NotRegular
+from isokit.errors import NotEquivariantTriangulation, NotRegular, TooManySimplices
 from isokit.gcomplex import (
+    MAX_SUBDIVISION_SIMPLICES,
     GComplex,
+    _fubini,
     _normalize_facets,
     barycentric_subdivision,
     check_hypotheses,
@@ -314,6 +316,28 @@ def test_rotation_disk_sd4_counts():
         x = barycentric_subdivision(x).complex
     assert len(x.facets) == 6 * 6**4 == 7776
     assert x.euler_characteristic() == 1
+
+
+def test_subdivision_size_guard():
+    """A subdivision has one simplex per flag, sum F(dim s + 1) over the
+    simplices s with F the Fubini numbers; above the cap nothing is built."""
+    assert _fubini(6) == [1, 1, 3, 13, 75, 541, 4683]
+    simplex = GComplex(11, [range(11)], {}, FiniteGroup.cyclic(1))
+    message = "a subdivision of 3245265145 simplices exceeds the cap of 2000000"
+    with pytest.raises(TooManySimplices, match=message):
+        barycentric_subdivision(simplex)
+    once = barycentric_subdivision(models.COMPLEX_MODELS["cross5"]()).complex
+    assert len(once.simplices()) == 224708
+    with pytest.raises(TooManySimplices, match="of 152942536 simplices"):
+        barycentric_subdivision(once)
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    for _ in range(5):
+        x = barycentric_subdivision(x).complex
+    assert len(x.simplices()) == 140161 <= MAX_SUBDIVISION_SIMPLICES
+    for name in ALL_MODELS:
+        y = models.COMPLEX_MODELS[name]()
+        flags = sum(_fubini(len(s))[-1] for s in y.simplices())
+        assert len(barycentric_subdivision(y).complex.simplices()) == flags, name
 
 
 def test_stratification_dot():

@@ -116,6 +116,18 @@ def _check_index(x):
     assert x.is_regular() == all(_setwise(x, s) == stabs[s] for s in simplices)
 
 
+def _check_orbits(x):
+    """orbits runs parallel to orbit_reps, each the orbit of its
+    representative with the representative first, and they partition the
+    simplices."""
+    iso = x.isotropy()
+    assert [members[0] for members in iso.orbits] == list(iso.orbit_reps)
+    for members in iso.orbits:
+        assert len(set(members)) == len(members)
+        assert set(members) == {x.act_simplex(a, members[0]) for a in x.group.elements}
+    assert sorted(t for members in iso.orbits for t in members) == sorted(x.simplices())
+
+
 def _random_equivariant_map(x, rng):
     """Send each orbit representative v to a w with Stab(v) <= Stab(w)."""
     g = x.group
@@ -156,6 +168,19 @@ def test_index_matches_definitions_on_random_complexes(group):
         _check_index(y)
         _check_index(barycentric_subdivision(y).complex)
     assert irregular  # make_regular has work to do on some of them
+
+
+def test_orbits_partition_the_simplices():
+    for name in sorted(models.COMPLEX_MODELS):
+        x = models.COMPLEX_MODELS[name]()
+        for _ in range(1 if name == "cross5" else 3):
+            _check_orbits(x)
+            x = barycentric_subdivision(x).complex
+    for group in sorted(GROUPS):
+        for seed in SEEDS:
+            x = _orbit_closure_complex(GROUPS[group], seed)
+            _check_orbits(x)
+            _check_orbits(barycentric_subdivision(make_regular(x)).complex)
 
 
 def test_twice_subdivided_orbit_closures():

@@ -4,10 +4,11 @@ import hashlib
 import json
 
 import pytest
+from test_linking import GOLDEN_CELL_DIGESTS
 
 from isokit import jsonio, models
 from isokit.cubelim import random_cube_map
-from isokit.gcomplex import barycentric_subdivision
+from isokit.gcomplex import GComplex, barycentric_subdivision
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
     canonical_dumps,
@@ -32,6 +33,26 @@ def test_canonical_dumps_bytes():
     assert canonical_dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}\n'
     # key order of the input dict must not leak into the output
     assert canonical_dumps({"a": [1, 2], "b": 1}) == '{"a":[1,2],"b":1}\n'
+
+
+def _plain_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_canonical_dumps_is_plain_json_dumps():
+    """The shared encoder writes what a fresh json.dumps writes: on every
+    pinned cell report and on names outside ASCII."""
+    for name, depth in sorted(GOLDEN_CELL_DIGESTS):
+        x = models.COMPLEX_MODELS[name]()
+        for _ in range(depth):
+            x = barycentric_subdivision(x).complex
+        report = cells_to_json(decompose(x))
+        assert canonical_dumps(report) == _plain_dumps(report), (name, depth)
+    names = ["α", "ü", "東", "\u2028", '"', "\\", "\x00", "😀"]
+    x = GComplex(len(names), [range(len(names))], {}, FiniteGroup.cyclic(1), names=names)
+    report = complex_to_json(x)
+    assert canonical_dumps(report) == _plain_dumps(report)
+    assert parse_complex(json.loads(canonical_dumps(report))).names == tuple(names)
 
 
 def test_file_digest(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from test_group import LATTICE_FAMILIES, _relabel
 from test_isotropy import GROUPS as ISOTROPY_GROUPS, _orbit_closure_complex
 
+from isokit import gcomplex as gcomplex_module
 from isokit import group as group_module
 from isokit import linking as linking_module
 from isokit import models
@@ -20,7 +21,14 @@ from isokit.errors import (
     ZeroChain,
 )
 from isokit.fixpoint import removal_verdict
-from isokit.gcomplex import barycentric_subdivision, make_regular, orbit_complex
+from isokit.gcomplex import (
+    GComplex,
+    OrbitComplex,
+    barycentric_subdivision,
+    close_simplices,
+    make_regular,
+    orbit_complex,
+)
 from isokit.gmap import GMap
 from isokit.group import (
     FiniteGroup,
@@ -34,7 +42,6 @@ from isokit.group import (
 )
 from isokit.jsonio import canonical_dumps, cells_to_json, complex_to_json, parse_complex
 from isokit.linking import (
-    CellCheck,
     IllmanSimplex,
     LinkingSimplex,
     boundary,
@@ -398,6 +405,18 @@ def test_phi_vertex_map_surjective_on_illman_vertices():
         assert hit == set(range(phi.illman.complex.n_vertices))
 
 
+def test_phi_map_identifies_the_keys_with_one_illman_image():
+    """identified[k] is the first key that apply sends where it sends key k,
+    and coset_vertices counts the Illman vertices."""
+    g = FiniteGroup.symmetric(3)
+    lists = ([[0, 1], [0], [0]], [[0, 1, 2, 3, 4, 5], [0, 3, 4], [0, 3, 4]], [[0, 1], [0, 1], [0]])
+    for groups in lists:
+        phi = phi_vertex_map(g, groups)
+        images = [phi.apply(l, u) for l, u in phi.keys]
+        assert phi.identified == tuple(images.index(w) for w in images)
+        assert phi.coset_vertices == phi.illman.complex.n_vertices
+
+
 @pytest.mark.parametrize("builder", [phi_vertex_map, collapse_map, illman_complex])
 @pytest.mark.parametrize("groups, message", [
     ([], "empty subgroup list"),
@@ -665,15 +684,153 @@ def test_validate_cells_reads_an_equal_complex_like_its_own(name):
 
 def test_validate_cells_reports_a_subdivision_of_the_complex():
     """The vertices that the subdivision adds lie over no cell, so the
-    report fails instead of raising."""
+    report fails instead of raising: only the seven vertices of x are
+    simplices of y over cells of x, so each cell past the vertex orbits
+    misses its simplices."""
     x, c = _disk_structure()
     y = barycentric_subdivision(x).complex
-    report = validate_cells(c, y)
-    assert not report.ok
-    total = len(y.simplices())
-    assert report.failures[-1] == CellCheck(
-        cell_index=-1, check="tally", detail=f"cells account for 25 simplices, complex has {total}"
-    )
+    expected = [
+        (i, check, detail)
+        for i in range(4, 13)
+        for check, detail in (
+            ("surjectivity", "phi image misses vertices of the closed cell"),
+            ("facets", "translate facets do not match the simplex orbit"),
+        )
+    ] + [(-1, "tally", f"cells account for 25 simplices, complex has {len(y.simplices())}")]
+    assert _failures(c, y) == expected
+
+
+def _reference_failures(c, x):
+    """validate_cells written out cell by cell: every check compares each
+    phi entry, and attachment closes the simplices over every cell."""
+    stabilizers = x.isotropy().stabilizers
+    fibers = linking_module._fibers_over_orbit(x, c.orbit)
+    out = []
+    tally = 0
+    for i, cell in enumerate(c.cells):
+        pm, phi = cell.phi_map, cell.phi
+        over = fibers.get(cell.orbit_simplex, [])
+        for k, w in enumerate(phi):
+            if not 0 <= w < x.n_vertices:
+                out.append((i, "isotropy", f"image vertex {w} of {pm.keys[k]} is not a vertex of the complex"))
+                break
+            if stabilizers[(w,)] != pm.stabilizers[k]:
+                out.append((i, "isotropy", f"image vertex {w} of {pm.keys[k]} has wrong stabilizer"))
+                break
+        if set(phi) != {v for t in over for v in t}:
+            out.append((i, "surjectivity", "phi image misses vertices of the closed cell"))
+        spans = {tuple(sorted({phi[k] for k in p})) for p in pm.facet_positions}
+        if spans != set(over):
+            out.append((i, "facets", "translate facets do not match the simplex orbit"))
+        by_key = {}
+        for (l, u), w in zip(pm.keys, phi):
+            j, coset = pm.linking_vertices[u]
+            first = by_key.setdefault((l[j], j, coset), w)
+            if first != w:
+                out.append((i, "identifications", f"one coset vertex hits both {first} and {w}"))
+                break
+        else:
+            if len(set(by_key.values())) != len(by_key):
+                out.append((i, "identifications", "distinct coset vertices share an image"))
+        dim = len(cell.orbit_simplex) - 1
+        if dim > 0:
+            missing = close_simplices(over) - c.skeleta[dim - 1] - set(over)
+            if missing:
+                out.append((i, "attachment", f"boundary simplex {min(missing)} missing from skeleton"))
+        tally += len(pm.linking_facets)
+    if tally != len(x.simplices()):
+        out.append((-1, "tally", f"cells account for {tally} simplices, complex has {len(x.simplices())}"))
+    return out
+
+
+def _tamperings(x, cell):
+    """Phi edits that break each check: each vertex of another stabilizer,
+    a vertex past the end and a negative one, a swap, and one image for all."""
+    phi = cell.phi
+    stab = cell.phi_map.stabilizers[0]
+    yield from ((v,) + phi[1:] for v in range(x.n_vertices) if x.pointwise_stabilizer((v,)) != stab)
+    yield (x.n_vertices + 3,) + phi[1:]
+    yield (-1,) + phi[1:]
+    if len(set(phi)) > 1:
+        k = next(k for k, w in enumerate(phi) if w != phi[0])
+        swapped = list(phi)
+        swapped[0], swapped[k] = phi[k], phi[0]
+        yield tuple(swapped)
+        yield (phi[0],) * len(phi)
+
+
+@pytest.mark.parametrize("name", ["rotation-disk", "wedge", "c2xc2-wedge", "hexagon"])
+def test_validate_cells_names_what_the_per_cell_checks_name(name):
+    """Each tampered cell, and each skeleton with one simplex of it taken
+    out, is reported exactly as the written-out checks report it."""
+    x = barycentric_subdivision(models.COMPLEX_MODELS[name]()).complex
+    c = decompose(x)
+
+    def named(structure):
+        got = [(f.cell_index, f.check, f.detail) for f in validate_cells(structure, x).failures]
+        assert got == _reference_failures(structure, x)
+        return {check for _, check, _ in got}
+
+    assert not named(c)
+    seen = set()
+    for i, cell in enumerate(c.cells):
+        for phi in _tamperings(x, cell):
+            seen |= named(replace(c, cells=c.cells[:i] + (replace(cell, phi=phi),) + c.cells[i + 1:]))
+    for d, skeleton in enumerate(c.skeleta):
+        for t in sorted(skeleton)[:: max(1, len(skeleton) // 12)]:
+            seen |= named(replace(c, skeleta=c.skeleta[:d] + (skeleton - {t},) + c.skeleta[d + 1:]))
+    assert seen == {"isotropy", "surjectivity", "facets", "identifications", "attachment"}
+
+
+def test_validate_cells_names_a_vertex_missing_from_the_1_skeleton_only():
+    """skeleta[0] still holds the vertex, so the edges pass; each 2-cell
+    over a triangle through it fails, and names it."""
+    x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
+    c = decompose(x)
+    v = 1
+    truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(v,)}, c.skeleta[2]))
+    expected = [
+        (i, "attachment", f"boundary simplex ({v},) missing from skeleton")
+        for i, cell in enumerate(c.cells)
+        if len(cell.orbit_simplex) == 3 and any(v in t for t in c.fibers[cell.orbit_simplex])
+    ]
+    assert len(expected) >= 2
+    assert _failures(truncated, x) == expected
+
+
+def test_validate_cells_names_a_face_of_a_longer_simplex_over_a_cell():
+    """The triangle (0, 1, 4) lies over the orbit edge of cell 4, since 1
+    and 4 share an orbit; its edge (1, 4) is in no skeleton of the disk,
+    although skeleta[0] holds every vertex."""
+    x, c = _disk_structure()
+    y = GComplex(x.n_vertices, x.facets + ((0, 1, 4),), dict(enumerate(x.action)), x.group)
+    assert _failures(c, y) == _reference_failures(c, y) == [
+        (1, "facets", "translate facets do not match the simplex orbit"),
+        (4, "facets", "translate facets do not match the simplex orbit"),
+        (4, "attachment", "boundary simplex (1, 4) missing from skeleton"),
+        (-1, "tally", "cells account for 25 simplices, complex has 27"),
+    ]
+
+
+def test_validate_cells_enumerates_no_faces_on_a_valid_structure(count_calls):
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    for _ in range(3):
+        x = barycentric_subdivision(x).complex
+    c = decompose(x)
+    calls = count_calls("close_simplices", linking_module, gcomplex_module)
+    assert validate_cells(c, x).ok
+    assert calls == []
+
+
+def test_decompose_maps_each_simplex_orbit_once(count_calls):
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    for _ in range(2):
+        x = barycentric_subdivision(x).complex
+    orbits = x.isotropy().orbits
+    calls = count_calls("image_of", OrbitComplex)
+    c = decompose(x)
+    assert [args[1] for args in calls] == [members[0] for members in orbits]
+    assert sum(map(len, c.fibers.values())) == len(x.simplices())
 
 
 # -- byte-stable reports and generated inputs --------------------------------------
@@ -822,3 +979,70 @@ def test_generated_complexes_decompose_and_validate(group):
         assert report.ok, (seed, report.first_failure)
         assert report.simplex_tally == report.simplex_count == len(z.simplices())
     assert direct
+
+
+def _reference_decompose_failure(x):
+    """The first failure of decompose's checks, made in orbit-simplex order
+    on the fibers of _fibers_over_orbit: (message, orbit simplex), or None."""
+    orb = orbit_complex(x)
+    fibers = linking_module._fibers_over_orbit(x, orb)
+    stabilizers = x.isotropy().stabilizers
+    for s in orb.complex.simplices():
+        over = fibers.get(s, [])
+        if not over:
+            return f"orbit simplex {s} has no simplex above it", s
+        for t in over:
+            if len(t) != len(s):
+                return (
+                    f"simplex {t} collapses onto orbit simplex {s}; two of its vertices share an orbit",
+                    s,
+                )
+        if not _single_orbit(x, over):
+            return f"simplices over orbit simplex {s} form more than one orbit", s
+        stabs = sorted((stabilizers[(v,)] for v in over[0]), key=len, reverse=True)
+        if not all(lo <= hi for hi, lo in zip(stabs, stabs[1:])):
+            return f"vertex stabilizers over orbit simplex {s} are not nested", s
+    return None
+
+
+def _decompose_inputs():
+    """Every built-in model at sd^0 to sd^2 (cross5 at sd^0 only), and each
+    orbit-closure complex raw, regularized and at sd^2."""
+    for name in sorted(models.COMPLEX_MODELS):
+        x = models.COMPLEX_MODELS[name]()
+        for _ in range(1 if name == "cross5" else 3):
+            yield x
+            x = barycentric_subdivision(x).complex
+    for group in sorted(ISOTROPY_GROUPS):
+        for seed in range(12):
+            x = _orbit_closure_complex(ISOTROPY_GROUPS[group], seed)
+            twice = barycentric_subdivision(barycentric_subdivision(x).complex).complex
+            yield from (x, make_regular(x), twice)
+
+
+def test_decompose_matches_the_fibers_definition():
+    """decompose builds its fibers one orbit at a time; they are the lists
+    of _fibers_over_orbit, in order, its cells come in (dimension, orbit
+    simplex) order, and a failure is the first one the checks make on
+    those lists, in orbit-simplex order.  A fiber that mixes simplex
+    lengths names its collapse before its orbits."""
+    outcomes = Counter()
+    for x in _decompose_inputs():
+        if not x.is_regular():
+            continue
+        expected = _reference_decompose_failure(x)
+        try:
+            c = decompose(x)
+        except NotEquivariantTriangulation as exc:
+            assert (str(exc), exc.orbit_simplex) == expected
+            over = linking_module._fibers_over_orbit(x, orbit_complex(x))[exc.orbit_simplex]
+            mixed = "collapses" in str(exc) and not _single_orbit(x, over)
+            outcomes["collapse over two orbits" if mixed else "other failure"] += 1
+            continue
+        assert expected is None
+        assert c.fibers == linking_module._fibers_over_orbit(x, c.orbit)
+        orbit_simplices = [cell.orbit_simplex for cell in c.cells]
+        assert orbit_simplices == sorted(orbit_simplices, key=lambda s: (len(s), s))
+        assert orbit_simplices == list(c.orbit.complex.simplices())
+        outcomes["decomposed"] += 1
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
