@@ -17,7 +17,7 @@ from functools import cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .cubelim import check_hypothesis, factorize_limit, limit_map, random_cube_map
+from .cubelim import check_hypothesis, factorize_limit, random_cube_map
 from .errors import GroupTooLarge, IsokitError, TooManySimplices, TooManyTwistedClasses
 from .fixpoint import (
     TwistedConjugacySetup,
@@ -42,6 +42,7 @@ from .gcomplex import (
 from .gmap import is_equivariant, is_isovariant, is_simplicial
 from .group import (
     FiniteGroup,
+    _decimal_int,
     chain_name,
     class_names,
     parse_subgroup_token,
@@ -137,7 +138,7 @@ def _parse_pi(text: str) -> Tuple[int, ...]:
         if tok == "Z":
             factors.append(0)
         elif tok.startswith("Z/"):
-            d = int(tok[2:])
+            d = _decimal_int(tok[2:].strip(), "torsion order in pi token")
             if d < 2:
                 raise ValueError(f"bad torsion order in pi token: {tok!r}")
             factors.append(d)
@@ -194,7 +195,7 @@ def _product_group(spec: str) -> FiniteGroup:
         tok = tok.strip().lower()
         if tok[:1] not in makers:
             raise ValueError(f"bad group token {tok!r} (use cN, sN, dN)")
-        return makers[tok[:1]](int(tok[1:]))
+        return makers[tok[:1]](_decimal_int(tok[1:].strip(), f"group token {tok!r}: size"))
 
     toks = [t for t in spec.split(",") if t.strip()]
     if not toks:
@@ -440,12 +441,11 @@ def _cmd_cube_check(args) -> int:
         m = parse_cube_map(load_json(args.file))
         hyp = check_hypothesis(m)
         fact = factorize_limit(m)
-        direct, _ = limit_map(m)
         result = {
             "dim": m.n,
             "hypothesis_ok": hyp.ok,
             "corner_failures": [list(map(list, pair)) for pair in hyp.failures],
-            "surjective": direct.is_surjective,
+            "surjective": fact.direct.is_surjective,
             "chain_lengths": [len(stage) for stage in fact.stages],
             "chain_surjective": fact.all_links_surjective,
         }

@@ -43,8 +43,9 @@ def _subsets(indices: Sequence[int]) -> List[Subset]:
 class Cube:
     """Finite-set cube: sizes per subset, one index map per cover S -> S+{j}.
 
-    Covers are fixed after construction: map_between memoizes the chain
-    maps it composes, so a cover may be added later but never changed.
+    The constructor checks every cover and square.  Covers are fixed after
+    construction: map_between memoizes the chain maps it composes, so a
+    cover may be added later but never changed.
     """
 
     def __init__(
@@ -52,7 +53,6 @@ class Cube:
         n: int,
         sizes: Dict[Subset, int],
         covers: Dict[Tuple[Subset, int], Tuple[int, ...]],
-        validate: bool = True,
     ):
         self.n = n
         self.sizes = {frozenset(k): int(v) for k, v in sizes.items()}
@@ -60,8 +60,17 @@ class Cube:
             (frozenset(s), int(j)): tuple(m) for (s, j), m in covers.items()
         }
         self._chains: Dict[Tuple[Subset, Subset], Tuple[int, ...]] = {}
-        if validate:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def _assemble(
+        cls, n: int, sizes: Dict[Subset, int], covers: Dict[Tuple[Subset, int], Tuple[int, ...]]
+    ) -> "Cube":
+        """A cube that a library construction makes correct, unchecked: sizes
+        and covers keyed and typed as the constructor leaves them."""
+        x = cls.__new__(cls)
+        x.n, x.sizes, x.covers, x._chains = n, sizes, covers, {}
+        return x
 
     def _validate(self) -> None:
         # 2^n sets are needed; an n beyond the sets given builds no subsets
@@ -388,7 +397,7 @@ class CubeMap:
                     continue
                 covers[(s, j)] = self.source.covers[(s, j)]
                 covers[(s | {n}, j)] = self.target.covers[(s, j)]
-        return Cube(n + 1, sizes, covers, validate=False)
+        return Cube._assemble(n + 1, sizes, covers)
 
 
 def cube_map_corner(m: CubeMap, sub: Tuple[Iterable[int], Iterable[int]]) -> Corner:
@@ -498,10 +507,8 @@ def factorize_limit(m: CubeMap) -> Factorization:
     composed = embedding
     for f in links:
         composed = compose(f, composed)
-    direct, lim_y_again = limit_map(m)
-    # same enumeration order, so the realizations agree on the nose
-    if lim_y_again.elements != lim_y.elements:
-        raise InvariantViolated("re-enumerated limit of the target differs")
+    # limit_map(m), read off the limit of the target enumerated above
+    direct = _to_limit(z, frozenset(), lim_y)
     if composed.mapping != direct.mapping:
         raise InvariantViolated("composed surjection chain differs from the direct limit map")
     return Factorization(

@@ -36,13 +36,17 @@ def _faces(s: Simplex) -> Iterator[Simplex]:
 
 def _normalize_facets(facets: Iterable[Iterable[int]]) -> Tuple[Tuple[Simplex, ...], Set[Simplex]]:
     """Sorted, deduplicated simplices that are no proper face of another,
-    and the face closure that finding them builds."""
+    and the face closure that finding them builds.  Taken longest first, a
+    simplex is maximal when no longer one put it in the closure."""
     cleaned = {tuple(sorted(set(f))) for f in facets}
     cleaned.discard(())
-    proper = {t for f in cleaned for t in _faces(f) if len(t) < len(f)}
-    maximal = _by_dimension(cleaned - proper)
-    proper |= cleaned
-    return maximal, proper
+    closed: Set[Simplex] = set()
+    maximal = []
+    for f in sorted(cleaned, key=len, reverse=True):
+        if f not in closed:
+            maximal.append(f)
+            closed.update(_faces(f))
+    return _by_dimension(maximal), closed
 
 
 def _by_dimension(simplices: Iterable[Simplex]) -> Tuple[Simplex, ...]:
@@ -56,9 +60,8 @@ def _by_dimension(simplices: Iterable[Simplex]) -> Tuple[Simplex, ...]:
 def complete_action(
     group: FiniteGroup, n_vertices: int, partial: Dict[int, Sequence[int]]
 ) -> Dict[int, Tuple[int, ...]]:
-    """Fill in an action given on a generating set of group elements.
-
-    A Cayley-graph walk from the given elements, as in subgroup_closure;
+    """Check the permutations given for some group elements and fill in
+    the rest by a Cayley-graph walk from them, as in subgroup_closure;
     the complex's validation checks that the result is a homomorphism.
     """
     known: Dict[int, Tuple[int, ...]] = {}
@@ -74,7 +77,7 @@ def complete_action(
         known[g] = p
     known = {0: tuple(range(n_vertices)), **known}
     gens = tuple(known)
-    walk = list(gens)
+    walk = list(gens) if len(known) < group.order else []
     for a in walk:
         pa = known[a]
         for b in gens:
@@ -96,11 +99,12 @@ class GComplex:
     exact strata and a memo of fixed subcomplexes.  A complex must not be
     changed once it has been queried, or the index goes stale.
 
-    The faces of the facets are enumerated once, when the facets are
-    normalized; simplices() sorts that closed set on first use and then
-    drops it.  A vertex count is checked against the names and the action
-    permutations given with it before anything of that length is built;
-    with neither, the facets must name its last vertex.
+    The constructor checks that the action is a homomorphism to vertex
+    permutations preserving the facets.  A vertex count is checked against
+    the names and action permutations given with it before anything of
+    that length is built; with neither, the facets must name its last
+    vertex.  The faces of the facets are enumerated once, when the facets
+    are normalized; simplices() sorts that set on first use and drops it.
     """
 
     def __init__(
@@ -110,7 +114,6 @@ class GComplex:
         action: Dict[int, Sequence[int]],
         group: FiniteGroup,
         names: Optional[Sequence[str]] = None,
-        validate: bool = True,
     ):
         n = self.n_vertices = int(n_vertices)
         if names is not None:
@@ -124,35 +127,28 @@ class GComplex:
             if n > named:
                 raise ValueError(f"vertex count exceeds the {named} vertices its facets name")
         self.group = group
-        if set(action) != set(group.elements):
-            action = complete_action(group, n, dict(action))
-        self.action: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(action[g]) for g in group.elements
-        )
-        for g, perm in enumerate(self.action):
-            if len(perm) != n:
-                raise ValueError(f"action of element {g} is not a permutation")
+        action = complete_action(group, n, dict(action))
+        self.action: Tuple[Tuple[int, ...], ...] = tuple(action[g] for g in group.elements)
         self.names: Tuple[str, ...] = (
             names if names is not None else tuple(str(v) for v in range(n))
         )
-        if validate:
-            self._validate()
+        self._validate()
         self._simplices: Optional[Tuple[Simplex, ...]] = None
         self._isotropy: Optional[Isotropy] = None
 
     @classmethod
     def _assemble(
-        cls, n_vertices: int, facets: Tuple[Simplex, ...], simplices: Tuple[Simplex, ...],
+        cls, n_vertices: int, facets: Tuple[Simplex, ...], faces: Iterable[Simplex],
         action: Tuple[Tuple[int, ...], ...], group: FiniteGroup, names: Tuple[str, ...],
     ) -> "GComplex":
-        """A complex from parts that are already normal: the maximal facets
-        and all simplices, each sorted as the constructor sorts them, and
-        one permutation per group element.  Nothing is checked."""
+        """A complex that a library construction makes correct, unchecked:
+        facets as _normalize_facets returns them, every face once in any
+        order, and one permutation per group element."""
         x = cls.__new__(cls)
         x.n_vertices, x.facets, x.group, x.action, x.names = (
             n_vertices, facets, group, action, names
         )
-        x._closed, x._simplices, x._isotropy = None, simplices, None
+        x._closed, x._simplices, x._isotropy = faces, None, None
         return x
 
     def _validate(self) -> None:
@@ -160,12 +156,6 @@ class GComplex:
         for f in self.facets:
             if any(v < 0 or v >= n for v in f):
                 raise ValueError(f"facet {f} has a vertex out of range")
-        ident = list(range(n))
-        for g, perm in enumerate(self.action):
-            if sorted(perm) != ident:
-                raise ValueError(f"action of element {g} is not a permutation")
-        if self.action[0] != tuple(range(n)):
-            raise ValueError("identity must act trivially")
         for a in self.group.elements:
             for b in self.group.elements:
                 ab = self.group.mul(a, b)
@@ -383,12 +373,13 @@ def barycentric_subdivision(x: GComplex) -> Subdivision:
     facets = _by_dimension(
         c for f in x.facets for c in ending[index[f]] if len(c) == len(f)
     )
-    simplices = _by_dimension(chain.from_iterable(ending))
     action = tuple(
         tuple(index[x.act_simplex(g, s)] for s in old) for g in x.group.elements
     )
     names = tuple("{" + ",".join(x.names[v] for v in s) + "}" for s in old)
-    sd = GComplex._assemble(len(old), facets, simplices, action, x.group, names)
+    sd = GComplex._assemble(
+        len(old), facets, list(chain.from_iterable(ending)), action, x.group, names
+    )
     return Subdivision(complex=sd, simplex_to_vertex=index, vertex_to_simplex=old)
 
 
@@ -603,47 +594,35 @@ def orbit_complex(x: GComplex) -> OrbitComplex:
         for w in orbit:
             orbit_of[w] = idx
     vertex_orbit = tuple(orbit_of[v] for v in range(x.n_vertices))
-    facets = {
-        tuple(sorted({vertex_orbit[v] for v in f})) for f in x.facets
-    }
-    trivial = FiniteGroup.cyclic(1)
+    facets, faces = _normalize_facets({vertex_orbit[v] for v in f} for f in x.facets)
     names = tuple(
         "{" + ",".join(x.names[v] for v in orb) + "}" for orb in members
     )
-    q = GComplex(
-        len(members),
-        facets,
-        {0: tuple(range(len(members)))},
-        trivial,
-        names=names,
-        validate=False,
-    )
+    m = len(members)
+    q = GComplex._assemble(m, facets, faces, (tuple(range(m)),), FiniteGroup.cyclic(1), names)
     return OrbitComplex(complex=q, vertex_orbit=vertex_orbit, orbit_members=tuple(members))
 
 
 def induced_subcomplex(
     x: GComplex, simplices: Iterable[Simplex]
 ) -> Tuple[GComplex, Tuple[int, ...]]:
-    """G-invariant face-closed simplex set as a complex of its own.
-
-    Returns the complex and the tuple sending its vertices back into x.
-    """
-    closed = close_simplices(simplices)
-    for s in closed:
+    """The face closure of a G-invariant simplex set as a complex of its own,
+    and the tuple sending its vertices back into x.  The closure is
+    invariant when its maximal simplices are; ascending vertex numbers
+    keep every simplex sorted."""
+    facets, faces = _normalize_facets(simplices)
+    maximal = set(facets)
+    for f in facets:
         for g in x.group.elements:
-            if x.act_simplex(g, s) not in closed:
+            if x.act_simplex(g, f) not in maximal:
                 raise ValueError("simplex set is not invariant under the action")
-    vertices = sorted({v for s in closed for v in s})
-    back = {v: i for i, v in enumerate(vertices)}
-    facets = [tuple(back[v] for v in s) for s in closed]
-    action = {
-        g: tuple(back[x.action[g][v]] for v in vertices)
-        for g in x.group.elements
-    }
+    vertices = sorted({v for f in facets for v in f})
+    relabel = dict(zip(vertices, range(len(vertices)))).__getitem__
+    facets = tuple(tuple(map(relabel, f)) for f in facets)
+    faces = {tuple(map(relabel, s)) for s in faces}
+    action = tuple(tuple(relabel(perm[v]) for v in vertices) for perm in x.action)
     names = tuple(x.names[v] for v in vertices)
-    sub = GComplex(
-        len(vertices), facets, action, x.group, names=names, validate=False
-    )
+    sub = GComplex._assemble(len(vertices), facets, faces, action, x.group, names)
     return sub, tuple(vertices)
 
 

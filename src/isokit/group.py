@@ -23,15 +23,24 @@ Perm = Tuple[int, ...]
 MAX_GROUP_ORDER = 48
 
 
+def _decimal_int(text: str, what: str) -> int:
+    """An integer in canonical decimal form: not " 1", "+0", "01" or "1_0"."""
+    digits = text.removeprefix("-") if isinstance(text, str) else ""
+    if not (digits.isascii() and digits.isdigit() and str(int(text)) == text):
+        raise ValueError(f"{what} {text!r} is not an integer in decimal form")
+    return int(text)
+
+
 def _skey(sub: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
     elems = tuple(sorted(sub))
     return (len(elems), elems)
 
 
 class FiniteGroup:
-    """A finite group on elements 0..n-1 with a full multiplication table."""
+    """A finite group on elements 0..n-1 with a full multiplication table;
+    every group, the named constructors' too, is checked to be one."""
 
-    def __init__(self, table: Sequence[Sequence[int]], validate: bool = True):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table: Tuple[Perm, ...] = tuple(tuple(int(v) for v in row) for row in table)
         self.order = len(self.table)
         if self.order == 0:
@@ -40,8 +49,7 @@ class FiniteGroup:
             raise GroupTooLarge(
                 f"group order {self.order} exceeds cap {MAX_GROUP_ORDER}"
             )
-        if validate:
-            self._validate()
+        self._validate()
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
         self._subgroups: Optional[Tuple[Subgroup, ...]] = None
         self._classes: Optional[Tuple[Tuple[Subgroup, ...], ...]] = None
@@ -146,7 +154,7 @@ class FiniteGroup:
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
             gens.append(pt)
         if not gens:
-            return cls([[0]], validate=False)
+            return cls([[0]])
         ident = tuple(range(degree))
         closure = {ident}
         walk = [ident]
@@ -166,13 +174,13 @@ class FiniteGroup:
             [index[tuple(p[q[i]] for i in range(degree))] for q in perms]
             for p in perms
         ]
-        return cls(table, validate=False)
+        return cls(table)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise ValueError("cyclic group needs n >= 1")
-        return cls([[(i + j) % n for j in range(n)] for i in range(n)], validate=False)
+        return cls([[(i + j) % n for j in range(n)] for i in range(n)])
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
@@ -200,7 +208,7 @@ class FiniteGroup:
             [a.mul(i // m, k // m) * m + b.mul(i % m, k % m) for k in range(n * m)]
             for i in range(n * m)
         ]
-        return cls(table, validate=False)
+        return cls(table)
 
 
 # -- subgroups --------------------------------------------------------------
@@ -431,7 +439,7 @@ def parse_subgroup_token(g: FiniteGroup, token: str) -> Subgroup:
     """Resolve a subgroup named in CLI input.
 
     Accepts "e", "G" (the full group), a class name from class_names, or an
-    explicit element list like "{0,3}".
+    explicit element list like "{0,3}" of distinct canonical decimals.
     """
     tok = token.strip()
     if tok == "e":
@@ -439,7 +447,10 @@ def parse_subgroup_token(g: FiniteGroup, token: str) -> Subgroup:
     if tok == "G":
         return frozenset(g.elements)
     if tok.startswith("{") and tok.endswith("}"):
-        elems = frozenset(int(v) for v in tok[1:-1].split(",") if v.strip())
+        listed = [_decimal_int(v.strip(), "subgroup element") for v in tok[1:-1].split(",")]
+        elems = frozenset(listed)
+        if len(elems) != len(listed):
+            raise ValueError(f"{token} repeats an element")
         if not is_subgroup(g, elems):
             raise ValueError(f"{token} is not a subgroup")
         return elems

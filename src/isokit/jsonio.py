@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from .cubelim import Cube, CubeMap, Subset
 from .gcomplex import GComplex, _faces
 from .gmap import GMap
-from .group import FiniteGroup
+from .group import FiniteGroup, _decimal_int
 from .linking import IsovariantCellStructure
 
 
@@ -64,14 +64,6 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _key_int(key: str, what: str) -> int:
-    """An integer object key in canonical form: not " 1", "+0", "01" or "1_0"."""
-    digits = key.removeprefix("-") if isinstance(key, str) else ""
-    if not (digits.isascii() and digits.isdigit() and str(int(key)) == key):
-        raise ValueError(f"{what} {key!r} is not an integer in decimal form")
-    return int(key)
-
-
 def _ints(value, what: str) -> Tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= {int}:
         raise ValueError(f"{what} must be a list of integers")
@@ -85,7 +77,7 @@ def parse_group(obj) -> FiniteGroup:
     obj = _as_dict(obj, "group")
     if "table" in obj:
         table = _list(obj["table"], "group table")
-        if "order" in obj and len(table) != obj["order"]:
+        if "order" in obj and len(table) != _int(obj["order"], "group order"):
             raise ValueError("group order does not match table size")
         return FiniteGroup(tuple(_ints(row, "group table row") for row in table))
     if "generators" in obj:
@@ -126,7 +118,7 @@ def parse_complex(
         group = FiniteGroup(((0,),))
     action: Dict[int, Tuple[int, ...]] = {}
     for key, perm in _as_dict(obj.get("action", {}), "complex action").items():
-        elem = _key_int(key, "action key")
+        elem = _decimal_int(key, "action key")
         action[elem] = _ints(perm, f"action of element {elem}")
     names = obj.get("names")
     if names is not None:
@@ -184,7 +176,7 @@ def subset_key(s: Subset) -> str:
 
 
 def parse_subset_key(key: str) -> Subset:
-    parts = [_key_int(p, f"subset key {key!r} part") for p in key.split(",")] if key else []
+    parts = [_decimal_int(p, f"subset key {key!r} part") for p in key.split(",")] if key else []
     if len(set(parts)) < len(parts):
         raise ValueError(f"subset key {key!r} repeats a part")
     return frozenset(parts)
@@ -208,7 +200,7 @@ def _parse_cube(obj, n: int, what: str) -> Cube:
         if "+" not in key:
             raise ValueError(f"cube map key {key!r} must look like 'S+j'")
         skey, _, jkey = key.rpartition("+")
-        j = _key_int(jkey, f"cube map key {key!r} index")
+        j = _decimal_int(jkey, f"cube map key {key!r} index")
         cover = _new_key(covers, (parse_subset_key(skey), j), key)
         covers[cover] = _ints(mapping, f"{what} cover map {key!r}")
     try:

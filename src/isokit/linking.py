@@ -21,7 +21,14 @@ from .errors import (
     NotWeaklyDecreasing,
     ZeroChain,
 )
-from .gcomplex import GComplex, OrbitComplex, Simplex, close_simplices, orbit_complex
+from .gcomplex import (
+    GComplex,
+    OrbitComplex,
+    Simplex,
+    _normalize_facets,
+    close_simplices,
+    orbit_complex,
+)
 from .group import (
     FiniteGroup,
     Subgroup,
@@ -59,18 +66,14 @@ def slot_coset_complex(
     The groups must be subgroups, so that each slot's cosets partition G.
     """
     verts, coset_of = _slot_blocks(g, groups)
-    # slots number their vertices in ascending blocks, so each facet is sorted
-    facets = list(zip(*coset_of))
+    facets, faces = _normalize_facets(zip(*coset_of))
     # a sends the coset xH to (ax)H, and any member of it serves as x
     slot_reps = [(coset_of[i], min(c)) for i, c in verts]
-    action = {
-        a: tuple([slot[row[x]] for slot, x in slot_reps])
-        for a, row in enumerate(g.table)
-    }
+    action = tuple(tuple([slot[row[x]] for slot, x in slot_reps]) for row in g.table)
     names = tuple(
         f"{i}:{{{','.join(str(v) for v in sorted(c))}}}" for i, c in verts
     )
-    cx = GComplex(len(verts), facets, action, g, names=names, validate=False)
+    cx = GComplex._assemble(len(verts), facets, faces, action, g, names)
     return cx, tuple(verts)
 
 
@@ -536,6 +539,8 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     Each cell is checked against over, the simplices of x above its orbit
     simplex (the fibers of c when x is c.complex), and against the plans
     of its PhiMap, built once per stabilizer chain:
+    - length: phi has one image per key of its PhiMap, else the cell is
+      checked no further;
     - isotropy: each image vertex is a vertex of x whose stabilizer, read
       from the isotropy index, is the planned stabilizer of its key;
     - surjectivity: the images are the vertices of over, which are those
@@ -569,6 +574,10 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     for i, cell in enumerate(c.cells):
         pm = cell.phi_map
         phi = cell.phi
+        tally += len(pm.linking_facets)
+        if len(phi) != len(pm.keys):
+            fail(i, "length", f"phi has {len(phi)} images for {len(pm.keys)} domain vertices")
+            continue
         dim = len(cell.orbit_simplex) - 1
         over = buckets.get(cell.orbit_simplex, [])
         over_set = set(over)
@@ -596,7 +605,6 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
             missing = min(close_simplices(over) - c.skeleta[dim - 1] - over_set, default=None)
             if missing is not None:
                 fail(i, "attachment", f"boundary simplex {missing} missing from skeleton")
-        tally += len(pm.linking_facets)
     total = len(simplices)
     if tally != total:
         fail(-1, "tally", f"cells account for {tally} simplices, complex has {total}")

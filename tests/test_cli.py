@@ -742,6 +742,27 @@ MALFORMED_INPUTS = {
         _with_key(_CUBE2_MAP, ["components"], "1,0", "0,1"),
         ["cube", "check", "--file", "{file}"],
     ),
+    "group order of a fraction": (
+        {"order": 2.0, "table": [[0, 1], [1, 0]]}, ["group", "info", "--group", "{file}"]
+    ),
+    "group order true": ({"order": True, "table": [[0]]}, ["group", "info", "--group", "{file}"]),
+    **{
+        f"pi torsion order {order}": (
+            None, ["reidemeister", "--map", "hexagon-identity", "--pi", f"Z/{order}", "--phi", "1"]
+        )
+        for order in ("1_0", "+3", "03")
+    },
+    **{
+        f"product token {tok}": (None, ["group", "make", "--product", tok])
+        for tok in ("c1_0", "c+2", "s03")
+    },
+    **{
+        f"subgroup token {tok}": (
+            {"table": [[0, 1], [1, 0]]},
+            ["linking", "build", "--group", "{file}", "--chain", f"e<{tok}"],
+        )
+        for tok in ("{0,,1}", "{+0,1}", "{0,0,1}", "{0,1,}")
+    },
 }
 
 # a count of 1e308 is no JSON integer, so each such row has a twin whose

@@ -31,7 +31,8 @@ from isokit.gcomplex import (
     stratification_dot,
     stratum_closure,
 )
-from isokit.group import FiniteGroup, class_names, enumerate_subgroups
+from isokit.group import FiniteGroup, class_names, enumerate_subgroups, subgroup_conjugacy_classes
+from isokit.linking import slot_coset_complex
 
 ALL_MODELS = sorted(models.COMPLEX_MODELS)
 
@@ -272,6 +273,9 @@ def test_induced_subcomplex():
     for g in x.group.elements:
         for v in range(sub.n_vertices):
             assert sub.act_vertex(g, v) == new_of_old[x.act_vertex(g, old_of_new[v])]
+    # the reflection swaps the segment tips 1 and 2
+    with pytest.raises(ValueError, match="not invariant"):
+        induced_subcomplex(x, [(0, 1), (0, 3)])
 
 
 def _maximal_by_pairs(facets):
@@ -306,6 +310,67 @@ def test_induced_subcomplex_facets_are_maximal_faces():
         sub, old_of_new = induced_subcomplex(x, fixed)
         mapped = {tuple(old_of_new[v] for v in f) for f in sub.facets}
         assert mapped == set(_maximal_by_pairs(fixed)), sorted(h)
+
+
+def _assert_built_as_checked(built, n, facets, action, names):
+    """A derived builder's complex is the one that GComplex's public,
+    checked constructor makes from the same parts."""
+    checked = GComplex(n, facets, action, built.group, names=names)
+    assert built.n_vertices == checked.n_vertices
+    assert built.facets == checked.facets
+    assert built.simplices() == checked.simplices()
+    assert built.action == checked.action
+    assert built.names == checked.names
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_orbit_and_induced_complexes_match_the_checked_constructor(name, depth):
+    """orbit_complex and induced_subcomplex over every class fixed set,
+    the G-invariant fixed sets that stratum_maps restricts to."""
+    x = models.COMPLEX_MODELS[name]()
+    for _ in range(depth):
+        x = barycentric_subdivision(x).complex
+    oc = orbit_complex(x)
+    m = len(oc.orbit_members)
+    orbit_names = ["{" + ",".join(x.names[v] for v in orb) + "}" for orb in oc.orbit_members]
+    facet_images = [oc.image_of(f) for f in x.facets]
+    _assert_built_as_checked(oc.complex, m, facet_images, {0: tuple(range(m))}, orbit_names)
+    for cls in subgroup_conjugacy_classes(x.group):
+        fixed = class_fixed_union(x, cls[0])
+        sub, old_of_new = induced_subcomplex(x, fixed)
+        new = {v: i for i, v in enumerate(old_of_new)}
+        action = {
+            g: tuple(new[perm[v]] for v in old_of_new) for g, perm in enumerate(x.action)
+        }
+        facets = [[new[v] for v in s] for s in fixed]
+        _assert_built_as_checked(sub, len(new), facets, action, [x.names[v] for v in old_of_new])
+
+
+@pytest.mark.parametrize("group", ["S3", "S4", "D4xC2"])
+def test_slot_coset_complex_matches_the_checked_constructor(group):
+    """Over every chain H_0 < ... < H_n with n <= 2: one facet per group
+    element a, its cosets a H_i, and a acting on cosets from the left."""
+    g = {
+        "S3": FiniteGroup.symmetric(3),
+        "S4": FiniteGroup.symmetric(4),
+        "D4xC2": FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.cyclic(2)),
+    }[group]
+    subs = enumerate_subgroups(g)
+    chains = [(h,) for h in subs]
+    chains += [c + (k,) for c in chains for k in subs if c[-1] < k]
+    chains += [c + (k,) for c in chains if len(c) == 2 for k in subs if c[-1] < k]
+    for chain in chains:
+        cx, verts = slot_coset_complex(g, chain)
+        index = {v: i for i, v in enumerate(verts)}
+
+        def coset(i, c):
+            return index[(i, frozenset(c))]
+
+        facets = [[coset(i, (g.mul(a, h) for h in sub)) for i, sub in enumerate(chain)] for a in g.elements]
+        action = {a: tuple(coset(i, (g.mul(a, x) for x in c)) for i, c in verts) for a in g.elements}
+        names = [f"{i}:{{{','.join(map(str, sorted(c)))}}}" for i, c in verts]
+        _assert_built_as_checked(cx, len(verts), facets, action, names)
 
 
 def test_rotation_disk_sd4_counts():

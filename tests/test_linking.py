@@ -658,6 +658,21 @@ def test_validate_cells_reports_a_dropped_cell():
     ]
 
 
+@pytest.mark.parametrize("edit", ["cut", "repeat", "foreign"])
+def test_validate_cells_reports_a_phi_of_the_wrong_length(edit):
+    """A phi with fewer or more images than its PhiMap has keys fails its
+    own check, and its cell is checked no further."""
+    x, c = _disk_structure()
+    phi = c.cells[7].phi
+    assert len(phi) == 4
+    edited = {"cut": phi[:3], "repeat": phi + (phi[-1],), "foreign": phi + (99,)}[edit]
+    cells = list(c.cells)
+    cells[7] = replace(cells[7], phi=edited)
+    assert _failures(replace(c, cells=tuple(cells)), x) == [
+        (7, "length", f"phi has {len(edited)} images for 4 domain vertices"),
+    ]
+
+
 @pytest.mark.parametrize("shift", [5, -8])
 def test_validate_cells_reports_an_image_vertex_outside_the_complex(shift):
     """Past the end, or negative, which Python would read from the end."""
