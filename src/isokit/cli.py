@@ -31,13 +31,13 @@ from .fixpoint import (
 )
 from .gcomplex import (
     class_fixed_union,
+    close_simplices,
     exact_stratum,
     filtration,
     is_treelike,
     make_regular,
     present_classes,
     stratification_dot,
-    stratum_closure,
 )
 from .gmap import is_equivariant, is_isovariant, is_simplicial
 from .group import (
@@ -184,8 +184,12 @@ def _cmd_group_make(args) -> int:
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --cyclic/--symmetric/--dihedral/--product")
     (name,) = chosen
-    make = _product_group if name == "product" else _GROUP_MAKERS[name]
-    return _emit(args, {}, group_to_json(make(getattr(args, name))))
+    value = getattr(args, name)
+    if name == "product":
+        g = _product_group(value)
+    else:
+        g = _GROUP_MAKERS[name](_decimal_int(value, f"--{name}"))
+    return _emit(args, {}, group_to_json(g))
 
 
 def _product_group(spec: str) -> FiniteGroup:
@@ -346,7 +350,7 @@ def _cmd_strata(args) -> int:
             {
                 "name": names[rep],
                 "exact": len(stratum.simplices),
-                "closure": len(stratum_closure(x, stratum)),
+                "closure": len(close_simplices(stratum.simplices)),
                 "fixed_union": len(class_fixed_union(x, rep)),
             }
         )
@@ -436,6 +440,9 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_cube_check(args) -> int:
     inputs = {}
+    dim, trials, seed = (
+        _decimal_int(getattr(args, k), f"--{k}") for k in ("dim", "trials", "seed")
+    )
     if args.file is not None:
         inputs[args.file] = file_digest(args.file)
         m = parse_cube_map(load_json(args.file))
@@ -450,24 +457,23 @@ def _cmd_cube_check(args) -> int:
             "chain_surjective": fact.all_links_surjective,
         }
         return _emit(args, inputs, result)
-    if args.dim < 0:
-        raise ValueError(f"--dim must be nonnegative, got {args.dim}")
-    if args.dim > 4:
+    if dim < 0:
+        raise ValueError(f"--dim must be nonnegative, got {dim}")
+    if dim > 4:
         raise ValueError("randomized cube dimension is capped at 4")
-    trials = args.trials if args.trials is not None else 100
     if trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {trials}")
     verified = 0
     for t in range(trials):
-        m = random_cube_map(args.dim, seed=args.seed + t)
+        m = random_cube_map(dim, seed=seed + t)
         hyp = check_hypothesis(m)
         fact = factorize_limit(m)
         if hyp.ok and fact.composed.is_surjective and fact.all_links_surjective:
             verified += 1
     result = {
-        "dim": args.dim,
+        "dim": dim,
         "trials": trials,
-        "seed": args.seed,
+        "seed": seed,
         "verified": verified,
         "all_surjective": verified == trials,
     }
@@ -498,9 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = add(sub, "group", None, "group", help="make or inspect groups")
     gsub = group.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     q = add(gsub, "make", _cmd_group_make, "group make", help="build a standard group")
-    q.add_argument("--cyclic", type=int)
-    q.add_argument("--symmetric", type=int)
-    q.add_argument("--dihedral", type=int, help="dihedral group of order 2n")
+    q.add_argument("--cyclic")
+    q.add_argument("--symmetric")
+    q.add_argument("--dihedral", help="dihedral group of order 2n")
     q.add_argument("--product", type=str, help="comma list of cN/sN/dN tokens")
     q.add_argument("--out", type=str)
     q = add(gsub, "info", _cmd_group_info, "group info", help="subgroup classes and marks")
@@ -563,9 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     qsub = cube.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     q = add(qsub, "check", _cmd_cube_check, "cube check")
     q.add_argument("--file", type=str, help="cube map JSON")
-    q.add_argument("--trials", type=int)
-    q.add_argument("--dim", type=int, default=3)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--trials", default="100")
+    q.add_argument("--dim", default="3")
+    q.add_argument("--seed", default="0")
 
     q = add(sub, "export-dot", _cmd_export_dot, "export-dot",
             help="DOT graph of the stratification poset")

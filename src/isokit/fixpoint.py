@@ -70,11 +70,6 @@ def lefschetz(f: GMap) -> int:
     return sum((-1) ** (len(s) - 1) * sign for s, sign in f.fixed_simplices())
 
 
-def has_fixed_simplex(f: GMap) -> bool:
-    _require_self_map(f)
-    return bool(f.fixed_simplices())
-
-
 def is_fixed_point_free(f: GMap) -> bool:
     """No setwise-invariant simplex.
 
@@ -82,7 +77,8 @@ def is_fixed_point_free(f: GMap) -> bool:
     order-preserving bijection of a finite chain of faces, which fixes
     every face in the flag.
     """
-    return not has_fixed_simplex(f)
+    _require_self_map(f)
+    return not f.fixed_simplices()
 
 
 def lefschetz_fixed_sets(f: GMap) -> Dict[str, int]:

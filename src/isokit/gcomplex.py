@@ -8,7 +8,7 @@ the constructions that need regularity check it instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -192,9 +192,6 @@ class GComplex:
     def act_simplex(self, g: int, s: Sequence[int]) -> Simplex:
         return tuple(sorted(self.action[g][v] for v in s))
 
-    def vertex_stabilizer(self, v: int) -> Subgroup:
-        return frozenset(g for g in self.group.elements if self.action[g][v] == v)
-
     def isotropy(self) -> "Isotropy":
         """The isotropy index of this complex, built on first use."""
         if self._isotropy is None:
@@ -252,8 +249,8 @@ class Isotropy:
     stabilizers maps each simplex to its pointwise stabilizer; classes maps
     each stabilizer that occurs to its class representative; strata maps
     each present class representative, ascending, to its exact stratum.
-    orbit_reps holds the first simplex of each orbit and orbits, parallel
-    to it, the members of that orbit, the representative first; regular
+    orbits holds the members of each simplex orbit, in simplices() order of
+    their first member, which comes first and represents the orbit; regular
     says whether setwise and pointwise stabilizers agree, and fixed
     memoizes fixed_subcomplex by subgroup.
     """
@@ -261,7 +258,6 @@ class Isotropy:
     stabilizers: Dict[Simplex, Subgroup]
     classes: Dict[Subgroup, Subgroup]
     strata: Dict[Subgroup, SimplexSet]
-    orbit_reps: Tuple[Simplex, ...]
     orbits: Tuple[Tuple[Simplex, ...], ...]
     regular: bool
     fixed: Dict[Subgroup, SimplexSet]
@@ -312,7 +308,6 @@ def _isotropy_index(x: GComplex) -> Isotropy:
         stabilizers=stabs,
         classes=classes,
         strata=strata,
-        orbit_reps=tuple(orbit[0] for orbit in orbits),
         orbits=tuple(orbits),
         regular=regular,
         fixed={},
@@ -425,10 +420,6 @@ def exact_stratum(x: GComplex, h: Iterable[int]) -> Stratum:
     name = class_names(x.group)[rep]
     members = x.isotropy().strata.get(rep, frozenset())
     return Stratum(class_rep=tuple(sorted(rep)), name=name, simplices=members)
-
-
-def stratum_closure(x: GComplex, s: Stratum) -> SimplexSet:
-    return close_simplices(s.simplices)
 
 
 def close_simplices(simplices: Iterable[Simplex]) -> SimplexSet:
@@ -567,17 +558,30 @@ def is_treelike(x: GComplex) -> bool:
 
 @dataclass(frozen=True)
 class OrbitComplex:
-    """Quotient complex on vertex orbits plus the per-vertex quotient map."""
+    """Quotient complex on vertex orbits, the per-vertex quotient map, and
+    the simplices of the complex over each orbit simplex.
+
+    fibers maps each orbit simplex to the simplices over it: whole
+    Isotropy.orbits in orbit order, so each fiber lists its longest
+    simplices last.  Its keys are exactly the simplices of complex.
+    """
 
     complex: GComplex
     vertex_orbit: Tuple[int, ...]
     orbit_members: Tuple[Tuple[int, ...], ...]
+    fibers: Dict[Simplex, List[Simplex]] = field(compare=False, repr=False)
 
     def image_of(self, s: Sequence[int]) -> Simplex:
         return tuple(sorted({self.vertex_orbit[v] for v in s}))
 
 
 def orbit_complex(x: GComplex) -> OrbitComplex:
+    """The orbit space of a regular complex and the fibers over it.
+
+    Each simplex orbit is mapped once, through its first member.  The
+    images of the orbits are every orbit simplex, since each face of an
+    image is the image of a face, so the facets are the maximal images.
+    """
     if not x.is_regular():
         raise NotRegular(
             "orbit complex of an irregular action is not simplicial; "
@@ -594,13 +598,19 @@ def orbit_complex(x: GComplex) -> OrbitComplex:
         for w in orbit:
             orbit_of[w] = idx
     vertex_orbit = tuple(orbit_of[v] for v in range(x.n_vertices))
-    facets, faces = _normalize_facets({vertex_orbit[v] for v in f} for f in x.facets)
+    fibers: Dict[Simplex, List[Simplex]] = {}
+    for orbit in x.isotropy().orbits:
+        image = tuple(sorted({vertex_orbit[v] for v in orbit[0]}))
+        fibers.setdefault(image, []).extend(orbit)
+    facets, faces = _normalize_facets(fibers)
     names = tuple(
         "{" + ",".join(x.names[v] for v in orb) + "}" for orb in members
     )
     m = len(members)
     q = GComplex._assemble(m, facets, faces, (tuple(range(m)),), FiniteGroup.cyclic(1), names)
-    return OrbitComplex(complex=q, vertex_orbit=vertex_orbit, orbit_members=tuple(members))
+    return OrbitComplex(
+        complex=q, vertex_orbit=vertex_orbit, orbit_members=tuple(members), fibers=fibers
+    )
 
 
 def induced_subcomplex(

@@ -12,10 +12,10 @@ from .gcomplex import (
     _faces,
     barycentric_subdivision,
     class_fixed_union,
+    close_simplices,
     exact_stratum,
     induced_subcomplex,
     present_classes,
-    stratum_closure,
 )
 from .group import Subgroup, _skey, class_names, class_rep_of, is_subconjugate
 
@@ -156,8 +156,8 @@ def is_isovariant(f: GMap) -> bool:
             raise NotRegular("isovariance test needs regular source and target")
         source, target = f.source.isotropy(), f.target.isotropy()
         object.__setattr__(f, "_isovariant", all(
-            source.stabilizers[s] == target.stabilizers[f.apply(s)]
-            for s in source.orbit_reps
+            source.stabilizers[orbit[0]] == target.stabilizers[f.apply(orbit[0])]
+            for orbit in source.orbits
         ))
     return f._isovariant
 
@@ -215,8 +215,8 @@ def stratum_maps(f: GMap) -> StratumMaps:
         )
         closures[name] = _restrict(
             f,
-            stratum_closure(f.source, exact_stratum(f.source, rep)),
-            stratum_closure(f.target, exact_stratum(f.target, rep)),
+            close_simplices(exact_stratum(f.source, rep).simplices),
+            close_simplices(exact_stratum(f.target, rep).simplices),
         )
     return StratumMaps(fixed=fixed, closures=closures)
 

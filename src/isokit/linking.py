@@ -395,16 +395,13 @@ class Cell:
 
 @dataclass(frozen=True)
 class IsovariantCellStructure:
-    """Cells of a complex, in orbit-simplex order, and its skeleta.
-
-    fibers maps each orbit simplex to the simplices of complex over it.
-    """
+    """Cells of a complex, in orbit-simplex order, and its skeleta; the
+    simplices of complex over each orbit simplex are orbit.fibers."""
 
     complex: GComplex
     orbit: OrbitComplex
     cells: Tuple[Cell, ...]
     skeleta: Tuple[FrozenSet[Simplex], ...]
-    fibers: Dict[Simplex, List[Simplex]] = field(compare=False, repr=False)
 
 
 def _fibers_over_orbit(x: GComplex, orb: OrbitComplex) -> Dict[Simplex, List[Simplex]]:
@@ -428,10 +425,11 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
     NotEquivariantTriangulation naming the offending orbit simplex.  A
     regular complex can fail; its second barycentric subdivision never does.
 
-    The fibers are filled one simplex orbit at a time.  Cells with one
-    stabilizer chain share one PhiMap, built (and the chain checked for
-    nesting) on first use, whose plans give each cell's phi as one pass
-    over its targets and its label without per-cell work.
+    The fibers are those of orbit_complex, which maps each simplex orbit
+    once; every orbit simplex has one.  Cells with one stabilizer chain
+    share one PhiMap, built (and the chain checked for nesting) on first
+    use, whose plans give each cell's phi as one pass over its targets and
+    its label without per-cell work.
     """
     if not x.is_regular():
         raise NotEquivariantTriangulation(
@@ -440,25 +438,15 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         )
     orb = orbit_complex(x)
     g = x.group
-    iso = x.isotropy()
-    stabilizers = iso.stabilizers
-    # the orbits come in simplices() order, so each fiber lists its longest
-    # simplices last; it is sorted once its lengths are checked
-    buckets: Dict[Simplex, List[Simplex]] = {}
-    for members in iso.orbits:
-        buckets.setdefault(orb.image_of(members[0]), []).extend(members)
+    stabilizers = x.isotropy().stabilizers
     cells: List[Cell] = []
     # a cell's vertex order and PhiMap depend only on its vertex stabilizers
     plans: Dict[Tuple[Subgroup, ...], Tuple[List[int], PhiMap]] = {}
     # phi depends only on the stabilizer chain; cells that share it share one map
     phi_maps: Dict[Tuple[Subgroup, ...], PhiMap] = {}
     for s in orb.complex.simplices():
-        over = buckets.get(s)
-        if not over:
-            raise NotEquivariantTriangulation(
-                f"orbit simplex {s} has no simplex above it", orbit_simplex=s
-            )
-        # no simplex over s is shorter than s
+        over = orb.fibers[s]
+        # no simplex over s is shorter than s, and the longest come last
         if len(over[-1]) != len(s):
             t = min((t for t in over if len(t) != len(s)), key=lambda t: (len(t), t))
             raise NotEquivariantTriangulation(
@@ -466,8 +454,7 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
                 "two of its vertices share an orbit",
                 orbit_simplex=s,
             )
-        over.sort()
-        base = over[0]
+        base = min(over)
         # over is G-invariant and the action is regular, so Stab(base) is also
         # its setwise stabilizer: the orbit of base is all of over iff
         # |over| = |G| / |Stab(base)|
@@ -505,9 +492,7 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
         frozenset(simplices[: bisect_right(simplices, d + 1, key=len)])
         for d in range(orb.complex.dim + 1)
     )
-    return IsovariantCellStructure(
-        complex=x, orbit=orb, cells=tuple(cells), skeleta=skeleta, fibers=buckets
-    )
+    return IsovariantCellStructure(complex=x, orbit=orb, cells=tuple(cells), skeleta=skeleta)
 
 
 # -- validation --------------------------------------------------------------------
@@ -537,7 +522,7 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     """Check every cell of a decomposition against the ambient complex.
 
     Each cell is checked against over, the simplices of x above its orbit
-    simplex (the fibers of c when x is c.complex), and against the plans
+    simplex (c.orbit.fibers when x is c.complex), and against the plans
     of its PhiMap, built once per stabilizer chain:
     - length: phi has one image per key of its PhiMap, else the cell is
       checked no further;
@@ -559,7 +544,7 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
     failures: List[CellCheck] = []
     stabilizers = x.isotropy().stabilizers
     vertex_stabilizers = {v: stabilizers.get((v,)) for v in range(x.n_vertices)}
-    buckets = c.fibers if x is c.complex else _fibers_over_orbit(x, c.orbit)
+    buckets = c.orbit.fibers if x is c.complex else _fibers_over_orbit(x, c.orbit)
     simplices = x.simplices()
     # full[d]: skeleta[d] holds every simplex of x of at most d + 1 vertices
     full = [

@@ -9,11 +9,12 @@ sign-representation disk wedged to a 3-sphere.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from .gcomplex import GComplex
 from .gmap import GMap, identity_map
 from .group import FiniteGroup, subgroup_closure
+from .linking import slot_coset_complex
 
 
 def c2() -> FiniteGroup:
@@ -90,32 +91,19 @@ def c2xc2_wedge() -> GComplex:
 
 
 def s3_dust() -> GComplex:
-    """Twelve isolated vertices: one S3-orbit of each subgroup shape."""
+    """Twelve isolated vertices: one S3-orbit of each subgroup shape, the
+    vertices of the slot complex of e, a transposition, a rotation and S3."""
     g = FiniteGroup.symmetric(3)
     transposition = next(e for e in g.elements if e and g.mul(e, e) == 0)
     rotation = next(e for e in g.elements if e and g.mul(e, e) != 0)
-    orbits: List[List[frozenset]] = []
-    for h in (
+    slots, cosets = slot_coset_complex(g, [
         frozenset({0}),
         subgroup_closure(g, [transposition]),
         subgroup_closure(g, [rotation]),
         frozenset(g.elements),
-    ):
-        seen = []
-        for x in g.elements:
-            coset = frozenset(g.mul(x, k) for k in h)
-            if coset not in seen:
-                seen.append(coset)
-        orbits.append(seen)
-    cosets = [c for orbit in orbits for c in orbit]
-    index = {c: i for i, c in enumerate(cosets)}
-    action = {}
-    for h in g.elements:
-        action[h] = tuple(
-            index[frozenset(g.mul(h, x) for x in c)] for c in cosets
-        )
-    facets = [(i,) for i in range(len(cosets))]
-    return GComplex(len(cosets), facets, action, g)
+    ])
+    n = len(cosets)
+    return GComplex(n, [(i,) for i in range(n)], dict(enumerate(slots.action)), g)
 
 
 def cross5_sphere() -> GComplex:

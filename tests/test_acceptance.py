@@ -91,7 +91,7 @@ def test_01_minimal_linking_shape(capsys):
         fixed = [
             v
             for v in range(3)
-            if l.complex.vertex_stabilizer(v) == frozenset(g.elements)
+            if l.complex.pointwise_stabilizer((v,)) == frozenset(g.elements)
         ]
         assert fixed == [2]
         elapsed = time.monotonic() - t0

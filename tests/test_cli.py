@@ -757,6 +757,14 @@ MALFORMED_INPUTS = {
         for tok in ("c1_0", "c+2", "s03")
     },
     **{
+        f"group make --{option} {value}": (None, ["group", "make", f"--{option}", value])
+        for option, value in (("cyclic", "1_0"), ("cyclic", "abc"), ("symmetric", "03"), ("dihedral", "+3"))
+    },
+    **{
+        f"cube check --{option} {value}": (None, ["cube", "check", "--trials", "1", f"--{option}", value])
+        for option, value in (("dim", "0_3"), ("trials", "1_0"), ("seed", "1_0"))
+    },
+    **{
         f"subgroup token {tok}": (
             {"table": [[0, 1], [1, 0]]},
             ["linking", "build", "--group", "{file}", "--chain", f"e<{tok}"],

@@ -23,7 +23,6 @@ from isokit.errors import (
 from isokit.fixpoint import removal_verdict
 from isokit.gcomplex import (
     GComplex,
-    OrbitComplex,
     barycentric_subdivision,
     close_simplices,
     make_regular,
@@ -82,8 +81,8 @@ def test_basic_linking_e_c2():
     assert l.complex.facets == ((0, 2), (1, 2))
     assert l.name() == "e<C2"
     # vertex 2 is the C2 coset, fixed; 0 and 1 are the free pair
-    assert l.complex.vertex_stabilizer(2) == frozenset({0, 1})
-    assert l.complex.vertex_stabilizer(0) == frozenset({0})
+    assert l.complex.pointwise_stabilizer((2,)) == frozenset({0, 1})
+    assert l.complex.pointwise_stabilizer((0,)) == frozenset({0})
     oc = orbit_complex(l.complex)
     assert oc.complex.n_vertices == 2 and oc.complex.facets == ((0, 1),)
 
@@ -179,7 +178,7 @@ def test_linking_shape_all_chains(gname):
             conj = frozenset(
                 g.mul(g.mul(rep, s), g.inv(rep)) for s in (h0, h1)[slot]
             )
-            assert l.complex.vertex_stabilizer(v) == conj
+            assert l.complex.pointwise_stabilizer((v,)) == conj
 
 
 @pytest.mark.parametrize("gname", sorted(GROUPS))
@@ -643,7 +642,7 @@ def test_validate_cells_reports_the_smallest_missing_boundary_simplex():
     ]
     # cell 11 lies over (0, 1, 6) and (0, 3, 4): the first misses (1, 6), the
     # second the smaller (0, 3), which cell 12's (0, 2, 3) misses as well
-    assert c.fibers[(0, 1, 3)] == [(0, 1, 6), (0, 3, 4)]
+    assert sorted(c.orbit.fibers[(0, 1, 3)]) == [(0, 1, 6), (0, 3, 4)]
     truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(1, 6), (0, 3)}, c.skeleta[2]))
     assert _failures(truncated, x) == [
         (11, "attachment", "boundary simplex (0, 3) missing from skeleton"),
@@ -807,7 +806,7 @@ def test_validate_cells_names_a_vertex_missing_from_the_1_skeleton_only():
     expected = [
         (i, "attachment", f"boundary simplex ({v},) missing from skeleton")
         for i, cell in enumerate(c.cells)
-        if len(cell.orbit_simplex) == 3 and any(v in t for t in c.fibers[cell.orbit_simplex])
+        if len(cell.orbit_simplex) == 3 and any(v in t for t in c.orbit.fibers[cell.orbit_simplex])
     ]
     assert len(expected) >= 2
     assert _failures(truncated, x) == expected
@@ -835,17 +834,6 @@ def test_validate_cells_enumerates_no_faces_on_a_valid_structure(count_calls):
     calls = count_calls("close_simplices", linking_module, gcomplex_module)
     assert validate_cells(c, x).ok
     assert calls == []
-
-
-def test_decompose_maps_each_simplex_orbit_once(count_calls):
-    x = models.COMPLEX_MODELS["rotation-disk"]()
-    for _ in range(2):
-        x = barycentric_subdivision(x).complex
-    orbits = x.isotropy().orbits
-    calls = count_calls("image_of", OrbitComplex)
-    c = decompose(x)
-    assert [args[1] for args in calls] == [members[0] for members in orbits]
-    assert sum(map(len, c.fibers.values())) == len(x.simplices())
 
 
 # -- byte-stable reports and generated inputs --------------------------------------
@@ -1004,8 +992,6 @@ def _reference_decompose_failure(x):
     stabilizers = x.isotropy().stabilizers
     for s in orb.complex.simplices():
         over = fibers.get(s, [])
-        if not over:
-            return f"orbit simplex {s} has no simplex above it", s
         for t in over:
             if len(t) != len(s):
                 return (
@@ -1055,9 +1041,33 @@ def test_decompose_matches_the_fibers_definition():
             outcomes["collapse over two orbits" if mixed else "other failure"] += 1
             continue
         assert expected is None
-        assert c.fibers == linking_module._fibers_over_orbit(x, c.orbit)
+        fibers = {s: sorted(over) for s, over in c.orbit.fibers.items()}
+        assert fibers == linking_module._fibers_over_orbit(x, c.orbit)
         orbit_simplices = [cell.orbit_simplex for cell in c.cells]
         assert orbit_simplices == sorted(orbit_simplices, key=lambda s: (len(s), s))
         assert orbit_simplices == list(c.orbit.complex.simplices())
         outcomes["decomposed"] += 1
     assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
+
+
+def test_orbit_complex_maps_each_simplex_orbit_once():
+    """Each fiber of orbit_complex is made of whole Isotropy.orbits, in
+    orbit order, so its longest simplices come last; together the fibers
+    hold every simplex once, and their keys are exactly the orbit
+    simplices, so decompose meets no orbit simplex without a fiber."""
+    for x in _decompose_inputs():
+        if not x.is_regular():
+            continue
+        orb = orbit_complex(x)
+        orbits = x.isotropy().orbits
+        orbit_of = {members[0]: i for i, members in enumerate(orbits)}
+        for s, over in orb.fibers.items():
+            assert all(orb.image_of(t) == s for t in over)
+            assert [len(t) for t in over] == sorted(map(len, over))
+            k, last = 0, -1
+            while k < len(over):
+                i = orbit_of[over[k]]
+                assert i > last and tuple(over[k:k + len(orbits[i])]) == orbits[i]
+                k, last = k + len(orbits[i]), i
+        assert sum(map(len, orb.fibers.values())) == len(x.simplices())
+        assert sorted(orb.fibers, key=lambda s: (len(s), s)) == list(orb.complex.simplices())

@@ -1,5 +1,6 @@
 """The library raises its checks: `python -O` strips assert statements,
-and no function takes a switch that turns its checks off."""
+and no function takes a switch that turns its checks off.  Every private
+helper it defines is named somewhere else in it."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,28 @@ def test_no_library_function_takes_a_validate_switch():
             if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "validate"
         ]
     assert not found, f"validate switches in the library: {found}"
+
+
+def _referenced(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_private_helper_is_used_elsewhere_in_the_library():
+    """A private module-level function or class that no other statement of
+    the library names is dead code, left behind by a refactor."""
+    private, used = [], set()
+    for path in sorted(Path(isokit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                own = stmt.name
+                if not own.startswith("__"):
+                    private.append((own, f"{path.name}:{stmt.lineno}"))
+            used.update(name for name in _referenced(stmt) if name != own)
+    unused = [where for name, where in private if name not in used]
+    assert not unused, f"private helpers that nothing else names: {unused}"
