@@ -92,3 +92,7 @@ class TooManyTwistedClasses(IsokitError):
 
 class TooManySimplices(IsokitError):
     """A barycentric subdivision would exceed the fixed cap on its simplices."""
+
+
+class CubeTooLarge(IsokitError):
+    """A cube map's dimension exceeds the fixed cap on limit plans."""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import isokit
 from isokit import fixpoint, gmap, models
 from isokit.cli import build_parser, run
-from isokit.cubelim import random_cube_map
+from isokit.cubelim import MAX_CUBE_DIM, Cube, CubeMap, random_cube_map
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
     canonical_dumps,
@@ -593,8 +594,16 @@ _CUBE2_MAP = cube_map_to_json(random_cube_map(2, seed=3, max_size=3))
 _CUBE3_MAP = cube_map_to_json(random_cube_map(3, seed=0, max_size=2))
 
 
+def _point_cube_map(n):
+    """The identity map of the all-singleton n-cube, as a cube-map file."""
+    verts = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    point = Cube(n, dict.fromkeys(verts, 1), {(s, j): (0,) for s in verts for j in range(n) if j not in s})
+    return cube_map_to_json(CubeMap(point, point, dict.fromkeys(verts, (0,))))
+
+
 # one row per malformed input: the JSON written to the file "{file}" names
-# (or None), and the command line; each must be a BadInput report, exit 65
+# (or None), and the command line; each must exit 65 with a report whose
+# code is BadInput or, for a row in CAPPED_INPUTS, the cap's error
 MALFORMED_INPUTS = {
     "complex facets of integers": (
         {"vertices": 3, "facets": [1, 2]}, ["complex", "info", "--complex", "{file}"]
@@ -629,6 +638,9 @@ MALFORMED_INPUTS = {
     "cube dim beyond its vertex sets": (
         {"dim": 1e308, "source": _CUBE1, "target": _CUBE1, "components": {}},
         ["cube", "check", "--file", "{file}"],
+    ),
+    "cube dim above its cap": (
+        _point_cube_map(MAX_CUBE_DIM + 1), ["cube", "check", "--file", "{file}"]
     ),
     "complex facet entry of a fraction": (
         {"vertices": 3, "facets": [[0, 1.9], [1, 2]]}, ["complex", "info", "--complex", "{file}"]
@@ -781,6 +793,9 @@ MALFORMED_INPUTS |= {
     if doc is not None and 1e308 in doc.values()
 }
 
+# rows well formed but past a fixed size cap, with the cap's error code
+CAPPED_INPUTS = {"cube dim above its cap": "CubeTooLarge"}
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_bad_input(capsys, tmp_path, case):
@@ -792,7 +807,7 @@ def test_malformed_input_is_bad_input(capsys, tmp_path, case):
     report = json.loads(out)
     assert code == 65, out
     assert report["result"] is None
-    assert report["status"]["code"] == "BadInput"
+    assert report["status"]["code"] == CAPPED_INPUTS.get(case, "BadInput")
 
 
 _FUZZ_VALUES = (5, [1], None, "x", {"a": 1}, [[0]], -1, True)

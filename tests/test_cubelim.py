@@ -24,7 +24,7 @@ from isokit.cubelim import (
     limit_map,
     random_cube_map,
 )
-from isokit.errors import CubeGenerationFailed
+from isokit.errors import CubeGenerationFailed, CubeTooLarge
 from isokit.jsonio import canonical_dumps, cube_map_to_json
 
 E = frozenset()
@@ -534,3 +534,121 @@ def test_plans_are_built_once_per_dimension(monkeypatch):
     monkeypatch.setattr(VertexFamily, "__init__", counted)
     trial(1)
     assert built == []
+
+
+def _random_map_with_failures(rng, n):
+    """A map of n-cubes filled as one (n+1)-cube, top down: each lower
+    vertex takes a random multiset of 0 to 3 elements of the limit above
+    it, read on its covers, so corners may fail and vertex sets may be
+    empty.  Returns the map and the (n+1)-cube's sizes and covers."""
+    top = frozenset(range(n + 1))
+    sizes = {top: rng.randint(1, 3)}
+    covers = {}
+    for s, js, above, checks in cubelim._generation_plan(n):
+        rows = cubelim._sections(
+            [sizes[t] for t in above],
+            [[(i, covers[e], covers[h]) for i, e, h in pairs] for pairs in checks],
+        )
+        picked = [rng.choice(rows) for _ in range(rng.randint(0, 3))] if rows else []
+        sizes[s] = len(picked)
+        for k, j in enumerate(js):
+            covers[(s, j)] = tuple(row[k] for row in picked)
+    verts = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    edges = [(s, j) for s in verts for j in range(n) if j not in s]
+    x, y = (
+        Cube(n, {s: sizes[s | side] for s in verts}, {(s, j): covers[(s | side, j)] for s, j in edges})
+        for side in (E, frozenset({n}))
+    )
+    return CubeMap(x, y, {s: covers[(s, n)] for s in verts}), sizes, covers
+
+
+def _bruteforce_failures(n, sizes, covers):
+    """Corners (U, T) whose limit, filtered from the full product, has an
+    element that no a in X(U) reaches by walking the covers."""
+    failures = set()
+    for t in range(2**n):
+        t = frozenset(i for i in range(n) if t >> i & 1)
+        for u in (frozenset(c) for k in range(len(t) + 1) for c in combinations(sorted(t), k)):
+            above = [w for w in sizes if u < w <= t | {n}]
+            verts, elements = oracles.cube_limit_bruteforce(n + 1, sizes, covers, above)
+            images = set()
+            for a in range(sizes[u]):
+                image = []
+                for w in verts:
+                    value, here = a, u
+                    for j in sorted(w - u):
+                        value, here = covers[(here, j)][value], here | {j}
+                    image.append(value)
+                images.add(tuple(image))
+            if images != set(elements):
+                failures.add((tuple(sorted(u)), tuple(sorted(t))))
+    return failures
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_hypothesis_matches_corner_maps_and_bruteforce(dim):
+    """check_hypothesis, which only counts, fails exactly the corners whose
+    map cube_map_corner builds is not onto, and those a brute-force image
+    check rejects, on maps that fail corners and have empty vertex sets."""
+    rng = Random(dim)
+    failed = empty = 0
+    for _ in range(150):
+        m, sizes, covers = _random_map_with_failures(rng, dim)
+        hc = check_hypothesis(m)
+        expect = tuple(
+            (tuple(sorted(u)), tuple(sorted(t)))
+            for u, t in cubelim._corner_families(dim)
+            if not cube_map_corner(m, (u, t)).function.is_surjective
+        )
+        assert hc.failures == expect and hc.ok == (not expect) and hc.checked == 3**dim
+        assert set(expect) == _bruteforce_failures(dim, sizes, covers)
+        failed += bool(expect)
+        empty += 0 in sizes.values()
+    assert failed and empty and (dim == 0 or failed < 150)
+
+
+def test_hypothesis_counts_without_limits(count_calls):
+    """One capped enumeration per corner, and no limit or map into one."""
+    m = random_cube_map(3, seed=2)
+    limits = count_calls("limit", cubelim)
+    maps = count_calls("_to_limit", cubelim)
+    sections = count_calls("_sections", cubelim)
+    assert check_hypothesis(m).ok
+    assert limits == [] and maps == []
+    assert len(sections) == 27 and all(type(args[2]) is int for args in sections)
+
+
+def test_capped_sections_are_a_prefix_of_the_sections():
+    """_sections with a cap returns the first cap + 1 rows of its uncapped
+    result, for every cap up to that result's length."""
+    rng = Random(7)
+    capped = 0
+    for dim in range(4):
+        for _ in range(20):
+            z = _random_map_with_failures(rng, dim)[0].as_cube()
+            for family in cubelim._corner_families(dim).values():
+                mins = family.minimals
+                sizes = [z.sizes[v] for v in mins]
+                checks = [
+                    [(i, z.map_between(mins[i], join), z.map_between(v, join)) for i, join in pairs]
+                    for v, pairs in zip(mins, family.joins)
+                ]
+                rows = cubelim._sections(sizes, checks)
+                for cap in range(len(rows) + 1):
+                    assert cubelim._sections(sizes, checks, cap) == rows[: cap + 1]
+                capped += len(rows) > 1
+    assert capped
+
+
+def test_cube_dimension_cap(count_calls):
+    """Above MAX_CUBE_DIM every limit plan raises CubeTooLarge before it
+    builds a vertex family."""
+    n = cubelim.MAX_CUBE_DIM + 1
+    verts = cubelim._subsets(range(n))
+    point = Cube(n, dict.fromkeys(verts, 1), {(s, j): (0,) for s in verts for j in range(n) if j not in s})
+    m = CubeMap(point, point, dict.fromkeys(verts, (0,)))
+    families = count_calls("VertexFamily", cubelim)
+    for run in (check_hypothesis, factorize_limit, limit_map, lambda m: cube_map_corner(m, (E, E))):
+        with pytest.raises(CubeTooLarge, match=f"dimension {n} exceeds the cap of {n - 1}"):
+            run(m)
+    assert families == []
