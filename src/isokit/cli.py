@@ -18,13 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .cubelim import check_hypothesis, factorize_limit, random_cube_map
-from .errors import (
-    CubeTooLarge,
-    GroupTooLarge,
-    IsokitError,
-    TooManySimplices,
-    TooManyTwistedClasses,
-)
+from .errors import CapExceeded, IsokitError
 from .fixpoint import (
     TwistedConjugacySetup,
     _orbits,
@@ -596,7 +590,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     command = getattr(args, "command", "isokit")
     try:
         return args.func(args)
-    except (CubeTooLarge, GroupTooLarge, TooManySimplices, TooManyTwistedClasses) as exc:
+    except CapExceeded as exc:
         return _fail(command, EX_BADINPUT, exc.code, str(exc))
     except IsokitError as exc:
         return _fail(command, EX_DOMAIN, exc.code, str(exc))

@@ -8,9 +8,10 @@ factorize_limit exhibits the chain of surjections that proves it.
 
 Limits are computed as compatible tuples.  Elements of a limit are
 stored as full coordinate vectors over the sub-poset, determined by
-their values on minimal vertices.  Those values are enumerated in one
-place, _minimal_sections: limit pushes them up to full tuples, and
-check_hypothesis only counts them.
+their values on minimal vertices.  Those values are enumerated only in
+_sections: limit pushes them up to full tuples, and check_hypothesis,
+which reads each corner's minimal vertices off a plan made once per
+dimension, only counts them.
 
 Tuples on the hot paths are built from lists, tuple([...]).  A tuple of
 a generator is filled by resizing, so it never takes a freed tuple of
@@ -89,6 +90,8 @@ class Cube:
         return x
 
     def _validate(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"cube dimension must be nonnegative, got {self.n}")
         # 2^n sets are needed; an n beyond the sets given builds no subsets
         if self.n >= len(self.sizes).bit_length():
             raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")
@@ -288,18 +291,18 @@ def _sections(
 
 
 def _minimal_sections(
-    cube: Cube, poset: VertexFamily, cap: Optional[int] = None
+    cube: Cube, minimals: Sequence[Subset], joins: Sequence[tuple], cap: Optional[int] = None
 ) -> List[Tuple[int, ...]]:
-    """The limit's elements as values on the family's minimal vertices, in
-    limit's order; with a cap, at most its first cap + 1 (see _sections)."""
-    minimals = poset.minimals
+    """A limit's elements as values on its minimal vertices, in limit's
+    order; joins as VertexFamily keeps them.  With a cap, at most the first
+    cap + 1 (see _sections)."""
     chain = cube._chain
     # minimal k must agree with each earlier minimal i on their join
     return _sections(
         [cube.sizes[m] for m in minimals],
         [
             [(i, chain(minimals[i], join), chain(m, join)) for i, join in pairs]
-            for m, pairs in zip(minimals, poset.joins)
+            for m, pairs in zip(minimals, joins)
         ],
         cap,
     )
@@ -314,7 +317,7 @@ def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
     on the minimal vertices: _minimal_sections enumerates those values,
     and each full tuple pushes them up to the other members.
     """
-    rows = _minimal_sections(cube, poset)
+    rows = _minimal_sections(cube, poset.minimals, poset.joins)
     # a vertex's coordinate is its owner's value pushed up to it
     chain = cube._chain
     columns = [(o, chain(poset.minimals[o], w)) for o, w in zip(poset.owners, poset.vertices)]
@@ -338,22 +341,6 @@ def _to_limit(cube: Cube, u: Subset, lim: LimitSet) -> SetFunction:
         ),
         codomain_size=len(lim),
     )
-
-
-@dataclass(frozen=True)
-class Corner:
-    """A vertex set mapping into the limit of a sub-poset above it."""
-
-    vertex: Subset
-    function: SetFunction
-    limit: LimitSet
-
-
-def corner_map(x: Cube, u: Iterable[int]) -> Corner:
-    """The restriction X(U) -> lim over the strict supersets of U."""
-    u = frozenset(u)
-    lim = limit(x, VertexFamily([t for t in x.vertices() if u < t]))
-    return Corner(vertex=u, function=_to_limit(x, u, lim), limit=lim)
 
 
 class CubeMap:
@@ -427,32 +414,22 @@ class CubeMap:
         return Cube._assemble(n + 1, sizes, covers)
 
 
-def cube_map_corner(m: CubeMap, sub: Tuple[Iterable[int], Iterable[int]]) -> Corner:
-    """Corner of the subcube map spanned by U <= T: the map from X(U) to
-    the limit over everything strictly above U inside T plus the target
-    side of the same span.  For U = T this is just the component at U."""
-    u, t = frozenset(sub[0]), frozenset(sub[1])
-    n = m.n
-    if not (u <= t and t <= frozenset(range(n))):
-        raise ValueError("sub must be a nested pair of index subsets")
-    z = m.as_cube()
-    lim = limit(z, _corner_families(n)[(u, t)])
-    return Corner(vertex=u, function=_to_limit(z, u, lim), limit=lim)
-
-
 @lru_cache(maxsize=None)
-def _corner_families(n: int) -> Mapping[Tuple[Subset, Subset], VertexFamily]:
-    """cube_map_corner's family for each nested pair U <= T of subsets of
-    0..n-1, keyed (U, T) in the order check_hypothesis visits them: the
-    vertices strictly above U in the span of U <= T on both sides of the
-    (n+1)-cube of a map.  Read-only, as every caller shares it.  Raises
-    CubeTooLarge above MAX_CUBE_DIM, before any family is built."""
+def _corner_plans(n: int) -> Mapping[Tuple[Subset, Subset], tuple]:
+    """Per corner (U, T) of a map of n-cubes, in the order check_hypothesis
+    visits them, the minimal vertices and joins, as VertexFamily keeps
+    them, of the limit X(U) maps into: everything strictly above U in the
+    span of U <= T on both sides of the (n+1)-cube.  Its minimal vertices
+    are U+{j} for j in T - U ascending, then U+{n}, and any two join inside
+    it.  Read-only, as every caller shares it.  Raises CubeTooLarge above
+    MAX_CUBE_DIM."""
     _check_dim(n)
     out = {}
     for t in _vertices(n):
         for u in _subsets(sorted(t)):
-            span = [v | extra for v in _subsets(sorted(t - u)) for extra in (u, u | {n})]
-            out[(u, t)] = VertexFamily([v for v in span if u < v])
+            mins = tuple([u | {j} for j in sorted(t - u)] + [u | {n}])
+            joins = tuple(tuple([(i, mins[i] | m) for i in range(k)]) for k, m in enumerate(mins))
+            out[(u, t)] = (mins, joins)
     return MappingProxyType(out)
 
 
@@ -466,25 +443,24 @@ class HypothesisCheck:
 def check_hypothesis(m: CubeMap) -> HypothesisCheck:
     """Surjectivity of all 3^n subcube corner maps, decided by counting.
 
-    A limit element is fixed by its values on the family's minimal
-    vertices, and each a in X(U) maps to the compatible values
-    chain(U, v)[a] there, so the corner is onto iff its hits, the distinct
-    such value tuples, are as many as the limit's elements.  The limit is
-    enumerated with cap = hits and fails the corner iff it yields more
-    rows.  No map or limit is built; cube_map_corner builds them.  With no
-    minimal vertex the limit is one point, hit iff X(U) is not empty.
-    Raises CubeTooLarge above MAX_CUBE_DIM.
+    Each corner (U, T) maps X(U) into a limit whose minimal vertices and
+    joins _corner_plans reads off once per dimension.  A limit element is
+    fixed by its values on those vertices, and each a in X(U) maps to the
+    compatible values chain(U, v)[a] there, so the corner is onto iff its
+    hits, the distinct such value tuples, are as many as the limit's
+    elements.  The limit is enumerated with cap = hits and fails the
+    corner iff it yields more rows.  No map or limit is built.  Raises
+    CubeTooLarge above MAX_CUBE_DIM.
     """
     z = m.as_cube()
-    chain, sizes = z._chain, z.sizes
-    families = _corner_families(m.n)
+    chain = z._chain
+    plans = _corner_plans(m.n)
     failures = []
-    for (u, t), family in families.items():
-        images = [chain(u, v) for v in family.minimals]
-        hits = len(set(zip(*images))) if images else min(sizes[u], 1)
-        if len(_minimal_sections(z, family, hits)) > hits:
+    for (u, t), (minimals, joins) in plans.items():
+        hits = len(set(zip(*[chain(u, v) for v in minimals])))
+        if len(_minimal_sections(z, minimals, joins, hits)) > hits:
             failures.append((tuple(sorted(u)), tuple(sorted(t))))
-    return HypothesisCheck(ok=not failures, checked=len(families), failures=tuple(failures))
+    return HypothesisCheck(ok=not failures, checked=len(plans), failures=tuple(failures))
 
 
 def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
@@ -564,22 +540,6 @@ def factorize_limit(m: CubeMap) -> Factorization:
         composed=composed,
         direct=direct,
     )
-
-
-def complete_punctured(x: Cube) -> Cube:
-    """Replace the initial vertex by the limit of the punctured cube.
-
-    Afterwards the corner map at the empty set is a bijection.
-    """
-    empty: Subset = frozenset()
-    lim = limit(x, VertexFamily([s for s in x.vertices() if s]))
-    sizes = dict(x.sizes)
-    sizes[empty] = len(lim)
-    covers = dict(x.covers)
-    for j in range(x.n):
-        col = lim.vertices.index(frozenset({j}))
-        covers[(empty, j)] = tuple(e[col] for e in lim.elements)
-    return Cube(x.n, sizes, covers)
 
 
 # -- randomized instances --------------------------------------------------------

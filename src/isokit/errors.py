@@ -14,7 +14,12 @@ class IsokitError(Exception):
         return type(self).__name__
 
 
-class GroupTooLarge(IsokitError):
+class CapExceeded(IsokitError):
+    """Well-formed input whose work would exceed a fixed size cap; the
+    report names the subclass, the cap that was hit."""
+
+
+class GroupTooLarge(CapExceeded):
     """Group order exceeds the fixed cap of 48."""
 
 
@@ -86,13 +91,13 @@ class CubeGenerationFailed(IsokitError):
     """Random cube generation used up its attempts without a valid cube."""
 
 
-class TooManyTwistedClasses(IsokitError):
+class TooManyTwistedClasses(CapExceeded):
     """Listing the twisted classes one by one would exceed their fixed cap."""
 
 
-class TooManySimplices(IsokitError):
+class TooManySimplices(CapExceeded):
     """A barycentric subdivision would exceed the fixed cap on its simplices."""
 
 
-class CubeTooLarge(IsokitError):
+class CubeTooLarge(CapExceeded):
     """A cube map's dimension exceeds the fixed cap on limit plans."""

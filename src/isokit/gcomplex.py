@@ -22,6 +22,7 @@ from .group import (
     class_rep_of,
     is_normal,
     is_subconjugate,
+    is_subgroup,
     subconjugacy_total_order,
 )
 
@@ -116,6 +117,8 @@ class GComplex:
         names: Optional[Sequence[str]] = None,
     ):
         n = self.n_vertices = int(n_vertices)
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         if names is not None:
             names = tuple(names)
             if len(names) != n:
@@ -414,9 +417,16 @@ def fixed_subcomplex(x: GComplex, h: Iterable[int]) -> SimplexSet:
     return iso.fixed[hs]
 
 
+def _subgroup(x: GComplex, h: Iterable[int]) -> Subgroup:
+    h = frozenset(h)
+    if not is_subgroup(x.group, h):
+        raise ValueError(f"{sorted(h)} is not a subgroup of the complex's group")
+    return h
+
+
 def exact_stratum(x: GComplex, h: Iterable[int]) -> Stratum:
     """Simplices with pointwise stabilizer exactly a conjugate of h."""
-    rep = class_rep_of(x.group, frozenset(h))
+    rep = class_rep_of(x.group, _subgroup(x, h))
     name = class_names(x.group)[rep]
     members = x.isotropy().strata.get(rep, frozenset())
     return Stratum(class_rep=tuple(sorted(rep)), name=name, simplices=members)
@@ -434,7 +444,7 @@ def present_classes(x: GComplex) -> List[Subgroup]:
 
 def class_fixed_union(x: GComplex, h: Iterable[int]) -> SimplexSet:
     """Union of the fixed subcomplexes of all conjugates of h."""
-    rep = frozenset(h)
+    rep = _subgroup(x, h)
     iso = x.isotropy()
     above = {k for k in iso.classes if is_subconjugate(x.group, rep, k)}
     return frozenset(s for s in x.simplices() if iso.stabilizers[s] in above)

@@ -558,9 +558,6 @@ class MarksTable:
             for j in range(len(m))
         ))
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def solve_marks(self, marks: Sequence[int]) -> Tuple[Fraction, ...]:
         """Solve transpose(matrix) @ c = marks exactly by back substitution.
 

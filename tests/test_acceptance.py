@@ -229,7 +229,7 @@ def test_08_twisted_trace_reflection_and_rotation(capsys):
         assert trace.classes.count == 2
         assert sorted(trace.coefficients.values()) == [1, 1]
         assert sum(trace.coefficients.values()) == trace.lefschetz == 2
-        assert trace.nonzero
+        assert trace.nonzero() == {(0,): 1, (1,): 1}
 
         rot = models.MAP_MODELS["hexagon-rotation"]()
         rot_trace = reidemeister_trace(rot)

@@ -14,6 +14,7 @@ import isokit
 from isokit import fixpoint, gmap, models
 from isokit.cli import build_parser, run
 from isokit.cubelim import MAX_CUBE_DIM, Cube, CubeMap, random_cube_map
+from isokit.errors import CapExceeded
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
     canonical_dumps,
@@ -642,6 +643,18 @@ MALFORMED_INPUTS = {
     "cube dim above its cap": (
         _point_cube_map(MAX_CUBE_DIM + 1), ["cube", "check", "--file", "{file}"]
     ),
+    "cube dim negative": (
+        {
+            "dim": -1,
+            "source": {"vertices": {"": 1}, "maps": {}},
+            "target": {"vertices": {"": 1}, "maps": {}},
+            "components": {"": [0]},
+        },
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "complex vertices negative": (
+        {"vertices": -1, "facets": []}, ["complex", "info", "--complex", "{file}"]
+    ),
     "complex facet entry of a fraction": (
         {"vertices": 3, "facets": [[0, 1.9], [1, 2]]}, ["complex", "info", "--complex", "{file}"]
     ),
@@ -808,6 +821,13 @@ def test_malformed_input_is_bad_input(capsys, tmp_path, case):
     assert code == 65, out
     assert report["result"] is None
     assert report["status"]["code"] == CAPPED_INPUTS.get(case, "BadInput")
+
+
+def test_size_caps_share_one_base_class():
+    """run reports each size cap as bad input under the subclass's own code."""
+    assert {c.__name__ for c in CapExceeded.__subclasses__()} == {
+        "CubeTooLarge", "GroupTooLarge", "TooManySimplices", "TooManyTwistedClasses"
+    }
 
 
 _FUZZ_VALUES = (5, [1], None, "x", {"a": 1}, [[0]], -1, True)

@@ -1,4 +1,4 @@
-"""Cubes of finite sets, limits, corner maps, and the factorization chain."""
+"""Cubes of finite sets, limits, corner checks, and the factorization chain."""
 
 import hashlib
 import time
@@ -15,10 +15,7 @@ from isokit.cubelim import (
     SetFunction,
     VertexFamily,
     check_hypothesis,
-    complete_punctured,
     compose,
-    corner_map,
-    cube_map_corner,
     factorize_limit,
     limit,
     limit_map,
@@ -127,19 +124,6 @@ def test_limit_full_poset_matches_initial_vertex():
         assert len(full) == cube.size(E)
 
 
-def test_corner_map_and_restriction():
-    cube = random_cube_map(2, seed=7, max_size=3).source
-    for u in (E, S0, S1):
-        corner = corner_map(cube, u)
-        strict = [s for s in (S0, S1, S01) if u < s]
-        sizes = {s: cube.sizes[s] for s in strict}
-        covers = {k: list(v) for k, v in cube.covers.items()}
-        _, expect = oracles.cube_limit_bruteforce(2, sizes, covers, strict)
-        assert sorted(corner.limit.elements) == expect
-        for x in range(cube.size(u)):
-            assert corner.limit.elements[corner.function(x)] in expect
-
-
 def test_cube_map_validation():
     m = random_cube_map(2, seed=3, max_size=3)
     good = CubeMap(m.source, m.target, m.components)
@@ -163,20 +147,6 @@ def test_as_cube_star_direction():
         assert big.size(s) == m.source.sizes[s]
         assert big.size(s | {2}) == m.target.sizes[s]
         assert big.covers[(s, 2)] == m.components[s]
-
-
-def test_cube_map_corner_consistency():
-    """Subcube corners of the mapping cube agree with check_hypothesis."""
-    m = random_cube_map(2, seed=11, max_size=3)
-    hc = check_hypothesis(m)
-    assert hc.checked == 9
-    for t in ([], [0], [1], [0, 1]):
-        for r in range(len(t) + 1):
-            for u in combinations(t, r):
-                corner = cube_map_corner(m, (frozenset(u), frozenset(t)))
-                assert corner.function.is_surjective == (
-                    (tuple(sorted(u)), tuple(sorted(t))) not in hc.failures
-                )
 
 
 def test_hypothesis_can_fail():
@@ -242,20 +212,6 @@ def test_random_cube_map_deterministic():
         or a.source.covers != c.source.covers
         or a.components != c.components
     )
-
-
-def test_complete_punctured():
-    cube = random_cube_map(2, seed=9, max_size=3).source
-    # a punctured cube, with no set at the empty subset, is no Cube the
-    # constructor accepts
-    partial = Cube._assemble(
-        2,
-        {s: cube.sizes[s] for s in (S0, S1, S01)},
-        {k: v for k, v in cube.covers.items() if k[0]},
-    )
-    completed = complete_punctured(partial)
-    corner = corner_map(completed, E)
-    assert corner.function.is_bijective
 
 
 def _digest(dim, seeds):
@@ -585,23 +541,40 @@ def _bruteforce_failures(n, sizes, covers):
     return failures
 
 
+def _nested_pairs(n):
+    """Every nested pair U <= T of subsets of 0..n-1, T by size and then
+    lexicographically, and U likewise within each T."""
+    subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    return [(u, t) for t in subsets for u in subsets if u <= t]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_corner_plans_are_the_families_minimals_and_joins(n):
+    """Each corner's plan holds the minimal vertices and joins VertexFamily
+    finds for the vertices strictly above U in the span of U <= T on both
+    sides of the (n+1)-cube, in check_hypothesis's order."""
+    plans = cubelim._corner_plans(n)
+    assert list(plans) == _nested_pairs(n)
+    for u, t in plans:
+        span = [v | side for v in cubelim._subsets(sorted(t - u)) for side in (u, u | {n})]
+        family = VertexFamily([v for v in span if v != u])
+        assert plans[(u, t)] == (family.minimals, family.joins)
+
+
 @pytest.mark.parametrize("dim", range(4))
 def test_hypothesis_matches_corner_maps_and_bruteforce(dim):
-    """check_hypothesis, which only counts, fails exactly the corners whose
-    map cube_map_corner builds is not onto, and those a brute-force image
-    check rejects, on maps that fail corners and have empty vertex sets."""
+    """check_hypothesis, which only counts, fails exactly the corners a
+    brute-force image check rejects, listed in the order of the corner
+    plans, on maps that fail corners and have empty vertex sets."""
     rng = Random(dim)
+    corners = [(tuple(sorted(u)), tuple(sorted(t))) for u, t in cubelim._corner_plans(dim)]
     failed = empty = 0
     for _ in range(150):
         m, sizes, covers = _random_map_with_failures(rng, dim)
         hc = check_hypothesis(m)
-        expect = tuple(
-            (tuple(sorted(u)), tuple(sorted(t)))
-            for u, t in cubelim._corner_families(dim)
-            if not cube_map_corner(m, (u, t)).function.is_surjective
-        )
+        bad = _bruteforce_failures(dim, sizes, covers)
+        expect = tuple(c for c in corners if c in bad)
         assert hc.failures == expect and hc.ok == (not expect) and hc.checked == 3**dim
-        assert set(expect) == _bruteforce_failures(dim, sizes, covers)
         failed += bool(expect)
         empty += 0 in sizes.values()
     assert failed and empty and (dim == 0 or failed < 150)
@@ -626,12 +599,11 @@ def test_capped_sections_are_a_prefix_of_the_sections():
     for dim in range(4):
         for _ in range(20):
             z = _random_map_with_failures(rng, dim)[0].as_cube()
-            for family in cubelim._corner_families(dim).values():
-                mins = family.minimals
+            for mins, joins in cubelim._corner_plans(dim).values():
                 sizes = [z.sizes[v] for v in mins]
                 checks = [
                     [(i, z.map_between(mins[i], join), z.map_between(v, join)) for i, join in pairs]
-                    for v, pairs in zip(mins, family.joins)
+                    for v, pairs in zip(mins, joins)
                 ]
                 rows = cubelim._sections(sizes, checks)
                 for cap in range(len(rows) + 1):
@@ -648,7 +620,7 @@ def test_cube_dimension_cap(count_calls):
     point = Cube(n, dict.fromkeys(verts, 1), {(s, j): (0,) for s in verts for j in range(n) if j not in s})
     m = CubeMap(point, point, dict.fromkeys(verts, (0,)))
     families = count_calls("VertexFamily", cubelim)
-    for run in (check_hypothesis, factorize_limit, limit_map, lambda m: cube_map_corner(m, (E, E))):
+    for run in (check_hypothesis, factorize_limit, limit_map):
         with pytest.raises(CubeTooLarge, match=f"dimension {n} exceeds the cap of {n - 1}"):
             run(m)
     assert families == []

@@ -373,7 +373,7 @@ def test_reflection_trace_frozen():
     assert sorted(rt.coefficients.values()) == [1, 1]
     assert rt.lefschetz == 2
     assert sum(rt.coefficients.values()) == rt.lefschetz
-    assert rt.nonzero
+    assert rt.nonzero() == {(0,): 1, (1,): 1}
 
 
 def test_rotation_and_identity_traces():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -223,6 +224,20 @@ def test_class_fixed_union():
     # three conjugate C2s fix one vertex each, plus the G6 vertex
     assert len(class_fixed_union(x, by_name["C2"])) == 4
     assert len(class_fixed_union(x, by_name["e"])) == 12
+
+
+@pytest.mark.parametrize("query, h", [
+    (exact_stratum, {1}),
+    (exact_stratum, {0, 5}),
+    (class_fixed_union, {0, 5}),
+    (class_fixed_union, {1}),
+], ids=["stratum-1", "stratum-0,5", "union-0,5", "union-1"])
+def test_strata_of_a_set_that_is_not_a_subgroup(query, h):
+    """rotation-disk's group is C2 = {0, 1}; a set without the identity or
+    with elements outside the group names no stratum."""
+    x = models.COMPLEX_MODELS["rotation-disk"]()
+    with pytest.raises(ValueError, match=re.escape(f"{sorted(h)} is not a subgroup")):
+        query(x, h)
 
 
 def test_treelike():
@@ -527,3 +542,8 @@ def test_a_vertex_count_without_action_or_names_is_read_off_the_facets():
     assert GComplex(2, [(0, 1)], {}, trivial).n_vertices == 2
     assert GComplex(3, [(0, 1)], {}, trivial, names=("a", "b", "c")).n_vertices == 3
     assert GComplex(0, [], {}, trivial).simplices() == ()
+
+
+def test_a_negative_vertex_count_is_rejected():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        GComplex(-1, [], {}, FiniteGroup.cyclic(1))
