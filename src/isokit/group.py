@@ -12,15 +12,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, NonIntegral, NotStrictChain
 
 Subgroup = FrozenSet[int]
 Perm = Tuple[int, ...]
 
-# order cap for group construction
+# order cap for group construction; it stays below 60, as _all_subgroups
+# needs every group to be solvable, which every group of order below 60 is
+# (A5, of order 60, has no normal subgroup of prime index)
 MAX_GROUP_ORDER = 48
+_PRIMES = frozenset(p for p in range(2, MAX_GROUP_ORDER + 1) if all(p % d for d in range(2, p)))
 
 
 def _decimal_int(text: str, what: str) -> int:
@@ -51,6 +54,7 @@ class FiniteGroup:
             )
         self._validate()
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
+        self._powers: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._subgroups: Optional[Tuple[Subgroup, ...]] = None
         self._classes: Optional[Tuple[Tuple[Subgroup, ...], ...]] = None
         self._class_rep: Optional[Dict[Subgroup, Subgroup]] = None
@@ -114,11 +118,19 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return len(self._power_lists()[a])
+
+    def _power_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per element a, (a, a^2, ..., a^k = 0) with k its order; built once."""
+        if self._powers is None:
+            powers = []
+            for a in self.elements:
+                row, pw = self.table[a], [a]
+                while pw[-1] != 0:
+                    pw.append(row[pw[-1]])
+                powers.append(tuple(pw))
+            self._powers = tuple(powers)
+        return self._powers
 
     def is_abelian(self) -> bool:
         return all(
@@ -146,6 +158,8 @@ class FiniteGroup:
         at index 0.  Composing on the right suffices, as in subgroup_closure.
         No generator gives the trivial group, whatever the degree.
         """
+        if degree < 0:
+            raise ValueError(f"degree {degree} is negative")
         gens = []
         for p in generators:
             pt = tuple(int(v) for v in p)
@@ -255,54 +269,52 @@ def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
 
 
 def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
-    """The lattice by cyclic extension (Neubueser 1960), sorted by _skey.
+    """The lattice by prime-index normal extension (Neubueser 1960), sorted
+    by _skey.
 
-    Each subgroup H found is extended by one x outside it, one x per double
-    coset HxH, as <H, axb> = <H, x> for a, b in H; the double coset is the
-    union of the left cosets (ax)H for a in H, so it is marked by their
-    smallest members.  Every K > 1 is <K', x> for a maximal subgroup K' of
-    K.  The walk for <H, x> starts at H: the new elements begin with Hx and
-    are walked by H's generators and x, as H is closed under its own.  A
-    proper subgroup has index at least the smallest prime p dividing |G|,
-    so a walk past |G|/p elements stops: it generates G.
+    Each subgroup H found is extended by one x per left coset xH not yet
+    tried: when the least k with x^k in H is a prime and x normalizes H,
+    K = H u Hx u ... u Hx^(k-1) is a subgroup in which H is normal of index
+    k.  Both tests depend only on the coset xH, and every y in K - H gives
+    K again; two such K of one H meet only in H, so marking all of K tried
+    hides no other one.  The method is complete because every group with
+    order at most MAX_GROUP_ORDER is solvable: each K > 1 then has a normal
+    subgroup of prime index, which is found before K.
     """
     if g._subgroups is None:
-        t = g.table
-        whole = frozenset(g.elements)
-        p = min((q for q in range(2, g.order + 1) if g.order % q == 0), default=1)
-        gens: Dict[Subgroup, Tuple[int, ...]] = {frozenset({0}): ()}
-        queue = list(gens)
+        t, inv, powers = g.table, g._inverse, g._power_lists()
+        found = {frozenset({0})}
+        queue = list(found)
         for h in queue:
-            # the smallest member of the left coset yH of each element y
-            coset_of = [-1] * g.order
-            for y in g.elements:
-                if coset_of[y] < 0:
-                    row = t[y]
-                    for s in h:
-                        coset_of[row[s]] = y
-            tried = {0}
+            tried = bytearray(g.order)
             for x in g.elements:
-                if coset_of[x] not in tried:
-                    tried.update([coset_of[t[a][x]] for a in h])
-                    k_gens = gens[h] + (x,)
-                    walk = [t[a][x] for a in h]
-                    seen = set(h)
-                    seen.update(walk)
-                    for a in walk:
-                        if len(seen) * p > g.order:
-                            k = whole
-                            break
-                        row = t[a]
-                        for s in k_gens:
-                            if row[s] not in seen:
-                                seen.add(row[s])
-                                walk.append(row[s])
-                    else:
-                        k = frozenset(seen)
-                    if k not in gens:
-                        gens[k] = k_gens
-                        queue.append(k)
-        g._subgroups = tuple(sorted(gens, key=_skey))
+                if tried[x]:
+                    continue
+                row = t[x]
+                for s in h:
+                    tried[row[s]] = 1
+                k = 1
+                for y in powers[x]:
+                    if y in h:
+                        break
+                    k += 1
+                if k not in _PRIMES:
+                    continue
+                x_inv = inv[x]
+                for s in h:
+                    if t[row[s]][x_inv] not in h:
+                        break
+                else:
+                    k_elems = set(h)
+                    for y in powers[x][:k - 1]:
+                        k_elems.update([t[y][s] for s in h])
+                    for y in k_elems:
+                        tried[y] = 1
+                    k_elems = frozenset(k_elems)
+                    if k_elems not in found:
+                        found.add(k_elems)
+                        queue.append(k_elems)
+        g._subgroups = tuple(sorted(found, key=_skey))
     return g._subgroups
 
 
@@ -360,18 +372,20 @@ def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
     per coset.
     """
     if g._classes is None:
-        t = g.table
+        t, inv = g.table, g._inverse
         g._class_rep = {}
         classes = []
         for h in _all_subgroups(g):
             if h not in g._class_rep:
                 orbit = set()
-                covered: Set[int] = set()
+                covered = bytearray(g.order)
                 for x in g.elements:
-                    if x not in covered:
-                        row, x_inv = t[x], g.inv(x)
-                        covered.update(row[s] for s in h)
-                        orbit.add(frozenset(t[row[s]][x_inv] for s in h))
+                    if not covered[x]:
+                        row, x_inv = t[x], inv[x]
+                        coset = [row[s] for s in h]
+                        for y in coset:
+                            covered[y] = 1
+                        orbit.add(frozenset([t[y][x_inv] for y in coset]))
                 classes.append(tuple(sorted(orbit, key=_skey)))
                 g._class_rep.update((k, h) for k in orbit)
         g._classes = tuple(classes)
@@ -496,15 +510,27 @@ def _containment(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """Per lattice index, the later indices of its proper supergroups.
 
     The lattice is sorted by order first, so every proper supergroup of a
-    subgroup comes after it, and a later subgroup contains an earlier one
-    iff its bitmask of elements covers the earlier one's.
+    subgroup comes after it.  Per element, a bitmask has bit j set iff
+    lattice index j holds it, and the masks of H's elements ANDed together
+    give the subgroups that contain H.
     """
     if g._above is None:
-        masks = [sum(1 << e for e in h) for h in _all_subgroups(g)]
-        g._above = tuple(
-            tuple(j for j in range(i + 1, len(masks)) if masks[j] & m == m)
-            for i, m in enumerate(masks)
-        )
+        subs = _all_subgroups(g)
+        holders = [0] * g.order
+        for j, h in enumerate(subs):
+            for e in h:
+                holders[e] |= 1 << j
+        above = []
+        for i, h in enumerate(subs):
+            m = -1 << (i + 1)
+            for e in h:
+                m &= holders[e]
+            later = []
+            while m:
+                later.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            above.append(tuple(later))
+        g._above = tuple(above)
     return g._above
 
 
@@ -516,12 +542,12 @@ def enumerate_chains(g: FiniteGroup, max_len: int) -> List[Tuple[Subgroup, ...]]
     extends the previous one in order, so it comes out sorted.
     """
     subs = enumerate_subgroups(g)
-    above = _containment(g)
-    level = [((h,), i) for i, h in enumerate(subs)]
-    chains = [chain for chain, _ in level]
+    up = {h: [subs[j] for j in js] for h, js in zip(subs, _containment(g))}
+    level = [(h,) for h in subs]
+    chains = list(level)
     for _ in range(max_len):
-        level = [(chain + (subs[j],), j) for chain, i in level for j in above[i]]
-        chains.extend(chain for chain, _ in level)
+        level = [chain + (k,) for chain in level for k in up[chain[-1]]]
+        chains.extend(level)
     return chains
 
 

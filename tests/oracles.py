@@ -26,6 +26,39 @@ def subgroups_bruteforce(table):
     return sorted(set(out), key=lambda s: (len(s), sorted(s)))
 
 
+def subgroups_by_joins(table):
+    """All subgroups, as the cyclic subgroups closed under joins.
+
+    Every subgroup is the join of the cyclic subgroups of its elements, so
+    joining each subgroup found with each cyclic subgroup reaches them all.
+    A join is the closure of both generator lists, walked on the table by
+    right multiplication, as every inverse is a positive power.
+    """
+    def closure(gens):
+        seen, walk = {0}, [0]
+        for a in walk:
+            for s in gens:
+                b = table[a][s]
+                if b not in seen:
+                    seen.add(b)
+                    walk.append(b)
+        return frozenset(seen)
+
+    cyclic = {}
+    for x in range(len(table)):
+        cyclic.setdefault(closure([x]), x)
+    gens = {h: (x,) for h, x in cyclic.items()}
+    queue = list(gens)
+    for h in queue:
+        for x in cyclic.values():
+            if x not in h:
+                k = closure(gens[h] + (x,))
+                if k not in gens:
+                    gens[k] = gens[h] + (x,)
+                    queue.append(k)
+    return sorted(gens, key=lambda s: (len(s), sorted(s)))
+
+
 def conjugacy_partition(table, subgroups):
     """Partition of subgroups into table-conjugacy classes."""
     inv = [row.index(0) for row in table]

@@ -636,6 +636,12 @@ MALFORMED_INPUTS = {
     "group degree beyond its generators": (
         {"degree": 1e308, "generators": [[1, 0]]}, ["group", "info", "--group", "{file}"]
     ),
+    "group degree negative": (
+        {"degree": -1, "generators": []}, ["group", "info", "--group", "{file}"]
+    ),
+    "group degree negative with a generator": (
+        {"degree": -3, "generators": [[0]]}, ["group", "info", "--group", "{file}"]
+    ),
     "cube dim beyond its vertex sets": (
         {"dim": 1e308, "source": _CUBE1, "target": _CUBE1, "components": {}},
         ["cube", "check", "--file", "{file}"],

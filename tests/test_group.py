@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ import oracles
 from isokit import group as group_module
 from isokit.errors import GroupTooLarge, NonIntegral
 from isokit.group import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     _containment,
     class_names,
@@ -89,11 +90,24 @@ def test_constructors_basics():
             assert g.element_order(a) > 0 and g.order % g.element_order(a) == 0
 
 
+def test_negative_degree_is_rejected_before_the_generators():
+    for gens in ([], [[0]]):
+        with pytest.raises(ValueError, match="degree -3 is negative"):
+            FiniteGroup.from_generators(-3, gens)
+
+
 def test_group_order_cap():
     with pytest.raises(GroupTooLarge):
         FiniteGroup.symmetric(5)  # order 120 > default cap 48
     with pytest.raises(GroupTooLarge):
         FiniteGroup.cyclic(49)
+
+
+def test_order_cap_admits_only_solvable_groups():
+    """The lattice reaches each subgroup from a normal subgroup of prime
+    index, which every subgroup of a solvable group has.  Every group of
+    order below 60 is solvable; A5, of order 60, has no such subgroup."""
+    assert MAX_GROUP_ORDER < 60
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
@@ -380,6 +394,39 @@ LATTICE_FAMILIES = {
     "S4": lambda: FiniteGroup.symmetric(4),
     "C3^3": lambda: _cyclic_power(3, 3),
 }
+
+
+def _matrix_group_mod3(dets):
+    """The 2x2 matrices mod 3 with determinant in dets, identity first."""
+    mats = sorted(
+        (m for m in product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 in dets),
+        key=lambda m: m != (1, 0, 0, 1),
+    )
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(a, b):
+        return tuple(
+            (a[2 * r] * b[c] + a[2 * r + 1] * b[2 + c]) % 3 for r in range(2) for c in range(2)
+        )
+
+    return FiniteGroup([[index[mul(a, b)] for b in mats] for a in mats])
+
+
+# determinants, order and subgroup count of GL(2,3) and SL(2,3)
+MATRIX_GROUPS = {"GL(2,3)": ({1, 2}, 48, 55), "SL(2,3)": ({1}, 24, 15)}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_FAMILIES) + sorted(MATRIX_GROUPS))
+def test_subgroups_match_the_join_oracle(name):
+    """Up to order 48, judged by joins of cyclic subgroups, which need no
+    solvability; GL(2,3) and SL(2,3) are not in the benchmark's families."""
+    if name in MATRIX_GROUPS:
+        dets, order, count = MATRIX_GROUPS[name]
+        g = _matrix_group_mod3(dets)
+        assert (g.order, len(enumerate_subgroups(g))) == (order, count)
+    else:
+        g = _relabel(LATTICE_FAMILIES[name](), 3)
+    assert list(enumerate_subgroups(g)) == oracles.subgroups_by_joins(g.table)
 
 
 def _marks_group(name):
