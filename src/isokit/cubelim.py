@@ -9,9 +9,11 @@ factorize_limit exhibits the chain of surjections that proves it.
 Limits are computed as compatible tuples.  Elements of a limit are
 stored as full coordinate vectors over the sub-poset, determined by
 their values on minimal vertices.  Those values are enumerated only in
-_sections: limit pushes them up to full tuples, and check_hypothesis,
-which reads each corner's minimal vertices off a plan made once per
-dimension, only counts them.
+_sections: limit pushes them up to full tuples, and check_hypothesis
+only counts them.  Both read their vertex families off plans written
+once per dimension from the construction (_corner_plans, _stage_plans),
+which makes them closed under bounded unions with no check; only
+VertexFamily(vertices), for a family a caller brings, checks that.
 
 Tuples on the hot paths are built from lists, tuple([...]).  A tuple of
 a generator is filled by resizing, so it never takes a freed tuple of
@@ -66,10 +68,7 @@ class Cube:
     """
 
     def __init__(
-        self,
-        n: int,
-        sizes: Dict[Subset, int],
-        covers: Dict[Tuple[Subset, int], Tuple[int, ...]],
+        self, n: int, sizes: Dict[Subset, int], covers: Dict[Tuple[Subset, int], Tuple[int, ...]]
     ):
         self.n = n
         self.sizes = {frozenset(k): int(v) for k, v in sizes.items()}
@@ -98,9 +97,8 @@ class Cube:
         wanted = _vertices(self.n)
         if set(self.sizes) != set(wanted):
             raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")
-        for s, size in self.sizes.items():
-            if size < 0:
-                raise ValueError("vertex sizes must be nonnegative")
+        if any(size < 0 for size in self.sizes.values()):
+            raise ValueError("vertex sizes must be nonnegative")
         for s in wanted:
             for j in range(self.n):
                 if j in s:
@@ -117,12 +115,8 @@ class Cube:
         # functoriality: both orders around every square agree
         for s in wanted:
             for i, j in combinations([k for k in range(self.n) if k not in s], 2):
-                via_i = [
-                    self.covers[(s | {i}, j)][v] for v in self.covers[(s, i)]
-                ]
-                via_j = [
-                    self.covers[(s | {j}, i)][v] for v in self.covers[(s, j)]
-                ]
+                via_i = [self.covers[(s | {i}, j)][v] for v in self.covers[(s, i)]]
+                via_j = [self.covers[(s | {j}, i)][v] for v in self.covers[(s, j)]]
                 if via_i != via_j:
                     raise ValueError(
                         f"cube squares do not commute at {sorted(s)} + {{{i},{j}}}"
@@ -182,10 +176,7 @@ class SetFunction:
 def compose(later: SetFunction, earlier: SetFunction) -> SetFunction:
     if earlier.codomain_size != later.domain_size:
         raise ValueError("composition mismatch")
-    return SetFunction(
-        mapping=tuple([later.mapping[v] for v in earlier.mapping]),
-        codomain_size=later.codomain_size,
-    )
+    return SetFunction(tuple([later.mapping[v] for v in earlier.mapping]), later.codomain_size)
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,10 @@ class LimitSet:
 
     vertices: Tuple[Subset, ...]
     elements: Tuple[Tuple[int, ...], ...]
-    _index: Dict[Tuple[int, ...], int] = field(compare=False, repr=False, default=None)
+    _index: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -208,24 +202,22 @@ class LimitSet:
     def restriction_map(self, smaller: "LimitSet") -> SetFunction:
         """Forget the coordinates absent from the smaller limit."""
         cols = [self.vertices.index(v) for v in smaller.vertices]
-        return SetFunction(
-            mapping=tuple(
-                [smaller.index_of(tuple([e[c] for c in cols])) for e in self.elements]
-            ),
-            codomain_size=len(smaller),
-        )
+        mapping = [smaller.index_of(tuple([e[c] for c in cols])) for e in self.elements]
+        return SetFunction(mapping=tuple(mapping), codomain_size=len(smaller))
 
 
 class VertexFamily:
-    """A vertex family for limits, checked and planned once for use on any cube.
+    """A vertex family for limits, planned once for use on any cube.
 
-    The members are sorted by size, then lexicographically, and the family
-    must contain the union of any two members that have a common upper
-    bound in it; up-closed families and intervals do.  Besides the members
-    it keeps what the enumeration in limit needs and what depends on the
-    family alone: the minimal members, the owner of each member (the index
-    of the first minimal below it), and for each minimal the earlier
-    minimals whose join with it is a member, with that join.
+    VertexFamily(vertices) is the checked entry for a family a caller
+    brings: the members are sorted by size, then lexicographically, and
+    the family must contain the union of any two members that have a
+    common upper bound in it; up-closed families and intervals do.  The
+    library's stage families come from _assemble, unchecked.  Besides the
+    members a family keeps what the enumeration in limit needs and what
+    depends on the family alone: the minimal members, the owner of each
+    member (the index of the first minimal below it), and for each minimal
+    the earlier minimals whose join with it is a member, with that join.
     """
 
     def __init__(self, vertices: Iterable[Iterable[int]]):
@@ -235,16 +227,32 @@ class VertexFamily:
             u = a | b
             if u not in vset and any(u <= w for w in verts):
                 raise ValueError("vertex family is not closed under bounded unions")
-        minimals = [v for v in verts if not any(u < v for u in verts)]
-        self.vertices: Tuple[Subset, ...] = tuple(verts)
+        self._plan(verts, [v for v in verts if not any(u < v for u in verts)], vset)
+
+    @classmethod
+    def _assemble(cls, vertices: Sequence[Subset], minimals: Sequence[Subset]) -> "VertexFamily":
+        """A family whose construction makes any two minimal members join,
+        unchecked: members and minimals sorted as the constructor sorts them."""
+        x = cls.__new__(cls)
+        x._plan(vertices, minimals)
+        return x
+
+    def _plan(
+        self, vertices: Sequence[Subset], minimals: Sequence[Subset], vset: Optional[set] = None
+    ) -> None:
+        self.vertices: Tuple[Subset, ...] = tuple(vertices)
         self.minimals: Tuple[Subset, ...] = tuple(minimals)
-        self.owners: Tuple[int, ...] = tuple(
-            next(i for i, m in enumerate(minimals) if m <= w) for w in verts
-        )
-        self.joins: Tuple[Tuple[Tuple[int, Subset], ...], ...] = tuple(
-            tuple((i, minimals[i] | m) for i in range(k) if minimals[i] | m in vset)
-            for k, m in enumerate(minimals)
-        )
+        self.owners = tuple([next(i for i, m in enumerate(minimals) if m <= w) for w in vertices])
+        self.joins: Tuple[Tuple[Tuple[int, Subset], ...], ...] = _joins(self.minimals, vset)
+
+
+def _joins(minimals: Sequence[Subset], vset: Optional[set] = None) -> tuple:
+    """Per minimal k, the pairs (i, join) of an earlier minimal i and its
+    join with k, for every i or, given the members vset, those joining in it."""
+    return tuple(
+        tuple([(i, u | m) for i, u in enumerate(minimals[:k]) if vset is None or u | m in vset])
+        for k, m in enumerate(minimals)
+    )
 
 
 def _sections(
@@ -297,61 +305,46 @@ def _minimal_sections(
     order; joins as VertexFamily keeps them.  With a cap, at most the first
     cap + 1 (see _sections)."""
     chain = cube._chain
-    # minimal k must agree with each earlier minimal i on their join
-    return _sections(
-        [cube.sizes[m] for m in minimals],
-        [
-            [(i, chain(minimals[i], join), chain(m, join)) for i, join in pairs]
-            for m, pairs in zip(minimals, joins)
-        ],
-        cap,
-    )
+    # minimal k must agree with each earlier minimal i on their join w
+    checks = [
+        [(i, chain(minimals[i], w), chain(m, w)) for i, w in pairs]
+        for m, pairs in zip(minimals, joins)
+    ]
+    return _sections([cube.sizes[m] for m in minimals], checks, cap)
 
 
 def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
     """Compatible tuples over the vertices of a VertexFamily.
 
-    The family is checked and planned when it is built, so one family
-    serves limits on many cubes; VertexFamily(cube.vertices()) is the
-    whole cube.  Elements come out in lexicographic order of their values
-    on the minimal vertices: _minimal_sections enumerates those values,
-    and each full tuple pushes them up to the other members.
+    The family is planned when it is built, so one family serves limits
+    on many cubes; VertexFamily(cube.vertices()) is the whole cube, and a
+    family with a vertex outside the cube is a ValueError.  Elements come
+    out in lexicographic order of their values on the minimal vertices:
+    _minimal_sections enumerates those values, and each full tuple pushes
+    them up to the other members.
     """
+    outside = [sorted(w) for w in poset.vertices if w not in cube.sizes]
+    if outside:
+        raise ValueError(f"vertex {outside[0]} of the family is not in the {cube.n}-cube")
     rows = _minimal_sections(cube, poset.minimals, poset.joins)
     # a vertex's coordinate is its owner's value pushed up to it
     chain = cube._chain
     columns = [(o, chain(poset.minimals[o], w)) for o, w in zip(poset.owners, poset.vertices)]
     out = tuple([tuple([push[row[o]] for o, push in columns]) for row in rows])
-    return LimitSet(
-        vertices=poset.vertices,
-        elements=out,
-        _index={e: i for i, e in enumerate(out)},
-    )
+    return LimitSet(vertices=poset.vertices, elements=out)
 
 
 def _to_limit(cube: Cube, u: Subset, lim: LimitSet) -> SetFunction:
     """X(U) -> lim: each element goes to the index of its images at lim's vertices."""
     images = [cube.map_between(u, w) for w in lim.vertices]
-    return SetFunction(
-        mapping=tuple(
-            [
-                lim.index_of(tuple([image[a] for image in images]))
-                for a in range(cube.sizes[u])
-            ]
-        ),
-        codomain_size=len(lim),
-    )
+    mapping = [lim.index_of(tuple([image[a] for image in images])) for a in range(cube.sizes[u])]
+    return SetFunction(mapping=tuple(mapping), codomain_size=len(lim))
 
 
 class CubeMap:
     """Natural transformation between cubes of the same dimension."""
 
-    def __init__(
-        self,
-        source: Cube,
-        target: Cube,
-        components: Dict[Subset, Tuple[int, ...]],
-    ):
+    def __init__(self, source: Cube, target: Cube, components: Dict[Subset, Tuple[int, ...]]):
         if source.n != target.n:
             raise ValueError("source and target cubes must have equal dimension")
         self.source = source
@@ -374,13 +367,8 @@ class CubeMap:
             for j in range(self.source.n):
                 if j in s:
                     continue
-                lhs = [
-                    self.components[s | {j}][v]
-                    for v in self.source.covers[(s, j)]
-                ]
-                rhs = [
-                    self.target.covers[(s, j)][v] for v in self.components[s]
-                ]
+                lhs = [self.components[s | {j}][v] for v in self.source.covers[(s, j)]]
+                rhs = [self.target.covers[(s, j)][v] for v in self.components[s]]
                 if lhs != rhs:
                     raise ValueError(f"naturality fails at {sorted(s)} + {j}")
 
@@ -428,8 +416,7 @@ def _corner_plans(n: int) -> Mapping[Tuple[Subset, Subset], tuple]:
     for t in _vertices(n):
         for u in _subsets(sorted(t)):
             mins = tuple([u | {j} for j in sorted(t - u)] + [u | {n}])
-            joins = tuple(tuple([(i, mins[i] | m) for i in range(k)]) for k, m in enumerate(mins))
-            out[(u, t)] = (mins, joins)
+            out[(u, t)] = (mins, _joins(mins))
     return MappingProxyType(out)
 
 
@@ -467,28 +454,38 @@ def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
     """The induced map lim X -> lim Y.
 
     The full cube has an initial vertex, so lim X is X at the empty set;
-    lim Y is realized as compatible tuples over the target side.
+    lim Y is realized as compatible tuples over the target side, the
+    family _stage_plans writes first.  Raises CubeTooLarge above
+    MAX_CUBE_DIM.
     """
     z = m.as_cube()
-    lim_y = limit(z, _stage_families(m.n)[0])
+    lim_y = limit(z, _stage_plans(m.n)[0])
     return _to_limit(z, frozenset(), lim_y), lim_y
 
 
 @lru_cache(maxsize=None)
-def _stage_families(
-    n: int,
-) -> Tuple[VertexFamily, Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
+def _stage_plans(n: int) -> Tuple[VertexFamily, Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
     """The families factorize_limit takes limits over on the (n+1)-cube of
     a map of n-cubes: the target side, the source vertices in the order
     they are adjoined, and per stage the target side with the source
-    vertices adjoined so far.  Raises CubeTooLarge above MAX_CUBE_DIM,
-    before any family is built."""
+    vertices adjoined so far.  Source vertices come by decreasing size, so
+    each family is up-closed and any two members join inside it; its
+    minimal vertices are the adjoined source vertices with none adjoined
+    strictly inside them, and {n} until the empty set is adjoined.  Raises
+    CubeTooLarge above MAX_CUBE_DIM, before any family is built."""
     _check_dim(n)
-    source = _vertices(n)
-    target = [s | {n} for s in source]
-    xorder = sorted(source, key=lambda s: (-len(s), tuple(sorted(s))))
-    stages = tuple(VertexFamily(target + xorder[: i + 1]) for i in range(len(xorder)))
-    return VertexFamily(target), tuple(xorder), stages
+    whole = _vertices(n + 1)
+    xorder = sorted(_vertices(n), key=lambda s: (-len(s), tuple(sorted(s))))
+    members = {s for s in whole if n in s}
+    minimals = [frozenset({n})]
+    target = VertexFamily._assemble([s for s in whole if s in members], minimals)
+    stages = []
+    for x in xorder:
+        # nothing adjoined before x lies strictly inside it
+        members.add(x)
+        minimals = sorted([m for m in minimals if not x < m] + [x], key=_skey)
+        stages.append(VertexFamily._assemble([s for s in whole if s in members], minimals))
+    return target, tuple(xorder), tuple(stages)
 
 
 @dataclass(frozen=True)
@@ -515,20 +512,22 @@ class Factorization:
 
 
 def factorize_limit(m: CubeMap) -> Factorization:
+    """lim X -> lim Y as a chain of restrictions through partial limits.
+
+    The stage families come from _stage_plans, written once per dimension,
+    and the composite must equal limit_map's direct map.  Raises
+    CubeTooLarge above MAX_CUBE_DIM.
+    """
+    direct, lim_y = limit_map(m)
     z = m.as_cube()
-    target, xorder, families = _stage_families(m.n)
-    lim_y = limit(z, target)
+    _, xorder, families = _stage_plans(m.n)
     stages = [limit(z, family) for family in families]
-    links: List[SetFunction] = []
-    for i in range(len(stages) - 1, 0, -1):
-        links.append(stages[i].restriction_map(stages[i - 1]))
+    links = [stages[i].restriction_map(stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
     links.append(stages[0].restriction_map(lim_y))
     embedding = _to_limit(z, frozenset(), stages[-1])
     composed = embedding
     for f in links:
         composed = compose(f, composed)
-    # limit_map(m), read off the limit of the target enumerated above
-    direct = _to_limit(z, frozenset(), lim_y)
     if composed.mapping != direct.mapping:
         raise InvariantViolated("composed surjection chain differs from the direct limit map")
     return Factorization(

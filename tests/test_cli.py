@@ -482,11 +482,16 @@ def test_cube_check_cli(capsys, tmp_path):
 @pytest.mark.parametrize("dim, seed, digest", [
     (3, 5, "2a561c89a5e53bbc32306ab74bbe81d2ac31da72ee9b714288a5883d7e86d9d7"),
     (4, 2, "a34e6eca80c3400370e1a4879e708e3cecea8fe510e102ba0447380e5fd16dd8"),
+    # no seed: the all-singleton identity map, whose limit plans are the largest
+    (5, None, "b403776dbad518d8cba96465590fe2f75c356991a006f89e98d792bd817cbccb"),
+    (6, None, "d767695b9c208053adb8bbcc965d7d9b71b04b966bbe74007d51c04558b5ef33"),
+    (7, None, "61c93485abc4f02bf0267c85374f3a0647727d199985997f631806381ee8817f"),
 ])
 def test_cube_check_file_report_is_pinned(capsys, tmp_path, monkeypatch, dim, seed, digest):
     monkeypatch.chdir(tmp_path)
     name = f"cube{dim}.json"
-    Path(name).write_text(canonical_dumps(cube_map_to_json(random_cube_map(dim, seed=seed))))
+    m = _point_cube_map(dim) if seed is None else cube_map_to_json(random_cube_map(dim, seed=seed))
+    Path(name).write_text(canonical_dumps(m))
     code, out = _run(capsys, ["cube", "check", "--file", name])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

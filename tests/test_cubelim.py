@@ -12,6 +12,7 @@ from isokit import cubelim
 from isokit.cubelim import (
     Cube,
     CubeMap,
+    LimitSet,
     SetFunction,
     VertexFamily,
     check_hypothesis,
@@ -88,6 +89,25 @@ def test_limit_requires_bounded_unions():
     # with no upper bound present the same pair is a legal discrete family
     disc = limit(cube, VertexFamily([{0}, {1}]))
     assert len(disc) == cube.size({0}) * cube.size({1})
+
+
+def test_limit_rejects_a_vertex_outside_the_cube():
+    cube = Cube(1, {E: 1, S0: 1}, {(E, 0): (0,)})
+    with pytest.raises(ValueError, match=r"vertex \[1\] of the family is not in the 1-cube"):
+        limit(cube, VertexFamily([{1}]))
+    with pytest.raises(ValueError, match=r"vertex \[0, 2\] of the family is not in the 2-cube"):
+        limit(random_cube_map(2, seed=0).source, VertexFamily([{0}, {0, 2}]))
+
+
+def test_limit_set_built_from_its_fields_indexes_its_elements():
+    cube = random_cube_map(2, seed=21, max_size=3).source
+    full = limit(cube, VertexFamily(cube.vertices()))
+    rebuilt = LimitSet(vertices=full.vertices, elements=full.elements)
+    top = LimitSet(vertices=(S01,), elements=tuple((v,) for v in range(cube.size(S01))))
+    assert rebuilt == full
+    assert [rebuilt.index_of(e) for e in full.elements] == list(range(len(full)))
+    # the whole cube's limit is X(empty set), and forgetting down to the top is the map there
+    assert rebuilt.restriction_map(top).mapping == cube.map_between(E, S01)
 
 
 def test_limit_matches_bruteforce_on_random_cubes():
@@ -472,24 +492,30 @@ def test_cube_checks_are_pinned(dim, seeds, digest):
     assert _checks_digest(dim, seeds) == digest
 
 
+def _all_singleton_map(n):
+    """The identity map of the n-cube with one element at every vertex."""
+    verts = cubelim._subsets(range(n))
+    point = Cube(n, dict.fromkeys(verts, 1), {(s, j): (0,) for s in verts for j in range(n) if j not in s})
+    return CubeMap(point, point, dict.fromkeys(verts, (0,)))
+
+
 def test_plans_are_built_once_per_dimension(monkeypatch):
-    def trial(seed):
-        m = random_cube_map(3, seed=seed)
+    """Corner and stage limits are planned from the construction, once per
+    dimension, and no library path runs VertexFamily's check."""
+
+    def refuse(self, vertices):
+        raise AssertionError("a library path built a checked VertexFamily")
+
+    monkeypatch.setattr(VertexFamily, "__init__", refuse)
+    planners = (cubelim._corner_plans, cubelim._stage_plans)
+    for planner in planners:
+        planner.cache_clear()
+    maps = [random_cube_map(n, seed=seed) for n in range(5) for seed in range(2)]
+    for m in maps + [_all_singleton_map(n) for n in (5, 6, 7)]:
         check_hypothesis(m)
         factorize_limit(m)
         limit_map(m)
-
-    trial(0)
-    built = []
-    init = VertexFamily.__init__
-
-    def counted(self, vertices):
-        built.append(self)
-        init(self, vertices)
-
-    monkeypatch.setattr(VertexFamily, "__init__", counted)
-    trial(1)
-    assert built == []
+    assert [planner.cache_info().misses for planner in planners] == [8, 8]
 
 
 def _random_map_with_failures(rng, n):
@@ -561,6 +587,23 @@ def test_corner_plans_are_the_families_minimals_and_joins(n):
         assert plans[(u, t)] == (family.minimals, family.joins)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_stage_plans_are_the_families(n):
+    """The target plan and each stage plan hold the vertices, minimal
+    vertices, owners and joins VertexFamily finds for the same members:
+    the target side, then with the source vertices adjoined one at a time
+    by decreasing size, ties in lexicographic order."""
+    target, order, stages = cubelim._stage_plans(n)
+    source = cubelim._subsets(range(n))
+    assert list(order) == sorted(source, key=lambda s: (-len(s), sorted(s)))
+    side = [s | {n} for s in source]
+    for k, plan in enumerate((target,) + stages):
+        family = VertexFamily(side + list(order[:k]))
+        assert (plan.vertices, plan.minimals, plan.owners, plan.joins) == (
+            family.vertices, family.minimals, family.owners, family.joins
+        )
+
+
 @pytest.mark.parametrize("dim", range(4))
 def test_hypothesis_matches_corner_maps_and_bruteforce(dim):
     """check_hypothesis, which only counts, fails exactly the corners a
@@ -614,13 +657,15 @@ def test_capped_sections_are_a_prefix_of_the_sections():
 
 def test_cube_dimension_cap(count_calls):
     """Above MAX_CUBE_DIM every limit plan raises CubeTooLarge before it
-    builds a vertex family."""
+    starts: no planner reads the cube's vertices or caches a plan."""
     n = cubelim.MAX_CUBE_DIM + 1
-    verts = cubelim._subsets(range(n))
-    point = Cube(n, dict.fromkeys(verts, 1), {(s, j): (0,) for s in verts for j in range(n) if j not in s})
-    m = CubeMap(point, point, dict.fromkeys(verts, (0,)))
-    families = count_calls("VertexFamily", cubelim)
+    m = _all_singleton_map(n)
+    m.as_cube()  # built before counting: the (n+1)-cube reads the vertices too
+    planners = (cubelim._corner_plans, cubelim._stage_plans)
+    cached = [planner.cache_info().currsize for planner in planners]
+    started = count_calls("_vertices", cubelim)
     for run in (check_hypothesis, factorize_limit, limit_map):
         with pytest.raises(CubeTooLarge, match=f"dimension {n} exceeds the cap of {n - 1}"):
             run(m)
-    assert families == []
+    assert started == []
+    assert [planner.cache_info().currsize for planner in planners] == cached
