@@ -96,9 +96,9 @@ class GComplex:
     """An abstract simplicial complex with a vertex action of a finite group.
 
     Isotropy is read from an index built on first use (see isotropy()):
-    one pointwise stabilizer and one class lookup per simplex orbit, the
-    exact strata and a memo of fixed subcomplexes.  A complex must not be
-    changed once it has been queried, or the index goes stale.
+    one pointwise stabilizer and one class lookup per simplex orbit, and
+    the exact strata.  A complex must not be changed once it has been
+    queried, or the index goes stale.
 
     The constructor checks that the action is a homomorphism to vertex
     permutations preserving the facets.  A vertex count is checked against
@@ -249,21 +249,18 @@ class GComplex:
 class Isotropy:
     """Isotropy of every simplex of one complex, built orbit by orbit.
 
-    stabilizers maps each simplex to its pointwise stabilizer; classes maps
-    each stabilizer that occurs to its class representative; strata maps
-    each present class representative, ascending, to its exact stratum.
-    orbits holds the members of each simplex orbit, in simplices() order of
-    their first member, which comes first and represents the orbit; regular
-    says whether setwise and pointwise stabilizers agree, and fixed
-    memoizes fixed_subcomplex by subgroup.
+    stabilizers maps each simplex to its pointwise stabilizer; strata maps
+    each present class representative, ascending, to its exact stratum, from
+    which class fixed unions and fixed-set dimensions are read.  orbits
+    holds the members of each simplex orbit, in simplices() order of their
+    first member, which comes first and represents the orbit; regular says
+    whether setwise and pointwise stabilizers agree.
     """
 
     stabilizers: Dict[Simplex, Subgroup]
-    classes: Dict[Subgroup, Subgroup]
     strata: Dict[Subgroup, SimplexSet]
     orbits: Tuple[Tuple[Simplex, ...], ...]
     regular: bool
-    fixed: Dict[Subgroup, SimplexSet]
 
 
 def _isotropy_index(x: GComplex) -> Isotropy:
@@ -308,12 +305,7 @@ def _isotropy_index(x: GComplex) -> Isotropy:
         for rep in sorted(members, key=_skey)
     }
     return Isotropy(
-        stabilizers=stabs,
-        classes=classes,
-        strata=strata,
-        orbits=tuple(orbits),
-        regular=regular,
-        fixed={},
+        stabilizers=stabs, strata=strata, orbits=tuple(orbits), regular=regular
     )
 
 
@@ -408,13 +400,10 @@ class Stratum:
 
 
 def fixed_subcomplex(x: GComplex, h: Iterable[int]) -> SimplexSet:
-    """Simplices fixed vertexwise by every element of h; a closed set."""
-    hs = frozenset(h)
-    iso = x.isotropy()
-    if hs not in iso.fixed:
-        stabs = iso.stabilizers
-        iso.fixed[hs] = frozenset(s for s in x.simplices() if hs <= stabs[s])
-    return iso.fixed[hs]
+    """Simplices fixed vertexwise by the subgroup h; a closed set."""
+    h = _subgroup(x, h)
+    stabs = x.isotropy().stabilizers
+    return frozenset(s for s in x.simplices() if h <= stabs[s])
 
 
 def _subgroup(x: GComplex, h: Iterable[int]) -> Subgroup:
@@ -443,11 +432,11 @@ def present_classes(x: GComplex) -> List[Subgroup]:
 
 
 def class_fixed_union(x: GComplex, h: Iterable[int]) -> SimplexSet:
-    """Union of the fixed subcomplexes of all conjugates of h."""
-    rep = _subgroup(x, h)
-    iso = x.isotropy()
-    above = {k for k in iso.classes if is_subconjugate(x.group, rep, k)}
-    return frozenset(s for s in x.simplices() if iso.stabilizers[s] in above)
+    """Union of the fixed subcomplexes of all conjugates of h: the strata
+    of the classes that h is subconjugate to."""
+    h = _subgroup(x, h)
+    strata = x.isotropy().strata
+    return frozenset().union(*(strata[k] for k in strata if is_subconjugate(x.group, h, k)))
 
 
 @dataclass(frozen=True)
@@ -507,10 +496,11 @@ class HypothesisReport:
 def check_hypotheses(x: GComplex, dims: Optional[Dict[str, int]] = None) -> HypothesisReport:
     """Check the two removability hypotheses on fixed-set dimensions.
 
-    dims maps class names to claimed manifold dimensions; the simplicial
-    dimension of the fixed subcomplex is the fallback.  Every fixed-set
-    dimension must be at least 3, and each properly nested pair of
-    isotropy classes must have a dimension gap of at least 2.
+    dims maps class names to claimed manifold dimensions; the fallback is
+    the simplicial dimension of the fixed subcomplex, which its G-translates
+    share, so that of the class fixed union.  Every fixed-set dimension
+    must be at least 3, and each properly nested pair of isotropy classes
+    must have a dimension gap of at least 2.
     """
     dims = dict(dims or {})
     reps = present_classes(x)
@@ -524,16 +514,13 @@ def check_hypotheses(x: GComplex, dims: Optional[Dict[str, int]] = None) -> Hypo
         if name in dims:
             used[name] = int(dims[name])
         else:
-            fixed = fixed_subcomplex(x, rep)
-            used[name] = max((len(s) for s in fixed), default=0) - 1
+            used[name] = max(map(len, class_fixed_union(x, rep))) - 1
     dim_failures = tuple(
         (name, d) for name, d in sorted(used.items()) if d < 3
     )
     gap_failures: List[Tuple[str, str, int]] = []
     for small_name, small in sorted(present.items()):
         for big_name, big in sorted(present.items()):
-            if small_name == big_name:
-                continue
             if len(small) < len(big) and is_subconjugate(x.group, small, big):
                 gap = used[small_name] - used[big_name]
                 if gap < 2:
@@ -551,11 +538,12 @@ def is_treelike(x: GComplex) -> bool:
     """Normal isotropy subgroups whose down-sets are linearly ordered."""
     if not x.is_regular():
         raise NotRegular("treelike test needs a regular action")
-    iso = x.isotropy().classes
-    if not all(is_normal(x.group, h) for h in iso):
+    # normal subgroups are alone in their classes, so past this test reps are the isotropy groups
+    reps = present_classes(x)
+    if not all(is_normal(x.group, h) for h in reps):
         return False
-    for h in iso:
-        below = [k for k in iso if k <= h]
+    for h in reps:
+        below = [k for k in reps if k <= h]
         for a in below:
             for b in below:
                 if not (a <= b or b <= a):

@@ -57,7 +57,7 @@ class FiniteGroup:
         self._powers: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._subgroups: Optional[Tuple[Subgroup, ...]] = None
         self._classes: Optional[Tuple[Tuple[Subgroup, ...], ...]] = None
-        self._class_rep: Optional[Dict[Subgroup, Subgroup]] = None
+        self._class_of: Optional[Dict[Subgroup, int]] = None
         self._names: Optional[Mapping[Subgroup, str]] = None
         self._marks: Optional["MarksTable"] = None
         self._above: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -336,6 +336,8 @@ def left_cosets(g: FiniteGroup, h: Subgroup) -> Cosets:
     h = frozenset(h)
     found = g._cosets.get(h)
     if found is None:
+        if not all(0 <= x < g.order for x in h):
+            raise ValueError(f"{sorted(h)} has an element outside the group")
         index = [-1] * g.order
         cosets: List[FrozenSet[int]] = []
         for x in g.elements:
@@ -361,11 +363,13 @@ def conjugate_subgroup(g: FiniteGroup, sub: Iterable[int], x: int) -> Subgroup:
 
 
 def is_normal(g: FiniteGroup, sub: Subgroup) -> bool:
-    return all(conjugate_subgroup(g, sub, x) == sub for x in g.elements)
+    """True iff sub is the only member of its class."""
+    return len(_conjugacy_classes(g)[_class_index(g, sub)]) == 1
 
 
 def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
-    """Classes sorted by representative, each sorted; fills g._class_rep.
+    """Classes sorted by representative, each sorted; fills g._class_of,
+    which maps each subgroup to the index of its class.
 
     The lattice is sorted, so the first member of a class met is its rep.
     A conjugate xHx^-1 depends only on the coset xH, so it is taken once
@@ -373,10 +377,10 @@ def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
     """
     if g._classes is None:
         t, inv = g.table, g._inverse
-        g._class_rep = {}
+        g._class_of = {}
         classes = []
         for h in _all_subgroups(g):
-            if h not in g._class_rep:
+            if h not in g._class_of:
                 orbit = set()
                 covered = bytearray(g.order)
                 for x in g.elements:
@@ -386,8 +390,8 @@ def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
                         for y in coset:
                             covered[y] = 1
                         orbit.add(frozenset([t[y][x_inv] for y in coset]))
+                g._class_of.update(dict.fromkeys(orbit, len(classes)))
                 classes.append(tuple(sorted(orbit, key=_skey)))
-                g._class_rep.update((k, h) for k in orbit)
         g._classes = tuple(classes)
     return g._classes
 
@@ -397,18 +401,29 @@ def subgroup_conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ..
     return _conjugacy_classes(g)
 
 
-def class_rep_of(g: FiniteGroup, sub: Iterable[int]) -> Subgroup:
-    """Conjugate smallest under _skey: a lookup for subgroups, a scan otherwise."""
+def _class_index(g: FiniteGroup, sub: Iterable[int]) -> int:
+    """The index of sub's class in _conjugacy_classes(g)."""
     _conjugacy_classes(g)
     s = frozenset(sub)
-    if s in g._class_rep:
-        return g._class_rep[s]
+    if s not in g._class_of:
+        raise ValueError(f"{sorted(s)} is not a subgroup of the group")
+    return g._class_of[s]
+
+
+def class_rep_of(g: FiniteGroup, sub: Iterable[int]) -> Subgroup:
+    """Conjugate smallest under _skey: a lookup for subgroups, a scan otherwise."""
+    classes = _conjugacy_classes(g)
+    s = frozenset(sub)
+    if s in g._class_of:
+        return classes[g._class_of[s]][0]
+    if not all(0 <= x < g.order for x in s):
+        raise ValueError(f"{sorted(s)} has an element outside the group")
     return min((conjugate_subgroup(g, s, x) for x in g.elements), key=_skey)
 
 
 def is_subconjugate(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
-    """True iff some conjugate of h lies inside k."""
-    return any(conjugate_subgroup(g, h, x) <= k for x in g.elements)
+    """True iff some conjugate of h lies inside k, i.e. iff (G/k)^h, a mark, is not empty."""
+    return table_of_marks(g).matrix[_class_index(g, k)][_class_index(g, h)] != 0
 
 
 def is_cyclic_subgroup(g: FiniteGroup, sub: Subgroup) -> bool:
@@ -643,21 +658,16 @@ def table_of_marks(g: FiniteGroup) -> MarksTable:
     if g._marks is None:
         classes = _conjugacy_classes(g)
         subs = _all_subgroups(g)
-        index = {h: i for i, h in enumerate(subs)}
-        class_of = [0] * len(subs)
-        for c, cls in enumerate(classes):
-            for k in cls:
-                class_of[index[k]] = c
-        # per lattice index, the indices of its subgroups, itself included
-        below: List[List[int]] = [[i] for i in range(len(subs))]
-        for i, above in enumerate(_containment(g)):
+        # per subgroup, its subgroups, itself included
+        below: Dict[Subgroup, List[Subgroup]] = {h: [h] for h in subs}
+        for h, above in zip(subs, _containment(g)):
             for j in above:
-                below[j].append(i)
+                below[subs[j]].append(h)
         reps = [c[0] for c in classes]
         matrix = []
         for h in reps:
             row = [0] * len(classes)
-            for c, count in Counter(class_of[i] for i in below[index[h]]).items():
+            for c, count in Counter(g._class_of[k] for k in below[h]).items():
                 row[c] = g.order * count // (len(classes[c]) * len(h))
             matrix.append(tuple(row))
         names = class_names(g)

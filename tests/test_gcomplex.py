@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 import oracles
+from isokit import group as group_module
 from isokit import models
 from isokit.errors import NotEquivariantTriangulation, NotRegular, TooManySimplices
 from isokit.gcomplex import (
@@ -31,7 +32,17 @@ from isokit.gcomplex import (
     present_classes,
     stratification_dot,
 )
-from isokit.group import FiniteGroup, class_names, enumerate_subgroups, subgroup_conjugacy_classes
+from isokit.gmap import link_graph
+from isokit.group import (
+    FiniteGroup,
+    class_names,
+    class_rep_of,
+    enumerate_subgroups,
+    is_normal,
+    is_subconjugate,
+    left_cosets,
+    subgroup_conjugacy_classes,
+)
 from isokit.linking import slot_coset_complex
 
 ALL_MODELS = sorted(models.COMPLEX_MODELS)
@@ -231,13 +242,47 @@ def test_class_fixed_union():
     (exact_stratum, {0, 5}),
     (class_fixed_union, {0, 5}),
     (class_fixed_union, {1}),
-], ids=["stratum-1", "stratum-0,5", "union-0,5", "union-1"])
+    (fixed_subcomplex, {0, 5}),
+    (fixed_subcomplex, {1}),
+], ids=["stratum-1", "stratum-0,5", "union-0,5", "union-1", "fixed-0,5", "fixed-1"])
 def test_strata_of_a_set_that_is_not_a_subgroup(query, h):
     """rotation-disk's group is C2 = {0, 1}; a set without the identity or
-    with elements outside the group names no stratum."""
+    with elements outside the group names no stratum and no fixed set."""
     x = models.COMPLEX_MODELS["rotation-disk"]()
     with pytest.raises(ValueError, match=re.escape(f"{sorted(h)} is not a subgroup")):
         query(x, h)
+
+
+@pytest.mark.parametrize("query, bad", [
+    (lambda x: class_rep_of(x.group, {0, 99}), [0, 99]),
+    (lambda x: left_cosets(x.group, {9}), [9]),
+    (lambda x: is_normal(x.group, {7}), [7]),
+    (lambda x: is_subconjugate(x.group, {0, 99}, frozenset(x.group.elements)), [0, 99]),
+    (lambda x: is_subconjugate(x.group, frozenset({0}), {0, 99}), [0, 99]),
+    (lambda x: link_graph(x, {0, 99}, frozenset(x.group.elements)), [0, 99]),
+], ids=["class_rep_of", "left_cosets", "is_normal", "subconjugate-h", "subconjugate-k", "link_graph"])
+def test_a_set_outside_the_group_is_a_value_error(query, bad):
+    """s3-dust's group is S3 on 0..5; a set with another element is named
+    in a ValueError, not an IndexError."""
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        query(models.COMPLEX_MODELS["s3-dust"]())
+
+
+def test_class_queries_read_the_class_data(count_calls):
+    """Once the group's classes and the isotropy index exist, the class
+    queries conjugate no subgroup and walk no simplex list."""
+    x = models.COMPLEX_MODELS["s3-dust"]()
+    subs = enumerate_subgroups(x.group)
+    subgroup_conjugacy_classes(x.group)
+    x.isotropy()
+    conjugations = count_calls("conjugate_subgroup", group_module)
+    walks = count_calls("simplices", GComplex)
+    check_hypotheses(x)
+    for h in subs:
+        class_fixed_union(x, h)
+        is_normal(x.group, h)
+    stratification_dot(x)
+    assert conjugations == [] and walks == []
 
 
 def test_treelike():

@@ -416,17 +416,34 @@ def _matrix_group_mod3(dets):
 MATRIX_GROUPS = {"GL(2,3)": ({1, 2}, 48, 55), "SL(2,3)": ({1}, 24, 15)}
 
 
+def _lattice_group(name):
+    """A MATRIX_GROUPS group, or a LATTICE_FAMILIES one relabelled by seed 3."""
+    if name in MATRIX_GROUPS:
+        return _matrix_group_mod3(MATRIX_GROUPS[name][0])
+    return _relabel(LATTICE_FAMILIES[name](), 3)
+
+
 @pytest.mark.parametrize("name", sorted(LATTICE_FAMILIES) + sorted(MATRIX_GROUPS))
 def test_subgroups_match_the_join_oracle(name):
     """Up to order 48, judged by joins of cyclic subgroups, which need no
     solvability; GL(2,3) and SL(2,3) are not in the benchmark's families."""
+    g = _lattice_group(name)
     if name in MATRIX_GROUPS:
-        dets, order, count = MATRIX_GROUPS[name]
-        g = _matrix_group_mod3(dets)
-        assert (g.order, len(enumerate_subgroups(g))) == (order, count)
-    else:
-        g = _relabel(LATTICE_FAMILIES[name](), 3)
+        assert (g.order, len(enumerate_subgroups(g))) == MATRIX_GROUPS[name][1:]
     assert list(enumerate_subgroups(g)) == oracles.subgroups_by_joins(g.table)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_FAMILIES) + sorted(MATRIX_GROUPS))
+def test_subconjugacy_and_normality_match_the_definitions(name):
+    """Over every ordered pair of subgroups: h is subconjugate to k iff some
+    conjugate of h lies in k, and h is normal iff every conjugate is h."""
+    g = _lattice_group(name)
+    subs = enumerate_subgroups(g)
+    conjugates = {h: {conjugate_subgroup(g, h, x) for x in g.elements} for h in subs}
+    for h in subs:
+        assert is_normal(g, h) == (conjugates[h] == {h})
+        for k in subs:
+            assert is_subconjugate(g, h, k) == any(c <= k for c in conjugates[h])
 
 
 def _marks_group(name):

@@ -22,6 +22,7 @@ from isokit.fixpoint import (
 from isokit.gcomplex import (
     GComplex,
     barycentric_subdivision,
+    check_hypotheses,
     class_fixed_union,
     close_simplices,
     exact_stratum,
@@ -109,11 +110,15 @@ def _check_index(x):
         assert exact_stratum(x, h).simplices == {s for s in simplices if stabs[s] in conj}
         fixed = fixed_subcomplex(x, h)
         assert fixed == {s for s in simplices if h <= stabs[s]}
-        assert fixed_subcomplex(x, h) is fixed
         assert class_fixed_union(x, h) == {
             s for s in simplices if any(c <= stabs[s] for c in conj)
         }
     assert x.is_regular() == all(_setwise(x, s) == stabs[s] for s in simplices)
+    # the default dimensions are those of each class's fixed subcomplex
+    names = class_names(g)
+    assert check_hypotheses(x).dims_used == {
+        names[r]: max(map(len, fixed_subcomplex(x, r))) - 1 for r in present_classes(x)
+    }
 
 
 def _check_orbits(x):
