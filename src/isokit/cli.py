@@ -5,6 +5,11 @@ Reports are canonical (sorted keys, tight separators, one trailing
 newline) so identical inputs give byte-identical output.  Exit codes:
 0 success, 64 usage, 65 bad input, 70 domain error; check-isovariant
 uses 0/1/2 for isovariant / equivariant-only / not equivariant.
+
+`run` is the one path from command line to report: it loads every input
+file or model the command line names, calls the command's `_cmd_*`
+handler, which only computes the result from what it is given, then
+writes `--out` and prints the report.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .cubelim import check_hypothesis, factorize_limit, random_cube_map
+from .cubelim import CubeMap, check_hypothesis, factorize_limit, random_cube_map
 from .errors import CapExceeded, IsokitError
 from .fixpoint import (
     TwistedConjugacySetup,
@@ -30,6 +35,7 @@ from .fixpoint import (
     removal_verdict,
 )
 from .gcomplex import (
+    GComplex,
     class_fixed_union,
     close_simplices,
     exact_stratum,
@@ -39,7 +45,7 @@ from .gcomplex import (
     present_classes,
     stratification_dot,
 )
-from .gmap import is_equivariant, is_isovariant, is_simplicial
+from .gmap import GMap, is_equivariant, is_isovariant, is_simplicial
 from .group import (
     FiniteGroup,
     _decimal_int,
@@ -63,7 +69,7 @@ from .jsonio import (
     parse_group,
     parse_map,
 )
-from .linking import boundary, build_linking, decompose, fundamental_domain
+from .linking import LinkingSimplex, boundary, build_linking, decompose, fundamental_domain
 from .models import COMPLEX_MODELS, MAP_MODELS
 
 EX_OK = 0
@@ -78,55 +84,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# a handler's inputs map each file that it read to the file's digest,
-# which its report carries
-def _load_group(value: str, inputs: Dict[str, str]) -> FiniteGroup:
-    if not os.path.exists(value):
-        raise ValueError(f"group file not found: {value}")
-    inputs[value] = file_digest(value)
-    return parse_group(load_json(value))
+# each input option: its parser, its built-in models, and the start of the
+# error for a value that names neither a file nor a model (None: the value
+# must name a file, and opening it raises the error)
+_INPUTS = {
+    "group": (lambda doc, _: parse_group(doc), {}, "group file not found: "),
+    "complex": (parse_complex, COMPLEX_MODELS, "not a file or model name: "),
+    "map": (parse_map, MAP_MODELS, "not a file or model name: "),
+    "file": (lambda doc, _: parse_cube_map(doc), {}, None),
+}
 
 
-def _load(value: str, inputs: Dict[str, str], parse, models):
-    """A complex or a map from a JSON file, else from a built-in model name."""
-    if os.path.exists(value):
+def _load(args, option: str, inputs: Dict[str, str]):
+    """The value of an option that run resolves before the handler runs:
+    an input names a JSON file, whose digest goes into inputs, or else a
+    built-in model; cube check's --dim, --trials and --seed are integers."""
+    value = getattr(args, option)
+    if option not in _INPUTS:
+        return _decimal_int(value, f"--{option}")
+    parse, models, missing = _INPUTS[option]
+    if value is None:  # cube check without --file
+        return None
+    if missing is None or os.path.exists(value):
         inputs[value] = file_digest(value)
         return parse(load_json(value), os.path.dirname(value) or ".")
     if value in models:
         return models[value]()
-    raise ValueError(f"not a file or model name: {value}")
+    raise ValueError(missing + value)
 
 
-def _emit(args, inputs: Dict[str, str], result, raw_text: Optional[str] = None) -> int:
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "result": result,
-        "status": "ok",
-    }
-    out = getattr(args, "out", None)
-    if out:
-        # before the report, so that a failed write prints only its own report
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(raw_text if raw_text is not None else canonical_dumps(result))
+def _report(command: str, inputs: Dict[str, str], result, status) -> None:
+    report = {"command": command, "inputs": inputs, "result": result, "status": status}
     sys.stdout.write(canonical_dumps(report))
-    return EX_OK
 
 
 def _fail(command: str, exit_code: int, code: str, message: str) -> int:
-    report = {
-        "command": command,
-        "inputs": {},
-        "result": None,
-        "status": {"code": code, "message": message},
-    }
-    sys.stdout.write(canonical_dumps(report))
+    _report(command, {}, None, {"code": code, "message": message})
     return exit_code
-
-
-def _parse_chain(g: FiniteGroup, text: str):
-    """Subgroups named in "e<C2" form; build_linking checks the chain."""
-    return [parse_subgroup_token(g, tok.strip()) for tok in text.split("<")]
 
 
 def _parse_pi(text: str) -> Tuple[int, ...]:
@@ -168,6 +162,8 @@ def _parse_phi(text: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 # -- subcommand handlers ---------------------------------------------------------
+# each takes the parsed arguments, then the values of the options it loads,
+# and returns its result
 
 
 # the standard groups of `group make`, by option name; a --product token
@@ -179,7 +175,7 @@ _GROUP_MAKERS = {
 }
 
 
-def _cmd_group_make(args) -> int:
+def _cmd_group_make(args) -> dict:
     chosen = [n for n in (*_GROUP_MAKERS, "product") if getattr(args, n) is not None]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --cyclic/--symmetric/--dihedral/--product")
@@ -189,7 +185,7 @@ def _cmd_group_make(args) -> int:
         g = _product_group(value)
     else:
         g = _GROUP_MAKERS[name](_decimal_int(value, f"--{name}"))
-    return _emit(args, {}, group_to_json(g))
+    return group_to_json(g)
 
 
 def _product_group(spec: str) -> FiniteGroup:
@@ -207,9 +203,7 @@ def _product_group(spec: str) -> FiniteGroup:
     return reduce(FiniteGroup.direct_product, map(base, toks))
 
 
-def _cmd_group_info(args) -> int:
-    inputs = {}
-    g = _load_group(args.group, inputs)
+def _cmd_group_info(args, g: FiniteGroup) -> dict:
     names = class_names(g)
     classes = []
     for cls in subgroup_conjugacy_classes(g):
@@ -223,7 +217,7 @@ def _cmd_group_info(args) -> int:
             }
         )
     marks = table_of_marks(g)
-    result = {
+    return {
         "order": g.order,
         "abelian": g.is_abelian(),
         "classes": classes,
@@ -232,24 +226,20 @@ def _cmd_group_info(args) -> int:
             "matrix": [list(row) for row in marks.matrix],
         },
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_complex_make(args) -> int:
+def _cmd_complex_make(args) -> dict:
     if args.model not in COMPLEX_MODELS:
         raise ValueError(
             f"unknown model {args.model!r}; choose from "
             + ", ".join(sorted(COMPLEX_MODELS))
         )
-    x = COMPLEX_MODELS[args.model]()
-    return _emit(args, {}, complex_to_json(x))
+    return complex_to_json(COMPLEX_MODELS[args.model]())
 
 
-def _cmd_complex_info(args) -> int:
-    inputs = {}
-    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
+def _cmd_complex_info(args, x: GComplex) -> dict:
     names = class_names(x.group)
-    result = {
+    return {
         "vertices": x.n_vertices,
         "simplices": len(x.simplices()),
         "dim": x.dim,
@@ -258,29 +248,25 @@ def _cmd_complex_info(args) -> int:
         "regular": x.is_regular(),
         "present_classes": [names[r] for r in present_classes(x)],
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_complex_regularize(args) -> int:
-    inputs = {}
-    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
-    return _emit(args, inputs, complex_to_json(make_regular(x)))
+def _cmd_complex_regularize(args, x: GComplex) -> dict:
+    return complex_to_json(make_regular(x))
 
 
-def _cmd_linking_build(args) -> int:
-    inputs = {}
-    g = _load_group(args.group, inputs)
-    chain = _parse_chain(g, args.chain)
-    l = build_linking(g, chain)
-    return _emit(args, inputs, complex_to_json(l.complex))
+def _linking(args, g: FiniteGroup) -> LinkingSimplex:
+    """The linking simplex of the chain named in "e<C2" form; build_linking
+    checks the chain."""
+    chain = [parse_subgroup_token(g, tok.strip()) for tok in args.chain.split("<")]
+    return build_linking(g, chain)
 
 
-def _cmd_linking_boundary(args) -> int:
-    inputs = {}
-    g = _load_group(args.group, inputs)
-    chain = _parse_chain(g, args.chain)
-    l = build_linking(g, chain)
-    b = boundary(l)
+def _cmd_linking_build(args, g: FiniteGroup) -> dict:
+    return complex_to_json(_linking(args, g).complex)
+
+
+def _cmd_linking_boundary(args, g: FiniteGroup) -> dict:
+    b = boundary(_linking(args, g))
     pieces = []
     for piece in b.pieces:
         pieces.append(
@@ -290,58 +276,38 @@ def _cmd_linking_boundary(args) -> int:
                 "simplices": sorted(list(s) for s in piece.simplices),
             }
         )
-    result = {
+    return {
         "pieces": pieces,
         "boundary_simplices": len(b.simplices),
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_linking_fd(args) -> int:
-    inputs = {}
-    g = _load_group(args.group, inputs)
-    chain = _parse_chain(g, args.chain)
-    l = build_linking(g, chain)
-    fd = fundamental_domain(l)
-    result = {
+def _cmd_linking_fd(args, g: FiniteGroup) -> dict:
+    fd = fundamental_domain(_linking(args, g))
+    return {
         "facet": list(fd.facet),
         "translates": {str(h): list(f) for h, f in sorted(fd.translates.items())},
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_decompose(args) -> int:
-    inputs = {}
-    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
-    structure = decompose(x)
-    return _emit(args, inputs, cells_to_json(structure))
+def _cmd_decompose(args, x: GComplex) -> dict:
+    return cells_to_json(decompose(x))
 
 
-def _cmd_check_isovariant(args) -> int:
-    inputs = {}
-    f = _load(args.map, inputs, parse_map, MAP_MODELS)
+def _cmd_check_isovariant(args, f: GMap) -> dict:
+    """The result's exit field is the run's exit code."""
     simplicial = is_simplicial(f)
     equivariant = simplicial and is_equivariant(f)
     isovariant = equivariant and is_isovariant(f)
-    if isovariant:
-        code = 0
-    elif equivariant:
-        code = 1
-    else:
-        code = 2
-    result = {
+    return {
         "simplicial": simplicial,
         "equivariant": equivariant,
         "isovariant": isovariant,
-        "exit": code,
+        "exit": 0 if isovariant else 1 if equivariant else 2,
     }
-    _emit(args, inputs, result)
-    return code
 
 
-def _cmd_strata(args) -> int:
-    inputs = {}
-    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
+def _cmd_strata(args, x: GComplex) -> dict:
     names = class_names(x.group)
     classes = []
     for rep in present_classes(x):
@@ -355,7 +321,7 @@ def _cmd_strata(args) -> int:
             }
         )
     filt = filtration(x)
-    result = {
+    return {
         "classes": classes,
         "filtration": {
             "order": list(filt.names),
@@ -363,36 +329,28 @@ def _cmd_strata(args) -> int:
         },
         "treelike": is_treelike(x),
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_lefschetz(args) -> int:
-    inputs = {}
-    f = _load(args.map, inputs, parse_map, MAP_MODELS)
+def _cmd_lefschetz(args, f: GMap) -> dict:
     result = {"lefschetz": lefschetz(f)}
     try:
         result["per_class"] = lefschetz_fixed_sets(f)
     except IsokitError:
         result["per_class"] = None
-    return _emit(args, inputs, result)
+    return result
 
 
-def _cmd_burnside(args) -> int:
-    inputs = {}
-    f = _load(args.map, inputs, parse_map, MAP_MODELS)
+def _cmd_burnside(args, f: GMap) -> dict:
     mv = marks_vector(f)
     orbit = _orbits(mv, f.source.group)
-    result = {
+    return {
         "classes": list(mv.names),
         "marks": list(mv.coefficients),
         "orbit_coeffs": list(orbit.coefficients),
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_reidemeister(args) -> int:
-    inputs = {}
-    f = _load(args.map, inputs, parse_map, MAP_MODELS)
+def _cmd_reidemeister(args, f: GMap) -> dict:
     if (args.pi is None) != (args.phi is None):
         raise ValueError("--pi and --phi must be given together")
     if args.pi is not None:
@@ -412,7 +370,7 @@ def _cmd_reidemeister(args) -> int:
         }
         for label, coeff in sorted(trace.coefficients.items())
     ]
-    result = {
+    return {
         "pi": list(pidata.setup.invariant_factors),
         "phi": [list(row) for row in pidata.setup.phi],
         "torsion": list(tc.torsion),
@@ -422,33 +380,23 @@ def _cmd_reidemeister(args) -> int:
         "lefschetz": trace.lefschetz,
         "is_zero": trace.is_zero,
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_verdict(args) -> int:
-    inputs = {}
-    f = _load(args.map, inputs, parse_map, MAP_MODELS)
+def _cmd_verdict(args, f: GMap) -> dict:
     dims = None
     if args.dims is not None:
         parsed = json.loads(args.dims)
         if not isinstance(parsed, dict):
             raise ValueError("--dims must be a JSON object of class name -> dim")
         dims = {str(k): _int(v, f"--dims value of {k!r}") for k, v in parsed.items()}
-    report = removal_verdict(f, dims)
-    return _emit(args, inputs, report.as_dict())
+    return removal_verdict(f, dims).as_dict()
 
 
-def _cmd_cube_check(args) -> int:
-    inputs = {}
-    dim, trials, seed = (
-        _decimal_int(getattr(args, k), f"--{k}") for k in ("dim", "trials", "seed")
-    )
-    if args.file is not None:
-        inputs[args.file] = file_digest(args.file)
-        m = parse_cube_map(load_json(args.file))
+def _cmd_cube_check(args, dim: int, trials: int, seed: int, m: Optional[CubeMap]) -> dict:
+    if m is not None:
         hyp = check_hypothesis(m)
         fact = factorize_limit(m)
-        result = {
+        return {
             "dim": m.n,
             "hypothesis_ok": hyp.ok,
             "corner_failures": [list(map(list, pair)) for pair in hyp.failures],
@@ -456,7 +404,6 @@ def _cmd_cube_check(args) -> int:
             "chain_lengths": [len(stage) for stage in fact.stages],
             "chain_surjective": fact.all_links_surjective,
         }
-        return _emit(args, inputs, result)
     if dim < 0:
         raise ValueError(f"--dim must be nonnegative, got {dim}")
     if dim > 4:
@@ -470,21 +417,18 @@ def _cmd_cube_check(args) -> int:
         fact = factorize_limit(m)
         if hyp.ok and fact.composed.is_surjective and fact.all_links_surjective:
             verified += 1
-    result = {
+    return {
         "dim": dim,
         "trials": trials,
         "seed": seed,
         "verified": verified,
         "all_surjective": verified == trials,
     }
-    return _emit(args, inputs, result)
 
 
-def _cmd_export_dot(args) -> int:
-    inputs = {}
-    x = _load(args.complex, inputs, parse_complex, COMPLEX_MODELS)
-    dot = stratification_dot(x)
-    return _emit(args, inputs, {"dot": dot}, raw_text=dot)
+def _cmd_export_dot(args, x: GComplex) -> dict:
+    """--out takes the raw DOT text."""
+    return {"dot": stratification_dot(x)}
 
 
 # -- parser ----------------------------------------------------------------------
@@ -492,13 +436,15 @@ def _cmd_export_dot(args) -> int:
 
 @cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="isokit", description=__doc__)
+    # the help leaves out the docstring's last paragraph, which is about the code
+    p = _Parser(prog="isokit", description=__doc__.rsplit("\n\n", 1)[0])
     p.add_argument("--version", action="version", version=f"isokit {__version__}")
     sub = p.add_subparsers(dest="topcommand", required=True, parser_class=_Parser)
 
-    def add(parser, name, func, command, **kwargs):
+    # load names the options run resolves for the handler, in order
+    def add(parser, name, func, command, load=(), **kwargs):
         q = parser.add_parser(name, **kwargs)
-        q.set_defaults(func=func, command=command)
+        q.set_defaults(func=func, command=command, load=load)
         return q
 
     group = add(sub, "group", None, "group", help="make or inspect groups")
@@ -509,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dihedral", help="dihedral group of order 2n")
     q.add_argument("--product", type=str, help="comma list of cN/sN/dN tokens")
     q.add_argument("--out", type=str)
-    q = add(gsub, "info", _cmd_group_info, "group info", help="subgroup classes and marks")
+    q = add(gsub, "info", _cmd_group_info, "group info", ("group",),
+            help="subgroup classes and marks")
     q.add_argument("--group", required=True)
 
     cx = add(sub, "complex", None, "complex", help="make or inspect complexes")
@@ -517,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = add(csub, "make", _cmd_complex_make, "complex make", help="materialize a named model")
     q.add_argument("--model", required=True)
     q.add_argument("--out", type=str)
-    q = add(csub, "info", _cmd_complex_info, "complex info")
+    q = add(csub, "info", _cmd_complex_info, "complex info", ("complex",))
     q.add_argument("--complex", required=True)
-    q = add(csub, "regularize", _cmd_complex_regularize, "complex regularize",
+    q = add(csub, "regularize", _cmd_complex_regularize, "complex regularize", ("complex",),
             help="subdivide until the action is regular")
     q.add_argument("--complex", required=True)
     q.add_argument("--out", type=str)
@@ -531,49 +478,51 @@ def build_parser() -> argparse.ArgumentParser:
         ("boundary", _cmd_linking_boundary, "boundary pieces by proper subchains"),
         ("fd", _cmd_linking_fd, "fundamental domain facet and translates"),
     ):
-        q = add(lsub, name, func, f"linking {name}", help=helptext)
+        q = add(lsub, name, func, f"linking {name}", ("group",), help=helptext)
         q.add_argument("--group", required=True)
         q.add_argument("--chain", required=True, help='like "e<C2"')
         if name == "build":
             q.add_argument("--out", type=str)
 
-    q = add(sub, "decompose", _cmd_decompose, "decompose",
+    q = add(sub, "decompose", _cmd_decompose, "decompose", ("complex",),
             help="isovariant cell structure of an equivariant triangulation")
     q.add_argument("--complex", required=True)
     q.add_argument("--out", type=str)
 
-    q = add(sub, "check-isovariant", _cmd_check_isovariant, "check-isovariant",
+    q = add(sub, "check-isovariant", _cmd_check_isovariant, "check-isovariant", ("map",),
             help="exit 0 isovariant, 1 equivariant only, 2 otherwise")
     q.add_argument("--map", required=True)
 
-    q = add(sub, "strata", _cmd_strata, "strata", help="isotropy strata and filtration")
+    q = add(sub, "strata", _cmd_strata, "strata", ("complex",),
+            help="isotropy strata and filtration")
     q.add_argument("--complex", required=True)
 
-    q = add(sub, "lefschetz", _cmd_lefschetz, "lefschetz")
+    q = add(sub, "lefschetz", _cmd_lefschetz, "lefschetz", ("map",))
     q.add_argument("--map", required=True)
 
-    q = add(sub, "burnside", _cmd_burnside, "burnside",
+    q = add(sub, "burnside", _cmd_burnside, "burnside", ("map",),
             help="marks vector and orbit-basis coefficients")
     q.add_argument("--map", required=True)
 
-    q = add(sub, "reidemeister", _cmd_reidemeister, "reidemeister")
+    q = add(sub, "reidemeister", _cmd_reidemeister, "reidemeister", ("map",))
     q.add_argument("--map", required=True)
     q.add_argument("--pi", type=str, help='like "Z" or "Z/3" or "Z x Z/2"')
     q.add_argument("--phi", type=str, help="JSON integer, list (diagonal), or matrix")
 
-    q = add(sub, "verdict", _cmd_verdict, "verdict", help="removability report")
+    q = add(sub, "verdict", _cmd_verdict, "verdict", ("map",), help="removability report")
     q.add_argument("--map", required=True)
     q.add_argument("--dims", type=str, help='JSON like {"e":5,"C2":3}')
 
     cube = add(sub, "cube", None, "cube", help="cube-of-sets limit lemma")
     qsub = cube.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    q = add(qsub, "check", _cmd_cube_check, "cube check")
+    # the integers first, so that a bad one is reported before a bad file
+    q = add(qsub, "check", _cmd_cube_check, "cube check", ("dim", "trials", "seed", "file"))
     q.add_argument("--file", type=str, help="cube map JSON")
     q.add_argument("--trials", default="100")
     q.add_argument("--dim", default="3")
     q.add_argument("--seed", default="0")
 
-    q = add(sub, "export-dot", _cmd_export_dot, "export-dot",
+    q = add(sub, "export-dot", _cmd_export_dot, "export-dot", ("complex",),
             help="DOT graph of the stratification poset")
     q.add_argument("--complex", required=True)
     q.add_argument("--out", type=str)
@@ -588,14 +537,21 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     command = getattr(args, "command", "isokit")
+    inputs: Dict[str, str] = {}
     try:
-        return args.func(args)
+        result = args.func(args, *[_load(args, option, inputs) for option in args.load])
+        if getattr(args, "out", None):
+            # before the report, so that a failed write prints only its own report
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(result["dot"] if command == "export-dot" else canonical_dumps(result))
+        _report(command, inputs, result, "ok")
     except CapExceeded as exc:
         return _fail(command, EX_BADINPUT, exc.code, str(exc))
     except IsokitError as exc:
         return _fail(command, EX_DOMAIN, exc.code, str(exc))
     except (ValueError, OSError) as exc:
         return _fail(command, EX_BADINPUT, "BadInput", str(exc))
+    return result["exit"] if command == "check-isovariant" else EX_OK
 
 
 def main() -> None:

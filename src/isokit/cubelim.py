@@ -588,40 +588,31 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
 
 
 @lru_cache(maxsize=None)
-def _generation_plan(n: int) -> Tuple[tuple, ...]:
-    """Per lower vertex S of the (n+1)-cube, in the order random_cube_map
-    fills them: S, the indices j not in S, the covers S+{j} (the minimal
-    vertices of the strict up-set of S, in limit's order) and, per cover,
-    the checks against each earlier cover i: the cover maps (S+{j_i}, j)
-    and (S+{j}, j_i) agree at the join S+{j_i, j}."""
-    indices = range(n + 1)
-    order = sorted(_vertices(n + 1), key=lambda s: (-len(s), tuple(sorted(s))))
-    steps = []
-    for s in order[1:]:
-        js = tuple(j for j in indices if j not in s)
-        checks = tuple(
-            tuple((i, (s | {a}, j), (s | {j}, a)) for i, a in enumerate(js[:k]))
-            for k, j in enumerate(js)
-        )
-        steps.append((s, js, tuple(s | {j} for j in js), checks))
-    return tuple(steps)
-
-
-@lru_cache(maxsize=None)
 def _walk_view(n: int) -> Tuple[Dict[Subset, int], int, Tuple[tuple, ...]]:
-    """_generation_plan(n) on one list of V*(n+2) ints: with S vertex k in
-    fill order (the top is 0), cover (S, j) is slot k*(n+1)+j and S's size
-    slot V*(n+1)+k.  Per step: S's size slot, its covers' size slots, the
-    slots it fills, the checks and the memo key's getter, which reads a
-    lone size for one cover, else a tuple whose length fixes the covers."""
-    plan = _generation_plan(n)
-    num = {s: k for k, s in enumerate([frozenset(range(n + 1))] + [p[0] for p in plan])}
+    """The walk of random_cube_map on one list of V*(n+2) ints.  It fills
+    each lower vertex S of the (n+1)-cube in turn, by decreasing size, from
+    its covers S+{j} for the j not in S (the minimal vertices of the strict
+    up-set of S, in limit's order): per pair of covers and their join, the
+    two cover maps into the join must agree.  With S vertex k in fill order
+    (the top is 0), cover (S, j) is slot k*(n+1)+j and S's size slot
+    V*(n+1)+k.  Per step: S's size slot, its covers' size slots, the slots
+    it fills, the checks (i, e, h) of each cover against each earlier cover
+    i, with e and h the slots of the two cover maps, and the memo key's
+    getter, which reads a lone size for one cover, else a tuple whose
+    length fixes the covers."""
+    order = sorted(_vertices(n + 1), key=lambda s: (-len(s), tuple(sorted(s))))
+    num = {s: k for k, s in enumerate(order)}
     at = {s: k * (n + 1) for s, k in num.items()}
     sized = len(num) * (n + 1)
     steps = []
-    for s, js, above, checks in plan:
-        checks = [[(i, at[e] + j, at[h] + k) for i, (e, j), (h, k) in row] for row in checks]
-        above = [sized + num[t] for t in above]
+    for s in order[1:]:
+        js = [j for j in range(n + 1) if j not in s]
+        covers = [s | {j} for j in js]
+        checks = [
+            [(i, at[covers[i]] + min(w - covers[i]), at[m] + min(w - m)) for i, w in row]
+            for m, row in zip(covers, _joins(covers))
+        ]
+        above = [sized + num[t] for t in covers]
         key = itemgetter(*above, *[x for row in checks for _, e, h in row for x in (e, h)])
         steps.append((sized + num[s], above, [at[s] + j for j in js], checks, key))
     return num, sized, tuple(steps)

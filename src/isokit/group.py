@@ -248,24 +248,10 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
-    """True iff the elements form a subgroup.
-
-    The closure of a greedy generating set is checked against the set: each
-    generator not yet covered at least doubles the closure, so there are at
-    most log2 |H| closure walks.  Elements outside 0..|G|-1 give False.
-    """
-    s = frozenset(elems)
-    if 0 not in s or not all(0 <= x < g.order for x in s):
-        return False
-    gens: Tuple[int, ...] = ()
-    closure: Subgroup = frozenset({0})
-    for x in s:
-        if x not in closure:
-            gens += (x,)
-            closure = subgroup_closure(g, gens)
-            if not closure <= s:
-                return False
-    return True
+    """True iff the elements form a subgroup: a lookup in the class map,
+    which holds every subgroup.  Elements outside 0..|G|-1 give False."""
+    _conjugacy_classes(g)
+    return frozenset(elems) in g._class_of
 
 
 def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
@@ -331,13 +317,13 @@ def left_cosets(g: FiniteGroup, h: Subgroup) -> Cosets:
     """Left cosets of the subgroup h, built once per subgroup.
 
     Walking the elements in order, each one not yet covered is the smallest
-    member of the next coset, so each coset is built once.
+    member of the next coset, so each coset is built once.  Raises
+    ValueError naming a set that is not a subgroup.
     """
     h = frozenset(h)
     found = g._cosets.get(h)
     if found is None:
-        if not all(0 <= x < g.order for x in h):
-            raise ValueError(f"{sorted(h)} has an element outside the group")
+        _class_index(g, h)  # a ValueError for a set that is not a subgroup
         index = [-1] * g.order
         cosets: List[FrozenSet[int]] = []
         for x in g.elements:

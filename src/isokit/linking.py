@@ -63,7 +63,8 @@ def slot_coset_complex(
 ) -> Tuple[GComplex, Tuple[SlotVertex, ...]]:
     """Complex with vertices (slot, coset) and one facet per group element.
 
-    The groups must be subgroups, so that each slot's cosets partition G.
+    The groups must be subgroups, so that each slot's cosets partition G;
+    left_cosets raises ValueError naming one that is not.
     """
     verts, coset_of = _slot_blocks(g, groups)
     facets, faces = _normalize_facets(zip(*coset_of))

@@ -569,6 +569,56 @@ def test_missing_file_reports_bad_input(capsys):
     }
 
 
+# every command that reads an input: its command line up to the input's
+# option, the kind of file it reads, and a built-in name it accepts instead
+INPUT_RUNS = {
+    "group info": (["group", "info", "--group"], "group", None),
+    "linking build": (["linking", "build", "--chain", "e<C2", "--group"], "group", None),
+    "linking boundary": (["linking", "boundary", "--chain", "e<C2", "--group"], "group", None),
+    "linking fd": (["linking", "fd", "--chain", "e<C2", "--group"], "group", None),
+    "complex info": (["complex", "info", "--complex"], "complex", "hexagon"),
+    "complex regularize": (["complex", "regularize", "--complex"], "complex", "hexagon"),
+    "decompose": (["decompose", "--complex"], "complex", "hexagon"),
+    "strata": (["strata", "--complex"], "complex", "hexagon"),
+    "export-dot": (["export-dot", "--complex"], "complex", "hexagon"),
+    "check-isovariant": (["check-isovariant", "--map"], "map", "hexagon-rotation"),
+    "lefschetz": (["lefschetz", "--map"], "map", "hexagon-rotation"),
+    "burnside": (["burnside", "--map"], "map", "hexagon-rotation"),
+    "reidemeister": (["reidemeister", "--map"], "map", "hexagon-rotation"),
+    "verdict": (["verdict", "--map"], "map", "hexagon-rotation"),
+    "cube check": (["cube", "check", "--file"], "cube", None),
+}
+
+
+def _input_file(tmp_path, kind):
+    """A valid input file of the kind; the map file names its complex by a
+    path, which the report does not list."""
+    docs = {"group": C2_JSON, "complex": canonical_dumps(_HEXAGON),
+            "cube": canonical_dumps(_CUBE2_MAP)}
+    if kind == "map":
+        (tmp_path / "hexagon.json").write_text(docs["complex"])
+        f = models.MAP_MODELS["hexagon-rotation"]()
+        docs["map"] = canonical_dumps(
+            {"source": "hexagon.json", "target": "hexagon.json", "vertices": list(f.vertices)}
+        )
+    path = tmp_path / f"{kind}-input.json"
+    path.write_text(docs[kind])
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_RUNS))
+def test_report_inputs_are_the_files_named_on_the_command_line(capsys, tmp_path, command):
+    argv, kind, model = INPUT_RUNS[command]
+    path = _input_file(tmp_path, kind)
+    r = _report(capsys, argv + [path])
+    assert r["command"] == command and r["status"] == "ok"
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert r["inputs"] == {path: f"sha256:{digest}"}
+    if model is not None:
+        r = _report(capsys, argv + [model])
+        assert r["status"] == "ok" and r["inputs"] == {}
+
+
 
 _HEXAGON = complex_to_json(models.COMPLEX_MODELS["hexagon"]())
 _CUBE1 = {"vertices": {"": 1, "0": 1}, "maps": {"+0": [0]}}

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+from functools import cache
 from itertools import combinations
 from random import Random
 
@@ -264,6 +265,40 @@ def test_random_cube_map_attempt_guard(monkeypatch):
     assert "3-cube" in message and "seed 17" in message and "1 to 2 elements" in message
 
 
+@cache  # the reference sampler reads it once per attempt
+def _generation_plan(n):
+    """Per lower vertex S of the (n+1)-cube, in the order random_cube_map
+    fills them: S, the indices j not in S, the covers S+{j} and, per cover,
+    the checks against each earlier cover i: the cover maps (S+{j_i}, j)
+    and (S+{j}, j_i) agree at the join S+{j_i, j}."""
+    order = sorted(cubelim._subsets(range(n + 1)), key=lambda s: (-len(s), tuple(sorted(s))))
+    steps = []
+    for s in order[1:]:
+        js = tuple(j for j in range(n + 1) if j not in s)
+        checks = tuple(
+            tuple((i, (s | {a}, j), (s | {j}, a)) for i, a in enumerate(js[:k]))
+            for k, j in enumerate(js)
+        )
+        steps.append((s, js, tuple(s | {j} for j in js), checks))
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_walk_view_is_the_generation_plan(n):
+    """The sampler's integer walk reads each step's covers and cover-map
+    checks from the slots the plan above names, in the same order."""
+    num, sized, steps = cubelim._walk_view(n)
+    plan = _generation_plan(n)
+    assert list(num) == [frozenset(range(n + 1))] + [s for s, *_ in plan]
+    slot = {(t, j): num[t] * (n + 1) + j for t in num for j in range(n + 1)}
+    assert len(steps) == len(plan)
+    for (size_at, above, fills, checks, _), (s, js, covers, pairs) in zip(steps, plan):
+        assert size_at == sized + num[s]
+        assert above == [sized + num[t] for t in covers]
+        assert fills == [slot[(s, j)] for j in js]
+        assert checks == [[(i, slot[e], slot[h]) for i, e, h in row] for row in pairs]
+
+
 def _reference_cube_map(n, seed, max_size=5):
     """The sampler restated without its memo or integer walk: every step
     enumerates its sections, and sizes and covers are keyed by frozensets.
@@ -274,7 +309,7 @@ def _reference_cube_map(n, seed, max_size=5):
     for _ in range(cubelim._ATTEMPTS):
         sizes = {top: rng.randint(1, 2)}
         covers = {}
-        for s, js, above, checks in cubelim._generation_plan(n):
+        for s, js, above, checks in _generation_plan(n):
             steps += 1
             rows = cubelim._sections(
                 [sizes[t] for t in above],
@@ -425,7 +460,7 @@ def test_capped_sections_are_a_prefix_of_the_limit():
     """The sampler's early-stopping enumeration over each strict up-set of
     a 3-cube yields the first cap + 1 limit elements, read on the covers."""
     rng = Random(5)
-    steps = cubelim._generation_plan(2)
+    steps = _generation_plan(2)
     empty = capped = 0
     for _ in range(40):
         cube = _random_3_cube(rng)
@@ -526,7 +561,7 @@ def _random_map_with_failures(rng, n):
     top = frozenset(range(n + 1))
     sizes = {top: rng.randint(1, 3)}
     covers = {}
-    for s, js, above, checks in cubelim._generation_plan(n):
+    for s, js, above, checks in _generation_plan(n):
         rows = cubelim._sections(
             [sizes[t] for t in above],
             [[(i, covers[e], covers[h]) for i, e, h in pairs] for pairs in checks],

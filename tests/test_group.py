@@ -294,7 +294,7 @@ def test_parse_subgroup_token():
 
 
 def test_is_subgroup_matches_the_closure_test_on_subsets():
-    """The greedy-generator check agrees with all(a*b in s) on subsets with 0."""
+    """The class-map lookup agrees with all(a*b in s) on subsets with 0."""
 
     def by_definition(g, s):
         return all(g.mul(a, b) in s for a in s for b in s)

@@ -1,6 +1,7 @@
 """Linking simplices, boundaries, fundamental domains, phi maps, cells."""
 
 import hashlib
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -145,6 +146,23 @@ def test_cached_cosets_match_the_definition_on_s4():
         for x in g.elements:
             assert x in cosets.cosets[cosets.index[x]]
         assert left_cosets(g, h) is cosets  # built once per subgroup
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, h: left_cosets(g, h),
+    lambda g, h: slot_coset_complex(g, [h]),
+    lambda g, h: slot_coset_complex(g, [frozenset(g.elements), h]),
+], ids=["left_cosets", "slot_coset_complex", "slot_coset_complex-second"])
+@pytest.mark.parametrize("h", [{0, 1, 2}, {1}, {0, 1, 2, 3, 4}], ids=["0,1,2", "1", "0-4"])
+def test_cosets_of_a_set_that_is_not_a_subgroup(build, h):
+    """In S3 these sets lie in the group but are not subgroups, so their
+    translates do not partition it: a ValueError names the set, and no
+    cosets are cached for it."""
+    g = FiniteGroup.symmetric(3)
+    assert any(g.mul(a, b) not in h for a in h for b in h) or 0 not in h
+    with pytest.raises(ValueError, match=re.escape(f"{sorted(h)} is not a subgroup")):
+        build(g, h)
+    assert frozenset(h) not in g._cosets
 
 
 def test_chain_validation():
