@@ -58,6 +58,7 @@ from .group import (
 from .jsonio import (
     _int,
     _ints,
+    Canonical,
     canonical_dumps,
     cells_to_json,
     complex_to_json,
@@ -290,7 +291,7 @@ def _cmd_linking_fd(args, g: FiniteGroup) -> dict:
     }
 
 
-def _cmd_decompose(args, x: GComplex) -> dict:
+def _cmd_decompose(args, x: GComplex) -> Canonical:
     return cells_to_json(decompose(x))
 
 
@@ -393,6 +394,10 @@ def _cmd_verdict(args, f: GMap) -> dict:
 
 
 def _cmd_cube_check(args, dim: int, trials: int, seed: int, m: Optional[CubeMap]) -> dict:
+    if dim < 0:
+        raise ValueError(f"--dim must be nonnegative, got {dim}")
+    if trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {trials}")
     if m is not None:
         hyp = check_hypothesis(m)
         fact = factorize_limit(m)
@@ -404,12 +409,8 @@ def _cmd_cube_check(args, dim: int, trials: int, seed: int, m: Optional[CubeMap]
             "chain_lengths": [len(stage) for stage in fact.stages],
             "chain_surjective": fact.all_links_surjective,
         }
-    if dim < 0:
-        raise ValueError(f"--dim must be nonnegative, got {dim}")
     if dim > 4:
         raise ValueError("randomized cube dimension is capped at 4")
-    if trials < 0:
-        raise ValueError(f"--trials must be nonnegative, got {trials}")
     verified = 0
     for t in range(trials):
         m = random_cube_map(dim, seed=seed + t)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Dict, Optional, Tuple
 
 from .cubelim import Cube, CubeMap, Subset
 from .gcomplex import GComplex, _faces
@@ -22,14 +24,61 @@ from .group import FiniteGroup, _decimal_int
 from .linking import IsovariantCellStructure
 
 
-# the library builds every report fresh as a tree and json.loads makes no
-# cycles, so the encoder skips its circular-reference bookkeeping
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+class Canonical:
+    """A value already written as canonical JSON text, which canonical_dumps
+    inserts as is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _encoder(default) -> json.JSONEncoder:
+    # the library builds every report fresh as a tree and json.loads makes
+    # no cycles, so the encoder skips its circular-reference bookkeeping
+    return json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), check_circular=False, default=default
+    )
+
+
+# what the encoder writes in place of each Canonical before its text goes in
+_PLACEHOLDER = "\x00isokit.Canonical\x00"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
+def _not_serializable(o):
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
-    """Sorted keys, tight separators, trailing newline: byte-stable output."""
-    return _ENCODER.encode(obj) + "\n"
+    """Sorted keys, tight separators, trailing newline: byte-stable output.
+
+    Each Canonical in obj is written as its text.  A string of obj that
+    spells the placeholder makes obj encode again with each text parsed
+    back, which writes the same bytes.
+    """
+    texts = []
+
+    def swap(o):
+        if not isinstance(o, Canonical):
+            _not_serializable(o)
+        texts.append(o.text)
+        return _PLACEHOLDER
+
+    out = _encoder(swap).encode(obj)
+    if not texts:
+        return out + "\n"
+    pieces = out.split(_PLACEHOLDER_JSON)
+    if len(pieces) != len(texts) + 1:
+        return _encoder(
+            lambda o: json.loads(o.text) if isinstance(o, Canonical) else _not_serializable(o)
+        ).encode(obj) + "\n"
+    joined = [pieces[0]]
+    for text, piece in zip(texts, pieces[1:]):
+        joined += (text, piece)
+    joined.append("\n")
+    return "".join(joined)
 
 
 def file_digest(path: str) -> str:
@@ -251,37 +300,65 @@ def cube_map_to_json(m: CubeMap) -> dict:
 # -- cell structures ---------------------------------------------------------
 
 
-def cells_to_json(c: IsovariantCellStructure) -> dict:
-    """Cell-structure report: one record per cell with its disk dimension,
-    chain label, vertex assignment, and the orbit faces it attaches along.
+def _int_list(xs) -> str:
+    return ",".join(map(str, xs))
 
-    A cell's phi is aligned with its PhiMap's keys, so what depends on the
-    chain alone (m, the label, the disk dimensions and each phi record's
-    disk, slot and coset) is built once per PhiMap, and the attaching
-    faces once per orbit-simplex length, as index patterns; the records of
-    one chain share their lists, so the report is read-only.
+
+@lru_cache(maxsize=None)
+def _attach_faces(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The proper faces of an orbit simplex of n vertices, as positions;
+    an increasing relabelling keeps their sorted order."""
+    return tuple(sorted(f for f in _faces(range(n)) if len(f) < n))
+
+
+def _cell_format(cell) -> Tuple[str, Callable]:
+    """The %-template of the records of cell's chain and simplex lengths,
+    keys sorted, and the picker that reads its %d values (the attaching
+    faces' vertices, base, orbit, phi) from orbit + base + phi."""
+    pm, n, b = cell.phi_map, len(cell.orbit_simplex), len(cell.base_simplex)
+    faces = _attach_faces(n)
+    # a phi record is the head of its linking vertex u, its disk l and the tail of u
+    heads = ['{"coset":[%s],"disk":[' % _int_list(sorted(coset)) for _, coset in pm.linking_vertices]
+    tails = ['],"slot":%d,"vertex":%%d}' % slot for slot, _ in pm.linking_vertices]
+    disks = {l: _int_list(l) for l in pm.disk_vertices()}
+    fmt = '{"attach":[%s],"base":[%s],"chain":%s,"disk_dims":[%s],"m":%d,"orbit":[%s],"phi":[%s]}' % (
+        ",".join(["[" + ",".join(["%d"] * len(f)) + "]" for f in faces]),
+        ",".join(["%d"] * b),
+        json.dumps(cell.label()).replace("%", "%%"),
+        _int_list(pm.disk_dims),
+        cell.disk_dim,
+        ",".join(["%d"] * n),
+        ",".join([heads[u] + disks[l] + tails[u] for l, u in pm.keys]),
+    )
+    picks = [k for f in faces for k in f]
+    picks += range(n, n + b)
+    picks += range(n)
+    picks += range(n + b, n + b + len(pm.keys))
+    return fmt, itemgetter(*picks)
+
+
+def cells_to_json(c: IsovariantCellStructure) -> Canonical:
+    """Cell-structure report: one record per cell with its disk dimension,
+    chain label, vertex assignment, and the orbit faces it attaches along,
+    then the size of each skeleton.
+
+    It is returned as canonical JSON text, which only canonical_dumps
+    writes, alone or inside a larger report.  A cell's phi is aligned with
+    its PhiMap's keys, so what depends on the chain alone (m, the label, the
+    disk dimensions and each phi record's disk, slot and coset) is spelled
+    out once per PhiMap and simplex length in a %-template, and each cell
+    is one format of its vertices: no dict per cell or per phi record.
     """
-    plans: Dict[int, tuple] = {}
-    patterns: Dict[int, list] = {}
-    cells = []
+    formats: Dict[Tuple[int, int, int], Tuple[str, Callable]] = {}
+    records = []
     for cell in c.cells:
-        pm, orbit = cell.phi_map, cell.orbit_simplex
-        if id(pm) not in plans:
-            head = []
-            for l, u in pm.keys:
-                slot, coset = pm.linking_vertices[u]
-                head.append({"disk": list(l), "slot": slot, "coset": sorted(coset)})
-            shared = {"m": cell.disk_dim, "chain": cell.label(), "disk_dims": list(pm.disk_dims)}
-            plans[id(pm)] = (shared, head)
-        shared, head = plans[id(pm)]
-        if len(orbit) not in patterns:
-            # an increasing relabelling keeps the sorted order of the faces
-            patterns[len(orbit)] = sorted(f for f in _faces(range(len(orbit))) if len(f) < len(orbit))
-        cells.append(dict(
-            shared,
-            orbit=list(orbit),
-            base=list(cell.base_simplex),
-            phi=[dict(h, vertex=v) for h, v in zip(head, cell.phi)],
-            attach=[[orbit[k] for k in f] for f in patterns[len(orbit)]],
-        ))
-    return {"cells": cells, "skeleta": [len(s) for s in c.skeleta]}
+        orbit, base = cell.orbit_simplex, cell.base_simplex
+        key = (id(cell.phi_map), len(orbit), len(base))
+        plan = formats.get(key)
+        if plan is None:
+            plan = formats[key] = _cell_format(cell)
+        fmt, pick = plan
+        records.append(fmt % pick(orbit + base + cell.phi))
+    return Canonical('{"cells":[%s],"skeleta":[%s]}' % (
+        ",".join(records), _int_list([len(s) for s in c.skeleta])
+    ))

@@ -3,7 +3,9 @@
 Everything here is implemented from first principles on raw data
 (multiplication tables, facet lists, index maps) without calling the
 library under test, so expected values frozen into the tests were
-computed by code that cannot share bugs with the implementation.
+computed by code that cannot share bugs with the implementation.  The
+cell-report reference reads a cell structure's fields and writes the
+report as dicts and lists, as the library did before it wrote text.
 """
 
 from fractions import Fraction
@@ -306,6 +308,46 @@ def homology_ranks(facets):
         rank_in = _rank(_boundary_matrix(basis_d, upper)) if upper else 0
         out.append(len(basis_d) - rank_out - rank_in)
     return out
+
+
+# -- cell reports ------------------------------------------------------------------
+
+
+def cells_report_reference(c):
+    """The cell-structure report as dicts and lists: one record per cell
+    with its disk dimension, chain label, vertex assignment, and the orbit
+    faces it attaches along, then the size of each skeleton.
+
+    What depends on the chain alone is built once per PhiMap, and the
+    attaching faces once per orbit-simplex length, as index patterns; the
+    records of one chain share their lists, so the report is read-only.
+    """
+    plans = {}
+    patterns = {}
+    cells = []
+    for cell in c.cells:
+        pm, orbit = cell.phi_map, cell.orbit_simplex
+        if id(pm) not in plans:
+            head = []
+            for l, u in pm.keys:
+                slot, coset = pm.linking_vertices[u]
+                head.append({"disk": list(l), "slot": slot, "coset": sorted(coset)})
+            shared = {"m": cell.disk_dim, "chain": cell.label(), "disk_dims": list(pm.disk_dims)}
+            plans[id(pm)] = (shared, head)
+        shared, head = plans[id(pm)]
+        if len(orbit) not in patterns:
+            # an increasing relabelling keeps the sorted order of the faces
+            patterns[len(orbit)] = sorted(
+                f for k in range(1, len(orbit)) for f in combinations(range(len(orbit)), k)
+            )
+        cells.append(dict(
+            shared,
+            orbit=list(orbit),
+            base=list(cell.base_simplex),
+            phi=[dict(h, vertex=v) for h, v in zip(head, cell.phi)],
+            attach=[[orbit[k] for k in f] for f in patterns[len(orbit)]],
+        ))
+    return {"cells": cells, "skeleta": [len(s) for s in c.skeleta]}
 
 
 # -- cube limits, brute force ----------------------------------------------------

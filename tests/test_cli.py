@@ -9,6 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from oracles import cells_report_reference
 
 import isokit
 from isokit import fixpoint, gmap, models
@@ -23,6 +24,7 @@ from isokit.jsonio import (
     group_to_json,
     map_to_json,
 )
+from isokit.linking import decompose
 
 C2_JSON = canonical_dumps(group_to_json(FiniteGroup.cyclic(2)))
 
@@ -505,6 +507,29 @@ def test_cube_check_rejects_negative_arguments(capsys):
         r = _report(capsys, ["cube", "check", *argv], expect_code=65)
         assert r["result"] is None
         assert r["status"] == {"code": "BadInput", "message": message}
+
+
+def test_cube_check_file_rejects_negative_arguments_like_the_random_path(capsys, tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(canonical_dumps(cube_map_to_json(random_cube_map(2, seed=0))))
+    for argv in (["--dim", "-2"], ["--trials", "-1"], ["--dim", "-1", "--trials", "-1"]):
+        random_path = _run(capsys, ["cube", "check", *argv])
+        assert random_path[0] == 65
+        assert json.loads(random_path[1])["status"]["code"] == "BadInput"
+        assert _run(capsys, ["cube", "check", "--file", str(path), *argv]) == random_path, argv
+
+
+def test_decompose_out_writes_the_reference_report(capsys, tmp_path):
+    """The result is one canonical text, written whole to --out and inside
+    the printed report."""
+    out = tmp_path / "cells.json"
+    code, printed = _run(capsys, ["decompose", "--complex", "rotation-disk", "--out", str(out)])
+    assert code == 0
+    reference = cells_report_reference(decompose(models.COMPLEX_MODELS["rotation-disk"]()))
+    assert out.read_text() == canonical_dumps(reference)
+    assert printed == canonical_dumps(
+        {"command": "decompose", "inputs": {}, "result": reference, "status": "ok"}
+    )
 
 
 def test_python_dash_m_runs_the_cli():

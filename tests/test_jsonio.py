@@ -1,16 +1,22 @@
 """Serialization round-trips and canonical-output stability."""
 
+import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
+from oracles import cells_report_reference
+from test_group import LATTICE_FAMILIES, _relabel
+from test_isotropy import GROUPS as ISOTROPY_GROUPS, _orbit_closure_complex
 from test_linking import GOLDEN_CELL_DIGESTS
 
 from isokit import jsonio, models
 from isokit.cubelim import random_cube_map
 from isokit.gcomplex import GComplex, barycentric_subdivision
-from isokit.group import FiniteGroup
+from isokit.group import FiniteGroup, enumerate_chains
 from isokit.jsonio import (
+    Canonical,
     canonical_dumps,
     cells_to_json,
     complex_to_json,
@@ -26,7 +32,7 @@ from isokit.jsonio import (
     parse_subset_key,
     subset_key,
 )
-from isokit.linking import decompose
+from isokit.linking import build_linking, decompose
 
 
 def test_canonical_dumps_bytes():
@@ -39,20 +45,110 @@ def _plain_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _assert_report_is_the_reference(c, *where):
+    """cells_to_json writes what json.dumps writes of the dict-building
+    reference report."""
+    got = canonical_dumps(cells_to_json(c))
+    want = _plain_dumps(cells_report_reference(c))
+    # a plain bool, as pytest's diff of two long reports takes minutes
+    same = got == want
+    assert same, (where, "after " + os.path.commonprefix([got, want])[-200:])
+
+
 def test_canonical_dumps_is_plain_json_dumps():
-    """The shared encoder writes what a fresh json.dumps writes: on every
-    pinned cell report and on names outside ASCII."""
+    """canonical_dumps writes what a fresh json.dumps writes: on every
+    pinned cell report, against the reference report, and on names outside
+    ASCII."""
     for name, depth in sorted(GOLDEN_CELL_DIGESTS):
         x = models.COMPLEX_MODELS[name]()
         for _ in range(depth):
             x = barycentric_subdivision(x).complex
-        report = cells_to_json(decompose(x))
-        assert canonical_dumps(report) == _plain_dumps(report), (name, depth)
+        _assert_report_is_the_reference(decompose(x), name, depth)
     names = ["α", "ü", "東", "\u2028", '"', "\\", "\x00", "😀"]
     x = GComplex(len(names), [range(len(names))], {}, FiniteGroup.cyclic(1), names=names)
     report = complex_to_json(x)
     assert canonical_dumps(report) == _plain_dumps(report)
     assert parse_complex(json.loads(canonical_dumps(report))).names == tuple(names)
+
+
+def test_cell_reports_of_twice_subdivided_orbit_closures_are_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(ISOTROPY_GROUPS)), st.integers(0, 2**32))
+    def check(group, seed):
+        x = _orbit_closure_complex(ISOTROPY_GROUPS[group], seed)
+        y = barycentric_subdivision(barycentric_subdivision(x).complex).complex
+        _assert_report_is_the_reference(decompose(y), group, seed)
+
+    check()
+
+
+@pytest.mark.parametrize("family", sorted(LATTICE_FAMILIES))
+def test_cell_reports_of_lattice_linking_complexes_are_the_reference(family):
+    """Linking complexes of chains of one and two inclusions, where every
+    cell has a PhiMap of its own."""
+    g = _relabel(LATTICE_FAMILIES[family](), 1)
+    for k in (1, 2):
+        chains = enumerate_chains(g, k)
+        for chain in (chains[0], chains[len(chains) // 2], chains[-1]):
+            c = decompose(build_linking(g, chain).complex)
+            assert len({id(cell.phi_map) for cell in c.cells}) == len(c.cells)
+            _assert_report_is_the_reference(c, family, chain)
+
+
+def test_cell_report_writes_labels_with_percent_signs_and_escapes():
+    """The chain label goes into the template as JSON text: a % in it is
+    no format directive, and its escapes are what json.dumps writes."""
+    c = decompose(barycentric_subdivision(models.COMPLEX_MODELS["swap-segment"]()).complex)
+    maps = {}
+    for cell in c.cells:
+        pm = cell.phi_map
+        if id(pm) not in maps:
+            maps[id(pm)] = dataclasses.replace(pm, chain_label='%d%%s "ü"\\' + pm.chain_label)
+    cells = tuple(dataclasses.replace(cell, phi_map=maps[id(cell.phi_map)]) for cell in c.cells)
+    _assert_report_is_the_reference(dataclasses.replace(c, cells=cells))
+
+
+def _expand(obj):
+    """obj with each Canonical replaced by the value its text spells."""
+    if isinstance(obj, Canonical):
+        return json.loads(obj.text)
+    if isinstance(obj, dict):
+        return {k: _expand(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_expand(v) for v in obj]
+    return obj
+
+
+def test_canonical_dumps_inserts_canonical_text():
+    one = Canonical('{"a":[1,2],"b":"%"}')
+    cases = [
+        (one, '{"a":[1,2],"b":"%"}\n'),
+        ([0, one, 3], '[0,{"a":[1,2],"b":"%"},3]\n'),
+        ({"z": {"y": one}, "a": None}, '{"a":null,"z":{"y":{"a":[1,2],"b":"%"}}}\n'),
+        ([Canonical("1"), {"x": Canonical('"y"')}, Canonical("[]")], '[1,{"x":"y"},[]]\n'),
+    ]
+    for obj, text in cases:
+        assert canonical_dumps(obj) == text == _plain_dumps(_expand(obj))
+
+
+def test_canonical_dumps_with_strings_that_spell_the_placeholder():
+    spelled = jsonio._PLACEHOLDER
+    for obj in (
+        {spelled: Canonical("[1]")},
+        {"k": spelled, "v": Canonical('{"b":2}')},
+        [Canonical("3"), '"' + spelled, Canonical("4")],
+        {spelled: spelled, "a": [Canonical("5"), spelled]},
+    ):
+        assert canonical_dumps(obj) == _plain_dumps(_expand(obj)), obj
+
+
+def test_canonical_dumps_rejects_other_unknown_objects():
+    for obj in (object(), [Canonical("1"), object()], {"a": {1, 2}}, {"a": Canonical("1"), "b": b"x"}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_dumps(obj)
 
 
 def test_file_digest(tmp_path):
@@ -235,7 +331,7 @@ def test_cube_map_errors():
 
 def test_cells_to_json_shape():
     c = decompose(models.COMPLEX_MODELS["swap-segment"]())
-    j = cells_to_json(c)
+    j = json.loads(cells_to_json(c).text)
     assert j["skeleta"] == [3, 5]
     assert len(j["cells"]) == 3
     for rec in j["cells"]:
@@ -253,19 +349,3 @@ def test_cells_to_json_shape():
     assert canonical_dumps(j) == canonical_dumps(cells_to_json(
         decompose(models.COMPLEX_MODELS["swap-segment"]())
     ))
-
-
-def test_cells_to_json_shares_record_heads_within_a_chain():
-    x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
-    c = decompose(x)
-    cells = cells_to_json(c)["cells"]
-    by_chain = {}
-    for cell, rec in zip(c.cells, cells):
-        by_chain.setdefault(id(cell.phi_map), []).append(rec)
-    shared = [recs for recs in by_chain.values() if len(recs) > 1]
-    assert shared
-    for recs in shared:
-        for at in zip(*(r["phi"] for r in recs)):
-            # one disk and one coset list per plan position, one dict per record
-            assert len({id(p["disk"]) for p in at}) == len({id(p["coset"]) for p in at}) == 1
-            assert len({id(p) for p in at}) == len(at)
