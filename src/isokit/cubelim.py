@@ -6,14 +6,15 @@ distinguished class here is surjections: if every subcube corner map of
 a map of cubes is surjective, so is the induced map on limits, and
 factorize_limit exhibits the chain of surjections that proves it.
 
-Limits are computed as compatible tuples.  Elements of a limit are
-stored as full coordinate vectors over the sub-poset, determined by
-their values on minimal vertices.  Those values are enumerated only in
-_sections: limit pushes them up to full tuples, and check_hypothesis
-only counts them.  Both read their vertex families off plans written
-once per dimension from the construction (_corner_plans, _stage_plans),
-which makes them closed under bounded unions with no check; only
-VertexFamily(vertices), for a family a caller brings, checks that.
+A limit element is a compatible family of values over a vertex family,
+fixed by its values on the family's minimal vertices, and it is held as
+that tuple alone, as _sections enumerates it: limit keeps the rows,
+check_hypothesis only counts them, and maps into and between limits read
+values at minimal vertices (_images, _restriction).  All of them read
+their vertex families off plans written once per dimension from the
+construction (_corner_plans, _stage_plans), which makes them closed
+under bounded unions with no check; only VertexFamily(vertices), for a
+family a caller brings, checks that.
 
 Tuples on the hot paths are built from lists, tuple([...]).  A tuple of
 a generator is filled by resizing, so it never takes a freed tuple of
@@ -99,6 +100,9 @@ class Cube:
             raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")
         if any(size < 0 for size in self.sizes.values()):
             raise ValueError("vertex sizes must be nonnegative")
+        for s, j in self.covers:
+            if s not in self.sizes or j in s or not 0 <= j < self.n:
+                raise ValueError(f"cover map {sorted(s)} + {j} is not a cover of the {self.n}-cube")
         for s in wanted:
             for j in range(self.n):
                 if j in s:
@@ -133,6 +137,8 @@ class Cube:
         s, t = frozenset(s), frozenset(t)
         if not s <= t:
             raise ValueError("map_between needs nested subsets")
+        if t not in self.sizes:
+            raise ValueError(f"map_between: {sorted(t)} is not a vertex of the {self.n}-cube")
         return self._chain(s, t)
 
     def _chain(self, s: Subset, t: Subset) -> Tuple[int, ...]:
@@ -181,9 +187,9 @@ def compose(later: SetFunction, earlier: SetFunction) -> SetFunction:
 
 @dataclass(frozen=True)
 class LimitSet:
-    """Limit of a cube over a sub-poset, as full compatible tuples."""
+    """Limit of a cube over a vertex family, each element its values on the minimal vertices."""
 
-    vertices: Tuple[Subset, ...]
+    minimals: Tuple[Subset, ...]
     elements: Tuple[Tuple[int, ...], ...]
     _index: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
@@ -196,15 +202,6 @@ class LimitSet:
     def index_of(self, element: Tuple[int, ...]) -> int:
         return self._index[element]
 
-    def coordinate(self, vertex: Iterable[int]) -> int:
-        return self.vertices.index(frozenset(vertex))
-
-    def restriction_map(self, smaller: "LimitSet") -> SetFunction:
-        """Forget the coordinates absent from the smaller limit."""
-        cols = [self.vertices.index(v) for v in smaller.vertices]
-        mapping = [smaller.index_of(tuple([e[c] for c in cols])) for e in self.elements]
-        return SetFunction(mapping=tuple(mapping), codomain_size=len(smaller))
-
 
 class VertexFamily:
     """A vertex family for limits, planned once for use on any cube.
@@ -215,8 +212,7 @@ class VertexFamily:
     common upper bound in it; up-closed families and intervals do.  The
     library's stage families come from _assemble, unchecked.  Besides the
     members a family keeps what the enumeration in limit needs and what
-    depends on the family alone: the minimal members, the owner of each
-    member (the index of the first minimal below it), and for each minimal
+    depends on the family alone: the minimal members, and for each minimal
     the earlier minimals whose join with it is a member, with that join.
     """
 
@@ -242,7 +238,6 @@ class VertexFamily:
     ) -> None:
         self.vertices: Tuple[Subset, ...] = tuple(vertices)
         self.minimals: Tuple[Subset, ...] = tuple(minimals)
-        self.owners = tuple([next(i for i, m in enumerate(minimals) if m <= w) for w in vertices])
         self.joins: Tuple[Tuple[Tuple[int, Subset], ...], ...] = _joins(self.minimals, vset)
 
 
@@ -314,31 +309,41 @@ def _minimal_sections(
 
 
 def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
-    """Compatible tuples over the vertices of a VertexFamily.
+    """Compatible families of values over the members of a VertexFamily.
 
     The family is planned when it is built, so one family serves limits
     on many cubes; VertexFamily(cube.vertices()) is the whole cube, and a
-    family with a vertex outside the cube is a ValueError.  Elements come
-    out in lexicographic order of their values on the minimal vertices:
-    _minimal_sections enumerates those values, and each full tuple pushes
-    them up to the other members.
+    family with a vertex outside the cube is a ValueError.  Each element
+    is its values on the family's minimal vertices, as _minimal_sections
+    enumerates them, in lexicographic order.
     """
     outside = [sorted(w) for w in poset.vertices if w not in cube.sizes]
     if outside:
         raise ValueError(f"vertex {outside[0]} of the family is not in the {cube.n}-cube")
     rows = _minimal_sections(cube, poset.minimals, poset.joins)
-    # a vertex's coordinate is its owner's value pushed up to it
-    chain = cube._chain
-    columns = [(o, chain(poset.minimals[o], w)) for o, w in zip(poset.owners, poset.vertices)]
-    out = tuple([tuple([push[row[o]] for o, push in columns]) for row in rows])
-    return LimitSet(vertices=poset.vertices, elements=out)
+    return LimitSet(minimals=poset.minimals, elements=tuple(rows))
+
+
+def _images(cube: Cube, u: Subset, vertices: Sequence[Subset]) -> Iterable[Tuple[int, ...]]:
+    """Per element a of X(U), its values chain(U, v)[a] at the vertices v
+    above U; there must be at least one, as zip of none yields nothing."""
+    return zip(*[cube._chain(u, v) for v in vertices])
 
 
 def _to_limit(cube: Cube, u: Subset, lim: LimitSet) -> SetFunction:
-    """X(U) -> lim: each element goes to the index of its images at lim's vertices."""
-    images = [cube.map_between(u, w) for w in lim.vertices]
-    mapping = [lim.index_of(tuple([image[a] for image in images])) for a in range(cube.sizes[u])]
+    """X(U) -> lim: each element goes to the index of its values at lim's minimal vertices."""
+    mapping = [lim.index_of(image) for image in _images(cube, u, lim.minimals)]
     return SetFunction(mapping=tuple(mapping), codomain_size=len(lim))
+
+
+def _restriction(cube: Cube, larger: LimitSet, smaller: LimitSet) -> SetFunction:
+    """larger -> smaller, a limit over a subfamily: each minimal w of the
+    subfamily reads the first minimal m <= w of the larger family, pushed up to w."""
+    chain, below = cube._chain, list(enumerate(larger.minimals))
+    columns = [next((k, chain(m, w)) for k, m in below if m <= w) for w in smaller.minimals]
+    index = smaller.index_of
+    mapping = [index(tuple([push[row[k]] for k, push in columns])) for row in larger.elements]
+    return SetFunction(mapping=tuple(mapping), codomain_size=len(smaller))
 
 
 class CubeMap:
@@ -355,6 +360,9 @@ class CubeMap:
 
     def _validate(self) -> None:
         verts = _vertices(self.n)
+        for s in self.components:
+            if s not in self.source.sizes:
+                raise ValueError(f"component at {sorted(s)} is not at a vertex of the {self.n}-cube")
         for s in verts:
             if s not in self.components:
                 raise ValueError(f"missing component at {sorted(s)}")
@@ -440,11 +448,10 @@ def check_hypothesis(m: CubeMap) -> HypothesisCheck:
     CubeTooLarge above MAX_CUBE_DIM.
     """
     z = m.as_cube()
-    chain = z._chain
     plans = _corner_plans(m.n)
     failures = []
     for (u, t), (minimals, joins) in plans.items():
-        hits = len(set(zip(*[chain(u, v) for v in minimals])))
+        hits = len(set(_images(z, u, minimals)))
         if len(_minimal_sections(z, minimals, joins, hits)) > hits:
             failures.append((tuple(sorted(u)), tuple(sorted(t))))
     return HypothesisCheck(ok=not failures, checked=len(plans), failures=tuple(failures))
@@ -522,8 +529,8 @@ def factorize_limit(m: CubeMap) -> Factorization:
     z = m.as_cube()
     _, xorder, families = _stage_plans(m.n)
     stages = [limit(z, family) for family in families]
-    links = [stages[i].restriction_map(stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
-    links.append(stages[0].restriction_map(lim_y))
+    links = [_restriction(z, stages[i], stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
+    links.append(_restriction(z, stages[0], lim_y))
     embedding = _to_limit(z, frozenset(), stages[-1])
     composed = embedding
     for f in links:

@@ -671,6 +671,7 @@ def _with_key(doc, path, key, like):
     return out
 
 
+_CUBE1_MAP = cube_map_to_json(random_cube_map(1, seed=0))
 _CUBE2_MAP = cube_map_to_json(random_cube_map(2, seed=3, max_size=3))
 _CUBE3_MAP = cube_map_to_json(random_cube_map(3, seed=0, max_size=2))
 
@@ -853,6 +854,22 @@ MALFORMED_INPUTS = {
         _with_key(_CUBE2_MAP, ["components"], "1,0", "0,1"),
         ["cube", "check", "--file", "{file}"],
     ),
+    "cube cover key adding an index its subset holds": (
+        _with_key(_CUBE1_MAP, ["source", "maps"], "0+0", "+0"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube cover key adding an index outside the cube": (
+        _with_key(_CUBE1_MAP, ["source", "maps"], "+7", "+0"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube cover key at a subset outside the cube": (
+        _with_key(_CUBE1_MAP, ["target", "maps"], "5+0", "+0"),
+        ["cube", "check", "--file", "{file}"],
+    ),
+    "cube component at a subset outside the cube": (
+        _with_key(_CUBE1_MAP, ["components"], "0,5", "0"),
+        ["cube", "check", "--file", "{file}"],
+    ),
     "group order of a fraction": (
         {"order": 2.0, "table": [[0, 1], [1, 0]]}, ["group", "info", "--group", "{file}"]
     ),
@@ -954,6 +971,41 @@ def test_cube_check_file_fuzz(capsys, tmp_path):
             assert set(json.loads(out)) == {"command", "inputs", "result", "status"}
             codes.add(code)
     assert codes == {0, 65}
+
+
+_FILE_FUZZ_RUNS = {
+    "group info, a table": (group_to_json(FiniteGroup.cyclic(3)), ["group", "info", "--group"]),
+    "group info, generators": (
+        {"degree": 3, "generators": [[1, 2, 0]]}, ["group", "info", "--group"]
+    ),
+    "strata": (_HEXAGON, ["strata", "--complex"]),
+    "decompose": (_HEXAGON, ["decompose", "--complex"]),
+    "verdict": (map_to_json(models.MAP_MODELS["hexagon-rotation"]()), ["verdict", "--map"]),
+    "reidemeister": (
+        map_to_json(models.MAP_MODELS["hexagon-rotation"]()), ["reidemeister", "--map"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FILE_FUZZ_RUNS))
+def test_group_complex_and_map_file_fuzz(capsys, tmp_path, case):
+    """Every value of a valid group, complex or map file, replaced in turn
+    by each of a few wrong JSON values, gives one report and exit 0, 65 or
+    70; 70 is the failed report of a well-formed map that is not simplicial."""
+    doc, argv = _FILE_FUZZ_RUNS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, argv + [str(path)])[0] == 0
+    codes = set()
+    for where in _value_paths(doc):
+        for value in _FUZZ_VALUES:
+            path.write_text(json.dumps(_replace_at(doc, where, value)))
+            code, out = _run(capsys, argv + [str(path)])
+            assert code in (0, 65, 70), (where, value, out)
+            assert out.count("\n") == 1, (where, value, out)
+            assert set(json.loads(out)) == {"command", "inputs", "result", "status"}
+            codes.add(code)
+    assert 65 in codes
 
 
 # sha256 of stdout, with the exit code, of every built-in model run:

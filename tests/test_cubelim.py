@@ -63,6 +63,11 @@ def test_map_between_composes_covers():
     via0 = cube.map_between(E, S01)
     assert via0 == (1,)  # 0 -> S0 path and S1 path agree by functoriality
     assert cube.map_between(S0, S0) == (0, 1)
+    # a subset outside the cube is named, not a bare KeyError
+    with pytest.raises(ValueError, match=r"\[5\] is not a vertex of the 2-cube"):
+        cube.map_between(set(), {5})
+    with pytest.raises(ValueError, match=r"\[-1, 0\] is not a vertex of the 2-cube"):
+        cube.map_between({0}, {0, -1})
 
 
 def test_set_function():
@@ -74,6 +79,17 @@ def test_set_function():
     assert compose(g, f).mapping == (1, 0, 0)
     with pytest.raises(ValueError):
         compose(f, g)  # domain sizes do not line up
+
+
+def _bruteforce_on_minimals(n, sizes, covers, poset):
+    """The minimal members of poset and, sorted, the brute-force limit's
+    elements read at them; reading there must be one-to-one."""
+    verts, elements = oracles.cube_limit_bruteforce(n, sizes, covers, poset)
+    minimals = tuple(v for v in verts if not any(u < v for u in verts))
+    cols = [verts.index(m) for m in minimals]
+    rows = sorted(tuple(e[c] for c in cols) for e in elements)
+    assert len(set(rows)) == len(rows)
+    return minimals, rows
 
 
 def test_limit_of_empty_poset_is_terminal():
@@ -103,12 +119,14 @@ def test_limit_rejects_a_vertex_outside_the_cube():
 def test_limit_set_built_from_its_fields_indexes_its_elements():
     cube = random_cube_map(2, seed=21, max_size=3).source
     full = limit(cube, VertexFamily(cube.vertices()))
-    rebuilt = LimitSet(vertices=full.vertices, elements=full.elements)
-    top = LimitSet(vertices=(S01,), elements=tuple((v,) for v in range(cube.size(S01))))
+    expect = _bruteforce_on_minimals(2, cube.sizes, cube.covers, cube.vertices())
+    assert (full.minimals, list(full.elements)) == expect and full.minimals == (E,)
+    rebuilt = LimitSet(minimals=full.minimals, elements=full.elements)
+    top = LimitSet(minimals=(S01,), elements=tuple((v,) for v in range(cube.size(S01))))
     assert rebuilt == full
     assert [rebuilt.index_of(e) for e in full.elements] == list(range(len(full)))
-    # the whole cube's limit is X(empty set), and forgetting down to the top is the map there
-    assert rebuilt.restriction_map(top).mapping == cube.map_between(E, S01)
+    # the whole cube's limit is X(empty set), and restricting to the top is the map there
+    assert cubelim._restriction(cube, rebuilt, top).mapping == cube.map_between(E, S01)
 
 
 def test_limit_matches_bruteforce_on_random_cubes():
@@ -127,12 +145,9 @@ def test_limit_matches_bruteforce_on_random_cubes():
             sizes = {s: cube.sizes[s] for s in (E, S0, S1, S01)}
             covers = {k: list(v) for k, v in cube.covers.items()}
             for poset in posets:
-                verts, expect = oracles.cube_limit_bruteforce(
-                    2, sizes, covers, poset
-                )
+                expect = _bruteforce_on_minimals(2, sizes, covers, poset)
                 got = limit(cube, VertexFamily(poset))
-                assert list(got.vertices) == verts
-                assert sorted(got.elements) == expect
+                assert (got.minimals, list(got.elements)) == expect
                 checked += 1
     assert checked == 360
 
@@ -402,10 +417,10 @@ def test_reused_family_matches_bruteforce_on_random_3_cubes():
         for cube in (m.source, m.target):
             covers = {k: list(v) for k, v in cube.covers.items()}
             for poset, fam in zip(posets, families):
-                verts, expect = oracles.cube_limit_bruteforce(3, cube.sizes, covers, poset)
+                assert list(fam.vertices) == sorted(poset, key=lambda v: (len(v), sorted(v)))
+                expect = _bruteforce_on_minimals(3, cube.sizes, covers, poset)
                 got = limit(cube, fam)
-                assert list(got.vertices) == verts
-                assert sorted(got.elements) == expect
+                assert (got.minimals, list(got.elements)) == expect
                 assert got.elements == limit(cube, VertexFamily(poset)).elements
                 checked += 1
     assert checked == 12 * 2 * len(posets)
@@ -466,12 +481,12 @@ def test_capped_sections_are_a_prefix_of_the_limit():
         cube = _random_3_cube(rng)
         for s, _, above, checks in steps:
             family = [t for t in cube.vertices() if s < t]
-            verts, expect = oracles.cube_limit_bruteforce(3, cube.sizes, cube.covers, family)
             lim = limit(cube, VertexFamily(family))
-            assert list(lim.vertices) == verts and sorted(lim.elements) == expect
-            cols = [lim.coordinate(t) for t in above]
-            on_covers = [tuple(e[c] for c in cols) for e in lim.elements]
-            assert on_covers == sorted(on_covers)
+            expect = _bruteforce_on_minimals(3, cube.sizes, cube.covers, family)
+            assert (lim.minimals, list(lim.elements)) == expect
+            # the family's minimal vertices are the covers, in the sampler's order
+            assert lim.minimals == above
+            on_covers = list(lim.elements)
             sizes = [cube.sizes[t] for t in above]
             maps = [[(i, cube.covers[e], cube.covers[h]) for i, e, h in pairs] for pairs in checks]
             for cap in range(7):
@@ -499,6 +514,16 @@ def _checks_digest(dim, seeds):
     def verts(vs):
         return tuple(tuple(sorted(v)) for v in vs)
 
+    def full(z, members, lim):
+        """The family's members, sorted, and lim's elements as values at
+        each, pushed up from the first minimal vertex below it."""
+        members = sorted(members, key=lambda v: (len(v), sorted(v)))
+        cols = []
+        for w in members:
+            k = next(k for k, m in enumerate(lim.minimals) if m <= w)
+            cols.append((k, z.map_between(lim.minimals[k], w)))
+        return verts(members), tuple(tuple(push[e[k]] for k, push in cols) for e in lim.elements)
+
     h = hashlib.sha256()
     for seed in seeds:
         m = random_cube_map(dim, seed=seed)
@@ -506,12 +531,18 @@ def _checks_digest(dim, seeds):
             hc = check_hypothesis(mm)
             fac = factorize_limit(mm)
             direct, lim_y = limit_map(mm)
+            z, order = mm.as_cube(), fac.added_order
+            # the target side, and fac.stages[i] with all but the last i source vertices
+            side = [s | {dim} for s in cubelim._subsets(range(dim))]
+            stages = tuple(
+                full(z, side + list(order[: len(order) - i]), s) for i, s in enumerate(fac.stages)
+            )
             h.update(repr((
                 (hc.ok, hc.checked, hc.failures),
-                verts(fac.added_order),
-                tuple((verts(s.vertices), s.elements) for s in fac.stages),
+                verts(order),
+                stages,
                 tuple((f.mapping, f.codomain_size) for f in fac.links),
-                (direct.mapping, direct.codomain_size, verts(lim_y.vertices), lim_y.elements),
+                (direct.mapping, direct.codomain_size) + full(z, side, lim_y),
             )).encode())
     return h.hexdigest()
 
@@ -625,7 +656,7 @@ def test_corner_plans_are_the_families_minimals_and_joins(n):
 @pytest.mark.parametrize("n", range(6))
 def test_stage_plans_are_the_families(n):
     """The target plan and each stage plan hold the vertices, minimal
-    vertices, owners and joins VertexFamily finds for the same members:
+    vertices and joins VertexFamily finds for the same members:
     the target side, then with the source vertices adjoined one at a time
     by decreasing size, ties in lexicographic order."""
     target, order, stages = cubelim._stage_plans(n)
@@ -634,8 +665,8 @@ def test_stage_plans_are_the_families(n):
     side = [s | {n} for s in source]
     for k, plan in enumerate((target,) + stages):
         family = VertexFamily(side + list(order[:k]))
-        assert (plan.vertices, plan.minimals, plan.owners, plan.joins) == (
-            family.vertices, family.minimals, family.owners, family.joins
+        assert (plan.vertices, plan.minimals, plan.joins) == (
+            family.vertices, family.minimals, family.joins
         )
 
 
