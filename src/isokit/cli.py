@@ -15,7 +15,6 @@ writes `--out` and prints the report.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache, reduce
@@ -68,6 +67,7 @@ from .jsonio import (
     parse_complex,
     parse_cube_map,
     parse_group,
+    parse_json,
     parse_map,
 )
 from .linking import LinkingSimplex, boundary, build_linking, decompose, fundamental_domain
@@ -143,7 +143,7 @@ def _parse_pi(text: str) -> Tuple[int, ...]:
 
 
 def _parse_phi(text: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
-    value = json.loads(text)
+    value = parse_json(text)
     if isinstance(value, int):
         value = [value]
     if not isinstance(value, list):
@@ -386,7 +386,7 @@ def _cmd_reidemeister(args, f: GMap) -> dict:
 def _cmd_verdict(args, f: GMap) -> dict:
     dims = None
     if args.dims is not None:
-        parsed = json.loads(args.dims)
+        parsed = parse_json(args.dims)
         if not isinstance(parsed, dict):
             raise ValueError("--dims must be a JSON object of class name -> dim")
         dims = {str(k): _int(v, f"--dims value of {k!r}") for k, v in parsed.items()}

@@ -14,7 +14,8 @@ values at minimal vertices (_images, _restriction).  All of them read
 their vertex families off plans written once per dimension from the
 construction (_corner_plans, _stage_plans), which makes them closed
 under bounded unions with no check; only VertexFamily(vertices), for a
-family a caller brings, checks that.
+family a caller brings, checks that.  lim X and lim Y are the sets at
+the empty set, read off the cube (limit_map).
 
 Tuples on the hot paths are built from lists, tuple([...]).  A tuple of
 a generator is filled by resizing, so it never takes a freed tuple of
@@ -25,8 +26,8 @@ dies; after 450 benchmark cube checks (CPython 3.11) those lists held
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter
 from random import Random
@@ -191,13 +192,13 @@ class LimitSet:
 
     minimals: Tuple[Subset, ...]
     elements: Tuple[Tuple[int, ...], ...]
-    _index: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _index(self) -> Dict[Tuple[int, ...], int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def index_of(self, element: Tuple[int, ...]) -> int:
         return self._index[element]
@@ -330,12 +331,6 @@ def _images(cube: Cube, u: Subset, vertices: Sequence[Subset]) -> Iterable[Tuple
     return zip(*[cube._chain(u, v) for v in vertices])
 
 
-def _to_limit(cube: Cube, u: Subset, lim: LimitSet) -> SetFunction:
-    """X(U) -> lim: each element goes to the index of its values at lim's minimal vertices."""
-    mapping = [lim.index_of(image) for image in _images(cube, u, lim.minimals)]
-    return SetFunction(mapping=tuple(mapping), codomain_size=len(lim))
-
-
 def _restriction(cube: Cube, larger: LimitSet, smaller: LimitSet) -> SetFunction:
     """larger -> smaller, a limit over a subfamily: each minimal w of the
     subfamily reads the first minimal m <= w of the larger family, pushed up to w."""
@@ -458,41 +453,41 @@ def check_hypothesis(m: CubeMap) -> HypothesisCheck:
 
 
 def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
-    """The induced map lim X -> lim Y.
+    """The induced map lim X -> lim Y: the component at the empty set.
 
-    The full cube has an initial vertex, so lim X is X at the empty set;
-    lim Y is realized as compatible tuples over the target side, the
-    family _stage_plans writes first.  Raises CubeTooLarge above
-    MAX_CUBE_DIM.
+    lim X is X(empty set) and lim Y is Y(empty set), held as the limit over
+    the target side of the (n+1)-cube, minimal vertex {n} and element (y,)
+    for each y; no limit, index or (n+1)-cube is built.  Raises
+    CubeTooLarge above MAX_CUBE_DIM.
     """
-    z = m.as_cube()
-    lim_y = limit(z, _stage_plans(m.n)[0])
-    return _to_limit(z, frozenset(), lim_y), lim_y
+    _check_dim(m.n)
+    size = m.target.sizes[frozenset()]
+    lim_y = LimitSet(minimals=(frozenset({m.n}),), elements=tuple([(y,) for y in range(size)]))
+    return SetFunction(m.components[frozenset()], size), lim_y
 
 
 @lru_cache(maxsize=None)
-def _stage_plans(n: int) -> Tuple[VertexFamily, Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
+def _stage_plans(n: int) -> Tuple[Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
     """The families factorize_limit takes limits over on the (n+1)-cube of
-    a map of n-cubes: the target side, the source vertices in the order
-    they are adjoined, and per stage the target side with the source
-    vertices adjoined so far.  Source vertices come by decreasing size, so
-    each family is up-closed and any two members join inside it; its
-    minimal vertices are the adjoined source vertices with none adjoined
-    strictly inside them, and {n} until the empty set is adjoined.  Raises
-    CubeTooLarge above MAX_CUBE_DIM, before any family is built."""
+    a map of n-cubes: the source vertices in the order they are adjoined,
+    and per stage the target side with the source vertices adjoined so
+    far.  Source vertices come by decreasing size, so each family is
+    up-closed and any two members join inside it; its minimal vertices are
+    the adjoined source vertices with none adjoined strictly inside them,
+    and {n} until the empty set, adjoined last, is.  Raises CubeTooLarge
+    above MAX_CUBE_DIM, before any family is built."""
     _check_dim(n)
     whole = _vertices(n + 1)
     xorder = sorted(_vertices(n), key=lambda s: (-len(s), tuple(sorted(s))))
     members = {s for s in whole if n in s}
     minimals = [frozenset({n})]
-    target = VertexFamily._assemble([s for s in whole if s in members], minimals)
     stages = []
     for x in xorder:
         # nothing adjoined before x lies strictly inside it
         members.add(x)
         minimals = sorted([m for m in minimals if not x < m] + [x], key=_skey)
         stages.append(VertexFamily._assemble([s for s in whole if s in members], minimals))
-    return target, tuple(xorder), tuple(stages)
+    return tuple(xorder), tuple(stages)
 
 
 @dataclass(frozen=True)
@@ -502,14 +497,14 @@ class Factorization:
     Stage i adjoins the i-th source vertex, taken in order of decreasing
     distance from the initial vertex (decreasing subset size, ties by
     lexicographic order); L_i is the limit over the adjoined source
-    vertices together with the whole target side.
+    vertices together with the whole target side.  stages runs from L_last,
+    lim X with element (x,) for each x in X(empty set), down to L_0.
     """
 
     added_order: Tuple[Subset, ...]
     stages: Tuple[LimitSet, ...]
     links: Tuple[SetFunction, ...]
     lim_y: LimitSet
-    embedding: SetFunction
     composed: SetFunction
     direct: SetFunction
 
@@ -521,19 +516,19 @@ class Factorization:
 def factorize_limit(m: CubeMap) -> Factorization:
     """lim X -> lim Y as a chain of restrictions through partial limits.
 
-    The stage families come from _stage_plans, written once per dimension,
-    and the composite must equal limit_map's direct map.  Raises
-    CubeTooLarge above MAX_CUBE_DIM.
+    The stage families come from _stage_plans, written once per dimension.
+    The last stage is lim X in X(empty set)'s order, so the links compose
+    to a map from X(empty set), which must equal limit_map's direct map.
+    Raises CubeTooLarge above MAX_CUBE_DIM.
     """
     direct, lim_y = limit_map(m)
     z = m.as_cube()
-    _, xorder, families = _stage_plans(m.n)
+    xorder, families = _stage_plans(m.n)
     stages = [limit(z, family) for family in families]
     links = [_restriction(z, stages[i], stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
     links.append(_restriction(z, stages[0], lim_y))
-    embedding = _to_limit(z, frozenset(), stages[-1])
-    composed = embedding
-    for f in links:
+    composed = links[0]
+    for f in links[1:]:
         composed = compose(f, composed)
     if composed.mapping != direct.mapping:
         raise InvariantViolated("composed surjection chain differs from the direct limit map")
@@ -542,7 +537,6 @@ def factorize_limit(m: CubeMap) -> Factorization:
         stages=tuple(reversed(stages)),
         links=tuple(links),
         lim_y=lim_y,
-        embedding=embedding,
         composed=composed,
         direct=direct,
     )

@@ -34,6 +34,11 @@ def _decimal_int(text: str, what: str) -> int:
     return int(text)
 
 
+def _check_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
+
+
 def _skey(sub: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
     elems = tuple(sorted(sub))
     return (len(elems), elems)
@@ -48,10 +53,7 @@ class FiniteGroup:
         self.order = len(self.table)
         if self.order == 0:
             raise ValueError("empty multiplication table")
-        if self.order > MAX_GROUP_ORDER:
-            raise GroupTooLarge(
-                f"group order {self.order} exceeds cap {MAX_GROUP_ORDER}"
-            )
+        _check_order(self.order)
         self._validate()
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
         self._powers: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -194,6 +196,7 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise ValueError("cyclic group needs n >= 1")
+        _check_order(n)
         return cls([[(i + j) % n for j in range(n)] for i in range(n)])
 
     @classmethod
@@ -202,6 +205,8 @@ class FiniteGroup:
             raise ValueError("symmetric group needs n >= 1")
         if n == 1:
             return cls.cyclic(1)
+        if n >= 5:  # n! >= 120 > MAX_GROUP_ORDER, and n! is not computed
+            raise GroupTooLarge(f"group order {n}! exceeds cap {MAX_GROUP_ORDER}")
         swap = [1, 0] + list(range(2, n))
         cycle = list(range(1, n)) + [0]
         return cls.from_generators(n, [swap, cycle])
@@ -211,6 +216,7 @@ class FiniteGroup:
         """Symmetries of the regular n-gon, order 2n."""
         if n < 2:
             raise ValueError("dihedral group needs n >= 2")
+        _check_order(2 * n)
         rot = [(i + 1) % n for i in range(n)]
         ref = [(n - i) % n for i in range(n)]
         return cls.from_generators(n, [rot, ref])
@@ -218,6 +224,7 @@ class FiniteGroup:
     @classmethod
     def direct_product(cls, a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
         n, m = a.order, b.order
+        _check_order(n * m)
         table = [
             [a.mul(i // m, k // m) * m + b.mul(i % m, k % m) for k in range(n * m)]
             for i in range(n * m)

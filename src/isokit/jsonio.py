@@ -89,9 +89,17 @@ def file_digest(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def parse_json(text: str):
+    """json.loads, with nesting too deep for the decoder a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to decode") from None
+
+
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_json(fh.read())
 
 
 def _as_dict(obj, what: str) -> dict:

@@ -926,6 +926,43 @@ def test_malformed_input_is_bad_input(capsys, tmp_path, case):
     assert report["status"]["code"] == CAPPED_INPUTS.get(case, "BadInput")
 
 
+def _nested(depth):
+    """depth opening brackets, then as many closing ones: JSON that
+    json.dumps cannot write, as it recurses as deep."""
+    return "[" * depth + "]" * depth
+
+
+# runs that decode JSON nested past the decoder's depth: the text written to
+# the file "{file}" names (or None), and the command line; deep.json beside
+# it always holds such an array
+DEEP_JSON_RUNS = {
+    "group info": (_nested(200_000), ["group", "info", "--group", "{file}"]),
+    "complex info": (_nested(5000), ["complex", "info", "--complex", "{file}"]),
+    "cube check --file": (_nested(5000), ["cube", "check", "--file", "{file}"]),
+    "map file": (_nested(5000), ["lefschetz", "--map", "{file}"]),
+    "complex a map file names": (
+        '{"source": "deep.json", "target": "deep.json", "vertices": [0]}',
+        ["check-isovariant", "--map", "{file}"],
+    ),
+    "verdict --dims": (None, ["verdict", "--map", "hexagon-rotation", "--dims", _nested(5000)]),
+    "reidemeister --phi": (
+        None, ["reidemeister", "--map", "hexagon-rotation", "--pi", "Z", "--phi", _nested(5000)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_JSON_RUNS))
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path, case):
+    text, argv = DEEP_JSON_RUNS[case]
+    path = tmp_path / "input.json"
+    (tmp_path / "deep.json").write_text(_nested(5000))
+    if text is not None:
+        path.write_text(text)
+    code, out = _run(capsys, [a.replace("{file}", str(path)) for a in argv])
+    assert code == 65 and out.count("\n") == 1, out
+    assert json.loads(out)["status"] == {"code": "BadInput", "message": "JSON nests too deeply to decode"}
+
+
 def test_size_caps_share_one_base_class():
     """run reports each size cap as bad input under the subclass's own code."""
     assert {c.__name__ for c in CapExceeded.__subclasses__()} == {

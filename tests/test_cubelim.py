@@ -203,7 +203,8 @@ def test_limit_map_and_factorization_small():
     assert fac.composed.mapping == f.mapping
     # added order: decreasing size, lexicographic within size
     assert fac.added_order == (S01, S0, S1, E)
-    assert fac.embedding.is_bijective
+    # the last stage is lim X in X(empty set)'s own order
+    assert fac.stages[0] == LimitSet((E,), tuple((x,) for x in range(m.source.size(E))))
     assert len(fac.links) == len(fac.stages)
 
 
@@ -655,15 +656,16 @@ def test_corner_plans_are_the_families_minimals_and_joins(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_stage_plans_are_the_families(n):
-    """The target plan and each stage plan hold the vertices, minimal
-    vertices and joins VertexFamily finds for the same members:
-    the target side, then with the source vertices adjoined one at a time
-    by decreasing size, ties in lexicographic order."""
-    target, order, stages = cubelim._stage_plans(n)
+    """Each stage plan holds the vertices, minimal vertices and joins
+    VertexFamily finds for the same members: the target side with the
+    source vertices adjoined one at a time by decreasing size, ties in
+    lexicographic order."""
+    order, stages = cubelim._stage_plans(n)
     source = cubelim._subsets(range(n))
     assert list(order) == sorted(source, key=lambda s: (-len(s), sorted(s)))
     side = [s | {n} for s in source]
-    for k, plan in enumerate((target,) + stages):
+    assert len(stages) == len(order)
+    for k, plan in enumerate(stages, 1):
         family = VertexFamily(side + list(order[:k]))
         assert (plan.vertices, plan.minimals, plan.joins) == (
             family.vertices, family.minimals, family.joins
@@ -690,14 +692,49 @@ def test_hypothesis_matches_corner_maps_and_bruteforce(dim):
 
 
 def test_hypothesis_counts_without_limits(count_calls):
-    """One capped enumeration per corner, and no limit or map into one."""
+    """One capped enumeration per corner, and no limit."""
     m = random_cube_map(3, seed=2)
     limits = count_calls("limit", cubelim)
-    maps = count_calls("_to_limit", cubelim)
     sections = count_calls("_sections", cubelim)
     assert check_hypothesis(m).ok
-    assert limits == [] and maps == []
+    assert limits == []
     assert len(sections) == 27 and all(type(args[2]) is int for args in sections)
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_limit_map_reads_both_ends_off_the_cube(dim):
+    """lim Y is the limit over the target side, the direct map looks each a
+    in X(empty set) up there by its values at the minimal vertices, and the
+    last stage is lim X, on maps whose end sets may be empty."""
+    rng = Random(dim)
+    maps = [random_cube_map(dim, seed=seed) for seed in range(6)]
+    maps += [_random_map_with_failures(rng, dim)[0] for _ in range(40)]
+    empty = 0
+    for m in maps:
+        direct, lim_y = limit_map(m)
+        z = m.as_cube()
+        lim = limit(z, VertexFamily([s | {dim} for s in m.source.vertices()]))
+        assert lim_y == lim
+        lookup = [
+            lim.index_of(tuple(z.map_between(E, v)[a] for v in lim.minimals))
+            for a in range(z.size(E))
+        ]
+        assert direct == SetFunction(tuple(lookup), len(lim))
+        last = factorize_limit(m).stages[0]
+        assert last == LimitSet((E,), tuple((x,) for x in range(m.source.size(E))))
+        empty += not (m.source.size(E) and m.target.size(E))
+    assert empty
+
+
+def test_limit_map_builds_no_limit_index_or_cube(count_calls):
+    """limit_map reads the component at the empty set: no limit call, no
+    index of lim Y, and the map's (n+1)-cube stays unbuilt."""
+    limits = count_calls("limit", cubelim)
+    for n in range(5):
+        m = random_cube_map(n, seed=1)
+        direct, lim_y = limit_map(m)
+        assert m._as_cube is None and limits == []
+        assert direct.mapping == m.components[E] and "_index" not in vars(lim_y)
 
 
 def test_capped_sections_are_a_prefix_of_the_sections():

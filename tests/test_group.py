@@ -103,6 +103,30 @@ def test_group_order_cap():
         FiniteGroup.cyclic(49)
 
 
+def test_named_constructors_check_the_cap_before_building(monkeypatch):
+    """An oversized named group raises GroupTooLarge before any table or
+    permutation is built: building one refuses here."""
+    c48 = FiniteGroup.cyclic(48)
+
+    def refuse(*args):
+        raise AssertionError("an oversized group was built")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    monkeypatch.setattr(FiniteGroup, "from_generators", classmethod(refuse))
+    for make, n, order in (
+        (FiniteGroup.cyclic, 49, "49"),
+        (FiniteGroup.cyclic, 2000, "2000"),
+        (FiniteGroup.dihedral, 25, "50"),
+        (FiniteGroup.dihedral, 2000, "4000"),
+        (FiniteGroup.symmetric, 5, "5!"),
+        (FiniteGroup.symmetric, 2000, "2000!"),
+    ):
+        with pytest.raises(GroupTooLarge, match=f"^group order {order} exceeds cap 48$"):
+            make(n)
+    with pytest.raises(GroupTooLarge, match="^group order 2304 exceeds cap 48$"):
+        FiniteGroup.direct_product(c48, c48)
+
+
 def test_order_cap_admits_only_solvable_groups():
     """The lattice reaches each subgroup from a normal subgroup of prime
     index, which every subgroup of a solvable group has.  Every group of

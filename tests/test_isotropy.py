@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from isokit import fixpoint, gmap, models
 from isokit.fixpoint import (
     PiData,
@@ -27,6 +28,7 @@ from isokit.gcomplex import (
     close_simplices,
     exact_stratum,
     fixed_subcomplex,
+    induced_subcomplex,
     make_regular,
     present_classes,
 )
@@ -243,6 +245,38 @@ def test_is_isovariant_rejects_a_collapse():
     f = GMap(x, x, (center,) * x.n_vertices)
     assert is_equivariant(f)
     assert not is_isovariant(f)
+
+
+def test_lefschetz_matches_the_homology_oracle_on_random_maps():
+    """On generated simplicial maps lefschetz is the rational homology trace
+    and subdivision keeps it; on isovariant ones each per-class number is
+    the trace on the class's fixed subcomplex, as a complex of its own."""
+    rng = random.Random(2)
+    checked = isovariant = 0
+    for group in sorted(GROUPS):
+        for seed in SEEDS:
+            x = make_regular(_orbit_closure_complex(GROUPS[group], seed))
+            facets = [tuple(sorted(s)) for s in x.facets]
+            for _ in range(6):
+                f = _random_equivariant_map(x, rng)
+                if not is_simplicial(f):
+                    continue
+                value = lefschetz(f)
+                assert value == oracles.homology_lefschetz(facets, list(f.vertices))
+                assert lefschetz(subdivide_map(f)) == value
+                checked += 1
+                if not is_isovariant(f):
+                    continue
+                isovariant += 1
+                names = class_names(x.group)
+                per_class = lefschetz_fixed_sets(f)
+                assert list(per_class) == [names[rep] for rep in present_classes(x)]
+                for rep in present_classes(x):
+                    sub, old = induced_subcomplex(x, fixed_subcomplex(x, rep))
+                    new = {v: k for k, v in enumerate(old)}
+                    image = [new[f.vertices[v]] for v in old]
+                    assert per_class[names[rep]] == oracles.homology_lefschetz(sub.facets, image)
+    assert checked >= 40 and 20 <= isovariant < checked
 
 
 # -- the fixed-simplex list ---------------------------------------------------------
