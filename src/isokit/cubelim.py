@@ -470,19 +470,20 @@ def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
 def _stage_plans(n: int) -> Tuple[Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
     """The families factorize_limit takes limits over on the (n+1)-cube of
     a map of n-cubes: the source vertices in the order they are adjoined,
-    and per stage the target side with the source vertices adjoined so
-    far.  Source vertices come by decreasing size, so each family is
-    up-closed and any two members join inside it; its minimal vertices are
-    the adjoined source vertices with none adjoined strictly inside them,
-    and {n} until the empty set, adjoined last, is.  Raises CubeTooLarge
-    above MAX_CUBE_DIM, before any family is built."""
+    and per stage but the last the target side with the source vertices
+    adjoined so far.  Source vertices come by decreasing size, so each
+    family is up-closed and any two members join inside it; its minimal
+    vertices are {n} and the adjoined source vertices with none adjoined
+    strictly inside them.  The empty set, adjoined last, leaves lim X,
+    which is read off the cube.  Raises CubeTooLarge above MAX_CUBE_DIM,
+    before any family is built."""
     _check_dim(n)
     whole = _vertices(n + 1)
     xorder = sorted(_vertices(n), key=lambda s: (-len(s), tuple(sorted(s))))
     members = {s for s in whole if n in s}
     minimals = [frozenset({n})]
     stages = []
-    for x in xorder:
+    for x in xorder[:-1]:
         # nothing adjoined before x lies strictly inside it
         members.add(x)
         minimals = sorted([m for m in minimals if not x < m] + [x], key=_skey)
@@ -517,14 +518,17 @@ def factorize_limit(m: CubeMap) -> Factorization:
     """lim X -> lim Y as a chain of restrictions through partial limits.
 
     The stage families come from _stage_plans, written once per dimension.
-    The last stage is lim X in X(empty set)'s order, so the links compose
-    to a map from X(empty set), which must equal limit_map's direct map.
-    Raises CubeTooLarge above MAX_CUBE_DIM.
+    The last stage, whose only minimal vertex is the empty set, is lim X in
+    X(empty set)'s order, read off the cube; so the links compose to a map
+    from X(empty set), which must equal limit_map's direct map.  Raises
+    CubeTooLarge above MAX_CUBE_DIM.
     """
     direct, lim_y = limit_map(m)
     z = m.as_cube()
     xorder, families = _stage_plans(m.n)
-    stages = [limit(z, family) for family in families]
+    empty = frozenset()
+    lim_x = LimitSet(minimals=(empty,), elements=tuple([(x,) for x in range(z.sizes[empty])]))
+    stages = [limit(z, family) for family in families] + [lim_x]
     links = [_restriction(z, stages[i], stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
     links.append(_restriction(z, stages[0], lim_y))
     composed = links[0]
@@ -556,30 +560,36 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     padded with one duplicate element.  Sections make every subcube
     corner surjective; the duplicates keep the maps from being bijective
     without breaking that.  Raises CubeGenerationFailed when no attempt
-    keeps every limit between 1 and max_size elements.
+    keeps every limit between 1 and max_size elements, and CubeTooLarge
+    above MAX_CUBE_DIM.
 
-    The walk is planned once per dimension and runs on integers.  A
-    section is read off its values on the covers S+{j}, enumerated only
-    until it has more than max_size elements, which rejects the attempt.
-    Attempts mostly repeat earlier steps, so one call keeps a memo from a
-    step's inputs (cover sizes, ids of the compared cover maps) to its
-    sections or rejection.  The RNG stream is unchanged: a duplicate
-    draws rng.choice(range(k)), as rng.choice over k rows does.
+    The walk is planned once per dimension (_walk_view) and holds one
+    fill id per vertex: a fill is the vertex's size and its cover maps,
+    interned per call.  A section is read off its values on the covers
+    S+{j}, enumerated only until it has more than max_size elements, which
+    rejects the attempt.  Attempts mostly repeat earlier steps, so one call
+    keeps a memo from the covers' fill ids to S's fill or rejection.  A
+    cover's cover maps are its maps to its joins with the other covers, so
+    the covers' fills hold exactly the sizes and compared maps the section
+    depends on, and the memo hits wherever those repeat.  The RNG stream
+    is unchanged: a duplicate draws rng.choice(range(k)), as rng.choice
+    over k rows does.
     """
     if n < 0:
         raise ValueError(f"cube dimension must be nonnegative, got {n}")
+    _check_dim(n)
     view = _walk_view(n)
     rng = Random(seed)
-    memo, ids, maps = {}, {}, []  # step inputs -> sections, cover map -> id, id -> map
+    memo, ids, fills = {}, {}, []  # covers' fill ids -> S's fill ids, fill -> id, id -> fill
 
-    def intern(column: Tuple[int, ...]) -> int:
-        if column not in ids:
-            ids[column] = len(maps)
-            maps.append(column)
-        return ids[column]
+    def intern(fill: tuple) -> int:
+        if fill not in ids:
+            ids[fill] = len(fills)
+            fills.append(fill)
+        return ids[fill]
 
     for _ in range(_ATTEMPTS):
-        built = _try_random_cube(n, rng, max_size, view, memo, maps, intern)
+        built = _try_random_cube(n, rng, max_size, view, memo, fills, intern)
         if built is not None:
             return built
     raise CubeGenerationFailed(
@@ -589,56 +599,61 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
 
 
 @lru_cache(maxsize=None)
-def _walk_view(n: int) -> Tuple[Dict[Subset, int], int, Tuple[tuple, ...]]:
-    """The walk of random_cube_map on one list of V*(n+2) ints.  It fills
-    each lower vertex S of the (n+1)-cube in turn, by decreasing size, from
-    its covers S+{j} for the j not in S (the minimal vertices of the strict
-    up-set of S, in limit's order): per pair of covers and their join, the
-    two cover maps into the join must agree.  With S vertex k in fill order
-    (the top is 0), cover (S, j) is slot k*(n+1)+j and S's size slot
-    V*(n+1)+k.  Per step: S's size slot, its covers' size slots, the slots
-    it fills, the checks (i, e, h) of each cover against each earlier cover
-    i, with e and h the slots of the two cover maps, and the memo key's
-    getter, which reads a lone size for one cover, else a tuple whose
-    length fixes the covers."""
+def _walk_view(n: int) -> Tuple[tuple, tuple, tuple]:
+    """The walk of random_cube_map on one fill id per vertex of the
+    (n+1)-cube, numbered in fill order: by decreasing size, the top first.
+    Each lower vertex S is filled from its covers S+{j}, for the j not in S
+    ascending (the minimal vertices of the strict up-set of S, in limit's
+    order), and its fill is (size, map to S+{j} per j): the map for the
+    r-th index not in S is at 1 + r.  Covers i < q must agree on their
+    join, which is cover i's (q-1)-th cover and cover q's i-th.
+
+    Per step: its covers' numbers and the memo key's getter over them,
+    which reads a lone fill id for one cover, else a tuple whose length
+    fixes the covers.  Then the read-back, per side of the map: each S with
+    its vertex's number, and each cover (S, j) with its vertex's number and
+    the rank r of j; and each component (S, n) likewise."""
     order = sorted(_vertices(n + 1), key=lambda s: (-len(s), tuple(sorted(s))))
     num = {s: k for k, s in enumerate(order)}
-    at = {s: k * (n + 1) for s, k in num.items()}
-    sized = len(num) * (n + 1)
     steps = []
     for s in order[1:]:
-        js = [j for j in range(n + 1) if j not in s]
-        covers = [s | {j} for j in js]
-        checks = [
-            [(i, at[covers[i]] + min(w - covers[i]), at[m] + min(w - m)) for i, w in row]
-            for m, row in zip(covers, _joins(covers))
-        ]
-        above = [sized + num[t] for t in covers]
-        key = itemgetter(*above, *[x for row in checks for _, e, h in row for x in (e, h)])
-        steps.append((sized + num[s], above, [at[s] + j for j in js], checks, key))
-    return num, sized, tuple(steps)
+        above = [num[s | {j}] for j in range(n + 1) if j not in s]
+        steps.append((above, itemgetter(*above)))
+
+    def cover(s: Subset, j: int) -> Tuple[int, int]:
+        return num[s], sum(i not in s for i in range(j))
+
+    verts = _vertices(n)
+    sides = tuple(
+        (
+            tuple([(s, num[s | side]) for s in verts]),
+            tuple([((s, j), *cover(s | side, j)) for s in verts for j in range(n) if j not in s]),
+        )
+        for side in (frozenset(), frozenset({n}))
+    )
+    return tuple(steps), sides, tuple([(s, *cover(s, n)) for s in verts])
 
 
 def _try_random_cube(
-    n: int, rng: Random, max_size: int, view: tuple, memo: dict, maps: list, intern: Callable
+    n: int, rng: Random, max_size: int, view: tuple, memo: dict, fills: list, intern: Callable
 ) -> Optional[CubeMap]:
-    num, sized, steps = view
-    cells = [0] * (sized + len(num))
-    cells[sized] = rng.randint(1, 2)
-    for size_at, above, slots, checks, key in steps:
-        key = key(cells)
+    steps, sides, components = view
+    at = [intern((rng.randint(1, 2),))]
+    for above, key in steps:
+        key = key(at)
         hit = memo.get(key)
         if hit is None:
+            covers = [fills[at[t]] for t in above]
             rows = _sections(
-                [cells[t] for t in above],
-                [[(i, maps[cells[e]], maps[cells[h]]) for i, e, h in row] for row in checks],
+                [c[0] for c in covers],
+                [[(i, covers[i][q], covers[q][i + 1]) for i in range(q)] for q in range(len(covers))],
                 max_size,
             )
-            # [] rejects; else the section's column ids, then per row d those
-            # of the section padded by row d, made on first use
+            # [] rejects; else the section's fill, then per row d that of
+            # the section padded by row d, made on first use
             hit = memo[key] = []
             if 0 < len(rows) <= max_size:
-                hit += [[intern(c) for c in zip(*rows)]] + [None] * len(rows)
+                hit += [intern((len(rows), *zip(*rows)))] + [None] * len(rows)
         if not hit:
             return None
         size = len(hit) - 1
@@ -646,18 +661,12 @@ def _try_random_cube(
         if size < max_size and rng.random() < 0.35:
             pick = 1 + rng.choice(range(size))
             if hit[pick] is None:
-                hit[pick] = [intern(maps[c] + (maps[c][pick - 1],)) for c in hit[0]]
-        cells[size_at] = size + (pick > 0)
-        for x, c in zip(slots, hit[pick]):
-            cells[x] = c
-    verts = _vertices(n)
-    edges = [(s, j) for s in verts for j in range(n) if j not in s]
+                maps = fills[hit[0]][1:]
+                hit[pick] = intern((size + 1, *[c + (c[pick - 1],) for c in maps]))
+        at.append(hit[pick])
+    fill = [fills[f] for f in at]
     x, y = (
-        Cube(
-            n,
-            {s: cells[sized + num[s | side]] for s in verts},
-            {(s, j): maps[cells[num[s | side] * (n + 1) + j]] for s, j in edges},
-        )
-        for side in (frozenset(), frozenset({n}))
+        Cube(n, {s: fill[k][0] for s, k in sizes}, {e: fill[k][1 + r] for e, k, r in covers})
+        for sizes, covers in sides
     )
-    return CubeMap(x, y, {s: maps[cells[num[s] * (n + 1) + n]] for s in verts})
+    return CubeMap(x, y, {s: fill[k][1 + r] for s, k, r in components})

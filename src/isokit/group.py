@@ -213,9 +213,12 @@ class FiniteGroup:
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroup":
-        """Symmetries of the regular n-gon, order 2n."""
+        """Symmetries of the regular n-gon, order 2n; for n = 2, where the
+        reflection of the 2-gon fixes both vertices, the Klein four-group."""
         if n < 2:
             raise ValueError("dihedral group needs n >= 2")
+        if n == 2:
+            return cls.direct_product(cls.cyclic(2), cls.cyclic(2))
         _check_order(2 * n)
         rot = [(i + 1) % n for i in range(n)]
         ref = [(n - i) % n for i in range(n)]

@@ -78,6 +78,10 @@ def test_group_make_variants(capsys):
     assert r["result"]["order"] == 6
     r = _report(capsys, ["group", "make", "--product", "c2,c2"])
     assert r["result"]["order"] == 4
+    r = _report(capsys, ["group", "make", "--dihedral", "2"])
+    assert r["result"] == group_to_json(FiniteGroup.dihedral(2)) and r["result"]["order"] == 4
+    r = _report(capsys, ["group", "make", "--product", "d2,c2"])
+    assert r["result"]["order"] == 8
     code, out = _run(capsys, ["group", "make", "--cyclic", "2", "--symmetric", "3"])
     assert code == 65
     code, out = _run(capsys, ["group", "make"])

@@ -301,18 +301,52 @@ def _generation_plan(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_walk_view_is_the_generation_plan(n):
-    """The sampler's integer walk reads each step's covers and cover-map
-    checks from the slots the plan above names, in the same order."""
-    num, sized, steps = cubelim._walk_view(n)
+    """The sampler's walk fills the plan's vertices in order, each from the
+    plan's covers and keyed by their fill ids; a miss compares cover i's
+    map at rank q-1 with cover q's at rank i, which are the plan's cover
+    maps (e, h); and the read-back names every cover map of the (n+1)-cube
+    once, each as a cover map of X or Y or a component."""
+    steps, sides, components = cubelim._walk_view(n)
     plan = _generation_plan(n)
-    assert list(num) == [frozenset(range(n + 1))] + [s for s, *_ in plan]
-    slot = {(t, j): num[t] * (n + 1) + j for t in num for j in range(n + 1)}
+    order = [frozenset(range(n + 1))] + [s for s, *_ in plan]
+    num = {s: k for k, s in enumerate(order)}
+
+    def edge(k, r):
+        """The cover map of vertex k for the r-th index not in it."""
+        return order[k], [j for j in range(n + 1) if j not in order[k]][r]
+
+    at = [10 * k + 7 for k in range(len(order))]
     assert len(steps) == len(plan)
-    for (size_at, above, fills, checks, _), (s, js, covers, pairs) in zip(steps, plan):
-        assert size_at == sized + num[s]
-        assert above == [sized + num[t] for t in covers]
-        assert fills == [slot[(s, j)] for j in js]
-        assert checks == [[(i, slot[e], slot[h]) for i, e, h in row] for row in pairs]
+    for (above, key), (s, js, covers, checks) in zip(steps, plan):
+        assert above == [num[t] for t in covers]
+        ids = [at[t] for t in above]
+        assert key(at) == (tuple(ids) if len(ids) > 1 else ids[0])
+        for q, row in enumerate(checks):
+            assert [(i, edge(above[i], q - 1), edge(above[q], i)) for i in range(q)] == list(row)
+    named = []
+    for side, (sizes, covers) in zip((E, frozenset({n})), sides):
+        assert [(s, order[k]) for s, k in sizes] == [(s, s | side) for s in cubelim._subsets(range(n))]
+        for (s, j), k, r in covers:
+            assert edge(k, r) == (s | side, j)
+            named.append(edge(k, r))
+    for s, k, r in components:
+        assert edge(k, r) == (s, n)
+        named.append(edge(k, r))
+    every = {(v, j) for v in order for j in range(n + 1) if j not in v}
+    assert len(named) == len(set(named)) and set(named) == every
+
+
+def test_walk_memo_hits_once_per_distinct_step(count_calls):
+    """The memo keys on the covers' fills, which hold exactly the cover
+    sizes and compared cover maps a step's sections depend on: a coarser
+    key would compute fewer sections, and wrong ones, a finer key more."""
+    sections = count_calls("_sections", cubelim)
+    random_cube_map(4, 0)
+    assert len(sections) == 939
+    sections.clear()
+    for seed in range(150):
+        random_cube_map(3, seed)
+    assert len(sections) == 3835
 
 
 def _reference_cube_map(n, seed, max_size=5):
@@ -659,12 +693,13 @@ def test_stage_plans_are_the_families(n):
     """Each stage plan holds the vertices, minimal vertices and joins
     VertexFamily finds for the same members: the target side with the
     source vertices adjoined one at a time by decreasing size, ties in
-    lexicographic order."""
+    lexicographic order, up to but not including the empty set, whose
+    stage is lim X, read off the cube."""
     order, stages = cubelim._stage_plans(n)
     source = cubelim._subsets(range(n))
     assert list(order) == sorted(source, key=lambda s: (-len(s), sorted(s)))
     side = [s | {n} for s in source]
-    assert len(stages) == len(order)
+    assert len(stages) == len(order) - 1
     for k, plan in enumerate(stages, 1):
         family = VertexFamily(side + list(order[:k]))
         assert (plan.vertices, plan.minimals, plan.joins) == (
@@ -702,13 +737,17 @@ def test_hypothesis_counts_without_limits(count_calls):
 
 
 @pytest.mark.parametrize("dim", range(5))
-def test_limit_map_reads_both_ends_off_the_cube(dim):
+def test_limit_map_reads_both_ends_off_the_cube(dim, count_calls):
     """lim Y is the limit over the target side, the direct map looks each a
     in X(empty set) up there by its values at the minimal vertices, and the
-    last stage is lim X, on maps whose end sets may be empty."""
+    last stage is lim X, the limit over the whole (n+1)-cube, taken with no
+    limit call (one per other stage, 2^n - 1), on maps whose end sets may
+    be empty."""
     rng = Random(dim)
     maps = [random_cube_map(dim, seed=seed) for seed in range(6)]
     maps += [_random_map_with_failures(rng, dim)[0] for _ in range(40)]
+    whole = VertexFamily(cubelim._subsets(range(dim + 1)))
+    limits = count_calls("limit", cubelim)
     empty = 0
     for m in maps:
         direct, lim_y = limit_map(m)
@@ -720,8 +759,10 @@ def test_limit_map_reads_both_ends_off_the_cube(dim):
             for a in range(z.size(E))
         ]
         assert direct == SetFunction(tuple(lookup), len(lim))
+        limits.clear()
         last = factorize_limit(m).stages[0]
-        assert last == LimitSet((E,), tuple((x,) for x in range(m.source.size(E))))
+        assert len(limits) == 2**dim - 1
+        assert last == LimitSet((E,), tuple((x,) for x in range(m.source.size(E)))) == limit(z, whole)
         empty += not (m.source.size(E) and m.target.size(E))
     assert empty
 
@@ -759,15 +800,16 @@ def test_capped_sections_are_a_prefix_of_the_sections():
 
 
 def test_cube_dimension_cap(count_calls):
-    """Above MAX_CUBE_DIM every limit plan raises CubeTooLarge before it
-    starts: no planner reads the cube's vertices or caches a plan."""
+    """Above MAX_CUBE_DIM every limit plan and the sampler raise
+    CubeTooLarge before they start: no planner reads the cube's vertices
+    or caches a plan, and no walk is planned."""
     n = cubelim.MAX_CUBE_DIM + 1
     m = _all_singleton_map(n)
     m.as_cube()  # built before counting: the (n+1)-cube reads the vertices too
-    planners = (cubelim._corner_plans, cubelim._stage_plans)
+    planners = (cubelim._corner_plans, cubelim._stage_plans, cubelim._walk_view)
     cached = [planner.cache_info().currsize for planner in planners]
     started = count_calls("_vertices", cubelim)
-    for run in (check_hypothesis, factorize_limit, limit_map):
+    for run in (check_hypothesis, factorize_limit, limit_map, lambda m: random_cube_map(m.n)):
         with pytest.raises(CubeTooLarge, match=f"dimension {n} exceeds the cap of {n - 1}"):
             run(m)
     assert started == []

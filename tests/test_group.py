@@ -90,6 +90,31 @@ def test_constructors_basics():
             assert g.element_order(a) > 0 and g.order % g.element_order(a) == 0
 
 
+# sha256 of repr(FiniteGroup.dihedral(n).table), as the permutation
+# construction has always built them
+DIHEDRAL_TABLES = {
+    3: "04734113c8f3b77035d22c065322e0f8a39e92aeb53a92a3c6d0628d4621058d",
+    4: "6e77a1f607f05cf8bf71256f39818d5b6d7cb208486f331e78d3db860d20f5f3",
+    5: "d31e9a27da2c94abc2b29cf970b48b6986c6650b8ab149eaea7729ccea5a24ae",
+    6: "483d4ada39d890a14deb98ee37e1811a91db0d0f4c94b0c91f1210bd15af37e4",
+    7: "4733094647a7385b34de85e0b77a6340607a23063b91edd3db4a51dfdd30767d",
+    8: "e921a249b91e2cf98ed90fe8183b8e49ae46838317f03e008181c5fc4620c52f",
+}
+
+
+def test_dihedral_2_is_the_klein_four_group():
+    """The reflection of the 2-gon fixes both vertices, so D2 is C2 x C2,
+    of order 2n = 4; the larger dihedral tables are unchanged."""
+    d2 = FiniteGroup.dihedral(2)
+    assert d2.order == 4 and d2.is_abelian()
+    assert len(enumerate_subgroups(d2)) == 5
+    assert sorted(d2.element_order(a) for a in d2.elements) == [1, 2, 2, 2]
+    for n, digest in DIHEDRAL_TABLES.items():
+        g = FiniteGroup.dihedral(n)
+        assert g.order == 2 * n
+        assert hashlib.sha256(repr(g.table).encode()).hexdigest() == digest
+
+
 def test_negative_degree_is_rejected_before_the_generators():
     for gens in ([], [[0]]):
         with pytest.raises(ValueError, match="degree -3 is negative"):
