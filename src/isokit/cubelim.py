@@ -350,7 +350,6 @@ class CubeMap:
         self.source = source
         self.target = target
         self.components = {frozenset(k): tuple(v) for k, v in components.items()}
-        self._as_cube: Optional[Cube] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -385,11 +384,10 @@ class CubeMap:
         Built on the first call and shared by later ones, so its chain maps
         are composed once per map.
         """
-        if self._as_cube is None:
-            self._as_cube = self._build_cube()
         return self._as_cube
 
-    def _build_cube(self) -> Cube:
+    @cached_property
+    def _as_cube(self) -> Cube:
         n = self.n
         sizes: Dict[Subset, int] = {}
         covers: Dict[Tuple[Subset, int], Tuple[int, ...]] = {}

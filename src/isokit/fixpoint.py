@@ -108,11 +108,6 @@ class BurnsideElement:
 def marks_vector(f: GMap) -> BurnsideElement:
     """Per-class Lefschetz numbers over all subgroup classes of the group."""
     _require_isovariant_self_map(f, "marks vector needs an isovariant map")
-    return _marks(f)
-
-
-def _marks(f: GMap) -> BurnsideElement:
-    """marks_vector of an isovariant self-map that has already been checked."""
     marks = table_of_marks(f.source.group)
     return BurnsideElement(
         basis="marks",
@@ -530,14 +525,14 @@ def removal_verdict(f: GMap, dims: Optional[Dict[str, int]] = None) -> VerdictRe
     The conditional invariant behind "removable iff the full trace
     vanishes" is not computed here; the report carries every computable
     necessary ingredient plus the theorem's conditional as a verdict
-    string.  The map is checked once, here.
+    string.
     """
     _require_isovariant_self_map(f, "removability verdict needs an isovariant map")
     x = f.source
-    free = not f.fixed_simplices()
+    free = is_fixed_point_free(f)
     hypo = check_hypotheses(x, dims)
     forced = tuple(sorted(forced_fixed_points(x)))
-    mv = _marks(f)
+    mv = marks_vector(f)
     orbit: Optional[Tuple[int, ...]]
     witness: Optional[Tuple[str, ...]] = None
     try:

@@ -9,6 +9,7 @@ the constructions that need regularity check it instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -20,6 +21,7 @@ from .group import (
     _skey,
     class_names,
     class_rep_of,
+    conjugate_subgroup,
     is_normal,
     is_subconjugate,
     is_subgroup,
@@ -137,7 +139,6 @@ class GComplex:
         )
         self._validate()
         self._simplices: Optional[Tuple[Simplex, ...]] = None
-        self._isotropy: Optional[Isotropy] = None
 
     @classmethod
     def _assemble(
@@ -151,7 +152,7 @@ class GComplex:
         x.n_vertices, x.facets, x.group, x.action, x.names = (
             n_vertices, facets, group, action, names
         )
-        x._closed, x._simplices, x._isotropy = faces, None, None
+        x._closed, x._simplices = faces, None
         return x
 
     def _validate(self) -> None:
@@ -197,9 +198,11 @@ class GComplex:
 
     def isotropy(self) -> "Isotropy":
         """The isotropy index of this complex, built on first use."""
-        if self._isotropy is None:
-            self._isotropy = _isotropy_index(self)
         return self._isotropy
+
+    @cached_property
+    def _isotropy(self) -> "Isotropy":
+        return _isotropy_index(self)
 
     def pointwise_stabilizer(self, s: Sequence[int]) -> Subgroup:
         key = tuple(sorted(s))
@@ -288,7 +291,7 @@ def _isotropy_index(x: GComplex) -> Isotropy:
             if t == s:
                 setwise += 1
             elif t not in stabs:
-                k = frozenset(g.conjugate(b, a) for b in h) if len(h) > 1 else h
+                k = conjugate_subgroup(g, h, a) if len(h) > 1 else h
                 stabs[t] = shared.setdefault(k, k)
                 orbit.append(t)
         stabs[s] = h
@@ -496,8 +499,9 @@ class HypothesisReport:
 def check_hypotheses(x: GComplex, dims: Optional[Dict[str, int]] = None) -> HypothesisReport:
     """Check the two removability hypotheses on fixed-set dimensions.
 
-    dims maps class names to claimed manifold dimensions; the fallback is
-    the simplicial dimension of the fixed subcomplex, which its G-translates
+    dims maps class names to claimed manifold dimensions, each an int; any
+    other value raises ValueError naming the class.  The fallback is the
+    simplicial dimension of the fixed subcomplex, which its G-translates
     share, so that of the class fixed union.  Every fixed-set dimension
     must be at least 3, and each properly nested pair of isotropy classes
     must have a dimension gap of at least 2.
@@ -506,13 +510,15 @@ def check_hypotheses(x: GComplex, dims: Optional[Dict[str, int]] = None) -> Hypo
     reps = present_classes(x)
     names = class_names(x.group)
     present = {names[r]: r for r in reps}
-    for key in dims:
+    for key, value in dims.items():
         if key not in present:
             raise MissingStratum(f"no stratum with isotropy class {key!r}")
+        if type(value) is not int:
+            raise ValueError(f"claimed dimension of class {key!r} must be an integer, got {value!r}")
     used: Dict[str, int] = {}
     for name, rep in present.items():
         if name in dims:
-            used[name] = int(dims[name])
+            used[name] = dims[name]
         else:
             used[name] = max(map(len, class_fixed_union(x, rep))) - 1
     dim_failures = tuple(

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Sequence, Set, Tuple
 
 from .errors import NotEquivariant, NotIsovariant, NotRegular, NotSimplicial
 from .gcomplex import (
@@ -46,22 +47,13 @@ class GMap:
     reference build it): both sides share one face closure and one
     isotropy index, and subdivide_map subdivides it once.  The
     fixed-simplex list and the is_simplicial and is_isovariant answers
-    are computed on first use and kept with the map; a check that raises
-    keeps nothing.
+    are cached properties, computed on first use and kept with the map;
+    a check that raises keeps nothing.
     """
 
     source: GComplex
     target: GComplex
     vertices: Tuple[int, ...]
-    _fixed: Optional[Tuple[Tuple[Simplex, int], ...]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _simplicial: Optional[bool] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _isovariant: Optional[bool] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if len(self.vertices) != self.source.n_vertices:
@@ -84,20 +76,39 @@ class GMap:
         A pointwise-fixed simplex has sign +1 and is recorded without
         computing it; the others pay a sort and a permutation sign.
         """
-        if self._fixed is None:
-            out = []
-            vertices = self.vertices
-            for s in self.source.simplices():
-                image = tuple([vertices[v] for v in s])
-                if image == s:
-                    out.append((s, 1))
-                    continue
-                if len(set(image)) != len(s) or tuple(sorted(image)) != s:
-                    continue
-                pos = {v: i for i, v in enumerate(s)}
-                out.append((s, _permutation_sign([pos[w] for w in image])))
-            object.__setattr__(self, "_fixed", tuple(out))
         return self._fixed
+
+    @cached_property
+    def _fixed(self) -> Tuple[Tuple[Simplex, int], ...]:
+        out = []
+        vertices = self.vertices
+        for s in self.source.simplices():
+            image = tuple([vertices[v] for v in s])
+            if image == s:
+                out.append((s, 1))
+                continue
+            if len(set(image)) != len(s) or tuple(sorted(image)) != s:
+                continue
+            pos = {v: i for i, v in enumerate(s)}
+            out.append((s, _permutation_sign([pos[w] for w in image])))
+        return tuple(out)
+
+    @cached_property
+    def _simplicial(self) -> bool:
+        target_simplices = set(self.target.simplices())
+        return all(self.apply(facet) in target_simplices for facet in self.source.facets)
+
+    @cached_property
+    def _isovariant(self) -> bool:
+        if not is_equivariant(self):
+            raise NotEquivariant("map does not commute with the action")
+        if not (self.source.is_regular() and self.target.is_regular()):
+            raise NotRegular("isovariance test needs regular source and target")
+        source, target = self.source.isotropy(), self.target.isotropy()
+        return all(
+            source.stabilizers[orbit[0]] == target.stabilizers[self.apply(orbit[0])]
+            for orbit in source.orbits
+        )
 
 
 def identity_map(x: GComplex) -> GMap:
@@ -120,13 +131,6 @@ def is_simplicial(f: GMap) -> bool:
     The facets are scanned on the first call for a map; later calls,
     including those inside the other checks, read the kept answer.
     """
-    if f._simplicial is None:
-        target_simplices = set(f.target.simplices())
-        object.__setattr__(
-            f,
-            "_simplicial",
-            all(f.apply(facet) in target_simplices for facet in f.source.facets),
-        )
     return f._simplicial
 
 
@@ -149,16 +153,6 @@ def is_isovariant(f: GMap) -> bool:
     along an orbit under an equivariant map, so orbit representatives
     suffice.  The answer is kept with the map.
     """
-    if f._isovariant is None:
-        if not is_equivariant(f):
-            raise NotEquivariant("map does not commute with the action")
-        if not (f.source.is_regular() and f.target.is_regular()):
-            raise NotRegular("isovariance test needs regular source and target")
-        source, target = f.source.isotropy(), f.target.isotropy()
-        object.__setattr__(f, "_isovariant", all(
-            source.stabilizers[orbit[0]] == target.stabilizers[f.apply(orbit[0])]
-            for orbit in source.orbits
-        ))
     return f._isovariant
 
 

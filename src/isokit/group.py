@@ -8,8 +8,9 @@ that is smallest under (order, sorted elements).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -114,10 +115,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self._inverse[a]
-
-    def conjugate(self, x: int, g: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
 
     def element_order(self, a: int) -> int:
         return len(self._power_lists()[a])
@@ -583,17 +580,15 @@ class MarksTable:
     reps: Tuple[Tuple[int, ...], ...]
     names: Tuple[str, ...]
     matrix: Tuple[Tuple[int, ...], ...]
-    # per column j: (i, matrix[i][j]) for each nonzero entry with i > j
-    below: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
 
-    def __post_init__(self):
+    @cached_property
+    def below(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per column j: (i, matrix[i][j]) for each nonzero entry with i > j."""
         m = self.matrix
-        object.__setattr__(self, "below", tuple(
+        return tuple(
             tuple((i, m[i][j]) for i in range(j + 1, len(m)) if m[i][j])
             for j in range(len(m))
-        ))
+        )
 
     def solve_marks(self, marks: Sequence[int]) -> Tuple[Fraction, ...]:
         """Solve transpose(matrix) @ c = marks exactly by back substitution.

@@ -104,11 +104,7 @@ class LinkingSimplex(_SlotVertices):
 
 def build_linking(g: FiniteGroup, chain: Sequence[Iterable[int]]) -> LinkingSimplex:
     """Validate a strictly increasing chain, then build its linking simplex."""
-    return _linking(g, validate_chain(g, chain))
-
-
-def _linking(g: FiniteGroup, chain: Tuple[Subgroup, ...]) -> LinkingSimplex:
-    """The linking simplex of a chain that has already been validated."""
+    chain = validate_chain(g, chain)
     cx, verts = slot_coset_complex(g, chain)
     return LinkingSimplex(group=g, chain=chain, complex=cx, vertices=verts)
 
@@ -135,7 +131,7 @@ class BoundaryPiece:
 
     @cached_property
     def model(self) -> LinkingSimplex:
-        return _linking(self.group, self.subchain)  # a subchain of a valid chain is valid
+        return build_linking(self.group, self.subchain)
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def collapse_map(
 
 
 def _collapse(subs: Tuple[Subgroup, ...]) -> Tuple[Tuple[Subgroup, ...], Tuple[int, ...]]:
-    """collapse_map of a list that has already been checked."""
+    """The strict chain and surjection of a weakly decreasing list."""
     chain: List[Subgroup] = []
     p: List[int] = []
     for h in subs:
@@ -257,11 +253,7 @@ class IllmanSimplex(_SlotVertices):
 
 
 def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSimplex:
-    return _illman(g, _check_weakly_decreasing(g, groups))
-
-
-def _illman(g: FiniteGroup, subs: Tuple[Subgroup, ...]) -> IllmanSimplex:
-    """The Illman simplex of a list that has already been checked."""
+    subs = _check_weakly_decreasing(g, groups)
     chain, p = _collapse(subs)
     cx, verts = slot_coset_complex(g, subs)
     return IllmanSimplex(
@@ -317,7 +309,7 @@ class PhiMap:
 
     @cached_property
     def illman(self) -> IllmanSimplex:
-        return _illman(self.group, self.groups)
+        return illman_complex(self.group, self.groups)
 
     def disk_vertices(self) -> List[Tuple[int, ...]]:
         return [tuple(t) for t in product(*(range(d + 1) for d in self.disk_dims))]
@@ -330,15 +322,12 @@ class PhiMap:
 def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
     """The collapse assignment (l, (slot j, gK_j)) -> (min fiber(j) + l[j], same coset).
 
-    The list is checked once.  The returned map carries the per-chain plans
-    that decompose, validate_cells and cells_to_json read for each cell.
+    The map is read off the coset tables of the collapsed chain: the
+    linking facets are the distinct facets of the elements.  It carries the
+    per-chain plans that decompose, validate_cells and cells_to_json read
+    for each cell.
     """
-    return _phi_map(g, _check_weakly_decreasing(g, groups))
-
-
-def _phi_map(g: FiniteGroup, subs: Tuple[Subgroup, ...]) -> PhiMap:
-    """phi_vertex_map of a checked list, read off the coset tables of its
-    collapse: the linking facets are the distinct facets of the elements."""
+    subs = _check_weakly_decreasing(g, groups)
     chain, p = _collapse(subs)
     # chain[j] fills the slots p.index(j), ..., one per vertex of a disk factor
     first = [p.index(j) for j in range(len(chain))]
@@ -428,9 +417,9 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
 
     The fibers are those of orbit_complex, which maps each simplex orbit
     once; every orbit simplex has one.  Cells with one stabilizer chain
-    share one PhiMap, built (and the chain checked for nesting) on first
-    use, whose plans give each cell's phi as one pass over its targets and
-    its label without per-cell work.
+    share one PhiMap, which phi_vertex_map builds on the chain's first use,
+    once the chain is found nested; its plans give each cell's phi as one
+    pass over its targets and its label without per-cell work.
     """
     if not x.is_regular():
         raise NotEquivariantTriangulation(
@@ -477,8 +466,7 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
                         f"vertex stabilizers over orbit simplex {s} are not nested",
                         orbit_simplex=s,
                     )
-                # the stabilizers are subgroups and nested, so the list is valid
-                pm = phi_maps[chain] = _phi_map(g, chain)
+                pm = phi_maps[chain] = phi_vertex_map(g, chain)
             plan = plans[stabs] = (order, pm)
         order, pm = plan
         sorted_base = tuple([base[i] for i in order])

@@ -12,7 +12,7 @@ import pytest
 from oracles import cells_report_reference
 
 import isokit
-from isokit import fixpoint, gmap, models
+from isokit import cli, fixpoint, gmap, models
 from isokit.cli import build_parser, run
 from isokit.cubelim import MAX_CUBE_DIM, Cube, CubeMap, random_cube_map
 from isokit.errors import CapExceeded
@@ -353,7 +353,7 @@ def test_burnside_cli(capsys):
 def test_burnside_cli_checks_the_map_and_computes_marks_once(capsys, count_calls):
     checks = count_calls("_require_self_map", fixpoint)
     scans = count_calls("is_equivariant", gmap)
-    marks = count_calls("_marks", fixpoint)
+    marks = count_calls("marks_vector", fixpoint, cli)
     r = _report(capsys, ["burnside", "--map", "wedge-identity"])
     assert r["result"] == {"classes": ["e", "C2"], "marks": [0, 0], "orbit_coeffs": [0, 0]}
     assert (len(checks), len(scans), len(marks)) == (1, 1, 1)

@@ -497,12 +497,24 @@ def test_verdict_wedge_identity():
 
 
 def test_removal_verdict_checks_the_map_once(count_calls):
-    """One self-map check and one equivariance scan per verdict."""
-    checks = count_calls("_require_self_map", fixpoint)
+    """One equivariance scan per verdict: the later checks read the map's
+    kept answers."""
     scans = count_calls("is_equivariant", gmap_module)
     v = removal_verdict(models.MAP_MODELS["wedge-identity"]())
-    assert len(checks) == 1 and len(scans) == 1
+    assert len(scans) == 1
     assert v.marks == marks_vector(models.MAP_MODELS["wedge-identity"]()).coefficients
+
+
+def test_removal_verdict_reads_marks_and_freeness_through_the_checked_functions(count_calls):
+    """removal_verdict calls marks_vector and is_fixed_point_free once
+    each; a second verdict on the same map makes no equivariance scan."""
+    f = models.MAP_MODELS["hexagon-rotation"]()
+    marks = count_calls("marks_vector", fixpoint)
+    free = count_calls("is_fixed_point_free", fixpoint)
+    first = removal_verdict(f)
+    assert (len(marks), len(free)) == (1, 1)
+    scans = count_calls("is_equivariant", gmap_module)
+    assert removal_verdict(f) == first and scans == []
 
 
 def test_isovariance_is_decided_once_per_map(count_calls):
@@ -524,6 +536,14 @@ def test_a_failed_isovariance_check_is_not_kept(count_calls):
         with pytest.raises(NotSimplicial):
             is_isovariant(f)
     assert len(scans) == 2
+
+
+def test_removal_verdict_refuses_claimed_dimensions_that_are_not_integers():
+    f = models.MAP_MODELS["hexagon-rotation"]()
+    for value in (None, 1.5, "5", True):
+        with pytest.raises(ValueError, match="class 'e' must be an integer"):
+            removal_verdict(f, {"e": value})
+    assert removal_verdict(f, {"e": 5}).hypotheses.dims_used == {"e": 5}
 
 
 def test_removal_verdict_names_the_failed_check():

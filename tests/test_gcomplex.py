@@ -305,6 +305,16 @@ def test_check_hypotheses():
     assert not check_hypotheses(hexagon).ok  # no dims supplied
 
 
+@pytest.mark.parametrize("value", [None, 1.5, "5", True])
+def test_claimed_dimensions_must_be_integers(value):
+    """A claimed dimension that is not an int raises ValueError naming the
+    class and the value; it is neither converted nor reported as one."""
+    hexagon = models.COMPLEX_MODELS["hexagon"]()
+    with pytest.raises(ValueError, match=re.escape(f"class 'e' must be an integer, got {value!r}")):
+        check_hypotheses(hexagon, {"e": value})
+    assert check_hypotheses(hexagon, {"e": 5}).dims_used == {"e": 5}
+
+
 def test_orbit_complex():
     hexagon = models.COMPLEX_MODELS["hexagon"]()
     oc = orbit_complex(hexagon)

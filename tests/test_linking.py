@@ -531,6 +531,34 @@ def test_decompose_shares_one_phi_map_per_chain():
     assert validate_cells(c, x).ok
 
 
+@pytest.mark.parametrize(
+    "name, maps",
+    [("rotation-disk", 6), ("wedge", 5), ("c2xc2-wedge", 8), ("s3-dust", 4), ("hexagon", 2)],
+)
+def test_decompose_builds_each_phi_map_through_phi_vertex_map(name, maps, count_calls):
+    """decompose calls the checked phi_vertex_map once per distinct PhiMap
+    among its cells, here on first subdivisions."""
+    x = barycentric_subdivision(models.COMPLEX_MODELS[name]()).complex
+    calls = count_calls("phi_vertex_map", linking_module)
+    c = decompose(x)
+    distinct = {id(cell.phi_map): cell.phi_map for cell in c.cells}.values()
+    assert len(calls) == len(distinct) == maps
+    assert {groups for _, groups in calls} == {pm.groups for pm in distinct}
+
+
+def test_decompose_checks_nesting_before_building_a_phi_map(count_calls):
+    """The two order-2 stabilizers of C2xC2 over one orbit edge are not
+    nested: decompose names the orbit simplex before phi_vertex_map sees
+    the list, having built only the maps of the two vertex orbits."""
+    g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    x = GComplex(4, [(0, 2), (0, 3), (1, 2), (1, 3)], {1: [0, 1, 3, 2], 2: [1, 0, 2, 3]}, g)
+    calls = count_calls("phi_vertex_map", linking_module)
+    with pytest.raises(NotEquivariantTriangulation, match="are not nested") as err:
+        decompose(x)
+    assert err.value.orbit_simplex == (0, 1)
+    assert [len(groups) for _, groups in calls] == [1, 1]
+
+
 def test_cell_labels_are_planned_per_chain(monkeypatch):
     """Labels come from each map's chain label: no class lookup per cell."""
     x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex

@@ -1,6 +1,7 @@
 """The library raises its checks: `python -O` strips assert statements,
 and no function takes a switch that turns its checks off.  Every private
-helper it defines is named somewhere else in it."""
+helper it defines is named somewhere else in it, and a kept answer is a
+cached property, never a write into a frozen object."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,24 @@ def test_no_library_function_takes_a_validate_switch():
             if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "validate"
         ]
     assert not found, f"validate switches in the library: {found}"
+
+
+def test_no_library_code_writes_through_object_setattr():
+    """Answers kept on an object are functools.cached_property values, so
+    no object.__setattr__ call gets round a frozen dataclass."""
+    found = []
+    for path in sorted(Path(isokit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ]
+    assert not found, f"object.__setattr__ calls in the library: {found}"
 
 
 def _referenced(node):
