@@ -48,6 +48,7 @@ from .gmap import GMap, is_equivariant, is_isovariant, is_simplicial
 from .group import (
     FiniteGroup,
     _decimal_int,
+    _int,
     chain_name,
     class_names,
     parse_subgroup_token,
@@ -55,7 +56,6 @@ from .group import (
     table_of_marks,
 )
 from .jsonio import (
-    _int,
     _ints,
     Canonical,
     canonical_dumps,

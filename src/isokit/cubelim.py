@@ -35,12 +35,14 @@ from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CubeGenerationFailed, CubeTooLarge, InvariantViolated
-from .group import _skey
+from .group import _int, _skey
 
 Subset = FrozenSet[int]
 
 # corner and stage plans over 3^n or 2^n families of up to 2^(n+1) vertices
 MAX_CUBE_DIM = 8
+# the most elements a limit is enumerated with
+MAX_LIMIT_ELEMENTS = 100_000
 
 
 def _subsets(indices: Sequence[int]) -> List[Subset]:
@@ -73,9 +75,9 @@ class Cube:
         self, n: int, sizes: Dict[Subset, int], covers: Dict[Tuple[Subset, int], Tuple[int, ...]]
     ):
         self.n = n
-        self.sizes = {frozenset(k): int(v) for k, v in sizes.items()}
+        self.sizes = {frozenset(k): _int(v, "vertex size") for k, v in sizes.items()}
         self.covers = {
-            (frozenset(s), int(j)): tuple(m) for (s, j), m in covers.items()
+            (frozenset(s), _int(j, "cover index")): tuple(m) for (s, j), m in covers.items()
         }
         self._chains: Dict[Tuple[Subset, Subset], Tuple[int, ...]] = {}
         self._validate()
@@ -316,12 +318,16 @@ def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
     on many cubes; VertexFamily(cube.vertices()) is the whole cube, and a
     family with a vertex outside the cube is a ValueError.  Each element
     is its values on the family's minimal vertices, as _minimal_sections
-    enumerates them, in lexicographic order.
+    enumerates them, in lexicographic order.  A limit of more than
+    MAX_LIMIT_ELEMENTS elements raises CubeTooLarge once the enumeration
+    passes the cap.
     """
     outside = [sorted(w) for w in poset.vertices if w not in cube.sizes]
     if outside:
         raise ValueError(f"vertex {outside[0]} of the family is not in the {cube.n}-cube")
-    rows = _minimal_sections(cube, poset.minimals, poset.joins)
+    rows = _minimal_sections(cube, poset.minimals, poset.joins, MAX_LIMIT_ELEMENTS)
+    if len(rows) > MAX_LIMIT_ELEMENTS:
+        raise CubeTooLarge(f"a limit has more elements than the cap of {MAX_LIMIT_ELEMENTS}")
     return LimitSet(minimals=poset.minimals, elements=tuple(rows))
 
 

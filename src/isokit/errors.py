@@ -96,8 +96,10 @@ class TooManyTwistedClasses(CapExceeded):
 
 
 class TooManySimplices(CapExceeded):
-    """A barycentric subdivision would exceed the fixed cap on its simplices."""
+    """A complex, given by its facets or subdivided, would exceed the fixed
+    cap on its simplices."""
 
 
 class CubeTooLarge(CapExceeded):
-    """A cube map's dimension exceeds the fixed cap on limit plans."""
+    """A cube map's dimension exceeds the fixed cap on limit plans, or a
+    limit has more elements than the fixed cap on its enumeration."""

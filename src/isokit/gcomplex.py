@@ -18,6 +18,7 @@ from .errors import MissingStratum, NotRegular, TooManySimplices
 from .group import (
     FiniteGroup,
     Subgroup,
+    _int,
     _skey,
     class_names,
     class_rep_of,
@@ -37,16 +38,27 @@ def _faces(s: Simplex) -> Iterator[Simplex]:
     return chain.from_iterable(combinations(s, k) for k in range(1, len(s) + 1))
 
 
+# the most simplices a complex is built with, a barycentric subdivision too
+MAX_SIMPLICES = 2_000_000
+
+
 def _normalize_facets(facets: Iterable[Iterable[int]]) -> Tuple[Tuple[Simplex, ...], Set[Simplex]]:
     """Sorted, deduplicated simplices that are no proper face of another,
     and the face closure that finding them builds.  Taken longest first, a
-    simplex is maximal when no longer one put it in the closure."""
+    simplex is maximal when no longer one put it in the closure.  A facet
+    whose 2^k - 1 faces could take the closure past MAX_SIMPLICES raises
+    TooManySimplices before they are enumerated."""
     cleaned = {tuple(sorted(set(f))) for f in facets}
     cleaned.discard(())
     closed: Set[Simplex] = set()
     maximal = []
     for f in sorted(cleaned, key=len, reverse=True):
         if f not in closed:
+            if len(closed) + 2 ** len(f) - 1 > MAX_SIMPLICES:
+                raise TooManySimplices(
+                    f"the faces of a {len(f)}-vertex facet take the complex past"
+                    f" the cap of {MAX_SIMPLICES} simplices"
+                )
             maximal.append(f)
             closed.update(_faces(f))
     return _by_dimension(maximal), closed
@@ -71,10 +83,11 @@ def complete_action(
     for g, perm in partial.items():
         if not 0 <= g < group.order:
             raise ValueError(f"action names element {g}, outside the group")
-        p = tuple(int(v) for v in perm)
+        what = f"action of element {g}"
+        p = tuple(_int(v, what) for v in perm)
         # the length test comes first, so an oversized count builds no range
         if len(p) != n_vertices or sorted(p) != list(range(n_vertices)):
-            raise ValueError(f"action of element {g} is not a vertex permutation")
+            raise ValueError(f"{what} is not a vertex permutation")
         if g == 0 and p != tuple(range(n_vertices)):
             raise ValueError("conflicting permutations for element 0")
         known[g] = p
@@ -118,7 +131,7 @@ class GComplex:
         group: FiniteGroup,
         names: Optional[Sequence[str]] = None,
     ):
-        n = self.n_vertices = int(n_vertices)
+        n = self.n_vertices = _int(n_vertices, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if names is not None:
@@ -324,10 +337,6 @@ class Subdivision:
     vertex_to_simplex: Tuple[Simplex, ...]
 
 
-# the largest barycentric subdivision built, in simplices
-MAX_SUBDIVISION_SIMPLICES = 2_000_000
-
-
 def _fubini(n: int) -> List[int]:
     """F(0..n): F(k) flags of faces end at a (k-1)-simplex (Fubini numbers)."""
     f = [1]
@@ -346,14 +355,14 @@ def barycentric_subdivision(x: GComplex) -> Subdivision:
     full-length flags over the facets of x, distinct and maximal, so the
     complex is assembled without normalizing or closing them again; it
     equals GComplex(n, facets, action, group, names).  A subdivision of
-    more than MAX_SUBDIVISION_SIMPLICES simplices, one per flag, raises
+    more than MAX_SIMPLICES simplices, one per flag, raises
     TooManySimplices before anything is built.
     """
     old = x.simplices()
     total = sum(map(_fubini(x.dim + 1).__getitem__, map(len, old)))
-    if total > MAX_SUBDIVISION_SIMPLICES:
+    if total > MAX_SIMPLICES:
         raise TooManySimplices(
-            f"a subdivision of {total} simplices exceeds the cap of {MAX_SUBDIVISION_SIMPLICES}"
+            f"a subdivision of {total} simplices exceeds the cap of {MAX_SIMPLICES}"
         )
     index = {s: i for i, s in enumerate(old)}
     ending: List[List[Simplex]] = []

@@ -20,7 +20,7 @@ from .errors import GroupTooLarge, NonIntegral, NotStrictChain
 Subgroup = FrozenSet[int]
 Perm = Tuple[int, ...]
 
-# order cap for group construction; it stays below 60, as _all_subgroups
+# order cap for group construction; it stays below 60, as _subgroups
 # needs every group to be solvable, which every group of order below 60 is
 # (A5, of order 60, has no normal subgroup of prime index)
 MAX_GROUP_ORDER = 48
@@ -35,6 +35,13 @@ def _decimal_int(text: str, what: str) -> int:
     return int(text)
 
 
+def _int(value, what: str) -> int:
+    """An integer as given: a float, a bool or a string is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_order(order: int) -> None:
     if order > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"group order {order} exceeds cap {MAX_GROUP_ORDER}")
@@ -47,23 +54,22 @@ def _skey(sub: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
 
 class FiniteGroup:
     """A finite group on elements 0..n-1 with a full multiplication table;
-    every group, the named constructors' too, is checked to be one."""
+    every group, the named constructors' too, is checked to be one.  Its
+    powers, lattice, subgroup classes, class names, containment and marks
+    are cached properties built on first use; left_cosets keeps cosets."""
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        self.table: Tuple[Perm, ...] = tuple(tuple(int(v) for v in row) for row in table)
+        self.table: Tuple[Perm, ...] = tuple(map(tuple, table))
+        for row in self.table:
+            if not set(map(type, row)) <= {int}:  # one entry is no int: name it
+                for v in row:
+                    _int(v, "table entry")
         self.order = len(self.table)
         if self.order == 0:
             raise ValueError("empty multiplication table")
         _check_order(self.order)
         self._validate()
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
-        self._powers: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._subgroups: Optional[Tuple[Subgroup, ...]] = None
-        self._classes: Optional[Tuple[Tuple[Subgroup, ...], ...]] = None
-        self._class_of: Optional[Dict[Subgroup, int]] = None
-        self._names: Optional[Mapping[Subgroup, str]] = None
-        self._marks: Optional["MarksTable"] = None
-        self._above: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._cosets: Dict[Subgroup, "Cosets"] = {}
 
     def _validate(self) -> None:
@@ -117,19 +123,7 @@ class FiniteGroup:
         return self._inverse[a]
 
     def element_order(self, a: int) -> int:
-        return len(self._power_lists()[a])
-
-    def _power_lists(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per element a, (a, a^2, ..., a^k = 0) with k its order; built once."""
-        if self._powers is None:
-            powers = []
-            for a in self.elements:
-                row, pw = self.table[a], [a]
-                while pw[-1] != 0:
-                    pw.append(row[pw[-1]])
-                powers.append(tuple(pw))
-            self._powers = tuple(powers)
-        return self._powers
+        return len(self._powers[a])
 
     def is_abelian(self) -> bool:
         return all(
@@ -161,7 +155,7 @@ class FiniteGroup:
             raise ValueError(f"degree {degree} is negative")
         gens = []
         for p in generators:
-            pt = tuple(int(v) for v in p)
+            pt = tuple(_int(v, "generator entry") for v in p)
             # the length test comes first, so an oversized degree builds no range
             if len(pt) != degree or sorted(pt) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
@@ -231,56 +225,38 @@ class FiniteGroup:
         ]
         return cls(table)
 
+    # -- derived data, built once ------------------------------------------
 
-# -- subgroups --------------------------------------------------------------
+    @cached_property
+    def _powers(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per element a, (a, a^2, ..., a^k = 0) with k its order."""
+        powers = []
+        for a in self.elements:
+            row, pw = self.table[a], [a]
+            while pw[-1] != 0:
+                pw.append(row[pw[-1]])
+            powers.append(tuple(pw))
+        return tuple(powers)
 
+    @cached_property
+    def _subgroups(self) -> Tuple[Subgroup, ...]:
+        """The lattice, sorted by _skey, by prime-index normal extension (Neubueser 1960).
 
-def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the given elements.
-
-    A Cayley-graph walk from the identity, O(|closure| * #gens): right
-    multiplication by the generators suffices, as in a finite group every
-    inverse is a positive power.
-    """
-    gens = tuple(gens)
-    seen = {0}
-    walk = [0]
-    for a in walk:
-        row = g.table[a]
-        for s in gens:
-            if row[s] not in seen:
-                seen.add(row[s])
-                walk.append(row[s])
-    return frozenset(seen)
-
-
-def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
-    """True iff the elements form a subgroup: a lookup in the class map,
-    which holds every subgroup.  Elements outside 0..|G|-1 give False."""
-    _conjugacy_classes(g)
-    return frozenset(elems) in g._class_of
-
-
-def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
-    """The lattice by prime-index normal extension (Neubueser 1960), sorted
-    by _skey.
-
-    Each subgroup H found is extended by one x per left coset xH not yet
-    tried: when the least k with x^k in H is a prime and x normalizes H,
-    K = H u Hx u ... u Hx^(k-1) is a subgroup in which H is normal of index
-    k.  Both tests depend only on the coset xH, and every y in K - H gives
-    K again; two such K of one H meet only in H, so marking all of K tried
-    hides no other one.  The method is complete because every group with
-    order at most MAX_GROUP_ORDER is solvable: each K > 1 then has a normal
-    subgroup of prime index, which is found before K.
-    """
-    if g._subgroups is None:
-        t, inv, powers = g.table, g._inverse, g._power_lists()
+        Each subgroup H found is extended by one x per left coset xH not yet
+        tried: when the least k with x^k in H is a prime and x normalizes H,
+        K = H u Hx u ... u Hx^(k-1) is a subgroup in which H is normal of
+        index k.  Both tests depend only on the coset xH, and every y in
+        K - H gives K again; two such K of one H meet only in H, so marking
+        all of K tried hides no other one.  The method is complete because
+        every group with order at most MAX_GROUP_ORDER is solvable: each
+        K > 1 then has a normal subgroup of prime index, found before K.
+        """
+        t, inv, powers = self.table, self._inverse, self._powers
         found = {frozenset({0})}
         queue = list(found)
         for h in queue:
-            tried = bytearray(g.order)
-            for x in g.elements:
+            tried = bytearray(self.order)
+            for x in self.elements:
                 if tried[x]:
                     continue
                 row = t[x]
@@ -307,8 +283,143 @@ def _all_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
                     if k_elems not in found:
                         found.add(k_elems)
                         queue.append(k_elems)
-        g._subgroups = tuple(sorted(found, key=_skey))
-    return g._subgroups
+        return tuple(sorted(found, key=_skey))
+
+    @cached_property
+    def _classes(self) -> Tuple[Tuple[Subgroup, ...], ...]:
+        """Classes of subgroups sorted by representative, each sorted.
+
+        The lattice is sorted, so the first member of a class met is its
+        rep.  A conjugate xHx^-1 depends only on the coset xH, so it is
+        taken once per coset.
+        """
+        t, inv = self.table, self._inverse
+        seen = set()
+        classes = []
+        for h in self._subgroups:
+            if h not in seen:
+                orbit = set()
+                covered = bytearray(self.order)
+                for x in self.elements:
+                    if not covered[x]:
+                        row, x_inv = t[x], inv[x]
+                        coset = [row[s] for s in h]
+                        for y in coset:
+                            covered[y] = 1
+                        orbit.add(frozenset([t[y][x_inv] for y in coset]))
+                seen |= orbit
+                classes.append(tuple(sorted(orbit, key=_skey)))
+        return tuple(classes)
+
+    @cached_property
+    def _class_of(self) -> Dict[Subgroup, int]:
+        """Each subgroup's index in _classes."""
+        return {h: i for i, cls in enumerate(self._classes) for h in cls}
+
+    @cached_property
+    def _names(self) -> Mapping[Subgroup, str]:
+        """Read-only display names per class representative (class_names)."""
+        base: List[Tuple[Subgroup, str]] = []
+        for cls in self._classes:
+            rep = cls[0]
+            if len(rep) == 1:
+                base.append((rep, "e"))
+            elif is_cyclic_subgroup(self, rep):
+                base.append((rep, f"C{len(rep)}"))
+            else:
+                base.append((rep, f"G{len(rep)}"))
+        counts = Counter(name for _, name in base)
+        seen: Dict[str, int] = {}
+        names: Dict[Subgroup, str] = {}
+        for rep, name in base:
+            if counts[name] == 1:
+                names[rep] = name
+            else:
+                seen[name] = seen.get(name, 0) + 1
+                names[rep] = f"{name}#{seen[name]}"
+        return MappingProxyType(names)
+
+    @cached_property
+    def _above(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per lattice index, the later indices of its proper supergroups.
+
+        The lattice is sorted by order first, so every proper supergroup of
+        a subgroup comes after it.  Per element, a bitmask has bit j set
+        iff lattice index j holds it, and the masks of H's elements ANDed
+        together give the subgroups that contain H.
+        """
+        subs = self._subgroups
+        holders = [0] * self.order
+        for j, h in enumerate(subs):
+            for e in h:
+                holders[e] |= 1 << j
+        above = []
+        for i, h in enumerate(subs):
+            m = -1 << (i + 1)
+            for e in h:
+                m &= holders[e]
+            later = []
+            while m:
+                later.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            above.append(tuple(later))
+        return tuple(above)
+
+    @cached_property
+    def _marks(self) -> "MarksTable":
+        """The table of marks from class data alone (table_of_marks).
+
+        x fixes the coset of H = reps[i] under K = reps[j] iff x^-1 K x <= H.
+        Each conjugate K' <= H accounts for |N_G(K)| = |G| / |class(K)| such
+        x, and each coset for |H|, so the entry is |G| #{K' <= H} /
+        (|class(K)| |H|), counting K' <= H per class over H's subgroups.
+        """
+        classes, subs, class_of = self._classes, self._subgroups, self._class_of
+        # per subgroup, its subgroups, itself included
+        below: Dict[Subgroup, List[Subgroup]] = {h: [h] for h in subs}
+        for h, above in zip(subs, self._above):
+            for j in above:
+                below[subs[j]].append(h)
+        reps = [c[0] for c in classes]
+        matrix = []
+        for h in reps:
+            row = [0] * len(classes)
+            for c, count in Counter(class_of[k] for k in below[h]).items():
+                row[c] = self.order * count // (len(classes[c]) * len(h))
+            matrix.append(tuple(row))
+        return MarksTable(
+            reps=tuple(tuple(sorted(h)) for h in reps),
+            names=tuple(self._names[h] for h in reps),
+            matrix=tuple(matrix),
+        )
+
+
+# -- subgroups --------------------------------------------------------------
+
+
+def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """Smallest subgroup containing the given elements.
+
+    A Cayley-graph walk from the identity, O(|closure| * #gens): right
+    multiplication by the generators suffices, as in a finite group every
+    inverse is a positive power.
+    """
+    gens = tuple(gens)
+    seen = {0}
+    walk = [0]
+    for a in walk:
+        row = g.table[a]
+        for s in gens:
+            if row[s] not in seen:
+                seen.add(row[s])
+                walk.append(row[s])
+    return frozenset(seen)
+
+
+def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
+    """True iff the elements form a subgroup: a lookup in the class map,
+    which holds every subgroup.  Elements outside 0..|G|-1 give False."""
+    return frozenset(elems) in g._class_of
 
 
 @dataclass(frozen=True)
@@ -346,7 +457,7 @@ def left_cosets(g: FiniteGroup, h: Subgroup) -> Cosets:
 
 def enumerate_subgroups(g: FiniteGroup) -> Tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, sorted elements); built once per group."""
-    return _all_subgroups(g)
+    return g._subgroups
 
 
 def conjugate_subgroup(g: FiniteGroup, sub: Iterable[int], x: int) -> Subgroup:
@@ -357,46 +468,16 @@ def conjugate_subgroup(g: FiniteGroup, sub: Iterable[int], x: int) -> Subgroup:
 
 def is_normal(g: FiniteGroup, sub: Subgroup) -> bool:
     """True iff sub is the only member of its class."""
-    return len(_conjugacy_classes(g)[_class_index(g, sub)]) == 1
-
-
-def _conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
-    """Classes sorted by representative, each sorted; fills g._class_of,
-    which maps each subgroup to the index of its class.
-
-    The lattice is sorted, so the first member of a class met is its rep.
-    A conjugate xHx^-1 depends only on the coset xH, so it is taken once
-    per coset.
-    """
-    if g._classes is None:
-        t, inv = g.table, g._inverse
-        g._class_of = {}
-        classes = []
-        for h in _all_subgroups(g):
-            if h not in g._class_of:
-                orbit = set()
-                covered = bytearray(g.order)
-                for x in g.elements:
-                    if not covered[x]:
-                        row, x_inv = t[x], inv[x]
-                        coset = [row[s] for s in h]
-                        for y in coset:
-                            covered[y] = 1
-                        orbit.add(frozenset([t[y][x_inv] for y in coset]))
-                g._class_of.update(dict.fromkeys(orbit, len(classes)))
-                classes.append(tuple(sorted(orbit, key=_skey)))
-        g._classes = tuple(classes)
-    return g._classes
+    return len(g._classes[_class_index(g, sub)]) == 1
 
 
 def subgroup_conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
     """Conjugacy classes of subgroups, each sorted, classes sorted by representative."""
-    return _conjugacy_classes(g)
+    return g._classes
 
 
 def _class_index(g: FiniteGroup, sub: Iterable[int]) -> int:
-    """The index of sub's class in _conjugacy_classes(g)."""
-    _conjugacy_classes(g)
+    """The index of sub's class in g._classes."""
     s = frozenset(sub)
     if s not in g._class_of:
         raise ValueError(f"{sorted(s)} is not a subgroup of the group")
@@ -405,10 +486,9 @@ def _class_index(g: FiniteGroup, sub: Iterable[int]) -> int:
 
 def class_rep_of(g: FiniteGroup, sub: Iterable[int]) -> Subgroup:
     """Conjugate smallest under _skey: a lookup for subgroups, a scan otherwise."""
-    classes = _conjugacy_classes(g)
     s = frozenset(sub)
     if s in g._class_of:
-        return classes[g._class_of[s]][0]
+        return g._classes[g._class_of[s]][0]
     if not all(0 <= x < g.order for x in s):
         raise ValueError(f"{sorted(s)} has an element outside the group")
     return min((conjugate_subgroup(g, s, x) for x in g.elements), key=_skey)
@@ -430,31 +510,7 @@ def class_names(g: FiniteGroup) -> Mapping[Subgroup, str]:
     same-named classes get "#1", "#2", ... suffixes in representative order.
     Built once per group; the mapping is read-only.
     """
-    if g._names is None:
-        g._names = MappingProxyType(_class_names(g))
     return g._names
-
-
-def _class_names(g: FiniteGroup) -> Dict[Subgroup, str]:
-    base: List[Tuple[Subgroup, str]] = []
-    for cls in _conjugacy_classes(g):
-        rep = cls[0]
-        if len(rep) == 1:
-            base.append((rep, "e"))
-        elif is_cyclic_subgroup(g, rep):
-            base.append((rep, f"C{len(rep)}"))
-        else:
-            base.append((rep, f"G{len(rep)}"))
-    counts = Counter(name for _, name in base)
-    seen: Dict[str, int] = {}
-    names: Dict[Subgroup, str] = {}
-    for rep, name in base:
-        if counts[name] == 1:
-            names[rep] = name
-        else:
-            seen[name] = seen.get(name, 0) + 1
-            names[rep] = f"{name}#{seen[name]}"
-    return names
 
 
 def parse_subgroup_token(g: FiniteGroup, token: str) -> Subgroup:
@@ -514,34 +570,6 @@ def validate_chain(g: FiniteGroup, chain: Sequence[Iterable[int]]) -> Tuple[Subg
     return subs
 
 
-def _containment(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
-    """Per lattice index, the later indices of its proper supergroups.
-
-    The lattice is sorted by order first, so every proper supergroup of a
-    subgroup comes after it.  Per element, a bitmask has bit j set iff
-    lattice index j holds it, and the masks of H's elements ANDed together
-    give the subgroups that contain H.
-    """
-    if g._above is None:
-        subs = _all_subgroups(g)
-        holders = [0] * g.order
-        for j, h in enumerate(subs):
-            for e in h:
-                holders[e] |= 1 << j
-        above = []
-        for i, h in enumerate(subs):
-            m = -1 << (i + 1)
-            for e in h:
-                m &= holders[e]
-            later = []
-            while m:
-                later.append((m & -m).bit_length() - 1)
-                m &= m - 1
-            above.append(tuple(later))
-        g._above = tuple(above)
-    return g._above
-
-
 def enumerate_chains(g: FiniteGroup, max_len: int) -> List[Tuple[Subgroup, ...]]:
     """All strict subgroup chains with at most max_len inclusions.
 
@@ -550,7 +578,7 @@ def enumerate_chains(g: FiniteGroup, max_len: int) -> List[Tuple[Subgroup, ...]]
     extends the previous one in order, so it comes out sorted.
     """
     subs = enumerate_subgroups(g)
-    up = {h: [subs[j] for j in js] for h, js in zip(subs, _containment(g))}
+    up = {h: [subs[j] for j in js] for h, js in zip(subs, g._above)}
     level = [(h,) for h in subs]
     chains = list(level)
     for _ in range(max_len):
@@ -638,33 +666,5 @@ class MarksTable:
 
 
 def table_of_marks(g: FiniteGroup) -> MarksTable:
-    """The table of marks from class data alone, built once per group.
-
-    x fixes the coset of H = reps[i] under K = reps[j] iff x^-1 K x <= H.
-    Each conjugate K' <= H accounts for |N_G(K)| = |G| / |class(K)| such x,
-    and each coset for |H|, so the entry is |G| #{K' <= H} / (|class(K)| |H|).
-    The conjugates K' <= H are counted per class over the subgroups of H,
-    read from the containment table.
-    """
-    if g._marks is None:
-        classes = _conjugacy_classes(g)
-        subs = _all_subgroups(g)
-        # per subgroup, its subgroups, itself included
-        below: Dict[Subgroup, List[Subgroup]] = {h: [h] for h in subs}
-        for h, above in zip(subs, _containment(g)):
-            for j in above:
-                below[subs[j]].append(h)
-        reps = [c[0] for c in classes]
-        matrix = []
-        for h in reps:
-            row = [0] * len(classes)
-            for c, count in Counter(g._class_of[k] for k in below[h]).items():
-                row[c] = g.order * count // (len(classes[c]) * len(h))
-            matrix.append(tuple(row))
-        names = class_names(g)
-        g._marks = MarksTable(
-            reps=tuple(tuple(sorted(h)) for h in reps),
-            names=tuple(names[h] for h in reps),
-            matrix=tuple(matrix),
-        )
+    """The table of marks from class data alone, built once per group."""
     return g._marks

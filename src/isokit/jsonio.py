@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .cubelim import Cube, CubeMap, Subset
 from .gcomplex import GComplex, _faces
 from .gmap import GMap
-from .group import FiniteGroup, _decimal_int
+from .group import FiniteGroup, _decimal_int, _int
 from .linking import IsovariantCellStructure
 
 
@@ -111,13 +111,6 @@ def _as_dict(obj, what: str) -> dict:
 def _list(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list")
-    return value
-
-
-def _int(value, what: str) -> int:
-    """A JSON integer: a float, a bool or a string is not one."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 
 

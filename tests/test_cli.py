@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from oracles import cells_report_reference
+from test_cubelim import _wide_limit_map
 
 import isokit
 from isokit import cli, fixpoint, gmap, models
@@ -335,6 +336,32 @@ def test_subdivision_cap_is_bad_input(capsys, tmp_path):
     assert r["status"] == {
         "code": "TooManySimplices",
         "message": "a subdivision of 3245265145 simplices exceeds the cap of 2000000",
+    }
+
+
+def test_face_closure_cap_is_bad_input(capsys, tmp_path):
+    """One 40-vertex facet would need 2^40 faces."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vertices": 40, "facets": [list(range(40))]}))
+    r = _report(capsys, ["complex", "info", "--complex", str(path)], expect_code=65)
+    assert r["result"] is None
+    assert r["status"] == {
+        "code": "TooManySimplices",
+        "message": "the faces of a 40-vertex facet take the complex past the cap of 2000000 simplices",
+    }
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_cube_limit_cap_is_bad_input(capsys, tmp_path, dim):
+    """Stage limits of 2^20 and 2^35 elements: each run stops at the first
+    limit past the cap with one report."""
+    path = tmp_path / "wide.json"
+    path.write_text(canonical_dumps(cube_map_to_json(_wide_limit_map(dim))))
+    r = _report(capsys, ["cube", "check", "--file", str(path)], expect_code=65)
+    assert r["result"] is None
+    assert r["status"] == {
+        "code": "CubeTooLarge",
+        "message": "a limit has more elements than the cap of 100000",
     }
 
 

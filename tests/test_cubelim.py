@@ -814,3 +814,50 @@ def test_cube_dimension_cap(count_calls):
             run(m)
     assert started == []
     assert [planner.cache_info().currsize for planner in planners] == cached
+
+
+def _wide_limit_map(n):
+    """A map of n-cubes with two source elements on each vertex of size 3
+    and one elsewhere, every map constant 0, into the one-point cube.  The
+    stage limit of factorize_limit that has adjoined the vertices of size
+    3 and up has 2^C(n, 3) elements, any choice on each size-3 vertex."""
+    verts = cubelim._subsets(range(n))
+    sizes = {s: 2 if len(s) == 3 else 1 for s in verts}
+    covers = {(s, j): (0,) * sizes[s] for s in verts for j in range(n) if j not in s}
+    x = Cube(n, sizes, covers)
+    return CubeMap(x, _all_singleton_map(n).target, {s: (0,) * sizes[s] for s in verts})
+
+
+def test_limit_element_cap(monkeypatch):
+    """A limit with more than MAX_LIMIT_ELEMENTS elements raises
+    CubeTooLarge; one with exactly that many is built."""
+    x = _wide_limit_map(4).source
+    upper = VertexFamily([s for s in x.vertices() if len(s) >= 3])
+    assert len(limit(x, upper)) == 2**4
+    monkeypatch.setattr(cubelim, "MAX_LIMIT_ELEMENTS", 2**4)
+    assert len(limit(x, upper)) == 2**4
+    monkeypatch.setattr(cubelim, "MAX_LIMIT_ELEMENTS", 2**4 - 1)
+    with pytest.raises(CubeTooLarge, match="a limit has more elements than the cap of 15$"):
+        limit(x, upper)
+
+
+def test_stage_limits_past_the_cap_raise_and_corners_keep_their_own_cap():
+    """At dimension 6 a stage limit would have 2^20 elements: factorize_limit
+    raises CubeTooLarge, while check_hypothesis, which enumerates each
+    corner's limit only up to its hits, decides every corner."""
+    m = _wide_limit_map(6)
+    assert cubelim.MAX_LIMIT_ELEMENTS == 100_000 < 2**20
+    assert check_hypothesis(m).checked == 3**6
+    with pytest.raises(CubeTooLarge, match="a limit has more elements than the cap of 100000"):
+        factorize_limit(m)
+
+
+@pytest.mark.parametrize(
+    "sizes, index, bad",
+    [({E: 1.5, S0: 1}, 0, "1.5"), ({E: True, S0: 1}, 0, "True"), ({E: 1, S0: 1}, 0.0, "0.0")],
+)
+def test_cube_sizes_and_cover_indices_must_be_integers(sizes, index, bad):
+    """A float or a bool is named, not truncated to an int."""
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
+        Cube(1, sizes, {(E, index): (0,)})
+    assert Cube(1, {E: 1, S0: 1}, {(E, 0): (0,)}).sizes == {E: 1, S0: 1}

@@ -10,10 +10,11 @@ import pytest
 
 import oracles
 from isokit import group as group_module
+from isokit import gcomplex as gcomplex_module
 from isokit import models
 from isokit.errors import NotEquivariantTriangulation, NotRegular, TooManySimplices
 from isokit.gcomplex import (
-    MAX_SUBDIVISION_SIMPLICES,
+    MAX_SIMPLICES,
     GComplex,
     _fubini,
     _normalize_facets,
@@ -59,6 +60,24 @@ def test_validation_errors():
         GComplex(2, [(0, 1)], {0: (0, 1), 1: (0, 1), 2: (0, 1)}, group=c2)
     with pytest.raises(ValueError):
         GComplex(2, [(0, 0)], {0: (0, 1), 1: (1, 0)}, group=c2)  # repeated vertex
+
+
+@pytest.mark.parametrize(
+    "vertices, action, bad",
+    [
+        (2.9, {}, "2.9"),
+        ("3", {}, "'3'"),
+        (True, {}, "True"),
+        (2, {1: (1.2, 0.4)}, "1.2"),
+        (2, {1: (True, 0)}, "True"),
+    ],
+)
+def test_vertex_counts_and_action_entries_must_be_integers(vertices, action, bad):
+    """A float, a bool or a string is named, not truncated to an int."""
+    c2 = FiniteGroup.cyclic(2)
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
+        GComplex(vertices, [(0,), (1,)], action or {1: (1, 0)}, group=c2)
+    assert GComplex(2, [(0,), (1,)], {1: (1, 0)}, group=c2).n_vertices == 2
 
 
 def _perm_closure(gens):
@@ -451,6 +470,22 @@ def test_rotation_disk_sd4_counts():
     assert x.euler_characteristic() == 1
 
 
+def test_face_closure_size_guard(monkeypatch, count_calls):
+    """A facet of k vertices has 2^k - 1 faces: one whose faces could take
+    the closure past MAX_SIMPLICES raises TooManySimplices before any of
+    them is enumerated.  A 40-vertex facet would need 2^40."""
+    trivial = FiniteGroup.cyclic(1)
+    faces = count_calls("_faces", gcomplex_module)
+    message = "the faces of a 40-vertex facet take the complex past the cap of 2000000 simplices"
+    with pytest.raises(TooManySimplices, match=message):
+        GComplex(40, [range(40)], {}, trivial)
+    assert faces == []
+    monkeypatch.setattr(gcomplex_module, "MAX_SIMPLICES", 2**4 - 1)
+    assert len(GComplex(4, [range(4)], {}, trivial).simplices()) == 2**4 - 1
+    with pytest.raises(TooManySimplices, match="a 5-vertex facet"):
+        GComplex(5, [range(5)], {}, trivial)
+
+
 def test_subdivision_size_guard():
     """A subdivision has one simplex per flag, sum F(dim s + 1) over the
     simplices s with F the Fubini numbers; above the cap nothing is built."""
@@ -466,7 +501,7 @@ def test_subdivision_size_guard():
     x = models.COMPLEX_MODELS["rotation-disk"]()
     for _ in range(5):
         x = barycentric_subdivision(x).complex
-    assert len(x.simplices()) == 140161 <= MAX_SUBDIVISION_SIMPLICES
+    assert len(x.simplices()) == 140161 <= MAX_SIMPLICES
     for name in ALL_MODELS:
         y = models.COMPLEX_MODELS[name]()
         flags = sum(_fubini(len(s))[-1] for s in y.simplices())

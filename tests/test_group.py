@@ -14,7 +14,6 @@ from isokit.errors import GroupTooLarge, NonIntegral
 from isokit.group import (
     MAX_GROUP_ORDER,
     FiniteGroup,
-    _containment,
     class_names,
     class_rep_of,
     conjugate_subgroup,
@@ -74,6 +73,23 @@ def test_table_validation():
     ]
     with pytest.raises(ValueError):
         FiniteGroup(bad)
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (lambda: FiniteGroup([[0, 1.7], [1, 0]]), "1.7"),
+        (lambda: FiniteGroup([[0, True], [True, 0]]), "True"),
+        (lambda: FiniteGroup([[0, "1"], ["1", 0]]), "'1'"),
+        (lambda: FiniteGroup.from_generators(2, [(1.0, 0)]), "1.0"),
+        (lambda: FiniteGroup.from_generators(2, [(True, 0)]), "True"),
+    ],
+)
+def test_table_and_generator_entries_must_be_integers(make, bad):
+    """A float, a bool or a string is named, not truncated to an int."""
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
+        make()
+    assert FiniteGroup([[0, 1], [1, 0]]) == FiniteGroup.from_generators(2, [(1, 0)])
 
 
 def test_constructors_basics():
@@ -511,7 +527,7 @@ def _lattice_report(g):
     vectors = [[rng.randint(-9, 9) for _ in mt.names] for _ in range(25)]
     return json.dumps({
         "subgroups": [sorted(h) for h in enumerate_subgroups(g)],
-        "containment": _containment(g),
+        "containment": g._above,
         "marks": mt.matrix,
         "solved": [[str(c) for c in mt.solve_marks(v)] for v in vectors],
     })
@@ -551,6 +567,30 @@ def test_lattice_makes_no_closure_walk_from_the_identity(count_calls):
     calls = count_calls("subgroup_closure", group_module)
     assert len(enumerate_subgroups(_relabel(FiniteGroup.dihedral(24), 3))) == 68
     assert calls == []
+
+
+@pytest.mark.parametrize("family", sorted(LATTICE_FAMILIES))
+def test_each_query_answers_the_same_as_the_first_call_on_a_group(family):
+    """Every public query may be the first call on a group: the data it
+    reads is built on demand, whatever was built before."""
+    warm = LATTICE_FAMILIES[family]()
+    subs = enumerate_subgroups(warm)
+    table_of_marks(warm)
+    reps = [c[0] for c in subgroup_conjugacy_classes(warm)]
+    # the subgroups and some element sets that are none: a pair with the
+    # identity, a set without it, and the group less one element
+    probes = list(subs) + [frozenset({0, 1}), frozenset({1}), frozenset(range(1, warm.order))]
+    queries = {
+        "is_subgroup": lambda g: [is_subgroup(g, s) for s in probes],
+        "class_rep_of": lambda g: [class_rep_of(g, s) for s in probes],
+        "is_normal": lambda g: [is_normal(g, h) for h in subs],
+        "is_subconjugate": lambda g: [is_subconjugate(g, h, k) for h in subs for k in reps],
+        "class_names": lambda g: dict(class_names(g)),
+        "table_of_marks": table_of_marks,
+        "enumerate_chains": lambda g: enumerate_chains(g, 2),
+    }
+    for name, query in queries.items():
+        assert query(LATTICE_FAMILIES[family]()) == query(warm), name
 
 
 @pytest.mark.parametrize("name", sorted(MARKS_GROUPS) + ["D12xC2/1", "S4xC2/2"])

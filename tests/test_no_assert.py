@@ -1,7 +1,8 @@
 """The library raises its checks: `python -O` strips assert statements,
 and no function takes a switch that turns its checks off.  Every private
 helper it defines is named somewhere else in it, and a kept answer is a
-cached property, never a write into a frozen object."""
+cached property of its own object, never a write into a frozen object or
+from outside it."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,31 @@ def test_no_library_code_writes_through_object_setattr():
             and node.func.value.id == "object"
         ]
     assert not found, f"object.__setattr__ calls in the library: {found}"
+
+
+def test_no_library_code_writes_an_attribute_of_another_object():
+    """An object keeps its own derived data as cached properties, so the
+    library assigns no attribute of anything but self.  An _assemble
+    classmethod fills the instance it has just made; an item written into
+    a memo dict an object owns, as g._cosets[h] = ..., is no attribute."""
+    found = []
+    for path in sorted(Path(isokit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assembling = {
+            id(n)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_assemble"
+            for n in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            and id(node) not in assembling
+        ]
+    assert not found, f"writes to another object's attributes in the library: {found}"
 
 
 def _referenced(node):
