@@ -6,12 +6,16 @@ distinguished class here is surjections: if every subcube corner map of
 a map of cubes is surjective, so is the induced map on limits, and
 factorize_limit exhibits the chain of surjections that proves it.
 
+A subset S is an int mask, bit i set iff i is in S, everywhere; the
+public constructors, Cube.size and Cube.map_between also take any
+iterable of indices and convert it once (_mask).
+
 A limit element is a compatible family of values over a vertex family,
 fixed by its values on the family's minimal vertices, and it is held as
 that tuple alone, as _sections enumerates it: limit keeps the rows,
-check_hypothesis only counts them, and maps into and between limits read
-values at minimal vertices (_images, _restriction).  All of them read
-their vertex families off plans written once per dimension from the
+check_hypothesis only counts them, and maps into and between limits
+read values at minimal vertices (_restriction).  All of them read their
+vertex families off plans written once per dimension from the
 construction (_corner_plans, _stage_plans), which makes them closed
 under bounded unions with no check; only VertexFamily(vertices), for a
 family a caller brings, checks that.  lim X and lim Y are the sets at
@@ -32,12 +36,13 @@ from itertools import combinations
 from operator import itemgetter
 from random import Random
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import CubeGenerationFailed, CubeTooLarge, InvariantViolated
-from .group import _int, _skey
+from .group import _int
 
-Subset = FrozenSet[int]
+Subset = int
+Indices = Union[Subset, Iterable[int]]
 
 # corner and stage plans over 3^n or 2^n families of up to 2^(n+1) vertices
 MAX_CUBE_DIM = 8
@@ -45,47 +50,60 @@ MAX_CUBE_DIM = 8
 MAX_LIMIT_ELEMENTS = 100_000
 
 
-def _subsets(indices: Sequence[int]) -> List[Subset]:
-    out = [frozenset()]
-    for i in indices:
-        out += [s | {i} for s in out]
-    return sorted(out, key=_skey)
+def _listed(s: Subset) -> List[int]:
+    """The indices in s, ascending."""
+    return [i for i in range(s.bit_length()) if s >> i & 1]
+
+
+def _mask(s: Indices, n: int) -> Subset:
+    """s, a mask or an iterable of indices, as a subset of 0..n-1; a negative
+    mask or an index that is not an int in 0..n-1 is a ValueError."""
+    if isinstance(s, int):
+        if s >= 0 and s >> n == 0:
+            return s
+    else:
+        s = list(s)
+        if all(isinstance(i, int) and 0 <= i < n for i in s):
+            return sum(1 << i for i in set(s))
+        s = sorted(s)
+    raise ValueError(f"{s} is not a vertex of the {n}-cube")
 
 
 @lru_cache(maxsize=None)
 def _vertices(n: int) -> Tuple[Subset, ...]:
-    """The subsets of 0..n-1 in _subsets order, sorted once per dimension."""
-    return tuple(_subsets(range(n)))
+    """The subsets of 0..n-1 by size, then lexicographically, once per n."""
+    return tuple(sorted(range(1 << n), key=lambda s: (s.bit_count(), _listed(s))))
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(n: int) -> int:
+    if _int(n, "cube dimension") < 0:
+        raise ValueError(f"cube dimension must be nonnegative, got {n}")
     if n > MAX_CUBE_DIM:
         raise CubeTooLarge(f"a cube map of dimension {n} exceeds the cap of {MAX_CUBE_DIM}")
+    return n
 
 
 class Cube:
     """Finite-set cube: sizes per subset, one index map per cover S -> S+{j}.
 
     The constructor checks every cover and square.  Covers are fixed after
-    construction: map_between memoizes the chain maps it composes, so a
-    cover may be added later but never changed.
+    construction: map_between memoizes the chain maps it composes, keyed
+    by s * 2^n + t, so a cover may be added later but never changed.
     """
 
-    def __init__(
-        self, n: int, sizes: Dict[Subset, int], covers: Dict[Tuple[Subset, int], Tuple[int, ...]]
-    ):
-        self.n = n
-        self.sizes = {frozenset(k): _int(v, "vertex size") for k, v in sizes.items()}
-        self.covers = {
-            (frozenset(s), _int(j, "cover index")): tuple(m) for (s, j), m in covers.items()
-        }
-        self._chains: Dict[Tuple[Subset, Subset], Tuple[int, ...]] = {}
+    def __init__(self, n: int, sizes: Dict[Indices, int], covers: Dict[tuple, Iterable[int]]):
+        self.n = n = _int(n, "cube dimension")
+        if n < 0:
+            raise ValueError(f"cube dimension must be nonnegative, got {n}")
+        if n >= len(sizes).bit_length():  # 2^n sets are needed: read no key past them
+            raise ValueError(f"cube must assign a set to every subset of 0..{n - 1}")
+        self.sizes = {_mask(k, n): _int(v, "vertex size") for k, v in sizes.items()}
+        self.covers = {(_mask(s, n), _int(j, "cover index")): tuple(m) for (s, j), m in covers.items()}
+        self._chains: Dict[int, Tuple[int, ...]] = {}
         self._validate()
 
     @classmethod
-    def _assemble(
-        cls, n: int, sizes: Dict[Subset, int], covers: Dict[Tuple[Subset, int], Tuple[int, ...]]
-    ) -> "Cube":
+    def _assemble(cls, n: int, sizes: Dict[Subset, int], covers: Dict[tuple, Tuple[int, ...]]) -> "Cube":
         """A cube that a library construction makes correct, unchecked: sizes
         and covers keyed and typed as the constructor leaves them."""
         x = cls.__new__(cls)
@@ -93,69 +111,60 @@ class Cube:
         return x
 
     def _validate(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"cube dimension must be nonnegative, got {self.n}")
-        # 2^n sets are needed; an n beyond the sets given builds no subsets
-        if self.n >= len(self.sizes).bit_length():
-            raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")
-        wanted = _vertices(self.n)
-        if set(self.sizes) != set(wanted):
+        # every key is a subset of 0..n-1, so 2^n distinct ones are all of them
+        if len(self.sizes) != 1 << self.n:
             raise ValueError(f"cube must assign a set to every subset of 0..{self.n - 1}")
         if any(size < 0 for size in self.sizes.values()):
             raise ValueError("vertex sizes must be nonnegative")
         for s, j in self.covers:
-            if s not in self.sizes or j in s or not 0 <= j < self.n:
-                raise ValueError(f"cover map {sorted(s)} + {j} is not a cover of the {self.n}-cube")
+            if not 0 <= j < self.n or s >> j & 1:
+                raise ValueError(f"cover map {_listed(s)} + {j} is not a cover of the {self.n}-cube")
+        wanted = _vertices(self.n)
         for s in wanted:
             for j in range(self.n):
-                if j in s:
+                if s >> j & 1:
                     continue
-                key = (s, j)
-                if key not in self.covers:
-                    raise ValueError(f"missing cover map {sorted(s)} + {j}")
-                m = self.covers[key]
+                m = self.covers.get((s, j))
+                if m is None:
+                    raise ValueError(f"missing cover map {_listed(s)} + {j}")
                 if len(m) != self.sizes[s]:
-                    raise ValueError(f"cover map {sorted(s)} + {j} has wrong length")
-                t = s | {j}
-                if any(v < 0 or v >= self.sizes[t] for v in m):
-                    raise ValueError(f"cover map {sorted(s)} + {j} is out of range")
+                    raise ValueError(f"cover map {_listed(s)} + {j} has wrong length")
+                if any(v < 0 or v >= self.sizes[s | 1 << j] for v in m):
+                    raise ValueError(f"cover map {_listed(s)} + {j} is out of range")
         # functoriality: both orders around every square agree
         for s in wanted:
-            for i, j in combinations([k for k in range(self.n) if k not in s], 2):
-                via_i = [self.covers[(s | {i}, j)][v] for v in self.covers[(s, i)]]
-                via_j = [self.covers[(s | {j}, i)][v] for v in self.covers[(s, j)]]
+            for i, j in combinations([k for k in range(self.n) if not s >> k & 1], 2):
+                via_i = [self.covers[(s | 1 << i, j)][v] for v in self.covers[(s, i)]]
+                via_j = [self.covers[(s | 1 << j, i)][v] for v in self.covers[(s, j)]]
                 if via_i != via_j:
-                    raise ValueError(
-                        f"cube squares do not commute at {sorted(s)} + {{{i},{j}}}"
-                    )
+                    raise ValueError(f"cube squares do not commute at {_listed(s)} + {{{i},{j}}}")
 
     def vertices(self) -> List[Subset]:
         return list(_vertices(self.n))
 
-    def size(self, s: Iterable[int]) -> int:
-        return self.sizes[frozenset(s)]
+    def size(self, s: Indices) -> int:
+        return self.sizes[_mask(s, self.n)]
 
-    def map_between(self, s: Iterable[int], t: Iterable[int]) -> Tuple[int, ...]:
+    def map_between(self, s: Indices, t: Indices) -> Tuple[int, ...]:
         """Composite map X(S) -> X(T) along any chain of covers."""
-        s, t = frozenset(s), frozenset(t)
-        if not s <= t:
+        t, s = _mask(t, self.n), _mask(s, self.n)
+        if s & ~t:
             raise ValueError("map_between needs nested subsets")
-        if t not in self.sizes:
-            raise ValueError(f"map_between: {sorted(t)} is not a vertex of the {self.n}-cube")
         return self._chain(s, t)
 
     def _chain(self, s: Subset, t: Subset) -> Tuple[int, ...]:
         # covers are taken in increasing index order, so the last one adds max(T - S)
-        out = self._chains.get((s, t))
+        key = s << self.n | t
+        out = self._chains.get(key)
         if out is None:
             if s == t:
                 out = tuple(range(self.sizes[s]))
             else:
-                j = max(t - s)
-                here = t - {j}
+                j = (t & ~s).bit_length() - 1
+                here = t ^ 1 << j
                 step = self.covers[(here, j)]
                 out = tuple([step[v] for v in self._chain(s, here)])
-            self._chains[(s, t)] = out
+            self._chains[key] = out
         return out
 
 
@@ -209,24 +218,24 @@ class LimitSet:
 class VertexFamily:
     """A vertex family for limits, planned once for use on any cube.
 
-    VertexFamily(vertices) is the checked entry for a family a caller
-    brings: the members are sorted by size, then lexicographically, and
-    the family must contain the union of any two members that have a
-    common upper bound in it; up-closed families and intervals do.  The
-    library's stage families come from _assemble, unchecked.  Besides the
-    members a family keeps what the enumeration in limit needs and what
-    depends on the family alone: the minimal members, and for each minimal
-    the earlier minimals whose join with it is a member, with that join.
+    VertexFamily(vertices) checks a family a caller brings: its members
+    are sorted by size, then lexicographically, and it must contain the
+    union of any two members with a common upper bound in it, as up-closed
+    families and intervals do.  Library stage families come from
+    _assemble, unchecked.  A family also keeps what limit's enumeration
+    needs: the minimal members and, per minimal, the earlier minimals
+    whose join with it is a member, with that join.
     """
 
-    def __init__(self, vertices: Iterable[Iterable[int]]):
-        verts = sorted({frozenset(v) for v in vertices}, key=_skey)
+    def __init__(self, vertices: Iterable[Indices]):
+        # a cube with an index 64 would list 2^65 vertices, so no family has one
+        verts = sorted({_mask(v, 64) for v in vertices}, key=lambda s: (s.bit_count(), _listed(s)))
         vset = set(verts)
         for a, b in combinations(verts, 2):
             u = a | b
-            if u not in vset and any(u <= w for w in verts):
+            if u not in vset and any(u | w == w for w in verts):
                 raise ValueError("vertex family is not closed under bounded unions")
-        self._plan(verts, [v for v in verts if not any(u < v for u in verts)], vset)
+        self._plan(verts, [v for v in verts if not any(u != v and u | v == v for u in verts)], vset)
 
     @classmethod
     def _assemble(cls, vertices: Sequence[Subset], minimals: Sequence[Subset]) -> "VertexFamily":
@@ -236,9 +245,7 @@ class VertexFamily:
         x._plan(vertices, minimals)
         return x
 
-    def _plan(
-        self, vertices: Sequence[Subset], minimals: Sequence[Subset], vset: Optional[set] = None
-    ) -> None:
+    def _plan(self, vertices: Sequence[Subset], minimals: Sequence[Subset], vset: Optional[set] = None):
         self.vertices: Tuple[Subset, ...] = tuple(vertices)
         self.minimals: Tuple[Subset, ...] = tuple(minimals)
         self.joins: Tuple[Tuple[Tuple[int, Subset], ...], ...] = _joins(self.minimals, vset)
@@ -314,15 +321,14 @@ def _minimal_sections(
 def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
     """Compatible families of values over the members of a VertexFamily.
 
-    The family is planned when it is built, so one family serves limits
-    on many cubes; VertexFamily(cube.vertices()) is the whole cube, and a
-    family with a vertex outside the cube is a ValueError.  Each element
-    is its values on the family's minimal vertices, as _minimal_sections
-    enumerates them, in lexicographic order.  A limit of more than
-    MAX_LIMIT_ELEMENTS elements raises CubeTooLarge once the enumeration
-    passes the cap.
+    One family serves limits on many cubes; VertexFamily(cube.vertices())
+    is the whole cube, and a family with a vertex outside the cube is a
+    ValueError.  Each element is its values on the family's minimal
+    vertices, as _minimal_sections enumerates them, in lexicographic order.
+    A limit of more than MAX_LIMIT_ELEMENTS elements raises CubeTooLarge
+    once the enumeration passes the cap.
     """
-    outside = [sorted(w) for w in poset.vertices if w not in cube.sizes]
+    outside = [_listed(w) for w in poset.vertices if w not in cube.sizes]
     if outside:
         raise ValueError(f"vertex {outside[0]} of the family is not in the {cube.n}-cube")
     rows = _minimal_sections(cube, poset.minimals, poset.joins, MAX_LIMIT_ELEMENTS)
@@ -331,17 +337,11 @@ def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
     return LimitSet(minimals=poset.minimals, elements=tuple(rows))
 
 
-def _images(cube: Cube, u: Subset, vertices: Sequence[Subset]) -> Iterable[Tuple[int, ...]]:
-    """Per element a of X(U), its values chain(U, v)[a] at the vertices v
-    above U; there must be at least one, as zip of none yields nothing."""
-    return zip(*[cube._chain(u, v) for v in vertices])
-
-
 def _restriction(cube: Cube, larger: LimitSet, smaller: LimitSet) -> SetFunction:
     """larger -> smaller, a limit over a subfamily: each minimal w of the
     subfamily reads the first minimal m <= w of the larger family, pushed up to w."""
     chain, below = cube._chain, list(enumerate(larger.minimals))
-    columns = [next((k, chain(m, w)) for k, m in below if m <= w) for w in smaller.minimals]
+    columns = [next((k, chain(m, w)) for k, m in below if m | w == w) for w in smaller.minimals]
     index = smaller.index_of
     mapping = [index(tuple([push[row[k]] for k, push in columns])) for row in larger.elements]
     return SetFunction(mapping=tuple(mapping), codomain_size=len(smaller))
@@ -350,35 +350,39 @@ def _restriction(cube: Cube, larger: LimitSet, smaller: LimitSet) -> SetFunction
 class CubeMap:
     """Natural transformation between cubes of the same dimension."""
 
-    def __init__(self, source: Cube, target: Cube, components: Dict[Subset, Tuple[int, ...]]):
+    def __init__(self, source: Cube, target: Cube, components: Dict[Indices, Iterable[int]]):
         if source.n != target.n:
             raise ValueError("source and target cubes must have equal dimension")
-        self.source = source
-        self.target = target
-        self.components = {frozenset(k): tuple(v) for k, v in components.items()}
+        self.source, self.target = source, target
+        self.components = {_mask(k, source.n): tuple(v) for k, v in components.items()}
         self._validate()
+
+    @classmethod
+    def _assemble(cls, source: Cube, target: Cube, components: Dict[Subset, tuple]) -> "CubeMap":
+        """A map that a library construction makes natural, unchecked:
+        components keyed and typed as the constructor leaves them."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.components = source, target, components
+        return m
 
     def _validate(self) -> None:
         verts = _vertices(self.n)
-        for s in self.components:
-            if s not in self.source.sizes:
-                raise ValueError(f"component at {sorted(s)} is not at a vertex of the {self.n}-cube")
         for s in verts:
             if s not in self.components:
-                raise ValueError(f"missing component at {sorted(s)}")
+                raise ValueError(f"missing component at {_listed(s)}")
             comp = self.components[s]
             if len(comp) != self.source.sizes[s]:
-                raise ValueError(f"component at {sorted(s)} has wrong length")
+                raise ValueError(f"component at {_listed(s)} has wrong length")
             if any(v < 0 or v >= self.target.sizes[s] for v in comp):
-                raise ValueError(f"component at {sorted(s)} is out of range")
+                raise ValueError(f"component at {_listed(s)} is out of range")
         for s in verts:
             for j in range(self.source.n):
-                if j in s:
+                if s >> j & 1:
                     continue
-                lhs = [self.components[s | {j}][v] for v in self.source.covers[(s, j)]]
+                lhs = [self.components[s | 1 << j][v] for v in self.source.covers[(s, j)]]
                 rhs = [self.target.covers[(s, j)][v] for v in self.components[s]]
                 if lhs != rhs:
-                    raise ValueError(f"naturality fails at {sorted(s)} + {j}")
+                    raise ValueError(f"naturality fails at {_listed(s)} + {j}")
 
     @property
     def n(self) -> int:
@@ -386,10 +390,7 @@ class CubeMap:
 
     def as_cube(self) -> Cube:
         """View as an (n+1)-cube: the new index n points from source to target.
-
-        Built on the first call and shared by later ones, so its chain maps
-        are composed once per map.
-        """
+        Built once and shared, so its chain maps are composed once per map."""
         return self._as_cube
 
     @cached_property
@@ -399,13 +400,13 @@ class CubeMap:
         covers: Dict[Tuple[Subset, int], Tuple[int, ...]] = {}
         for s in _vertices(n):
             sizes[s] = self.source.sizes[s]
-            sizes[s | {n}] = self.target.sizes[s]
+            sizes[s | 1 << n] = self.target.sizes[s]
             covers[(s, n)] = self.components[s]
             for j in range(n):
-                if j in s:
+                if s >> j & 1:
                     continue
                 covers[(s, j)] = self.source.covers[(s, j)]
-                covers[(s | {n}, j)] = self.target.covers[(s, j)]
+                covers[(s | 1 << n, j)] = self.target.covers[(s, j)]
         return Cube._assemble(n + 1, sizes, covers)
 
 
@@ -420,10 +421,12 @@ def _corner_plans(n: int) -> Mapping[Tuple[Subset, Subset], tuple]:
     MAX_CUBE_DIM."""
     _check_dim(n)
     out = {}
-    for t in _vertices(n):
-        for u in _subsets(sorted(t)):
-            mins = tuple([u | {j} for j in sorted(t - u)] + [u | {n}])
-            out[(u, t)] = (mins, _joins(mins))
+    verts = _vertices(n)
+    for t in verts:
+        for u in verts:
+            if u | t == t:
+                mins = tuple([u | 1 << j for j in _listed(t & ~u)] + [u | 1 << n])
+                out[(u, t)] = (mins, _joins(mins))
     return MappingProxyType(out)
 
 
@@ -443,16 +446,16 @@ def check_hypothesis(m: CubeMap) -> HypothesisCheck:
     compatible values chain(U, v)[a] there, so the corner is onto iff its
     hits, the distinct such value tuples, are as many as the limit's
     elements.  The limit is enumerated with cap = hits and fails the
-    corner iff it yields more rows.  No map or limit is built.  Raises
-    CubeTooLarge above MAX_CUBE_DIM.
+    corner iff it yields more rows; no map or limit is built.  Failures list
+    U and T as sorted index tuples.  Raises CubeTooLarge above MAX_CUBE_DIM.
     """
     z = m.as_cube()
     plans = _corner_plans(m.n)
     failures = []
     for (u, t), (minimals, joins) in plans.items():
-        hits = len(set(_images(z, u, minimals)))
+        hits = len(set(zip(*[z._chain(u, v) for v in minimals])))
         if len(_minimal_sections(z, minimals, joins, hits)) > hits:
-            failures.append((tuple(sorted(u)), tuple(sorted(t))))
+            failures.append((tuple(_listed(u)), tuple(_listed(t))))
     return HypothesisCheck(ok=not failures, checked=len(plans), failures=tuple(failures))
 
 
@@ -465,9 +468,9 @@ def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
     CubeTooLarge above MAX_CUBE_DIM.
     """
     _check_dim(m.n)
-    size = m.target.sizes[frozenset()]
-    lim_y = LimitSet(minimals=(frozenset({m.n}),), elements=tuple([(y,) for y in range(size)]))
-    return SetFunction(m.components[frozenset()], size), lim_y
+    size = m.target.sizes[0]
+    lim_y = LimitSet(minimals=(1 << m.n,), elements=tuple([(y,) for y in range(size)]))
+    return SetFunction(m.components[0], size), lim_y
 
 
 @lru_cache(maxsize=None)
@@ -483,14 +486,15 @@ def _stage_plans(n: int) -> Tuple[Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
     before any family is built."""
     _check_dim(n)
     whole = _vertices(n + 1)
-    xorder = sorted(_vertices(n), key=lambda s: (-len(s), tuple(sorted(s))))
-    members = {s for s in whole if n in s}
-    minimals = [frozenset({n})]
+    xorder = sorted(_vertices(n), key=lambda s: (-s.bit_count(), _listed(s)))
+    members = {s for s in whole if s >> n}
+    minimals = [1 << n]
     stages = []
     for x in xorder[:-1]:
         # nothing adjoined before x lies strictly inside it
         members.add(x)
-        minimals = sorted([m for m in minimals if not x < m] + [x], key=_skey)
+        minimals = [m for m in minimals if x | m != m] + [x]
+        minimals.sort(key=lambda s: (s.bit_count(), _listed(s)))
         stages.append(VertexFamily._assemble([s for s in whole if s in members], minimals))
     return tuple(xorder), tuple(stages)
 
@@ -530,8 +534,7 @@ def factorize_limit(m: CubeMap) -> Factorization:
     direct, lim_y = limit_map(m)
     z = m.as_cube()
     xorder, families = _stage_plans(m.n)
-    empty = frozenset()
-    lim_x = LimitSet(minimals=(empty,), elements=tuple([(x,) for x in range(z.sizes[empty])]))
+    lim_x = LimitSet(minimals=(0,), elements=tuple([(x,) for x in range(z.sizes[0])]))
     stages = [limit(z, family) for family in families] + [lim_x]
     links = [_restriction(z, stages[i], stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
     links.append(_restriction(z, stages[0], lim_y))
@@ -540,14 +543,7 @@ def factorize_limit(m: CubeMap) -> Factorization:
         composed = compose(f, composed)
     if composed.mapping != direct.mapping:
         raise InvariantViolated("composed surjection chain differs from the direct limit map")
-    return Factorization(
-        added_order=xorder,
-        stages=tuple(reversed(stages)),
-        links=tuple(links),
-        lim_y=lim_y,
-        composed=composed,
-        direct=direct,
-    )
+    return Factorization(xorder, tuple(reversed(stages)), tuple(links), lim_y, composed, direct)
 
 
 # -- randomized instances --------------------------------------------------------
@@ -577,11 +573,9 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     the covers' fills hold exactly the sizes and compared maps the section
     depends on, and the memo hits wherever those repeat.  The RNG stream
     is unchanged: a duplicate draws rng.choice(range(k)), as rng.choice
-    over k rows does.
+    over k rows does.  Its cubes and map are correct by construction, unchecked.
     """
-    if n < 0:
-        raise ValueError(f"cube dimension must be nonnegative, got {n}")
-    _check_dim(n)
+    n = _check_dim(n)
     view = _walk_view(n)
     rng = Random(seed)
     memo, ids, fills = {}, {}, []  # covers' fill ids -> S's fill ids, fill -> id, id -> fill
@@ -617,23 +611,23 @@ def _walk_view(n: int) -> Tuple[tuple, tuple, tuple]:
     fixes the covers.  Then the read-back, per side of the map: each S with
     its vertex's number, and each cover (S, j) with its vertex's number and
     the rank r of j; and each component (S, n) likewise."""
-    order = sorted(_vertices(n + 1), key=lambda s: (-len(s), tuple(sorted(s))))
+    order = sorted(_vertices(n + 1), key=lambda s: (-s.bit_count(), _listed(s)))
     num = {s: k for k, s in enumerate(order)}
     steps = []
     for s in order[1:]:
-        above = [num[s | {j}] for j in range(n + 1) if j not in s]
+        above = [num[s | 1 << j] for j in range(n + 1) if not s >> j & 1]
         steps.append((above, itemgetter(*above)))
 
     def cover(s: Subset, j: int) -> Tuple[int, int]:
-        return num[s], sum(i not in s for i in range(j))
+        return num[s], (~s & (1 << j) - 1).bit_count()
 
     verts = _vertices(n)
     sides = tuple(
         (
             tuple([(s, num[s | side]) for s in verts]),
-            tuple([((s, j), *cover(s | side, j)) for s in verts for j in range(n) if j not in s]),
+            tuple([((s, j), *cover(s | side, j)) for s in verts for j in range(n) if not s >> j & 1]),
         )
-        for side in (frozenset(), frozenset({n}))
+        for side in (0, 1 << n)
     )
     return tuple(steps), sides, tuple([(s, *cover(s, n)) for s in verts])
 
@@ -670,7 +664,7 @@ def _try_random_cube(
         at.append(hit[pick])
     fill = [fills[f] for f in at]
     x, y = (
-        Cube(n, {s: fill[k][0] for s, k in sizes}, {e: fill[k][1 + r] for e, k, r in covers})
+        Cube._assemble(n, {s: fill[k][0] for s, k in sizes}, {e: fill[k][1 + r] for e, k, r in covers})
         for sizes, covers in sides
     )
-    return CubeMap(x, y, {s: fill[k][1 + r] for s, k, r in components})
+    return CubeMap._assemble(x, y, {s: fill[k][1 + r] for s, k, r in components})

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Tuple
 
-from .cubelim import Cube, CubeMap, Subset
+from .cubelim import Cube, CubeMap, Subset, _listed
 from .gcomplex import GComplex, _faces
 from .gmap import GMap
 from .group import FiniteGroup, _decimal_int, _int
@@ -222,14 +222,17 @@ def map_to_json(f: GMap) -> dict:
 
 
 def subset_key(s: Subset) -> str:
-    return ",".join(str(i) for i in sorted(s))
+    return ",".join(str(i) for i in _listed(s))
 
 
-def parse_subset_key(key: str) -> Subset:
+def parse_subset_key(key: str, n: int) -> Subset:
+    """A subset key of the n-cube as a mask: distinct parts in 0..n-1."""
     parts = [_decimal_int(p, f"subset key {key!r} part") for p in key.split(",")] if key else []
     if len(set(parts)) < len(parts):
         raise ValueError(f"subset key {key!r} repeats a part")
-    return frozenset(parts)
+    if not all(0 <= p < n for p in parts):
+        raise ValueError(f"subset key {key!r} is not a subset of 0..{n - 1}")
+    return sum(1 << p for p in parts)
 
 
 def _new_key(table: dict, key, raw: str):
@@ -241,9 +244,12 @@ def _new_key(table: dict, key, raw: str):
 
 def _parse_cube(obj, n: int, what: str) -> Cube:
     obj = _as_dict(obj, what)
+    vertices = _as_dict(obj.get("vertices"), f"{what}.vertices")
+    if n >= len(vertices).bit_length():  # 2^n sets are needed; read no key for an n past them
+        raise ValueError(f"{what}: cube must assign a set to every subset of 0..{n - 1}")
     sizes = {}
-    for key, size in _as_dict(obj.get("vertices"), f"{what}.vertices").items():
-        subset = _new_key(sizes, parse_subset_key(key), key)
+    for key, size in vertices.items():
+        subset = _new_key(sizes, parse_subset_key(key, n), key)
         sizes[subset] = _int(size, f"{what} vertex size")
     covers = {}
     for key, mapping in _as_dict(obj.get("maps"), f"{what}.maps").items():
@@ -251,7 +257,7 @@ def _parse_cube(obj, n: int, what: str) -> Cube:
             raise ValueError(f"cube map key {key!r} must look like 'S+j'")
         skey, _, jkey = key.rpartition("+")
         j = _decimal_int(jkey, f"cube map key {key!r} index")
-        cover = _new_key(covers, (parse_subset_key(skey), j), key)
+        cover = _new_key(covers, (parse_subset_key(skey, n), j), key)
         covers[cover] = _ints(mapping, f"{what} cover map {key!r}")
     try:
         return Cube(n, sizes, covers)
@@ -268,7 +274,7 @@ def parse_cube_map(obj) -> CubeMap:
     target = _parse_cube(obj.get("target"), n, "target")
     components = {}
     for key, mapping in _as_dict(obj.get("components"), "components").items():
-        subset = _new_key(components, parse_subset_key(key), key)
+        subset = _new_key(components, parse_subset_key(key, n), key)
         components[subset] = _ints(mapping, f"component {key!r}")
     try:
         return CubeMap(source, target, components)
@@ -281,7 +287,7 @@ def _cube_to_json(c: Cube) -> dict:
         "vertices": {subset_key(s): c.sizes[s] for s in c.vertices()},
         "maps": {
             f"{subset_key(s)}+{j}": list(m) for (s, j), m in sorted(
-                c.covers.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
+                c.covers.items(), key=lambda kv: (_listed(kv[0][0]), kv[0][1])
             )
         },
     }

@@ -26,10 +26,19 @@ from isokit.cubelim import (
 from isokit.errors import CubeGenerationFailed, CubeTooLarge
 from isokit.jsonio import canonical_dumps, cube_map_to_json
 
-E = frozenset()
-S0 = frozenset({0})
-S1 = frozenset({1})
-S01 = frozenset({0, 1})
+# the library holds a subset as an int mask, bit i set iff i is in it
+E, S0, S1, S01 = 0, 1, 2, 3
+
+
+def _fs(s):
+    """A mask, or any iterable of indices, as the frozenset of its indices,
+    which the oracles and the reference constructions key subsets by."""
+    return frozenset(i for i in range(s.bit_length()) if s >> i & 1) if isinstance(s, int) else frozenset(s)
+
+
+def _subsets(n):
+    """The subsets of 0..n-1 as frozensets, by size, then lexicographically."""
+    return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
 
 
 def _square(sizes, c0, c1, c0_top, c1_top):
@@ -54,8 +63,17 @@ def test_cube_validation():
         _square((1, 2, 2, 3), (0,), (0,), (1, 2), (2, 2))  # square breaks
     with pytest.raises(ValueError):
         _square((1, 2, 2, 3), (5,), (0,), (1, 2), (1, 2))  # out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
+        _square((1, 2, 2, 3), (2,), (0,), (1, 2), (1, 2))  # X({0}) has 2 elements
+    with pytest.raises(ValueError, match=r"every subset of 0\.\.0$"):
         Cube(1, {E: 1}, {})  # missing the top vertex
+    with pytest.raises(ValueError, match=r"every subset of 0\.\.0$"):
+        Cube(1, {E: 1, (): 1}, {})  # two keys for the empty set, none for the top
+    # a dimension past the sets given is refused before any key becomes a mask
+    with pytest.raises(ValueError, match="must assign a set to every subset"):
+        Cube(10**400, {(10**9,): 1}, {})
+    with pytest.raises(ValueError, match=r"\[5\] is not a vertex of the 2-cube"):
+        Cube(2, {E: 1, S0: 1, S1: 1, (5,): 1}, {})
 
 
 def test_map_between_composes_covers():
@@ -82,14 +100,16 @@ def test_set_function():
 
 
 def _bruteforce_on_minimals(n, sizes, covers, poset):
-    """The minimal members of poset and, sorted, the brute-force limit's
-    elements read at them; reading there must be one-to-one."""
-    verts, elements = oracles.cube_limit_bruteforce(n, sizes, covers, poset)
+    """The minimal members of poset, as masks, and, sorted, the brute-force
+    limit's elements read at them; reading there must be one-to-one."""
+    sizes = {_fs(s): k for s, k in sizes.items()}
+    covers = {(_fs(s), j): m for (s, j), m in covers.items()}
+    verts, elements = oracles.cube_limit_bruteforce(n, sizes, covers, [_fs(v) for v in poset])
     minimals = tuple(v for v in verts if not any(u < v for u in verts))
     cols = [verts.index(m) for m in minimals]
     rows = sorted(tuple(e[c] for c in cols) for e in elements)
     assert len(set(rows)) == len(rows)
-    return minimals, rows
+    return tuple(sum(1 << i for i in m) for m in minimals), rows
 
 
 def test_limit_of_empty_poset_is_terminal():
@@ -172,6 +192,11 @@ def test_cube_map_validation():
         broken[S01] = tuple(comp)
         with pytest.raises(ValueError):
             CubeMap(m.source, m.target, broken)
+    # a component value equal to the target vertex's size is out of range
+    broken = dict(m.components)
+    broken[E] = (m.target.sizes[E],) + m.components[E][1:]
+    with pytest.raises(ValueError, match="component at \\[\\] is out of range"):
+        CubeMap(m.source, m.target, broken)
 
 
 def test_as_cube_star_direction():
@@ -181,7 +206,7 @@ def test_as_cube_star_direction():
     # source sits at subsets without the star index, target with it
     for s in (E, S0, S1, S01):
         assert big.size(s) == m.source.sizes[s]
-        assert big.size(s | {2}) == m.target.sizes[s]
+        assert big.size(s | 1 << 2) == m.target.sizes[s]
         assert big.covers[(s, 2)] == m.components[s]
 
 
@@ -287,7 +312,7 @@ def _generation_plan(n):
     fills them: S, the indices j not in S, the covers S+{j} and, per cover,
     the checks against each earlier cover i: the cover maps (S+{j_i}, j)
     and (S+{j}, j_i) agree at the join S+{j_i, j}."""
-    order = sorted(cubelim._subsets(range(n + 1)), key=lambda s: (-len(s), tuple(sorted(s))))
+    order = sorted(_subsets(n + 1), key=lambda s: (-len(s), tuple(sorted(s))))
     steps = []
     for s in order[1:]:
         js = tuple(j for j in range(n + 1) if j not in s)
@@ -324,13 +349,13 @@ def test_walk_view_is_the_generation_plan(n):
         for q, row in enumerate(checks):
             assert [(i, edge(above[i], q - 1), edge(above[q], i)) for i in range(q)] == list(row)
     named = []
-    for side, (sizes, covers) in zip((E, frozenset({n})), sides):
-        assert [(s, order[k]) for s, k in sizes] == [(s, s | side) for s in cubelim._subsets(range(n))]
+    for side, (sizes, covers) in zip((frozenset(), frozenset({n})), sides):
+        assert [(_fs(s), order[k]) for s, k in sizes] == [(s, s | side) for s in _subsets(n)]
         for (s, j), k, r in covers:
-            assert edge(k, r) == (s | side, j)
+            assert edge(k, r) == (_fs(s) | side, j)
             named.append(edge(k, r))
     for s, k, r in components:
-        assert edge(k, r) == (s, n)
+        assert edge(k, r) == (_fs(s), n)
         named.append(edge(k, r))
     every = {(v, j) for v in order for j in range(n + 1) if j not in v}
     assert len(named) == len(set(named)) and set(named) == every
@@ -374,7 +399,7 @@ def _reference_cube_map(n, seed, max_size=5):
             for j, column in zip(js, zip(*rows)):
                 covers[(s, j)] = column
         else:
-            verts = cubelim._subsets(range(n))
+            verts = _subsets(n)
             edges = [(s, j) for s in verts for j in range(n) if j not in s]
             x = Cube(n, {s: sizes[s] for s in verts}, {(s, j): covers[(s, j)] for s, j in edges})
             y = Cube(
@@ -427,6 +452,12 @@ def test_vertex_family_requires_bounded_unions():
     fam = VertexFamily([{1}, {0}, {0}])
     assert fam.vertices == (S0, S1) and fam.minimals == (S0, S1)
     assert fam.joins == ((), ())
+    # no cube has an index 64, as it would list 2^65 vertices, so no huge
+    # mask is built for one
+    assert VertexFamily([{63}, 1 << 63]).vertices == (1 << 63,)
+    for member in ({64}, {10**9}, 1 << 64, -1, {-1}):
+        with pytest.raises(ValueError, match="is not a vertex of the 64-cube$"):
+            VertexFamily([{0}, member])
 
 
 def test_reused_family_matches_bruteforce_on_random_3_cubes():
@@ -452,7 +483,7 @@ def test_reused_family_matches_bruteforce_on_random_3_cubes():
         for cube in (m.source, m.target):
             covers = {k: list(v) for k, v in cube.covers.items()}
             for poset, fam in zip(posets, families):
-                assert list(fam.vertices) == sorted(poset, key=lambda v: (len(v), sorted(v)))
+                assert list(map(_fs, fam.vertices)) == sorted(poset, key=lambda v: (len(v), sorted(v)))
                 expect = _bruteforce_on_minimals(3, cube.sizes, covers, poset)
                 got = limit(cube, fam)
                 assert (got.minimals, list(got.elements)) == expect
@@ -465,14 +496,14 @@ def test_memoized_map_between_matches_cover_walk():
     for seed in range(8):
         m = random_cube_map(3, seed=seed, max_size=4)
         for cube in (m.source, m.target, m.as_cube()):
-            pairs = [(s, t) for t in cube.vertices() for s in cube.vertices() if s <= t]
+            pairs = [(s, t) for t in cube.vertices() for s in cube.vertices() if s | t == t]
             # visit long chains first and short ones last, then all again from the memo
-            for s, t in sorted(pairs, key=lambda p: len(p[0]) - len(p[1])) + pairs:
+            for s, t in sorted(pairs, key=lambda p: p[0].bit_count() - p[1].bit_count()) + pairs:
                 walk = list(range(cube.sizes[s]))
                 here = s
-                for j in sorted(t - s):
+                for j in sorted(_fs(t) - _fs(s)):
                     walk = [cube.covers[(here, j)][v] for v in walk]
-                    here = here | {j}
+                    here = here | 1 << j
                 assert cube.map_between(s, t) == tuple(walk)
             with pytest.raises(ValueError):
                 cube.map_between({0}, {1})
@@ -515,15 +546,19 @@ def test_capped_sections_are_a_prefix_of_the_limit():
     for _ in range(40):
         cube = _random_3_cube(rng)
         for s, _, above, checks in steps:
-            family = [t for t in cube.vertices() if s < t]
+            family = [t for t in cube.vertices() if s < _fs(t)]
             lim = limit(cube, VertexFamily(family))
             expect = _bruteforce_on_minimals(3, cube.sizes, cube.covers, family)
             assert (lim.minimals, list(lim.elements)) == expect
             # the family's minimal vertices are the covers, in the sampler's order
-            assert lim.minimals == above
+            assert tuple(map(_fs, lim.minimals)) == above
             on_covers = list(lim.elements)
-            sizes = [cube.sizes[t] for t in above]
-            maps = [[(i, cube.covers[e], cube.covers[h]) for i, e, h in pairs] for pairs in checks]
+            sizes = [cube.size(t) for t in above]
+
+            def cover(e):
+                return cube.map_between(e[0], e[0] | {e[1]})
+
+            maps = [[(i, cover(e), cover(h)) for i, e, h in pairs] for pairs in checks]
             for cap in range(7):
                 assert cubelim._sections(sizes, maps, cap) == on_covers[: cap + 1]
             assert cubelim._sections(sizes, maps) == on_covers
@@ -538,7 +573,7 @@ def _point_map(target):
     more than one element."""
     verts = target.vertices()
     n = target.n
-    point = Cube(n, {s: 1 for s in verts}, {(s, j): (0,) for s in verts for j in range(n) if j not in s})
+    point = Cube(n, {s: 1 for s in verts}, {(s, j): (0,) for s in verts for j in range(n) if not s >> j & 1})
     return CubeMap(point, target, {s: (target.map_between(E, s)[0],) for s in verts})
 
 
@@ -547,15 +582,15 @@ def _checks_digest(dim, seeds):
     limit map of random cube maps and of point maps into their targets."""
 
     def verts(vs):
-        return tuple(tuple(sorted(v)) for v in vs)
+        return tuple(tuple(sorted(_fs(v))) for v in vs)
 
     def full(z, members, lim):
         """The family's members, sorted, and lim's elements as values at
         each, pushed up from the first minimal vertex below it."""
-        members = sorted(members, key=lambda v: (len(v), sorted(v)))
+        members = sorted(map(_fs, members), key=lambda v: (len(v), sorted(v)))
         cols = []
         for w in members:
-            k = next(k for k, m in enumerate(lim.minimals) if m <= w)
+            k = next(k for k, m in enumerate(lim.minimals) if _fs(m) <= w)
             cols.append((k, z.map_between(lim.minimals[k], w)))
         return verts(members), tuple(tuple(push[e[k]] for k, push in cols) for e in lim.elements)
 
@@ -568,7 +603,7 @@ def _checks_digest(dim, seeds):
             direct, lim_y = limit_map(mm)
             z, order = mm.as_cube(), fac.added_order
             # the target side, and fac.stages[i] with all but the last i source vertices
-            side = [s | {dim} for s in cubelim._subsets(range(dim))]
+            side = [s | {dim} for s in _subsets(dim)]
             stages = tuple(
                 full(z, side + list(order[: len(order) - i]), s) for i, s in enumerate(fac.stages)
             )
@@ -595,7 +630,7 @@ def test_cube_checks_are_pinned(dim, seeds, digest):
 
 def _all_singleton_map(n):
     """The identity map of the n-cube with one element at every vertex."""
-    verts = cubelim._subsets(range(n))
+    verts = _subsets(n)
     point = Cube(n, dict.fromkeys(verts, 1), {(s, j): (0,) for s in verts for j in range(n) if j not in s})
     return CubeMap(point, point, dict.fromkeys(verts, (0,)))
 
@@ -612,11 +647,11 @@ def test_plans_are_built_once_per_dimension(monkeypatch):
     for planner in planners:
         planner.cache_clear()
     maps = [random_cube_map(n, seed=seed) for n in range(5) for seed in range(2)]
-    for m in maps + [_all_singleton_map(n) for n in (5, 6, 7)]:
+    for m in maps + [_all_singleton_map(n) for n in (5, 6, 7, 8)]:
         check_hypothesis(m)
         factorize_limit(m)
         limit_map(m)
-    assert [planner.cache_info().misses for planner in planners] == [8, 8]
+    assert [planner.cache_info().misses for planner in planners] == [9, 9]
 
 
 def _random_map_with_failures(rng, n):
@@ -636,11 +671,11 @@ def _random_map_with_failures(rng, n):
         sizes[s] = len(picked)
         for k, j in enumerate(js):
             covers[(s, j)] = tuple(row[k] for row in picked)
-    verts = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    verts = _subsets(n)
     edges = [(s, j) for s in verts for j in range(n) if j not in s]
     x, y = (
         Cube(n, {s: sizes[s | side] for s in verts}, {(s, j): covers[(s | side, j)] for s, j in edges})
-        for side in (E, frozenset({n}))
+        for side in (frozenset(), frozenset({n}))
     )
     return CubeMap(x, y, {s: covers[(s, n)] for s in verts}), sizes, covers
 
@@ -671,7 +706,7 @@ def _bruteforce_failures(n, sizes, covers):
 def _nested_pairs(n):
     """Every nested pair U <= T of subsets of 0..n-1, T by size and then
     lexicographically, and U likewise within each T."""
-    subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    subsets = _subsets(n)
     return [(u, t) for t in subsets for u in subsets if u <= t]
 
 
@@ -681,10 +716,11 @@ def test_corner_plans_are_the_families_minimals_and_joins(n):
     finds for the vertices strictly above U in the span of U <= T on both
     sides of the (n+1)-cube, in check_hypothesis's order."""
     plans = cubelim._corner_plans(n)
-    assert list(plans) == _nested_pairs(n)
+    assert [(_fs(u), _fs(t)) for u, t in plans] == _nested_pairs(n)
     for u, t in plans:
-        span = [v | side for v in cubelim._subsets(sorted(t - u)) for side in (u, u | {n})]
-        family = VertexFamily([v for v in span if v != u])
+        lo, hi = _fs(u), _fs(t)
+        span = [v | side for v in _subsets(n) if v <= hi - lo for side in (lo, lo | {n})]
+        family = VertexFamily([v for v in span if v != lo])
         assert plans[(u, t)] == (family.minimals, family.joins)
 
 
@@ -696,12 +732,12 @@ def test_stage_plans_are_the_families(n):
     lexicographic order, up to but not including the empty set, whose
     stage is lim X, read off the cube."""
     order, stages = cubelim._stage_plans(n)
-    source = cubelim._subsets(range(n))
-    assert list(order) == sorted(source, key=lambda s: (-len(s), sorted(s)))
+    source = _subsets(n)
+    assert list(map(_fs, order)) == sorted(source, key=lambda s: (-len(s), sorted(s)))
     side = [s | {n} for s in source]
     assert len(stages) == len(order) - 1
     for k, plan in enumerate(stages, 1):
-        family = VertexFamily(side + list(order[:k]))
+        family = VertexFamily(side + list(map(_fs, order[:k])))
         assert (plan.vertices, plan.minimals, plan.joins) == (
             family.vertices, family.minimals, family.joins
         )
@@ -713,7 +749,7 @@ def test_hypothesis_matches_corner_maps_and_bruteforce(dim):
     brute-force image check rejects, listed in the order of the corner
     plans, on maps that fail corners and have empty vertex sets."""
     rng = Random(dim)
-    corners = [(tuple(sorted(u)), tuple(sorted(t))) for u, t in cubelim._corner_plans(dim)]
+    corners = [(tuple(sorted(_fs(u))), tuple(sorted(_fs(t)))) for u, t in cubelim._corner_plans(dim)]
     failed = empty = 0
     for _ in range(150):
         m, sizes, covers = _random_map_with_failures(rng, dim)
@@ -746,13 +782,13 @@ def test_limit_map_reads_both_ends_off_the_cube(dim, count_calls):
     rng = Random(dim)
     maps = [random_cube_map(dim, seed=seed) for seed in range(6)]
     maps += [_random_map_with_failures(rng, dim)[0] for _ in range(40)]
-    whole = VertexFamily(cubelim._subsets(range(dim + 1)))
+    whole = VertexFamily(_subsets(dim + 1))
     limits = count_calls("limit", cubelim)
     empty = 0
     for m in maps:
         direct, lim_y = limit_map(m)
         z = m.as_cube()
-        lim = limit(z, VertexFamily([s | {dim} for s in m.source.vertices()]))
+        lim = limit(z, VertexFamily([s | 1 << dim for s in m.source.vertices()]))
         assert lim_y == lim
         lookup = [
             lim.index_of(tuple(z.map_between(E, v)[a] for v in lim.minimals))
@@ -821,7 +857,7 @@ def _wide_limit_map(n):
     and one elsewhere, every map constant 0, into the one-point cube.  The
     stage limit of factorize_limit that has adjoined the vertices of size
     3 and up has 2^C(n, 3) elements, any choice on each size-3 vertex."""
-    verts = cubelim._subsets(range(n))
+    verts = _subsets(n)
     sizes = {s: 2 if len(s) == 3 else 1 for s in verts}
     covers = {(s, j): (0,) * sizes[s] for s in verts for j in range(n) if j not in s}
     x = Cube(n, sizes, covers)
@@ -832,7 +868,7 @@ def test_limit_element_cap(monkeypatch):
     """A limit with more than MAX_LIMIT_ELEMENTS elements raises
     CubeTooLarge; one with exactly that many is built."""
     x = _wide_limit_map(4).source
-    upper = VertexFamily([s for s in x.vertices() if len(s) >= 3])
+    upper = VertexFamily([s for s in x.vertices() if s.bit_count() >= 3])
     assert len(limit(x, upper)) == 2**4
     monkeypatch.setattr(cubelim, "MAX_LIMIT_ELEMENTS", 2**4)
     assert len(limit(x, upper)) == 2**4
@@ -861,3 +897,9 @@ def test_cube_sizes_and_cover_indices_must_be_integers(sizes, index, bad):
     with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
         Cube(1, sizes, {(E, index): (0,)})
     assert Cube(1, {E: 1, S0: 1}, {(E, 0): (0,)}).sizes == {E: 1, S0: 1}
+    # so is a dimension, for a cube and for the sampler
+    for dim in (True, 1.0):
+        with pytest.raises(ValueError, match=f"cube dimension must be an integer, got {dim}$"):
+            Cube(dim, {E: 1, S0: 1}, {(E, 0): (0,)})
+        with pytest.raises(ValueError, match=f"cube dimension must be an integer, got {dim}$"):
+            random_cube_map(dim)

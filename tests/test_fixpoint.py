@@ -202,6 +202,13 @@ def test_twisted_classes_structure():
     assert sorted(tc.project(r) for r in reps) == classes
 
 
+def test_twisted_classes_unit_factor_is_not_torsion():
+    """phi = 0 on Z gives 1 - phi = (1): one class, and the unit invariant
+    factor adds no torsion."""
+    tc = twisted_classes(TwistedConjugacySetup((0,), ((0,),)))
+    assert tc.count == 1 and tc.free_rank == 0 and tc.torsion == ()
+
+
 def test_twisted_classes_infinite():
     setup = TwistedConjugacySetup((0,), ((1,),))  # coker(1 - 1) = Z
     tc = twisted_classes(setup)

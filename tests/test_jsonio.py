@@ -270,18 +270,24 @@ def test_map_errors():
 def test_subset_keys():
     from itertools import combinations
 
-    assert subset_key(frozenset()) == ""
-    assert parse_subset_key("") == frozenset()
-    assert parse_subset_key("1,0") == frozenset({0, 1})
+    # a subset is an int mask, bit i set iff i is in it
+    assert subset_key(0) == ""
+    assert parse_subset_key("", 0) == 0
+    assert parse_subset_key("1,0", 2) == 0b11
     for r in range(4):
         for combo in combinations(range(3), r):
-            s = frozenset(combo)
-            assert parse_subset_key(subset_key(s)) == s
+            s = sum(1 << i for i in combo)
+            assert subset_key(s) == ",".join(map(str, combo))
+            assert parse_subset_key(subset_key(s), 3) == s
     with pytest.raises(ValueError):
-        parse_subset_key("a,b")
+        parse_subset_key("a,b", 3)
     for key in ("0,0", "1,0,1", "2,2,2"):
         with pytest.raises(ValueError, match="repeats a part"):
-            parse_subset_key(key)
+            parse_subset_key(key, 3)
+    # a part is an index of the n-cube, so no key builds a mask past 2^n
+    for key in ("-1", "3", "0,1000000000"):
+        with pytest.raises(ValueError, match="is not a subset of 0..2$"):
+            parse_subset_key(key, 3)
 
 
 def test_cube_map_keys_name_each_entry_once():

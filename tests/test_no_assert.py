@@ -98,3 +98,17 @@ def test_every_private_helper_is_used_elsewhere_in_the_library():
             used.update(name for name in _referenced(stmt) if name != own)
     unused = [where for name, where in private if name not in used]
     assert not unused, f"private helpers that nothing else names: {unused}"
+
+
+def test_cubelim_holds_subsets_as_masks_only():
+    """cubelim holds a subset as an int mask alone: it builds no frozenset
+    and names no FrozenSet, so no second subset form grows beside the masks."""
+    path = Path(isokit.__file__).parent / "cubelim.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in ("frozenset", "FrozenSet"))
+        or (isinstance(node, ast.Attribute) and node.attr == "FrozenSet")
+    ]
+    assert not found, f"frozensets in cubelim: {found}"
