@@ -144,7 +144,7 @@ def _parse_pi(text: str) -> Tuple[int, ...]:
 
 def _parse_phi(text: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
     value = parse_json(text)
-    if isinstance(value, int):
+    if type(value) is int:
         value = [value]
     if not isinstance(value, list):
         raise ValueError("phi must be an integer, a list, or a matrix")
@@ -536,16 +536,21 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
+        return exc.code if type(exc.code) is int else EX_USAGE
     command = getattr(args, "command", "isokit")
     inputs: Dict[str, str] = {}
     try:
-        result = args.func(args, *[_load(args, option, inputs) for option in args.load])
+        result = shown = args.func(args, *[_load(args, option, inputs) for option in args.load])
         if getattr(args, "out", None):
             # before the report, so that a failed write prints only its own report
+            if command == "export-dot":
+                text = result["dot"]
+            else:  # encoded once, for the file and for the report
+                text = canonical_dumps(result)
+                shown = Canonical(text[:-1])
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(result["dot"] if command == "export-dot" else canonical_dumps(result))
-        _report(command, inputs, result, "ok")
+                fh.write(text)
+        _report(command, inputs, shown, "ok")
     except CapExceeded as exc:
         return _fail(command, EX_BADINPUT, exc.code, str(exc))
     except IsokitError as exc:

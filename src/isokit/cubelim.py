@@ -7,19 +7,20 @@ a map of cubes is surjective, so is the induced map on limits, and
 factorize_limit exhibits the chain of surjections that proves it.
 
 A subset S is an int mask, bit i set iff i is in S, everywhere; the
-public constructors, Cube.size and Cube.map_between also take any
-iterable of indices and convert it once (_mask).
+public constructors, vertex_family, Cube.size and Cube.map_between also
+take any iterable of indices and convert it once (_mask).
 
-A limit element is a compatible family of values over a vertex family,
-fixed by its values on the family's minimal vertices, and it is held as
-that tuple alone, as _sections enumerates it: limit keeps the rows,
-check_hypothesis only counts them, and maps into and between limits
-read values at minimal vertices (_restriction).  All of them read their
-vertex families off plans written once per dimension from the
-construction (_corner_plans, _stage_plans), which makes them closed
-under bounded unions with no check; only VertexFamily(vertices), for a
-family a caller brings, checks that.  lim X and lim Y are the sets at
-the empty set, read off the cube (limit_map).
+A limit is taken over a vertex family, held everywhere as its Plan,
+(minimals, joins).  A limit element is a compatible family of values
+over the family, fixed by its values on the minimal vertices, and it is
+held as that tuple alone, as _sections enumerates it: limit keeps the
+rows, check_hypothesis only counts them, and maps into and between
+limits read values at minimal vertices (_restriction).  The library
+writes its plans once per dimension from the construction
+(_corner_plans, _stage_plans), closed under bounded unions with no
+check; a caller's family enters through vertex_family(n, vertices),
+which checks that.  lim X and lim Y are the sets at the empty set, read
+off the cube (limit_map).
 
 Tuples on the hot paths are built from lists, tuple([...]).  A tuple of
 a generator is filled by resizing, so it never takes a freed tuple of
@@ -43,6 +44,8 @@ from .group import _int
 
 Subset = int
 Indices = Union[Subset, Iterable[int]]
+# a vertex family: its minimal vertices in _order, and their _joins
+Plan = Tuple[Tuple[Subset, ...], tuple]
 
 # corner and stage plans over 3^n or 2^n families of up to 2^(n+1) vertices
 MAX_CUBE_DIM = 8
@@ -57,28 +60,37 @@ def _listed(s: Subset) -> List[int]:
 
 def _mask(s: Indices, n: int) -> Subset:
     """s, a mask or an iterable of indices, as a subset of 0..n-1; a negative
-    mask or an index that is not an int in 0..n-1 is a ValueError."""
-    if isinstance(s, int):
+    mask, a bool or an index that is not an int in 0..n-1 is a ValueError."""
+    if type(s) is int:
         if s >= 0 and s >> n == 0:
             return s
-    else:
+    elif type(s) is not bool:  # a bool is neither a mask nor indices
         s = list(s)
-        if all(isinstance(i, int) and 0 <= i < n for i in s):
+        if all(type(i) is int and 0 <= i < n for i in s):
             return sum(1 << i for i in set(s))
         s = sorted(s)
     raise ValueError(f"{s} is not a vertex of the {n}-cube")
 
 
+def _order(s: Subset) -> Tuple[int, List[int]]:
+    """The order of vertices everywhere: by size, then lexicographically."""
+    return s.bit_count(), _listed(s)
+
+
 @lru_cache(maxsize=None)
 def _vertices(n: int) -> Tuple[Subset, ...]:
-    """The subsets of 0..n-1 by size, then lexicographically, once per n."""
-    return tuple(sorted(range(1 << n), key=lambda s: (s.bit_count(), _listed(s))))
+    """The subsets of 0..n-1 in _order, once per n."""
+    return tuple(sorted(range(1 << n), key=_order))
+
+
+def _dim(n: int) -> int:
+    if _int(n, "cube dimension") < 0:
+        raise ValueError(f"cube dimension must be nonnegative, got {n}")
+    return n
 
 
 def _check_dim(n: int) -> int:
-    if _int(n, "cube dimension") < 0:
-        raise ValueError(f"cube dimension must be nonnegative, got {n}")
-    if n > MAX_CUBE_DIM:
+    if _dim(n) > MAX_CUBE_DIM:
         raise CubeTooLarge(f"a cube map of dimension {n} exceeds the cap of {MAX_CUBE_DIM}")
     return n
 
@@ -92,9 +104,7 @@ class Cube:
     """
 
     def __init__(self, n: int, sizes: Dict[Indices, int], covers: Dict[tuple, Iterable[int]]):
-        self.n = n = _int(n, "cube dimension")
-        if n < 0:
-            raise ValueError(f"cube dimension must be nonnegative, got {n}")
+        self.n = n = _dim(n)
         if n >= len(sizes).bit_length():  # 2^n sets are needed: read no key past them
             raise ValueError(f"cube must assign a set to every subset of 0..{n - 1}")
         self.sizes = {_mask(k, n): _int(v, "vertex size") for k, v in sizes.items()}
@@ -215,42 +225,6 @@ class LimitSet:
         return self._index[element]
 
 
-class VertexFamily:
-    """A vertex family for limits, planned once for use on any cube.
-
-    VertexFamily(vertices) checks a family a caller brings: its members
-    are sorted by size, then lexicographically, and it must contain the
-    union of any two members with a common upper bound in it, as up-closed
-    families and intervals do.  Library stage families come from
-    _assemble, unchecked.  A family also keeps what limit's enumeration
-    needs: the minimal members and, per minimal, the earlier minimals
-    whose join with it is a member, with that join.
-    """
-
-    def __init__(self, vertices: Iterable[Indices]):
-        # a cube with an index 64 would list 2^65 vertices, so no family has one
-        verts = sorted({_mask(v, 64) for v in vertices}, key=lambda s: (s.bit_count(), _listed(s)))
-        vset = set(verts)
-        for a, b in combinations(verts, 2):
-            u = a | b
-            if u not in vset and any(u | w == w for w in verts):
-                raise ValueError("vertex family is not closed under bounded unions")
-        self._plan(verts, [v for v in verts if not any(u != v and u | v == v for u in verts)], vset)
-
-    @classmethod
-    def _assemble(cls, vertices: Sequence[Subset], minimals: Sequence[Subset]) -> "VertexFamily":
-        """A family whose construction makes any two minimal members join,
-        unchecked: members and minimals sorted as the constructor sorts them."""
-        x = cls.__new__(cls)
-        x._plan(vertices, minimals)
-        return x
-
-    def _plan(self, vertices: Sequence[Subset], minimals: Sequence[Subset], vset: Optional[set] = None):
-        self.vertices: Tuple[Subset, ...] = tuple(vertices)
-        self.minimals: Tuple[Subset, ...] = tuple(minimals)
-        self.joins: Tuple[Tuple[Tuple[int, Subset], ...], ...] = _joins(self.minimals, vset)
-
-
 def _joins(minimals: Sequence[Subset], vset: Optional[set] = None) -> tuple:
     """Per minimal k, the pairs (i, join) of an earlier minimal i and its
     join with k, for every i or, given the members vset, those joining in it."""
@@ -258,6 +232,26 @@ def _joins(minimals: Sequence[Subset], vset: Optional[set] = None) -> tuple:
         tuple([(i, u | m) for i, u in enumerate(minimals[:k]) if vset is None or u | m in vset])
         for k, m in enumerate(minimals)
     )
+
+
+def vertex_family(n: int, vertices: Iterable[Indices]) -> Plan:
+    """The plan of a family of vertices of the n-cube that a caller brings.
+
+    The family must contain the union of any two members with a common
+    upper bound in it, as up-closed families and intervals do; a vertex
+    outside the n-cube is a ValueError that names it.  One plan serves
+    limits on every n-cube: vertex_family(n, cube.vertices()) is the whole
+    cube.
+    """
+    n = _dim(n)
+    verts = sorted({_mask(v, n) for v in vertices}, key=_order)
+    vset = set(verts)
+    for a, b in combinations(verts, 2):
+        u = a | b
+        if u not in vset and any(u | w == w for w in verts):
+            raise ValueError("vertex family is not closed under bounded unions")
+    minimals = tuple([v for v in verts if not any(u != v and u | v == v for u in verts)])
+    return minimals, _joins(minimals, vset)
 
 
 def _sections(
@@ -303,13 +297,11 @@ def _sections(
                     return rows
 
 
-def _minimal_sections(
-    cube: Cube, minimals: Sequence[Subset], joins: Sequence[tuple], cap: Optional[int] = None
-) -> List[Tuple[int, ...]]:
-    """A limit's elements as values on its minimal vertices, in limit's
-    order; joins as VertexFamily keeps them.  With a cap, at most the first
-    cap + 1 (see _sections)."""
+def _minimal_sections(cube: Cube, plan: Plan, cap: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """A limit's elements as values on its plan's minimal vertices, in
+    limit's order.  With a cap, at most the first cap + 1 (see _sections)."""
     chain = cube._chain
+    minimals, joins = plan
     # minimal k must agree with each earlier minimal i on their join w
     checks = [
         [(i, chain(minimals[i], w), chain(m, w)) for i, w in pairs]
@@ -318,23 +310,19 @@ def _minimal_sections(
     return _sections([cube.sizes[m] for m in minimals], checks, cap)
 
 
-def limit(cube: Cube, poset: VertexFamily) -> LimitSet:
-    """Compatible families of values over the members of a VertexFamily.
-
-    One family serves limits on many cubes; VertexFamily(cube.vertices())
-    is the whole cube, and a family with a vertex outside the cube is a
-    ValueError.  Each element is its values on the family's minimal
-    vertices, as _minimal_sections enumerates them, in lexicographic order.
-    A limit of more than MAX_LIMIT_ELEMENTS elements raises CubeTooLarge
-    once the enumeration passes the cap.
-    """
-    outside = [_listed(w) for w in poset.vertices if w not in cube.sizes]
-    if outside:
-        raise ValueError(f"vertex {outside[0]} of the family is not in the {cube.n}-cube")
-    rows = _minimal_sections(cube, poset.minimals, poset.joins, MAX_LIMIT_ELEMENTS)
+def limit(cube: Cube, plan: Plan) -> LimitSet:
+    """Compatible families of values over a plan's vertex family, each its
+    values on the minimal vertices, in lexicographic order.  A minimal
+    vertex outside the cube is a ValueError, and a limit of more than
+    MAX_LIMIT_ELEMENTS elements raises CubeTooLarge once the enumeration
+    passes the cap."""
+    for m in plan[0]:
+        if m not in cube.sizes:
+            raise ValueError(f"{_listed(m)} is not a vertex of the {cube.n}-cube")
+    rows = _minimal_sections(cube, plan, MAX_LIMIT_ELEMENTS)
     if len(rows) > MAX_LIMIT_ELEMENTS:
         raise CubeTooLarge(f"a limit has more elements than the cap of {MAX_LIMIT_ELEMENTS}")
-    return LimitSet(minimals=poset.minimals, elements=tuple(rows))
+    return LimitSet(minimals=plan[0], elements=tuple(rows))
 
 
 def _restriction(cube: Cube, larger: LimitSet, smaller: LimitSet) -> SetFunction:
@@ -411,14 +399,13 @@ class CubeMap:
 
 
 @lru_cache(maxsize=None)
-def _corner_plans(n: int) -> Mapping[Tuple[Subset, Subset], tuple]:
+def _corner_plans(n: int) -> Mapping[Tuple[Subset, Subset], Plan]:
     """Per corner (U, T) of a map of n-cubes, in the order check_hypothesis
-    visits them, the minimal vertices and joins, as VertexFamily keeps
-    them, of the limit X(U) maps into: everything strictly above U in the
-    span of U <= T on both sides of the (n+1)-cube.  Its minimal vertices
-    are U+{j} for j in T - U ascending, then U+{n}, and any two join inside
-    it.  Read-only, as every caller shares it.  Raises CubeTooLarge above
-    MAX_CUBE_DIM."""
+    visits them, the plan of the limit X(U) maps into: everything strictly
+    above U in the span of U <= T on both sides of the (n+1)-cube.  Its
+    minimal vertices are U+{j} for j in T - U ascending, then U+{n}, and any
+    two join inside it.  Read-only, as every caller shares it.  Raises
+    CubeTooLarge above MAX_CUBE_DIM."""
     _check_dim(n)
     out = {}
     verts = _vertices(n)
@@ -452,9 +439,9 @@ def check_hypothesis(m: CubeMap) -> HypothesisCheck:
     z = m.as_cube()
     plans = _corner_plans(m.n)
     failures = []
-    for (u, t), (minimals, joins) in plans.items():
-        hits = len(set(zip(*[z._chain(u, v) for v in minimals])))
-        if len(_minimal_sections(z, minimals, joins, hits)) > hits:
+    for (u, t), plan in plans.items():
+        hits = len(set(zip(*[z._chain(u, v) for v in plan[0]])))
+        if len(_minimal_sections(z, plan, hits)) > hits:
             failures.append((tuple(_listed(u)), tuple(_listed(t))))
     return HypothesisCheck(ok=not failures, checked=len(plans), failures=tuple(failures))
 
@@ -474,28 +461,25 @@ def limit_map(m: CubeMap) -> Tuple[SetFunction, LimitSet]:
 
 
 @lru_cache(maxsize=None)
-def _stage_plans(n: int) -> Tuple[Tuple[Subset, ...], Tuple[VertexFamily, ...]]:
-    """The families factorize_limit takes limits over on the (n+1)-cube of
-    a map of n-cubes: the source vertices in the order they are adjoined,
-    and per stage but the last the target side with the source vertices
-    adjoined so far.  Source vertices come by decreasing size, so each
-    family is up-closed and any two members join inside it; its minimal
-    vertices are {n} and the adjoined source vertices with none adjoined
-    strictly inside them.  The empty set, adjoined last, leaves lim X,
-    which is read off the cube.  Raises CubeTooLarge above MAX_CUBE_DIM,
-    before any family is built."""
+def _stage_plans(n: int) -> Tuple[Tuple[Subset, ...], Tuple[Plan, ...]]:
+    """The plans factorize_limit takes limits over on the (n+1)-cube of a
+    map of n-cubes: the source vertices in the order they are adjoined, and
+    per stage but the last the plan of the target side with the source
+    vertices adjoined so far.  Source vertices come by decreasing size, so
+    each family is up-closed and any two members join inside it; its
+    minimal vertices are {n} and the adjoined source vertices with none
+    adjoined strictly inside them.  The empty set, adjoined last, leaves
+    lim X, which is read off the cube.  Raises CubeTooLarge above
+    MAX_CUBE_DIM, before any plan is built."""
     _check_dim(n)
-    whole = _vertices(n + 1)
-    xorder = sorted(_vertices(n), key=lambda s: (-s.bit_count(), _listed(s)))
-    members = {s for s in whole if s >> n}
+    # a stable sort by size alone keeps _order within each size
+    xorder = sorted(_vertices(n), key=int.bit_count, reverse=True)
     minimals = [1 << n]
     stages = []
     for x in xorder[:-1]:
         # nothing adjoined before x lies strictly inside it
-        members.add(x)
-        minimals = [m for m in minimals if x | m != m] + [x]
-        minimals.sort(key=lambda s: (s.bit_count(), _listed(s)))
-        stages.append(VertexFamily._assemble([s for s in whole if s in members], minimals))
+        minimals = sorted([m for m in minimals if x | m != m] + [x], key=_order)
+        stages.append((tuple(minimals), _joins(minimals)))
     return tuple(xorder), tuple(stages)
 
 
@@ -525,7 +509,7 @@ class Factorization:
 def factorize_limit(m: CubeMap) -> Factorization:
     """lim X -> lim Y as a chain of restrictions through partial limits.
 
-    The stage families come from _stage_plans, written once per dimension.
+    The stage plans come from _stage_plans, written once per dimension.
     The last stage, whose only minimal vertex is the empty set, is lim X in
     X(empty set)'s order, read off the cube; so the links compose to a map
     from X(empty set), which must equal limit_map's direct map.  Raises
@@ -533,9 +517,9 @@ def factorize_limit(m: CubeMap) -> Factorization:
     """
     direct, lim_y = limit_map(m)
     z = m.as_cube()
-    xorder, families = _stage_plans(m.n)
+    xorder, plans = _stage_plans(m.n)
     lim_x = LimitSet(minimals=(0,), elements=tuple([(x,) for x in range(z.sizes[0])]))
-    stages = [limit(z, family) for family in families] + [lim_x]
+    stages = [limit(z, plan) for plan in plans] + [lim_x]
     links = [_restriction(z, stages[i], stages[i - 1]) for i in range(len(stages) - 1, 0, -1)]
     links.append(_restriction(z, stages[0], lim_y))
     composed = links[0]
@@ -611,7 +595,7 @@ def _walk_view(n: int) -> Tuple[tuple, tuple, tuple]:
     fixes the covers.  Then the read-back, per side of the map: each S with
     its vertex's number, and each cover (S, j) with its vertex's number and
     the rank r of j; and each component (S, n) likewise."""
-    order = sorted(_vertices(n + 1), key=lambda s: (-s.bit_count(), _listed(s)))
+    order = sorted(_vertices(n + 1), key=int.bit_count, reverse=True)
     num = {s: k for k, s in enumerate(order)}
     steps = []
     for s in order[1:]:

@@ -138,6 +138,8 @@ class GComplex:
             names = tuple(names)
             if len(names) != n:
                 raise ValueError("names length must match vertex count")
+        # checked before the facets are sorted, where a str would be a bare TypeError
+        facets = [[_int(v, "facet vertex") for v in f] for f in facets]
         self.facets, self._closed = _normalize_facets(facets)
         if not action and names is None:
             # nothing but the facets names a vertex
@@ -615,12 +617,14 @@ def orbit_complex(x: GComplex) -> OrbitComplex:
     for orbit in x.isotropy().orbits:
         image = tuple(sorted({vertex_orbit[v] for v in orbit[0]}))
         fibers.setdefault(image, []).extend(orbit)
-    facets, faces = _normalize_facets(fibers)
+    # the keys are sorted and face-closed: a facet is no codimension-1 face of one
+    inner = {k[:i] + k[i + 1:] for k in fibers if len(k) > 1 for i in range(len(k))}
+    facets = _by_dimension([k for k in fibers if k not in inner])
     names = tuple(
         "{" + ",".join(x.names[v] for v in orb) + "}" for orb in members
     )
     m = len(members)
-    q = GComplex._assemble(m, facets, faces, (tuple(range(m)),), FiniteGroup.cyclic(1), names)
+    q = GComplex._assemble(m, facets, fibers.keys(), (tuple(range(m)),), FiniteGroup.cyclic(1), names)
     return OrbitComplex(
         complex=q, vertex_orbit=vertex_orbit, orbit_members=tuple(members), fibers=fibers
     )

@@ -18,7 +18,7 @@ from .gcomplex import (
     induced_subcomplex,
     present_classes,
 )
-from .group import Subgroup, _skey, class_names, class_rep_of, is_subconjugate
+from .group import Subgroup, _int, _skey, class_names, class_rep_of, is_subconjugate
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -58,8 +58,11 @@ class GMap:
     def __post_init__(self):
         if len(self.vertices) != self.source.n_vertices:
             raise ValueError("vertex map length must match the source complex")
-        if any(v < 0 or v >= self.target.n_vertices for v in self.vertices):
-            raise ValueError("vertex map image out of range")
+        n = self.target.n_vertices
+        for v in self.vertices:
+            if type(v) is not int or not 0 <= v < n:
+                _int(v, "vertex map image")
+                raise ValueError("vertex map image out of range")
         if self.source.group.table != self.target.group.table:
             raise ValueError("source and target must share one group")
 

@@ -19,6 +19,7 @@ from isokit.cubelim import MAX_CUBE_DIM, Cube, CubeMap, random_cube_map
 from isokit.errors import CapExceeded
 from isokit.group import FiniteGroup
 from isokit.jsonio import (
+    Canonical,
     canonical_dumps,
     complex_to_json,
     cube_map_to_json,
@@ -108,6 +109,24 @@ def test_out_file(capsys, tmp_path):
     out = tmp_path / "g.json"
     r = _report(capsys, ["group", "make", "--cyclic", "3", "--out", str(out)])
     assert out.read_text() == canonical_dumps(r["result"])
+
+
+def test_out_encodes_the_result_once(capsys, tmp_path, monkeypatch):
+    """--out writes the result's canonical text, and the report inserts
+    that same text, so the result is encoded once."""
+    encoded = []
+
+    def spy(obj):
+        encoded.append(obj)
+        return canonical_dumps(obj)
+
+    monkeypatch.setattr(cli, "canonical_dumps", spy)
+    out = tmp_path / "disk.json"
+    r = _report(capsys, ["complex", "make", "--model", "rotation-disk", "--out", str(out)])
+    result, report = encoded
+    assert r["result"] == result == complex_to_json(models.COMPLEX_MODELS["rotation-disk"]())
+    assert isinstance(report["result"], Canonical)
+    assert out.read_text() == report["result"].text + "\n" == canonical_dumps(result)
 
 
 def test_out_not_written_on_failure(capsys, tmp_path):

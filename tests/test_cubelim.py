@@ -15,13 +15,13 @@ from isokit.cubelim import (
     CubeMap,
     LimitSet,
     SetFunction,
-    VertexFamily,
     check_hypothesis,
     compose,
     factorize_limit,
     limit,
     limit_map,
     random_cube_map,
+    vertex_family,
 )
 from isokit.errors import CubeGenerationFailed, CubeTooLarge
 from isokit.jsonio import canonical_dumps, cube_map_to_json
@@ -114,7 +114,7 @@ def _bruteforce_on_minimals(n, sizes, covers, poset):
 
 def test_limit_of_empty_poset_is_terminal():
     cube = _square((1, 2, 2, 3), (0,), (0,), (1, 2), (1, 2))
-    top = limit(cube, VertexFamily([]))
+    top = limit(cube, vertex_family(2, []))
     assert len(top) == 1 and top.elements == ((),)
 
 
@@ -122,23 +122,28 @@ def test_limit_requires_bounded_unions():
     cube = random_cube_map(3, seed=0, max_size=3).source
     # {0} and {1} join to {0,1}, bounded above by {0,1,2} yet missing
     with pytest.raises(ValueError):
-        limit(cube, VertexFamily([{0}, {1}, {0, 1, 2}]))
+        limit(cube, vertex_family(3, [{0}, {1}, {0, 1, 2}]))
     # with no upper bound present the same pair is a legal discrete family
-    disc = limit(cube, VertexFamily([{0}, {1}]))
+    disc = limit(cube, vertex_family(3, [{0}, {1}]))
     assert len(disc) == cube.size({0}) * cube.size({1})
 
 
 def test_limit_rejects_a_vertex_outside_the_cube():
     cube = Cube(1, {E: 1, S0: 1}, {(E, 0): (0,)})
-    with pytest.raises(ValueError, match=r"vertex \[1\] of the family is not in the 1-cube"):
-        limit(cube, VertexFamily([{1}]))
-    with pytest.raises(ValueError, match=r"vertex \[0, 2\] of the family is not in the 2-cube"):
-        limit(random_cube_map(2, seed=0).source, VertexFamily([{0}, {0, 2}]))
+    with pytest.raises(ValueError, match=r"^\[1\] is not a vertex of the 1-cube$"):
+        vertex_family(1, [{1}])
+    with pytest.raises(ValueError, match=r"^\[0, 2\] is not a vertex of the 2-cube$"):
+        vertex_family(2, [{0}, {0, 2}])
+    # a plan made for a larger cube names its first minimal vertex outside
+    # this one, where a lookup would raise a bare KeyError
+    with pytest.raises(ValueError, match=r"^\[1\] is not a vertex of the 1-cube$"):
+        limit(cube, vertex_family(2, [{0}, {1}]))
+    assert len(limit(cube, vertex_family(2, [{0}]))) == 1
 
 
 def test_limit_set_built_from_its_fields_indexes_its_elements():
     cube = random_cube_map(2, seed=21, max_size=3).source
-    full = limit(cube, VertexFamily(cube.vertices()))
+    full = limit(cube, vertex_family(2, cube.vertices()))
     expect = _bruteforce_on_minimals(2, cube.sizes, cube.covers, cube.vertices())
     assert (full.minimals, list(full.elements)) == expect and full.minimals == (E,)
     rebuilt = LimitSet(minimals=full.minimals, elements=full.elements)
@@ -166,7 +171,7 @@ def test_limit_matches_bruteforce_on_random_cubes():
             covers = {k: list(v) for k, v in cube.covers.items()}
             for poset in posets:
                 expect = _bruteforce_on_minimals(2, sizes, covers, poset)
-                got = limit(cube, VertexFamily(poset))
+                got = limit(cube, vertex_family(2, poset))
                 assert (got.minimals, list(got.elements)) == expect
                 checked += 1
     assert checked == 360
@@ -176,7 +181,7 @@ def test_limit_full_poset_matches_initial_vertex():
     # with the empty set present, compatible tuples biject with X(empty)
     for seed in range(10):
         cube = random_cube_map(2, seed=seed, max_size=4).source
-        full = limit(cube, VertexFamily(cube.vertices()))
+        full = limit(cube, vertex_family(2, cube.vertices()))
         assert len(full) == cube.size(E)
 
 
@@ -447,17 +452,21 @@ def test_random_cube_map_memo_skips_repeated_sections(monkeypatch):
 
 def test_vertex_family_requires_bounded_unions():
     # {0} and {1} join to {0,1}, bounded above by {0,1,2} yet missing
-    with pytest.raises(ValueError):
-        VertexFamily([{0}, {1}, {0, 1, 2}])
-    fam = VertexFamily([{1}, {0}, {0}])
-    assert fam.vertices == (S0, S1) and fam.minimals == (S0, S1)
-    assert fam.joins == ((), ())
-    # no cube has an index 64, as it would list 2^65 vertices, so no huge
-    # mask is built for one
-    assert VertexFamily([{63}, 1 << 63]).vertices == (1 << 63,)
-    for member in ({64}, {10**9}, 1 << 64, -1, {-1}):
-        with pytest.raises(ValueError, match="is not a vertex of the 64-cube$"):
-            VertexFamily([{0}, member])
+    with pytest.raises(ValueError, match="not closed under bounded unions$"):
+        vertex_family(3, [{0}, {1}, {0, 1, 2}])
+    # members as indices or masks, in any order and repeated; the plan
+    # keeps the minimal vertices and each join inside the family
+    assert vertex_family(2, [{1}, {0}, S0]) == ((S0, S1), ((), ()))
+    assert vertex_family(2, [S01, S1, S0]) == ((S0, S1), ((), ((0, S01),)))
+    # an index must lie in 0..n-1, and a bool is no vertex
+    for member in ({2}, {10**9}, 1 << 2, -1, {-1}, True, {True}, {0.0}):
+        with pytest.raises(ValueError, match="is not a vertex of the 2-cube$"):
+            vertex_family(2, [{0}, member])
+    # a huge dimension builds nothing of its size
+    assert vertex_family(10**18, [{63}, 1 << 63]) == ((1 << 63,), ((),))
+    for n, what in ((-1, "nonnegative, got -1"), (True, "an integer, got True"), (2.0, "an integer, got 2.0")):
+        with pytest.raises(ValueError, match=f"cube dimension must be {what}$"):
+            vertex_family(n, [])
 
 
 def test_reused_family_matches_bruteforce_on_random_3_cubes():
@@ -476,18 +485,18 @@ def test_reused_family_matches_bruteforce_on_random_3_cubes():
         fs([0, 1], [2]),
         [],
     ]
-    families = [VertexFamily(p) for p in posets]
+    families = [vertex_family(3, p) for p in posets]
     checked = 0
     for seed in range(12):
         m = random_cube_map(3, seed=seed, max_size=3)
         for cube in (m.source, m.target):
             covers = {k: list(v) for k, v in cube.covers.items()}
             for poset, fam in zip(posets, families):
-                assert list(map(_fs, fam.vertices)) == sorted(poset, key=lambda v: (len(v), sorted(v)))
+                assert vertex_family(3, poset[::-1]) == fam
                 expect = _bruteforce_on_minimals(3, cube.sizes, covers, poset)
                 got = limit(cube, fam)
                 assert (got.minimals, list(got.elements)) == expect
-                assert got.elements == limit(cube, VertexFamily(poset)).elements
+                assert got.elements == limit(cube, vertex_family(3, poset)).elements
                 checked += 1
     assert checked == 12 * 2 * len(posets)
 
@@ -547,7 +556,7 @@ def test_capped_sections_are_a_prefix_of_the_limit():
         cube = _random_3_cube(rng)
         for s, _, above, checks in steps:
             family = [t for t in cube.vertices() if s < _fs(t)]
-            lim = limit(cube, VertexFamily(family))
+            lim = limit(cube, vertex_family(3, family))
             expect = _bruteforce_on_minimals(3, cube.sizes, cube.covers, family)
             assert (lim.minimals, list(lim.elements)) == expect
             # the family's minimal vertices are the covers, in the sampler's order
@@ -637,12 +646,12 @@ def _all_singleton_map(n):
 
 def test_plans_are_built_once_per_dimension(monkeypatch):
     """Corner and stage limits are planned from the construction, once per
-    dimension, and no library path runs VertexFamily's check."""
+    dimension, and no library path runs vertex_family's check."""
 
-    def refuse(self, vertices):
-        raise AssertionError("a library path built a checked VertexFamily")
+    def refuse(n, vertices):
+        raise AssertionError("a library path checked a vertex family")
 
-    monkeypatch.setattr(VertexFamily, "__init__", refuse)
+    monkeypatch.setattr(cubelim, "vertex_family", refuse)
     planners = (cubelim._corner_plans, cubelim._stage_plans)
     for planner in planners:
         planner.cache_clear()
@@ -712,35 +721,30 @@ def _nested_pairs(n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_corner_plans_are_the_families_minimals_and_joins(n):
-    """Each corner's plan holds the minimal vertices and joins VertexFamily
-    finds for the vertices strictly above U in the span of U <= T on both
-    sides of the (n+1)-cube, in check_hypothesis's order."""
+    """Each corner's plan is the one vertex_family finds for the vertices
+    strictly above U in the span of U <= T on both sides of the
+    (n+1)-cube, in check_hypothesis's order."""
     plans = cubelim._corner_plans(n)
     assert [(_fs(u), _fs(t)) for u, t in plans] == _nested_pairs(n)
     for u, t in plans:
         lo, hi = _fs(u), _fs(t)
         span = [v | side for v in _subsets(n) if v <= hi - lo for side in (lo, lo | {n})]
-        family = VertexFamily([v for v in span if v != lo])
-        assert plans[(u, t)] == (family.minimals, family.joins)
+        assert plans[(u, t)] == vertex_family(n + 1, [v for v in span if v != lo])
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_stage_plans_are_the_families(n):
-    """Each stage plan holds the vertices, minimal vertices and joins
-    VertexFamily finds for the same members: the target side with the
-    source vertices adjoined one at a time by decreasing size, ties in
-    lexicographic order, up to but not including the empty set, whose
-    stage is lim X, read off the cube."""
+    """Each stage plan is the one vertex_family finds for its members: the
+    target side with the source vertices adjoined one at a time by
+    decreasing size, ties in lexicographic order, up to but not including
+    the empty set, whose stage is lim X, read off the cube."""
     order, stages = cubelim._stage_plans(n)
     source = _subsets(n)
     assert list(map(_fs, order)) == sorted(source, key=lambda s: (-len(s), sorted(s)))
     side = [s | {n} for s in source]
     assert len(stages) == len(order) - 1
     for k, plan in enumerate(stages, 1):
-        family = VertexFamily(side + list(map(_fs, order[:k])))
-        assert (plan.vertices, plan.minimals, plan.joins) == (
-            family.vertices, family.minimals, family.joins
-        )
+        assert plan == vertex_family(n + 1, side + list(map(_fs, order[:k])))
 
 
 @pytest.mark.parametrize("dim", range(4))
@@ -782,13 +786,13 @@ def test_limit_map_reads_both_ends_off_the_cube(dim, count_calls):
     rng = Random(dim)
     maps = [random_cube_map(dim, seed=seed) for seed in range(6)]
     maps += [_random_map_with_failures(rng, dim)[0] for _ in range(40)]
-    whole = VertexFamily(_subsets(dim + 1))
+    whole = vertex_family(dim + 1, _subsets(dim + 1))
     limits = count_calls("limit", cubelim)
     empty = 0
     for m in maps:
         direct, lim_y = limit_map(m)
         z = m.as_cube()
-        lim = limit(z, VertexFamily([s | 1 << dim for s in m.source.vertices()]))
+        lim = limit(z, vertex_family(dim + 1, [s | 1 << dim for s in m.source.vertices()]))
         assert lim_y == lim
         lookup = [
             lim.index_of(tuple(z.map_between(E, v)[a] for v in lim.minimals))
@@ -868,7 +872,7 @@ def test_limit_element_cap(monkeypatch):
     """A limit with more than MAX_LIMIT_ELEMENTS elements raises
     CubeTooLarge; one with exactly that many is built."""
     x = _wide_limit_map(4).source
-    upper = VertexFamily([s for s in x.vertices() if s.bit_count() >= 3])
+    upper = vertex_family(4, [s for s in x.vertices() if s.bit_count() >= 3])
     assert len(limit(x, upper)) == 2**4
     monkeypatch.setattr(cubelim, "MAX_LIMIT_ELEMENTS", 2**4)
     assert len(limit(x, upper)) == 2**4
@@ -897,6 +901,17 @@ def test_cube_sizes_and_cover_indices_must_be_integers(sizes, index, bad):
     with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
         Cube(1, sizes, {(E, index): (0,)})
     assert Cube(1, {E: 1, S0: 1}, {(E, 0): (0,)}).sizes == {E: 1, S0: 1}
+    # a bool is neither a mask nor an index, in a size key or a cover key;
+    # each case stands in for {0}, the vertex a bool True would alias
+    sizes = {E: 1, S0: 1, S1: 1, S01: 1}
+    covers = {(E, 0): (0,), (E, 1): (0,), (S0, 1): (0,), (S1, 0): (0,)}
+    for key, bad in ((True, "True"), ((True,), r"\[True\]"), ((0, False), r"\[0, False\]")):
+        with pytest.raises(ValueError, match=f"^{bad} is not a vertex of the 2-cube$"):
+            Cube(2, {E: 1, key: 1, S1: 1, S01: 1}, covers)
+        rest = {k: m for k, m in covers.items() if k != (S0, 1)}
+        with pytest.raises(ValueError, match=f"^{bad} is not a vertex of the 2-cube$"):
+            Cube(2, sizes, {**rest, (key, 1): (0,)})
+    assert Cube(2, sizes, covers).sizes == sizes
     # so is a dimension, for a cube and for the sampler
     for dim in (True, 1.0):
         with pytest.raises(ValueError, match=f"cube dimension must be an integer, got {dim}$"):

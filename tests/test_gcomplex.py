@@ -78,6 +78,10 @@ def test_vertex_counts_and_action_entries_must_be_integers(vertices, action, bad
     with pytest.raises(ValueError, match=f"must be an integer, got {bad}$"):
         GComplex(vertices, [(0,), (1,)], action or {1: (1, 0)}, group=c2)
     assert GComplex(2, [(0,), (1,)], {1: (1, 0)}, group=c2).n_vertices == 2
+    # so is a facet vertex, which a bool True would alias to 1
+    for facet, bad in (((True, 0), "True"), ((0, 1.0), "1.0"), ((0, "1"), "'1'")):
+        with pytest.raises(ValueError, match=f"facet vertex must be an integer, got {bad}$"):
+            GComplex(2, [facet], {}, group=FiniteGroup.cyclic(1))
 
 
 def _perm_closure(gens):

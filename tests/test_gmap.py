@@ -56,6 +56,12 @@ def test_map_validation():
         GMap(x, x, (0, 1, 2))  # wrong length
     with pytest.raises(ValueError):
         GMap(x, x, (0, 1, 2, 3, 4, 9))  # out of range
+    # a float, a bool or a string is named, not read as the int it equals
+    y = models.antipodal_hexagon()
+    for image, bad in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"vertex map image must be an integer, got {bad}$"):
+            GMap(y, y, (image, 2, 3, 4, 5, 0))
+    assert GMap(y, y, (1, 2, 3, 4, 5, 0)).vertices == (1, 2, 3, 4, 5, 0)
     f = GMap(x, x, (0, 0, 0, 0, 0, 0))
     assert is_simplicial(f)  # fully degenerate map is simplicial
     assert not is_equivariant(f)  # but ignores the free action

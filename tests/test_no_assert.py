@@ -2,7 +2,7 @@
 and no function takes a switch that turns its checks off.  Every private
 helper it defines is named somewhere else in it, and a kept answer is a
 cached property of its own object, never a write into a frozen object or
-from outside it."""
+from outside it.  An int check admits no bool."""
 
 import ast
 from pathlib import Path
@@ -98,6 +98,24 @@ def test_every_private_helper_is_used_elsewhere_in_the_library():
             used.update(name for name in _referenced(stmt) if name != own)
     unused = [where for name, where in private if name not in used]
     assert not unused, f"private helpers that nothing else names: {unused}"
+
+
+def test_library_int_checks_refuse_bools():
+    """isinstance(v, int) admits True and False, so the library tests an
+    int with type(v) is int, as group._int does."""
+    found = []
+    for path in sorted(Path(isokit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))
+        ]
+    assert not found, f"isinstance(..., int) checks in the library: {found}"
 
 
 def test_cubelim_holds_subsets_as_masks_only():
