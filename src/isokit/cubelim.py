@@ -31,16 +31,16 @@ dies; after 450 benchmark cube checks (CPython 3.11) those lists held
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter
 from random import Random
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CubeGenerationFailed, CubeTooLarge, InvariantViolated
 from .group import _int
+from .records import Record
 
 Subset = int
 Indices = Union[Subset, Iterable[int]]
@@ -68,7 +68,10 @@ def _mask(s: Indices, n: int) -> Subset:
         s = list(s)
         if all(type(i) is int and 0 <= i < n for i in s):
             return sum(1 << i for i in set(s))
-        s = sorted(s)
+        try:
+            s = sorted(s)
+        except TypeError:  # indices of mixed types are named as given
+            pass
     raise ValueError(f"{s} is not a vertex of the {n}-cube")
 
 
@@ -178,8 +181,7 @@ class Cube:
         return out
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(NamedTuple):
     """Function between index sets, stored as the image list."""
 
     mapping: Tuple[int, ...]
@@ -207,12 +209,14 @@ def compose(later: SetFunction, earlier: SetFunction) -> SetFunction:
     return SetFunction(tuple([later.mapping[v] for v in earlier.mapping]), later.codomain_size)
 
 
-@dataclass(frozen=True)
-class LimitSet:
-    """Limit of a cube over a vertex family, each element its values on the minimal vertices."""
-
+class _LimitSetFields(NamedTuple):
     minimals: Tuple[Subset, ...]
     elements: Tuple[Tuple[int, ...], ...]
+
+
+class LimitSet(Record, _LimitSetFields):
+    """Limit of a cube over a vertex family, each element its values on the
+    minimal vertices.  Its length is its number of elements."""
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -417,8 +421,7 @@ def _corner_plans(n: int) -> Mapping[Tuple[Subset, Subset], Plan]:
     return MappingProxyType(out)
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     ok: bool
     checked: int
     failures: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
@@ -483,8 +486,7 @@ def _stage_plans(n: int) -> Tuple[Tuple[Subset, ...], Tuple[Plan, ...]]:
     return tuple(xorder), tuple(stages)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Chain lim X = L_last -> ... -> L_0 -> lim Y through partial limits.
 
     Stage i adjoins the i-th source vertex, taken in order of decreasing
@@ -544,8 +546,8 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     padded with one duplicate element.  Sections make every subcube
     corner surjective; the duplicates keep the maps from being bijective
     without breaking that.  Raises CubeGenerationFailed when no attempt
-    keeps every limit between 1 and max_size elements, and CubeTooLarge
-    above MAX_CUBE_DIM.
+    keeps every limit between 1 and max_size elements, CubeTooLarge above
+    MAX_CUBE_DIM, and ValueError for a max_size that is not an int.
 
     The walk is planned once per dimension (_walk_view) and holds one
     fill id per vertex: a fill is the vertex's size and its cover maps,
@@ -560,6 +562,7 @@ def random_cube_map(n: int, seed: int = 0, max_size: int = 5) -> CubeMap:
     over k rows does.  Its cubes and map are correct by construction, unchecked.
     """
     n = _check_dim(n)
+    max_size = _int(max_size, "max_size")
     view = _walk_view(n)
     rng = Random(seed)
     memo, ids, fills = {}, {}, []  # covers' fill ids -> S's fill ids, fill -> id, id -> fill

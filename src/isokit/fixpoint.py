@@ -10,9 +10,8 @@ breadth-first walk builds the tree and lifts the map along it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import (
     InconsistentLabels,
@@ -32,6 +31,7 @@ from .gcomplex import (
 )
 from .gmap import GMap, _components, is_isovariant, is_simplicial
 from .group import FiniteGroup, Subgroup, class_names, table_of_marks
+from .records import Record
 from .snf import smith_normal_form
 
 Vector = Tuple[int, ...]
@@ -92,17 +92,19 @@ def lefschetz_fixed_sets(f: GMap) -> Dict[str, int]:
 # -- Burnside classes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BurnsideElement:
-    """Integer vector over subgroup classes, in marks or orbit basis."""
-
+class _BurnsideElementFields(NamedTuple):
     basis: str
     names: Tuple[str, ...]
     coefficients: Tuple[int, ...]
 
-    def __post_init__(self):
-        if self.basis not in ("marks", "orbits"):
+
+class BurnsideElement(Record, _BurnsideElementFields):
+    """Integer vector over subgroup classes, in marks or orbit basis."""
+
+    def __new__(cls, basis: str, names: Tuple[str, ...], coefficients: Tuple[int, ...]):
+        if basis not in ("marks", "orbits"):
             raise ValueError("basis must be 'marks' or 'orbits'")
+        return super().__new__(cls, basis, names, coefficients)
 
 
 def marks_vector(f: GMap) -> BurnsideElement:
@@ -130,29 +132,31 @@ def _orbits(mv: BurnsideElement, group: FiniteGroup) -> BurnsideElement:
 # -- twisted conjugacy ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedConjugacySetup:
-    """Abelian pi given by invariant factors (0 marks a free factor) and
-    the endomorphism matrix phi acting on those coordinates."""
-
+class _TwistedConjugacySetupFields(NamedTuple):
     invariant_factors: Tuple[int, ...]
     phi: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
-        r = len(self.invariant_factors)
-        if len(self.phi) != r or any(len(row) != r for row in self.phi):
+
+class TwistedConjugacySetup(Record, _TwistedConjugacySetupFields):
+    """Abelian pi given by invariant factors (0 marks a free factor) and
+    the endomorphism matrix phi acting on those coordinates."""
+
+    def __new__(cls, invariant_factors: Tuple[int, ...], phi: Tuple[Tuple[int, ...], ...]):
+        r = len(invariant_factors)
+        if len(phi) != r or any(len(row) != r for row in phi):
             raise ValueError("phi must be square of the same rank as pi")
         # phi must respect the relations d_i * e_i = 0
-        for j, d in enumerate(self.invariant_factors):
+        for j, d in enumerate(invariant_factors):
             if d == 0:
                 continue
-            for i, di in enumerate(self.invariant_factors):
-                img = d * self.phi[i][j]
+            for i, di in enumerate(invariant_factors):
+                img = d * phi[i][j]
                 if di == 0:
                     if img != 0:
                         raise ValueError("phi does not preserve torsion relations")
                 elif img % di != 0:
                     raise ValueError("phi does not preserve torsion relations")
+        return super().__new__(cls, invariant_factors, phi)
 
     @property
     def rank(self) -> int:
@@ -173,8 +177,7 @@ class TwistedConjugacySetup:
         )
 
 
-@dataclass(frozen=True)
-class TwistedClasses:
+class TwistedClasses(NamedTuple):
     """Cokernel of (id - phi) on pi, with projection and representatives."""
 
     setup: TwistedConjugacySetup
@@ -252,8 +255,7 @@ def twisted_classes(setup: TwistedConjugacySetup) -> TwistedClasses:
 # -- Reidemeister trace ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiData:
+class PiData(NamedTuple):
     """Fundamental-group data: spanning tree of the 1-skeleton plus edge
     labels in pi.  Labels are antisymmetric, omega(u,v) = -omega(v,u), and
     tree edges carry zero."""
@@ -398,8 +400,7 @@ def derive_pidata(
     return PiData(setup=setup, tree=tree, labels=labels, base=0)
 
 
-@dataclass(frozen=True)
-class ReidemeisterTrace:
+class ReidemeisterTrace(NamedTuple):
     classes: TwistedClasses
     coefficients: Dict[Vector, int]
     lefschetz: int
@@ -485,8 +486,7 @@ def forced_fixed_points(x: GComplex) -> FrozenSet[int]:
 # -- verdict ------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     fixed_point_free: bool
     hypotheses: HypothesisReport
     forced: Tuple[int, ...]

@@ -8,11 +8,10 @@ the constructions that need regularity check it instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MissingStratum, NotRegular, TooManySimplices
 from .group import (
@@ -263,8 +262,7 @@ class GComplex:
 # -- isotropy index -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isotropy:
+class Isotropy(NamedTuple):
     """Isotropy of every simplex of one complex, built orbit by orbit.
 
     stabilizers maps each simplex to its pointwise stabilizer; strata maps
@@ -330,8 +328,7 @@ def _isotropy_index(x: GComplex) -> Isotropy:
 # -- subdivision --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """Barycentric subdivision with the simplex <-> new-vertex dictionary."""
 
     complex: GComplex
@@ -404,8 +401,7 @@ def make_regular(x: GComplex) -> GComplex:
 # -- strata -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """Simplices whose pointwise stabilizer lies in one conjugacy class."""
 
     class_rep: Tuple[int, ...]
@@ -453,8 +449,7 @@ def class_fixed_union(x: GComplex, h: Iterable[int]) -> SimplexSet:
     return frozenset().union(*(strata[k] for k in strata if is_subconjugate(x.group, h, k)))
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Nested closed invariant levels M_1 <= ... <= M_n over isotropy classes."""
 
     order: Tuple[Tuple[int, ...], ...]
@@ -484,8 +479,7 @@ def filtration(x: GComplex) -> Filtration:
 # -- hypothesis checks ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     dims_used: Dict[str, int]
     dim_ok: bool
     dim_failures: Tuple[Tuple[str, int], ...]
@@ -571,8 +565,7 @@ def is_treelike(x: GComplex) -> bool:
 # -- quotients and subcomplexes -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitComplex:
+class OrbitComplex(NamedTuple):
     """Quotient complex on vertex orbits, the per-vertex quotient map, and
     the simplices of the complex over each orbit simplex.
 
@@ -584,7 +577,7 @@ class OrbitComplex:
     complex: GComplex
     vertex_orbit: Tuple[int, ...]
     orbit_members: Tuple[Tuple[int, ...], ...]
-    fibers: Dict[Simplex, List[Simplex]] = field(compare=False, repr=False)
+    fibers: Dict[Simplex, List[Simplex]]
 
     def image_of(self, s: Sequence[int]) -> Simplex:
         return tuple(sorted({self.vertex_orbit[v] for v in s}))

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Sequence, Set, Tuple
 
 from .errors import NotEquivariant, NotIsovariant, NotRegular, NotSimplicial
 from .gcomplex import (
@@ -19,6 +18,7 @@ from .gcomplex import (
     present_classes,
 )
 from .group import Subgroup, _int, _skey, class_names, class_rep_of, is_subconjugate
+from .records import Record
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -38,8 +38,13 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class GMap:
+class _GMapFields(NamedTuple):
+    source: GComplex
+    target: GComplex
+    vertices: Tuple[int, ...]
+
+
+class GMap(Record, _GMapFields):
     """A vertex map between complexes over the same group.
 
     A self-map holds one complex when its source and target are one
@@ -51,20 +56,17 @@ class GMap:
     a check that raises keeps nothing.
     """
 
-    source: GComplex
-    target: GComplex
-    vertices: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != self.source.n_vertices:
+    def __new__(cls, source: GComplex, target: GComplex, vertices: Tuple[int, ...]):
+        if len(vertices) != source.n_vertices:
             raise ValueError("vertex map length must match the source complex")
-        n = self.target.n_vertices
-        for v in self.vertices:
+        n = target.n_vertices
+        for v in vertices:
             if type(v) is not int or not 0 <= v < n:
                 _int(v, "vertex map image")
                 raise ValueError("vertex map image out of range")
-        if self.source.group.table != self.target.group.table:
+        if source.group.table != target.group.table:
             raise ValueError("source and target must share one group")
+        return super().__new__(cls, source, target, vertices)
 
     def apply(self, s: Sequence[int]) -> Simplex:
         return tuple(sorted({self.vertices[v] for v in s}))
@@ -175,8 +177,7 @@ def subdivide_map(f: GMap) -> GMap:
 # -- stratum restrictions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StratumMaps:
+class StratumMaps(NamedTuple):
     """Restrictions of an isovariant map to invariant stratum pieces.
 
     fixed holds, per isotropy class name, the restriction to the union of
@@ -221,8 +222,7 @@ def stratum_maps(f: GMap) -> StratumMaps:
 # -- pi0-level link data ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class LinkGraph(NamedTuple):
     """Adjacency of exact-H0 simplices that touch the H1 part.
 
     Nodes are simplices with pointwise stabilizer in the class of the
@@ -274,8 +274,7 @@ def link_graph(x: GComplex, h0: Subgroup, h1: Subgroup) -> LinkGraph:
     )
 
 
-@dataclass(frozen=True)
-class Pi0Report:
+class Pi0Report(NamedTuple):
     """Necessary pi0-level conditions; only a failure is conclusive."""
 
     class_results: Dict[str, Tuple[int, int, bool]]

@@ -8,14 +8,14 @@ that is smallest under (order, sorted elements).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, NonIntegral, NotStrictChain
+from .records import Record
 
 Subgroup = FrozenSet[int]
 Perm = Tuple[int, ...]
@@ -422,8 +422,7 @@ def is_subgroup(g: FiniteGroup, elems: Iterable[int]) -> bool:
     return frozenset(elems) in g._class_of
 
 
-@dataclass(frozen=True)
-class Cosets:
+class Cosets(NamedTuple):
     """The left cosets xH of a subgroup H, ordered by their smallest member,
     and index[x], the position of the coset that holds x."""
 
@@ -595,8 +594,13 @@ def chain_name(g: FiniteGroup, chain: Sequence[Subgroup]) -> str:
 # -- table of marks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarksTable:
+class _MarksTableFields(NamedTuple):
+    reps: Tuple[Tuple[int, ...], ...]
+    names: Tuple[str, ...]
+    matrix: Tuple[Tuple[int, ...], ...]
+
+
+class MarksTable(Record, _MarksTableFields):
     """Table of marks: matrix[i][j] = |(G/reps[i])^{reps[j]}|.
 
     Representatives are in ascending subconjugacy-compatible order, which
@@ -604,10 +608,6 @@ class MarksTable:
     nonzero only where reps[j] is subconjugate to reps[i], so the solvers
     read, per column j, only the nonzero entries below the diagonal.
     """
-
-    reps: Tuple[Tuple[int, ...], ...]
-    names: Tuple[str, ...]
-    matrix: Tuple[Tuple[int, ...], ...]
 
     @cached_property
     def below(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:

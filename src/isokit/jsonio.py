@@ -359,13 +359,13 @@ def cells_to_json(c: IsovariantCellStructure) -> Canonical:
     formats: Dict[Tuple[int, int, int], Tuple[str, Callable]] = {}
     records = []
     for cell in c.cells:
-        orbit, base = cell.orbit_simplex, cell.base_simplex
-        key = (id(cell.phi_map), len(orbit), len(base))
+        orbit, base, phi, pm = cell
+        key = (id(pm), len(orbit), len(base))
         plan = formats.get(key)
         if plan is None:
             plan = formats[key] = _cell_format(cell)
         fmt, pick = plan
-        records.append(fmt % pick(orbit + base + cell.phi))
+        records.append(fmt % pick(orbit + base + phi))
     return Canonical('{"cells":[%s],"skeleta":[%s]}' % (
         ",".join(records), _int_list([len(s) for s in c.skeleta])
     ))

@@ -10,10 +10,9 @@ space is a single n-simplex.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     InvariantViolated,
@@ -38,6 +37,7 @@ from .group import (
     left_cosets,
     validate_chain,
 )
+from .records import Record
 
 SlotVertex = Tuple[int, FrozenSet[int]]
 # a domain vertex (l, u) of a phi map: disk corner l, linking vertex u
@@ -78,15 +78,7 @@ def slot_coset_complex(
     return cx, tuple(verts)
 
 
-class _SlotVertices:
-    """Vertex lookup for a slot complex."""
-
-    def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
-        return self.vertices.index((slot, coset))
-
-
-@dataclass(frozen=True)
-class LinkingSimplex(_SlotVertices):
+class LinkingSimplex(NamedTuple):
     """The coset complex of a strictly increasing subgroup chain."""
 
     group: FiniteGroup
@@ -97,6 +89,9 @@ class LinkingSimplex(_SlotVertices):
     @property
     def n(self) -> int:
         return len(self.chain) - 1
+
+    def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
+        return self.vertices.index((slot, coset))
 
     def name(self) -> str:
         return chain_name(self.group, self.chain)
@@ -112,8 +107,15 @@ def build_linking(g: FiniteGroup, chain: Sequence[Iterable[int]]) -> LinkingSimp
 # -- boundary ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryPiece:
+class _BoundaryPieceFields(NamedTuple):
+    slots: Tuple[int, ...]
+    subchain: Tuple[Subgroup, ...]
+    simplices: FrozenSet[Simplex]
+    vertex_embedding: Dict[int, int]  # model vertex -> ambient vertex
+    group: FiniteGroup
+
+
+class BoundaryPiece(Record, _BoundaryPieceFields):
     """Embedded image of the linking simplex of one proper subchain.
 
     The image is read off the ambient facets: the vertices of the chosen
@@ -123,19 +125,12 @@ class BoundaryPiece:
     built on first read.
     """
 
-    slots: Tuple[int, ...]
-    subchain: Tuple[Subgroup, ...]
-    simplices: FrozenSet[Simplex]
-    vertex_embedding: Dict[int, int]  # model vertex -> ambient vertex
-    group: FiniteGroup = field(repr=False)
-
     @cached_property
     def model(self) -> LinkingSimplex:
         return build_linking(self.group, self.subchain)
 
 
-@dataclass(frozen=True)
-class BoundaryDecomposition:
+class BoundaryDecomposition(NamedTuple):
     simplices: FrozenSet[Simplex]
     pieces: Tuple[BoundaryPiece, ...]
 
@@ -176,8 +171,7 @@ def boundary(l: LinkingSimplex) -> BoundaryDecomposition:
 # -- fundamental domain ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(NamedTuple):
     facet: Simplex
     translates: Dict[int, Simplex]
 
@@ -232,8 +226,7 @@ def _collapse(subs: Tuple[Subgroup, ...]) -> Tuple[Tuple[Subgroup, ...], Tuple[i
     return tuple(chain), tuple(p)
 
 
-@dataclass(frozen=True)
-class IllmanSimplex(_SlotVertices):
+class IllmanSimplex(NamedTuple):
     """Equivariant simplex of a weakly decreasing subgroup list.
 
     Vertex w_i of the fundamental facet has stabilizer exactly groups[i];
@@ -251,6 +244,9 @@ class IllmanSimplex(_SlotVertices):
     def n(self) -> int:
         return len(self.groups) - 1
 
+    def vertex_index(self, slot: int, coset: FrozenSet[int]) -> int:
+        return self.vertices.index((slot, coset))
+
 
 def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSimplex:
     subs = _check_weakly_decreasing(g, groups)
@@ -264,8 +260,24 @@ def illman_complex(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> IllmanSim
 # -- the characteristic vertex map ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiMap:
+class _PhiMapFields(NamedTuple):
+    group: FiniteGroup
+    groups: Tuple[Subgroup, ...]
+    chain: Tuple[Subgroup, ...]
+    surjection: Tuple[int, ...]
+    disk_dims: Tuple[int, ...]
+    linking_facets: Tuple[Simplex, ...]
+    linking_vertices: Tuple[SlotVertex, ...]
+    keys: Tuple[PhiKey, ...]
+    targets: Tuple[Tuple[int, int], ...]
+    stabilizers: Tuple[Subgroup, ...]
+    identified: Tuple[int, ...]
+    coset_vertices: int
+    facet_positions: Tuple[Tuple[int, ...], ...]
+    chain_label: str
+
+
+class PhiMap(Record, _PhiMapFields):
     """Vertex assignment from (disk factors) x (chain simplex) onto an
     equivariant simplex.
 
@@ -291,21 +303,6 @@ class PhiMap:
     corner l; chain_label is the chain's class names, ascending.  The
     Illman simplex itself is built on first read.
     """
-
-    group: FiniteGroup
-    groups: Tuple[Subgroup, ...]
-    chain: Tuple[Subgroup, ...]
-    surjection: Tuple[int, ...]
-    disk_dims: Tuple[int, ...]
-    linking_facets: Tuple[Simplex, ...]
-    linking_vertices: Tuple[SlotVertex, ...]
-    keys: Tuple[PhiKey, ...]
-    targets: Tuple[Tuple[int, int], ...]
-    stabilizers: Tuple[Subgroup, ...]
-    identified: Tuple[int, ...]
-    coset_vertices: int
-    facet_positions: Tuple[Tuple[int, ...], ...]
-    chain_label: str
 
     @cached_property
     def illman(self) -> IllmanSimplex:
@@ -361,8 +358,7 @@ def phi_vertex_map(g: FiniteGroup, groups: Sequence[Iterable[int]]) -> PhiMap:
 # -- decomposition of an equivariant triangulation ---------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One cell D^m x (chain simplex) of an isovariant cell structure.
 
     phi[k] is the ambient image of the domain vertex phi_map.keys[k]; the
@@ -383,8 +379,7 @@ class Cell:
         return f"D^{self.disk_dim} x Delta^{{{self.phi_map.chain_label}}}"
 
 
-@dataclass(frozen=True)
-class IsovariantCellStructure:
+class IsovariantCellStructure(NamedTuple):
     """Cells of a complex, in orbit-simplex order, and its skeleta; the
     simplices of complex over each orbit simplex are orbit.fibers."""
 
@@ -434,8 +429,9 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
     plans: Dict[Tuple[Subgroup, ...], Tuple[List[int], PhiMap]] = {}
     # phi depends only on the stabilizer chain; cells that share it share one map
     phi_maps: Dict[Tuple[Subgroup, ...], PhiMap] = {}
+    fibers = orb.fibers
     for s in orb.complex.simplices():
-        over = orb.fibers[s]
+        over = fibers[s]
         # no simplex over s is shorter than s, and the longest come last
         if len(over[-1]) != len(s):
             t = min((t for t in over if len(t) != len(s)), key=lambda t: (len(t), t))
@@ -487,15 +483,13 @@ def decompose(x: GComplex) -> IsovariantCellStructure:
 # -- validation --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     cell_index: int
     check: str
     detail: str
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
     ok: bool
     failures: Tuple[CellCheck, ...]
     cell_count: int
@@ -545,15 +539,13 @@ def validate_cells(c: IsovariantCellStructure, x: GComplex) -> CellReport:
         failures.append(CellCheck(cell_index=i, check=check, detail=detail))
 
     tally = 0
-    for i, cell in enumerate(c.cells):
-        pm = cell.phi_map
-        phi = cell.phi
+    for i, (orbit_simplex, _, phi, pm) in enumerate(c.cells):
         tally += len(pm.linking_facets)
         if len(phi) != len(pm.keys):
             fail(i, "length", f"phi has {len(phi)} images for {len(pm.keys)} domain vertices")
             continue
-        dim = len(cell.orbit_simplex) - 1
-        over = buckets.get(cell.orbit_simplex, [])
+        dim = len(orbit_simplex) - 1
+        over = buckets.get(orbit_simplex, [])
         over_set = set(over)
         if tuple(map(vertex_stabilizers.get, phi)) != pm.stabilizers:
             for k, w in enumerate(phi):

@@ -303,6 +303,12 @@ def test_random_cube_map_rejects_negative_dimension():
         random_cube_map(-1)
 
 
+@pytest.mark.parametrize("max_size, shown", [("5", "'5'"), (1.5, "1.5"), (True, "True")])
+def test_random_cube_map_max_size_must_be_an_int(max_size, shown):
+    with pytest.raises(ValueError, match=f"^max_size must be an integer, got {shown}$"):
+        random_cube_map(2, max_size=max_size)
+
+
 def test_random_cube_map_attempt_guard(monkeypatch):
     monkeypatch.setattr(cubelim, "_try_random_cube", lambda *args: None)
     with pytest.raises(CubeGenerationFailed) as info:
@@ -462,6 +468,9 @@ def test_vertex_family_requires_bounded_unions():
     for member in ({2}, {10**9}, 1 << 2, -1, {-1}, True, {True}, {0.0}):
         with pytest.raises(ValueError, match="is not a vertex of the 2-cube$"):
             vertex_family(2, [{0}, member])
+    # indices that do not sort together are named as given
+    with pytest.raises(ValueError, match=r"^\[0, 'a'\] is not a vertex of the 2-cube$"):
+        vertex_family(2, [(0, "a")])
     # a huge dimension builds nothing of its size
     assert vertex_family(10**18, [{63}, 1 << 63]) == ((1 << 63,), ((),))
     for n, what in ((-1, "nonnegative, got -1"), (True, "an integer, got True"), (2.0, "an integer, got 2.0")):
@@ -905,7 +914,7 @@ def test_cube_sizes_and_cover_indices_must_be_integers(sizes, index, bad):
     # each case stands in for {0}, the vertex a bool True would alias
     sizes = {E: 1, S0: 1, S1: 1, S01: 1}
     covers = {(E, 0): (0,), (E, 1): (0,), (S0, 1): (0,), (S1, 0): (0,)}
-    for key, bad in ((True, "True"), ((True,), r"\[True\]"), ((0, False), r"\[0, False\]")):
+    for key, bad in ((True, "True"), ((True,), r"\[True\]"), ((0, False), r"\[0, False\]"), ((0, "a"), r"\[0, 'a'\]")):
         with pytest.raises(ValueError, match=f"^{bad} is not a vertex of the 2-cube$"):
             Cube(2, {E: 1, key: 1, S1: 1, S01: 1}, covers)
         rest = {k: m for k, m in covers.items() if k != (S0, 1)}

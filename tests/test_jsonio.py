@@ -1,6 +1,5 @@
 """Serialization round-trips and canonical-output stability."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -106,9 +105,9 @@ def test_cell_report_writes_labels_with_percent_signs_and_escapes():
     for cell in c.cells:
         pm = cell.phi_map
         if id(pm) not in maps:
-            maps[id(pm)] = dataclasses.replace(pm, chain_label='%d%%s "ü"\\' + pm.chain_label)
-    cells = tuple(dataclasses.replace(cell, phi_map=maps[id(cell.phi_map)]) for cell in c.cells)
-    _assert_report_is_the_reference(dataclasses.replace(c, cells=cells))
+            maps[id(pm)] = pm._replace(chain_label='%d%%s "ü"\\' + pm.chain_label)
+    cells = tuple(cell._replace(phi_map=maps[id(cell.phi_map)]) for cell in c.cells)
+    _assert_report_is_the_reference(c._replace(cells=cells))
 
 
 def _expand(obj):

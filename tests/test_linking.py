@@ -4,7 +4,6 @@ import hashlib
 import re
 import weakref
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -619,8 +618,8 @@ def _with_phi(c, index, values):
     cell = c.cells[index]
     phi = tuple(values.get(key, w) for key, w in zip(cell.phi_map.keys, cell.phi))
     cells = list(c.cells)
-    cells[index] = replace(cell, phi=phi)
-    return replace(c, cells=tuple(cells))
+    cells[index] = cell._replace(phi=phi)
+    return c._replace(cells=tuple(cells))
 
 
 def _failures(c, x):
@@ -675,13 +674,13 @@ def test_validate_cells_reports_broken_identifications():
 
 def test_validate_cells_reports_the_smallest_missing_boundary_simplex():
     x, c = _disk_structure()
-    truncated = replace(c, skeleta=(c.skeleta[0] - {(1,), (4,)},) + c.skeleta[1:])
+    truncated = c._replace(skeleta=(c.skeleta[0] - {(1,), (4,)},) + c.skeleta[1:])
     assert _failures(truncated, x) == [
         (4, "attachment", "boundary simplex (1,) missing from skeleton"),
         (7, "attachment", "boundary simplex (1,) missing from skeleton"),
         (8, "attachment", "boundary simplex (1,) missing from skeleton"),
     ]
-    truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(0, 4)}, c.skeleta[2]))
+    truncated = c._replace(skeleta=(c.skeleta[0], c.skeleta[1] - {(0, 4)}, c.skeleta[2]))
     assert _failures(truncated, x) == [
         (10, "attachment", "boundary simplex (0, 4) missing from skeleton"),
         (11, "attachment", "boundary simplex (0, 4) missing from skeleton"),
@@ -689,7 +688,7 @@ def test_validate_cells_reports_the_smallest_missing_boundary_simplex():
     # cell 11 lies over (0, 1, 6) and (0, 3, 4): the first misses (1, 6), the
     # second the smaller (0, 3), which cell 12's (0, 2, 3) misses as well
     assert sorted(c.orbit.fibers[(0, 1, 3)]) == [(0, 1, 6), (0, 3, 4)]
-    truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(1, 6), (0, 3)}, c.skeleta[2]))
+    truncated = c._replace(skeleta=(c.skeleta[0], c.skeleta[1] - {(1, 6), (0, 3)}, c.skeleta[2]))
     assert _failures(truncated, x) == [
         (11, "attachment", "boundary simplex (0, 3) missing from skeleton"),
         (12, "attachment", "boundary simplex (0, 3) missing from skeleton"),
@@ -698,7 +697,7 @@ def test_validate_cells_reports_the_smallest_missing_boundary_simplex():
 
 def test_validate_cells_reports_a_dropped_cell():
     x, c = _disk_structure()
-    assert _failures(replace(c, cells=c.cells[:4] + c.cells[5:]), x) == [
+    assert _failures(c._replace(cells=c.cells[:4] + c.cells[5:]), x) == [
         (-1, "tally", "cells account for 23 simplices, complex has 25"),
     ]
 
@@ -712,8 +711,8 @@ def test_validate_cells_reports_a_phi_of_the_wrong_length(edit):
     assert len(phi) == 4
     edited = {"cut": phi[:3], "repeat": phi + (phi[-1],), "foreign": phi + (99,)}[edit]
     cells = list(c.cells)
-    cells[7] = replace(cells[7], phi=edited)
-    assert _failures(replace(c, cells=tuple(cells)), x) == [
+    cells[7] = cells[7]._replace(phi=edited)
+    assert _failures(c._replace(cells=tuple(cells)), x) == [
         (7, "length", f"phi has {len(edited)} images for 4 domain vertices"),
     ]
 
@@ -835,10 +834,10 @@ def test_validate_cells_names_what_the_per_cell_checks_name(name):
     seen = set()
     for i, cell in enumerate(c.cells):
         for phi in _tamperings(x, cell):
-            seen |= named(replace(c, cells=c.cells[:i] + (replace(cell, phi=phi),) + c.cells[i + 1:]))
+            seen |= named(c._replace(cells=c.cells[:i] + (cell._replace(phi=phi),) + c.cells[i + 1:]))
     for d, skeleton in enumerate(c.skeleta):
         for t in sorted(skeleton)[:: max(1, len(skeleton) // 12)]:
-            seen |= named(replace(c, skeleta=c.skeleta[:d] + (skeleton - {t},) + c.skeleta[d + 1:]))
+            seen |= named(c._replace(skeleta=c.skeleta[:d] + (skeleton - {t},) + c.skeleta[d + 1:]))
     assert seen == {"isotropy", "surjectivity", "facets", "identifications", "attachment"}
 
 
@@ -848,7 +847,7 @@ def test_validate_cells_names_a_vertex_missing_from_the_1_skeleton_only():
     x = barycentric_subdivision(models.COMPLEX_MODELS["rotation-disk"]()).complex
     c = decompose(x)
     v = 1
-    truncated = replace(c, skeleta=(c.skeleta[0], c.skeleta[1] - {(v,)}, c.skeleta[2]))
+    truncated = c._replace(skeleta=(c.skeleta[0], c.skeleta[1] - {(v,)}, c.skeleta[2]))
     expected = [
         (i, "attachment", f"boundary simplex ({v},) missing from skeleton")
         for i, cell in enumerate(c.cells)

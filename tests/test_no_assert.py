@@ -1,8 +1,9 @@
 """The library raises its checks: `python -O` strips assert statements,
 and no function takes a switch that turns its checks off.  Every private
 helper it defines is named somewhere else in it, and a kept answer is a
-cached property of its own object, never a write into a frozen object or
-from outside it.  An int check admits no bool."""
+cached property of its own object, never a write into a read-only record
+or from outside it.  An int check admits no bool, and no module imports
+dataclasses."""
 
 import ast
 from pathlib import Path
@@ -34,7 +35,7 @@ def test_no_library_function_takes_a_validate_switch():
 
 def test_no_library_code_writes_through_object_setattr():
     """Answers kept on an object are functools.cached_property values, so
-    no object.__setattr__ call gets round a frozen dataclass."""
+    no object.__setattr__ call gets round a read-only object."""
     found = []
     for path in sorted(Path(isokit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -130,3 +131,18 @@ def test_cubelim_holds_subsets_as_masks_only():
         or (isinstance(node, ast.Attribute) and node.attr == "FrozenSet")
     ]
     assert not found, f"frozensets in cubelim: {found}"
+
+
+def test_no_library_module_imports_dataclasses():
+    """Records are named tuples: a dataclass decorator compiles its methods
+    on every import of the package, and dataclasses imports inspect."""
+    found = []
+    for path in sorted(Path(isokit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+        ]
+    assert not found, f"dataclasses imports in the library: {found}"
